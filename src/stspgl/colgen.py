@@ -11,12 +11,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .covers import FeasibilityCover, make_cover, minimal_feasibility_cover
-from .model import INFEASIBLE, OPTIMAL, TIME_LIMIT, Instance, Request, edge
-from .mpbackend import RC_EPS, LinearModel, SolveOutcome, solve_lp, solve_mip
+from .model import OPTIMAL, TIME_LIMIT, Instance, Request
+from .mpbackend import RC_EPS, LinearModel, SolveOutcome, solve_mip
 from .scenarios import RoutingCostTable, required_scenario_count
+from .tspgl import (
+    add_edge_vars,
+    add_flow_vars,
+    add_linking_rows,
+    degree_coeffs,
+    flow_coeffs,
+    supply,
+)
 
 
 @dataclass
@@ -52,13 +60,6 @@ class ColumnPool:
     def has(self, requests: Tuple[Request, ...]) -> bool:
         return tuple(requests) in self._keys
 
-    def find(self, requests: Tuple[Request, ...]) -> Optional[FeasibilityCover]:
-        key = tuple(requests)
-        for cover in self.columns:
-            if cover.requests == key:
-                return cover
-        return None
-
 
 @dataclass
 class RmpIndex:
@@ -79,13 +80,9 @@ def build_rmp(inst: Instance, pool: ColumnPool, qtilde: RoutingCostTable
     if not pool.columns:
         raise ValueError("column pool must contain at least one cover")
     model = LinearModel("rmp")
-    alpha = inst.alpha
-    for a, b in inst.edges():
-        model.add_var(f"x_{a}_{b}", lb=0.0, ub=1.0, obj=(1.0 - alpha) * inst.cbar(a, b))
-    for hk in inst.requests:
-        h, k = hk
-        for i, j in inst.arcs():
-            model.add_var(f"f_{h}_{k}_{i}_{j}", lb=0.0, obj=alpha * qtilde.cost(hk, i, j))
+    x = add_edge_vars(model, inst.nodes, inst.design, scale=1.0 - inst.alpha)
+    flows = {hk: add_flow_vars(model, hk, inst.nodes, qtilde, inst.alpha)
+             for hk in inst.requests}
     chi: Dict[Tuple[Request, ...], str] = {}
     for idx, cover in enumerate(pool.columns):
         ub = 0.0 if cover.requests in pool.branched else math.inf
@@ -96,25 +93,18 @@ def build_rmp(inst: Instance, pool: ColumnPool, qtilde: RoutingCostTable
     )
     link_rows: Dict[int, str] = {}
     for i in inst.nodes:
-        coeffs: Dict[str, float] = {
-            f"x_{min(i, j)}_{max(i, j)}": 1.0 for j in inst.nodes if j != i
-        }
+        coeffs = degree_coeffs(x, i, inst.nodes)
         for cover in pool.columns:
             li = cover.node_incidence[i]
             if li:
                 coeffs[chi[cover.requests]] = -2.0 * li
         link_rows[i] = model.add_constr(coeffs, "==", 0.0, name=f"link_{i}")
     flow_rows: Dict[Tuple[Request, int], str] = {}
-    for hk in inst.requests:
+    for hk, f in flows.items():
         h, k = hk
         for i in inst.nodes:
-            coeffs = {}
-            for j in inst.nodes:
-                if j == i:
-                    continue
-                coeffs[f"f_{h}_{k}_{i}_{j}"] = 1.0
-                coeffs[f"f_{h}_{k}_{j}_{i}"] = -1.0
-            sign = 1.0 if i == h else (-1.0 if i == k else 0.0)
+            coeffs = flow_coeffs(f, i, inst.nodes)
+            sign = supply(hk, i)
             if sign:
                 for cover in pool.columns:
                     if cover.request_incidence[hk]:
@@ -122,11 +112,8 @@ def build_rmp(inst: Instance, pool: ColumnPool, qtilde: RoutingCostTable
             flow_rows[(hk, i)] = model.add_constr(
                 coeffs, "==", 0.0, name=f"flow_{h}_{k}_{i}"
             )
-    for hk in inst.requests:
-        h, k = hk
-        for a, b in inst.edges():
-            model.add_constr({f"f_{h}_{k}_{a}_{b}": 1.0, f"x_{a}_{b}": -1.0}, "<=", 0.0)
-            model.add_constr({f"f_{h}_{k}_{b}_{a}": 1.0, f"x_{a}_{b}": -1.0}, "<=", 0.0)
+    for f in flows.values():
+        add_linking_rows(model, x, f)
     return model, RmpIndex(chi=chi, convex_row=convex_row, link_rows=link_rows,
                            flow_rows=flow_rows)
 

@@ -8,7 +8,7 @@ node set to tour and a restricted routing problem.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .model import Instance, Request

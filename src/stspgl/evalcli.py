@@ -122,16 +122,8 @@ def vss_experiment(inst: Instance, cfg: SearchConfig,
     """
     det_res = solve_deterministic(inst, cfg)
     sto_res = run_method(method, inst, cfg)
-    det_row = None
-    if det_res.incumbent is not None:
-        det_row = evaluate_metrics(inst, det_res.incumbent.served,
-                                   det_res.incumbent.design_cost,
-                                   det_res.incumbent.visited)
-    sto_row = None
-    if sto_res.incumbent is not None:
-        sto_row = evaluate_metrics(inst, sto_res.incumbent.served,
-                                   sto_res.incumbent.design_cost,
-                                   sto_res.incumbent.visited)
+    det_row = MetricsRow(**det_res.metrics) if det_res.metrics is not None else None
+    sto_row = MetricsRow(**sto_res.metrics) if sto_res.metrics is not None else None
     flagged = det_row is None or sto_row is None \
         or det_res.status == "Infeasible" or sto_res.status == "Infeasible"
     return ComparisonRow(nodes=inst.n, theta=inst.theta, rho=inst.rho,

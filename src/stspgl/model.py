@@ -38,6 +38,23 @@ def edge(i: Node, j: Node) -> Edge:
     return (i, j) if i < j else (j, i)
 
 
+def tour_sequence(edges: Iterable[Edge]) -> List[Node]:
+    """Walk the cycle formed by `edges`, from its smallest node toward that
+    node's smaller neighbour."""
+    adj: Dict[Node, List[Node]] = {}
+    for i, j in edges:
+        adj.setdefault(i, []).append(j)
+        adj.setdefault(j, []).append(i)
+    start = min(adj)
+    seq = [start, min(adj[start])]
+    while True:
+        prev, cur = seq[-2], seq[-1]
+        nxt = [v for v in adj[cur] if v != prev]
+        if not nxt or nxt[0] == start:
+            return seq
+        seq.append(nxt[0])
+
+
 def euc2d(a: Sequence[float], b: Sequence[float]) -> int:
     """Nearest-integer Euclidean distance (TSPLIB EUC_2D rounding)."""
     return int(math.sqrt((a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2) + 0.5)
@@ -116,12 +133,6 @@ class Instance:
 
     def demand(self, s: int, hk: Request) -> float:
         return self.scenarios.demand[s][self._ridx[hk]]
-
-    def edges(self) -> List[Edge]:
-        return [(i, j) for i in range(self.n) for j in range(i + 1, self.n)]
-
-    def arcs(self) -> List[Arc]:
-        return [(i, j) for i in range(self.n) for j in range(self.n) if i != j]
 
 
 def canonical_requests(requests: Iterable[Request]) -> Tuple[Request, ...]:
@@ -336,23 +347,7 @@ class TspGlSolution:
 
     def tour_sequence(self) -> List[Node]:
         """Cycle as a node list in canonical rotation and direction."""
-        adj: Dict[Node, List[Node]] = {}
-        for i, j in self.tour_edges:
-            adj.setdefault(i, []).append(j)
-            adj.setdefault(j, []).append(i)
-        start = min(adj)
-        nxt = min(adj[start])
-        seq = [start, nxt]
-        while True:
-            prev, cur = seq[-2], seq[-1]
-            cand = [v for v in adj[cur] if v != prev]
-            if not cand:
-                break
-            nxt = cand[0]
-            if nxt == start:
-                break
-            seq.append(nxt)
-        return seq
+        return tour_sequence(self.tour_edges)
 
     def structural_violations(self, inst: Instance) -> List[str]:
         report: List[str] = []

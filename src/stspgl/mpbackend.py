@@ -15,9 +15,8 @@ entry point can back this module.
 from __future__ import annotations
 
 import math
-import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -26,133 +25,88 @@ from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 from .model import FEASIBLE, INFEASIBLE, OPTIMAL, TIME_LIMIT, UNBOUNDED
 
-INT_EPS = 1e-5    # integrality tolerance on reported MIP values
-FEAS_EPS = 1e-6   # feasibility tolerance when checking solutions externally
 RC_EPS = 1e-6     # reduced-cost negativity threshold
-
-_BACKENDS = ("highs",)
-
-
-def resolve_backend(name: Optional[str] = None) -> str:
-    """Pick the engine from the argument or the `mp_backend` config key."""
-    name = name or os.environ.get("STSPGL_MP_BACKEND") or "highs"
-    if name not in _BACKENDS:
-        raise ValueError(f"unknown mp_backend {name!r}; available: {_BACKENDS}")
-    return name
-
-
-@dataclass
-class _Var:
-    index: int
-    lb: float
-    ub: float
-    obj: float
-    integer: bool
-
-
-@dataclass
-class _Constr:
-    name: str
-    coeffs: Dict[str, float]
-    sense: str   # "<=", ">=", "=="
-    rhs: float
 
 
 class LinearModel:
-    """Mutable LP/MIP model with named variables and constraints."""
+    """Mutable LP/MIP model with named variables and constraints.
+
+    Constraints are stored as they are added: column indices and values in
+    one flat list each, with `_indptr` marking where each row starts.
+    """
 
     def __init__(self, name: str = "model", maximize: bool = False):
         self.name = name
         self.maximize = maximize
         self.obj_offset = 0.0
-        self._vars: Dict[str, _Var] = {}
-        self._constrs: List[_Constr] = []
-        self._cnames: set = set()
+        self._col: Dict[str, int] = {}
+        self._obj: List[float] = []
+        self._lb: List[float] = []
+        self._ub: List[float] = []
+        self._int: List[bool] = []
+        self._row: Dict[str, int] = {}
+        self._sense: List[str] = []
+        self._rhs: List[float] = []
+        self._indptr: List[int] = [0]
+        self._cols: List[int] = []
+        self._vals: List[float] = []
 
     def add_var(self, name: str, lb: float = 0.0, ub: float = math.inf,
                 obj: float = 0.0, integer: bool = False) -> str:
-        if name in self._vars:
+        if name in self._col:
             raise ValueError(f"duplicate variable {name!r}")
         if not (math.isfinite(obj) and (math.isfinite(lb) or lb == -math.inf)
                 and (math.isfinite(ub) or ub == math.inf)):
             raise ValueError(f"non-finite data for variable {name!r}")
-        self._vars[name] = _Var(len(self._vars), float(lb), float(ub), float(obj), integer)
+        self._col[name] = len(self._obj)
+        self._obj.append(float(obj))
+        self._lb.append(float(lb))
+        self._ub.append(float(ub))
+        self._int.append(integer)
         return name
 
     def add_constr(self, coeffs: Dict[str, float], sense: str, rhs: float,
                    name: Optional[str] = None) -> str:
         if sense not in ("<=", ">=", "=="):
             raise ValueError(f"bad sense {sense!r}")
+        cols = []
         for var in coeffs:
-            if var not in self._vars:
+            if var not in self._col:
                 raise ValueError(f"constraint references unknown variable {var!r}")
+            cols.append(self._col[var])
         if not all(math.isfinite(v) for v in coeffs.values()) or not math.isfinite(rhs):
             raise ValueError("non-finite constraint data")
         if name is None:
-            name = f"c{len(self._constrs)}"
-        if name in self._cnames:
+            name = f"c{len(self._sense)}"
+        if name in self._row:
             raise ValueError(f"duplicate constraint {name!r}")
-        self._cnames.add(name)
-        self._constrs.append(_Constr(name, dict(coeffs), sense, float(rhs)))
+        self._row[name] = len(self._sense)
+        self._sense.append(sense)
+        self._rhs.append(float(rhs))
+        self._cols.extend(cols)
+        self._vals.extend(coeffs.values())
+        self._indptr.append(len(self._cols))
         return name
 
-    def set_var_bounds(self, name: str, lb: Optional[float] = None, ub: Optional[float] = None):
-        var = self._vars[name]
-        if lb is not None:
-            var.lb = float(lb)
-        if ub is not None:
-            var.ub = float(ub)
-
-    def set_obj_coeff(self, name: str, obj: float):
-        self._vars[name].obj = float(obj)
-
-    @property
-    def var_names(self) -> List[str]:
-        return list(self._vars)
-
-    def has_integers(self) -> bool:
-        return any(v.integer for v in self._vars.values())
-
-    def n_vars(self) -> int:
-        return len(self._vars)
-
     def n_constrs(self) -> int:
-        return len(self._constrs)
+        return len(self._sense)
 
     # --- matrix assembly -------------------------------------------------
 
     def _arrays(self):
-        nv = len(self._vars)
-        c = np.zeros(nv)
-        lb = np.zeros(nv)
-        ub = np.zeros(nv)
-        integrality = np.zeros(nv)
-        for v in self._vars.values():
-            c[v.index] = -v.obj if self.maximize else v.obj
-            lb[v.index] = v.lb
-            ub[v.index] = v.ub
-            integrality[v.index] = 1.0 if v.integer else 0.0
-        return c, lb, ub, integrality
+        c = np.array(self._obj)
+        if self.maximize:
+            c = -c
+        return c, np.array(self._lb), np.array(self._ub), np.array(self._int, dtype=float)
 
     def _matrix(self) -> Tuple[sparse.csr_matrix, np.ndarray, np.ndarray]:
-        """Single constraint matrix with row bounds (lo, hi) for milp."""
-        rows, cols, data = [], [], []
-        lo = np.empty(len(self._constrs))
-        hi = np.empty(len(self._constrs))
-        for r, con in enumerate(self._constrs):
-            for var, coef in con.coeffs.items():
-                rows.append(r)
-                cols.append(self._vars[var].index)
-                data.append(coef)
-            if con.sense == "<=":
-                lo[r], hi[r] = -np.inf, con.rhs
-            elif con.sense == ">=":
-                lo[r], hi[r] = con.rhs, np.inf
-            else:
-                lo[r], hi[r] = con.rhs, con.rhs
-        mat = sparse.csr_matrix(
-            (data, (rows, cols)), shape=(len(self._constrs), len(self._vars))
-        )
+        """Single constraint matrix with row bounds (lo, hi)."""
+        mat = sparse.csr_matrix((self._vals, self._cols, self._indptr),
+                                shape=(len(self._sense), len(self._obj)))
+        sense = np.array(self._sense, dtype="U2")
+        rhs = np.array(self._rhs, dtype=float)
+        lo = np.where(sense == "<=", -np.inf, rhs)
+        hi = np.where(sense == ">=", np.inf, rhs)
         return mat, lo, hi
 
     def write_lp(self, path) -> None:
@@ -161,24 +115,29 @@ class LinearModel:
             sign = "+" if coef >= 0 else "-"
             return f"{sign} {abs(coef):.12g} {var}"
 
+        names = list(self._col)
         with open(path, "w") as fh:
             fh.write("Maximize\n" if self.maximize else "Minimize\n")
-            parts = [term(v.obj, name) for name, v in self._vars.items() if v.obj != 0.0]
-            fh.write(" obj: " + (" ".join(parts) if parts else "0 " + next(iter(self._vars), "x")) + "\n")
+            parts = [term(obj, name) for name, obj in zip(names, self._obj) if obj != 0.0]
+            fh.write(" obj: " + (" ".join(parts) if parts else "0 " + next(iter(names), "x")) + "\n")
             fh.write("Subject To\n")
-            for con in self._constrs:
-                lhs = " ".join(term(coef, var) for var, coef in con.coeffs.items())
-                op = {"<=": "<=", ">=": ">=", "==": "="}[con.sense]
-                fh.write(f" {con.name}: {lhs} {op} {con.rhs:.12g}\n")
+            for r, cname in enumerate(self._row):
+                span = range(self._indptr[r], self._indptr[r + 1])
+                lhs = " ".join(term(self._vals[t], names[self._cols[t]]) for t in span)
+                op = {"<=": "<=", ">=": ">=", "==": "="}[self._sense[r]]
+                fh.write(f" {cname}: {lhs} {op} {self._rhs[r]:.12g}\n")
             fh.write("Bounds\n")
-            for name, v in self._vars.items():
-                lo = "-inf" if v.lb == -math.inf else f"{v.lb:.12g}"
-                hi = "+inf" if v.ub == math.inf else f"{v.ub:.12g}"
+            for name, lb, ub in zip(names, self._lb, self._ub):
+                lo = "-inf" if lb == -math.inf else f"{lb:.12g}"
+                hi = "+inf" if ub == math.inf else f"{ub:.12g}"
                 fh.write(f" {lo} <= {name} <= {hi}\n")
-            ints = [name for name, v in self._vars.items() if v.integer]
+            ints = [name for name, integer in zip(names, self._int) if integer]
             if ints:
                 fh.write("General\n " + " ".join(ints) + "\n")
             fh.write("End\n")
+
+    def _values(self, x: np.ndarray) -> Dict[str, float]:
+        return dict(zip(self._col, x.tolist()))
 
 
 @dataclass
@@ -192,9 +151,6 @@ class SolveOutcome:
     cut_rounds: int = 0
     cuts_complete: bool = True
 
-    def value(self, name: str) -> float:
-        return self.values[name]
-
     @property
     def solved(self) -> bool:
         return self.status in (OPTIMAL, FEASIBLE) and self.values is not None
@@ -203,41 +159,29 @@ class SolveOutcome:
 _LP_STATUS = {0: OPTIMAL, 1: TIME_LIMIT, 2: INFEASIBLE, 3: UNBOUNDED}
 
 
-def solve_lp(model: LinearModel, time_limit: Optional[float] = None,
-             backend: Optional[str] = None) -> SolveOutcome:
-    """Solve the continuous relaxation; integer markings are ignored."""
-    resolve_backend(backend)
+def solve_lp(model: LinearModel, time_limit: Optional[float] = None) -> SolveOutcome:
+    """Solve the continuous relaxation; integer markings are ignored.
+
+    Equality rows go to `A_eq`; `<=` rows and negated `>=` rows go to `A_ub`,
+    each group in the model's row order.
+    """
     c, lb, ub, _ = model._arrays()
-    a_eq_rows, b_eq, eq_names = [], [], []
-    a_ub_rows, b_ub, ub_names, ub_sign = [], [], [], []
-    nv = model.n_vars()
-    for con in model._constrs:
-        row = np.zeros(nv)
-        for var, coef in con.coeffs.items():
-            row[model._vars[var].index] = coef
-        if con.sense == "==":
-            a_eq_rows.append(row)
-            b_eq.append(con.rhs)
-            eq_names.append(con.name)
-        elif con.sense == "<=":
-            a_ub_rows.append(row)
-            b_ub.append(con.rhs)
-            ub_names.append(con.name)
-            ub_sign.append(1.0)
-        else:  # >= stored negated
-            a_ub_rows.append(-row)
-            b_ub.append(-con.rhs)
-            ub_names.append(con.name)
-            ub_sign.append(-1.0)
+    mat, lo, hi = model._matrix()
+    rhs = np.where(np.isfinite(hi), hi, lo)
+    eq = lo == hi
+    ineq = np.flatnonzero(~eq)
+    ub_sign = np.where(np.isfinite(hi[ineq]), 1.0, -1.0)   # -1 marks a negated >= row
+    a_ub = sparse.diags(ub_sign) @ mat[ineq]
+    b_ub = ub_sign * rhs[ineq]
     options = {"presolve": True}
     if time_limit is not None:
         options["time_limit"] = max(0.01, float(time_limit))
     res = linprog(
         c,
-        A_ub=np.vstack(a_ub_rows) if a_ub_rows else None,
-        b_ub=np.array(b_ub) if b_ub else None,
-        A_eq=np.vstack(a_eq_rows) if a_eq_rows else None,
-        b_eq=np.array(b_eq) if b_eq else None,
+        A_ub=a_ub if ineq.size else None,
+        b_ub=b_ub if ineq.size else None,
+        A_eq=mat[eq] if eq.any() else None,
+        b_eq=lo[eq] if eq.any() else None,
         bounds=list(zip(lb, ub)),
         method="highs",
         options=options,
@@ -246,28 +190,22 @@ def solve_lp(model: LinearModel, time_limit: Optional[float] = None,
     if status != OPTIMAL or res.x is None:
         return SolveOutcome(status=status, objective=None, values=None)
     sign = -1.0 if model.maximize else 1.0
-    values = {name: float(res.x[v.index]) for name, v in model._vars.items()}
     duals: Optional[Dict[str, float]] = None
     dual_obj: Optional[float] = None
     if not model.maximize:
-        duals = {}
-        for name, marg in zip(eq_names, res.eqlin.marginals):
-            duals[name] = float(marg)
-        for name, marg, sgn in zip(ub_names, res.ineqlin.marginals, ub_sign):
-            duals[name] = float(marg) * sgn
-        dual_obj = float(np.dot(res.eqlin.marginals, b_eq)) if b_eq else 0.0
-        if b_ub:
-            dual_obj += float(np.dot(res.ineqlin.marginals, b_ub))
-        for j in range(nv):
-            if math.isfinite(lb[j]):
-                dual_obj += float(res.lower.marginals[j]) * lb[j]
-            if math.isfinite(ub[j]):
-                dual_obj += float(res.upper.marginals[j]) * ub[j]
-        dual_obj += model.obj_offset
+        marg = np.empty(len(lo))
+        marg[eq] = res.eqlin.marginals
+        marg[ineq] = res.ineqlin.marginals * ub_sign
+        duals = dict(zip(model._row, marg.tolist()))
+        has_lb, has_ub = np.isfinite(lb), np.isfinite(ub)
+        dual_obj = float(marg @ rhs) \
+            + float(res.lower.marginals[has_lb] @ lb[has_lb]) \
+            + float(res.upper.marginals[has_ub] @ ub[has_ub]) \
+            + model.obj_offset
     return SolveOutcome(
         status=OPTIMAL,
         objective=sign * float(res.fun) + model.obj_offset,
-        values=values,
+        values=model._values(res.x),
         duals=duals,
         dual_objective=dual_obj,
     )
@@ -277,9 +215,7 @@ _MIP_STATUS = {0: OPTIMAL, 1: TIME_LIMIT, 2: INFEASIBLE, 3: UNBOUNDED}
 
 
 def solve_mip(model: LinearModel, time_limit: Optional[float] = None,
-              gap_limit: Optional[float] = None,
-              backend: Optional[str] = None) -> SolveOutcome:
-    resolve_backend(backend)
+              gap_limit: Optional[float] = None) -> SolveOutcome:
     c, lb, ub, integrality = model._arrays()
     constraints = []
     if model.n_constrs():
@@ -304,14 +240,13 @@ def solve_mip(model: LinearModel, time_limit: Optional[float] = None,
         if status == OPTIMAL:
             status = INFEASIBLE
         return SolveOutcome(status=status, objective=None, values=None)
-    values = {name: float(res.x[v.index]) for name, v in model._vars.items()}
     bound = None
     if res.mip_dual_bound is not None and math.isfinite(res.mip_dual_bound):
         bound = sign * float(res.mip_dual_bound) + model.obj_offset
     return SolveOutcome(
         status=OPTIMAL if status == OPTIMAL else status,
         objective=sign * float(res.fun) + model.obj_offset,
-        values=values,
+        values=model._values(res.x),
         best_bound=bound,
     )
 
@@ -321,8 +256,7 @@ CutSource = Callable[[SolveOutcome], Iterable[Tuple[Dict[str, float], str, float
 
 def resolve_with_cuts(model: LinearModel, cut_source: CutSource, max_rounds: int = 50,
                       time_limit: Optional[float] = None,
-                      gap_limit: Optional[float] = None,
-                      backend: Optional[str] = None) -> SolveOutcome:
+                      gap_limit: Optional[float] = None) -> SolveOutcome:
     """Solve, separate violated cuts, add them, and solve again.
 
     Cuts stay in the model across rounds (and after return, for reuse by the
@@ -336,7 +270,7 @@ def resolve_with_cuts(model: LinearModel, cut_source: CutSource, max_rounds: int
             return None
         return deadline - time.monotonic()
 
-    out = solve_mip(model, time_limit=remaining(), gap_limit=gap_limit, backend=backend)
+    out = solve_mip(model, time_limit=remaining(), gap_limit=gap_limit)
     for round_no in range(max_rounds):
         if not out.solved:
             return out
@@ -353,7 +287,7 @@ def resolve_with_cuts(model: LinearModel, cut_source: CutSource, max_rounds: int
             out.status = TIME_LIMIT
             out.cuts_complete = False
             return out
-        out = solve_mip(model, time_limit=left, gap_limit=gap_limit, backend=backend)
+        out = solve_mip(model, time_limit=left, gap_limit=gap_limit)
         out.cut_rounds = round_no + 1
     out.cuts_complete = False
     return out

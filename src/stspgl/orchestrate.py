@@ -19,12 +19,13 @@ from .model import (
     OPTIMAL,
     FEASIBLE,
     TIME_LIMIT,
+    Arc,
+    Edge,
     Instance,
     Request,
     SolveTrace,
     StspGlResult,
     TspGlSolution,
-    edge,
     gap_value,
     validate_instance,
 )
@@ -49,10 +50,17 @@ from .colgen import (
 from .tspgl import (
     ABORTED,
     CutPool,
+    add_edge_vars,
+    add_flow_vars,
+    add_linking_rows,
     benders_solve_tspgl,
+    chosen_edges,
     cover_bounds,
+    degree_coeffs,
     find_subtours,
+    flow_coeffs,
     make_subinstance,
+    supply,
 )
 
 INCUMBENT_EPS = 1e-9   # strict-improvement threshold for incumbent updates
@@ -234,50 +242,38 @@ def _exact(state: SearchState) -> bool:
 
 # --- compact benchmark ------------------------------------------------------
 
-def _benchmark_model(inst: Instance, qtilde: RoutingCostTable) -> LinearModel:
+def _benchmark_model(inst: Instance, qtilde: RoutingCostTable
+                     ) -> Tuple[LinearModel, Dict[Edge, str], Dict[Request, Dict[Arc, str]]]:
     """One-shot selection model: tour edges, flows, served set, open stops."""
-    alpha = inst.alpha
     model = LinearModel("benchmark")
-    for a, b in inst.edges():
-        model.add_var(f"x_{a}_{b}", lb=0.0, ub=1.0,
-                      obj=(1.0 - alpha) * inst.cbar(a, b), integer=True)
+    x = add_edge_vars(model, inst.nodes, inst.design, scale=1.0 - inst.alpha,
+                      integer=True)
     for i in inst.nodes:
         lb = 1.0 if i in inst.compulsory else 0.0
         model.add_var(f"w_{i}", lb=lb, ub=1.0, integer=True)
+    flows: Dict[Request, Dict[Arc, str]] = {}
     for hk in inst.requests:
-        h, k = hk
-        model.add_var(f"z_{h}_{k}", lb=0.0, ub=1.0, integer=True)
-        for i, j in inst.arcs():
-            model.add_var(f"f_{h}_{k}_{i}_{j}", lb=0.0,
-                          obj=alpha * qtilde.cost(hk, i, j))
+        model.add_var(f"z_{hk[0]}_{hk[1]}", lb=0.0, ub=1.0, integer=True)
+        flows[hk] = add_flow_vars(model, hk, inst.nodes, qtilde, inst.alpha)
     for s in range(inst.scenarios.size):
         model.add_var(f"y_{s}", lb=0.0, ub=1.0, integer=True)
 
     for i in inst.nodes:
-        coeffs = {f"x_{min(i, j)}_{max(i, j)}": 1.0 for j in inst.nodes if j != i}
+        coeffs = degree_coeffs(x, i, inst.nodes)
         coeffs[f"w_{i}"] = -2.0
         model.add_constr(coeffs, "==", 0.0, name=f"deg_{i}")
-    for hk in inst.requests:
+    for hk, f in flows.items():
         h, k = hk
         zname = f"z_{h}_{k}"
         model.add_constr({f"w_{h}": 1.0, zname: -1.0}, ">=", 0.0)
         model.add_constr({f"w_{k}": 1.0, zname: -1.0}, ">=", 0.0)
         for i in inst.nodes:
-            coeffs: Dict[str, float] = {}
-            for j in inst.nodes:
-                if j == i:
-                    continue
-                coeffs[f"f_{h}_{k}_{i}_{j}"] = 1.0
-                coeffs[f"f_{h}_{k}_{j}_{i}"] = -1.0
-            sign = 1.0 if i == h else (-1.0 if i == k else 0.0)
+            coeffs = flow_coeffs(f, i, inst.nodes)
+            sign = supply(hk, i)
             if sign:
                 coeffs[zname] = -sign
             model.add_constr(coeffs, "==", 0.0, name=f"flow_{h}_{k}_{i}")
-        for a, b in inst.edges():
-            model.add_constr({f"f_{h}_{k}_{a}_{b}": 1.0, f"x_{a}_{b}": -1.0},
-                             "<=", 0.0)
-            model.add_constr({f"f_{h}_{k}_{b}_{a}": 1.0, f"x_{a}_{b}": -1.0},
-                             "<=", 0.0)
+        add_linking_rows(model, x, f)
     for s in range(inst.scenarios.size):
         total = inst.scenarios.total(s)
         coeffs = {}
@@ -291,20 +287,15 @@ def _benchmark_model(inst: Instance, qtilde: RoutingCostTable) -> LinearModel:
     need = required_scenario_count(inst.scenarios.size, inst.rho)
     model.add_constr({f"y_{s}": 1.0 for s in range(inst.scenarios.size)},
                      ">=", float(need), name="count")
-    return model
+    return model, x, flows
 
 
-def _benchmark_cuts(inst: Instance, out: SolveOutcome) -> List[Tuple[Dict[str, float], str, float]]:
-    chosen = []
-    for name, val in out.values.items():
-        if name.startswith("x_") and val > 0.5:
-            _, a, b = name.split("_")
-            chosen.append(edge(int(a), int(b)))
-    comps = find_subtours(chosen)
+def _benchmark_cuts(inst: Instance, x: Dict[Edge, str], out: SolveOutcome
+                    ) -> List[Tuple[Dict[str, float], str, float]]:
+    comps = find_subtours(chosen_edges(x, out.values))
     cuts: List[Tuple[Dict[str, float], str, float]] = []
     for comp in comps:
-        inside = {f"x_{min(a, b)}_{max(a, b)}": 1.0
-                  for a in comp for b in comp if a < b}
+        inside = {x[(a, b)]: 1.0 for a in comp for b in comp if a < b}
         if not comp & inst.compulsory:
             # component may host visits, but never a full private cycle
             for v in sorted(comp):
@@ -314,33 +305,24 @@ def _benchmark_cuts(inst: Instance, out: SolveOutcome) -> List[Tuple[Dict[str, f
                         coeffs[f"w_{i}"] = coeffs.get(f"w_{i}", 0.0) - 1.0
                 cuts.append((coeffs, "<=", 0.0))
         elif not (inst.compulsory <= comp):
-            crossing = {f"x_{min(a, b)}_{max(a, b)}": 1.0
-                        for a, b in inst.edges()
+            crossing = {name: 1.0 for (a, b), name in x.items()
                         if (a in comp) != (b in comp)}
             cuts.append((crossing, ">=", 2.0))
     return cuts
 
 
-def _benchmark_solution(inst: Instance, qtilde: RoutingCostTable,
-                        out: SolveOutcome) -> Tuple[TspGlSolution, FeasibilityCover]:
-    tour_edges = set()
-    served = []
-    flows: Dict[Request, Dict[Tuple[int, int], float]] = {}
-    for hk in inst.requests:
-        h, k = hk
-        if out.values.get(f"z_{h}_{k}", 0.0) > 0.5:
-            served.append(hk)
-    for name, val in out.values.items():
-        if name.startswith("x_") and val > 0.5:
-            _, a, b = name.split("_")
-            tour_edges.add(edge(int(a), int(b)))
+def _benchmark_solution(inst: Instance, qtilde: RoutingCostTable, x: Dict[Edge, str],
+                        f: Dict[Request, Dict[Arc, str]], out: SolveOutcome
+                        ) -> Tuple[TspGlSolution, FeasibilityCover]:
+    served = [(h, k) for h, k in inst.requests if out.values[f"z_{h}_{k}"] > 0.5]
+    tour_edges = set(chosen_edges(x, out.values))
     design = sum(inst.cbar(a, b) for a, b in tour_edges)
     routing = 0.0
+    flows: Dict[Request, Dict[Arc, float]] = {}
     for hk in served:
-        h, k = hk
         arcflow = {}
-        for i, j in inst.arcs():
-            val = out.values.get(f"f_{h}_{k}_{i}_{j}", 0.0)
+        for (i, j), name in f[hk].items():
+            val = out.values[name]
             if val > FLOW_EPS:
                 arcflow[(i, j)] = val
                 routing += qtilde.cost(hk, i, j) * val
@@ -359,15 +341,15 @@ def run_mip_benchmark(inst: Instance, cfg: SearchConfig) -> StspGlResult:
     state = _new_state(cfg)
     if not chance_feasible(inst, inst.requests):
         return _infeasible_result(state, inst)
-    model = _benchmark_model(inst, qtilde)
-    out = resolve_with_cuts(model, lambda o: _benchmark_cuts(inst, o),
+    model, x, flows = _benchmark_model(inst, qtilde)
+    out = resolve_with_cuts(model, lambda o: _benchmark_cuts(inst, x, o),
                             max_rounds=4 * inst.n * max(1, inst.n),
                             time_limit=_window(state))
     if out.status == INFEASIBLE:
         return _infeasible_result(state, inst)
     if not out.solved:
         return _finish(state, inst, TIME_LIMIT)
-    sol, cover = _benchmark_solution(inst, qtilde, out)
+    sol, cover = _benchmark_solution(inst, qtilde, x, flows, out)
     update_incumbent(state, cover, sol)
     if out.status == OPTIMAL and out.cuts_complete:
         state.raise_lb(state.ub)

@@ -18,8 +18,6 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 
 from .covers import FeasibilityCover
 from .model import (
-    FEASIBLE,
-    FLOW_EPS,
     INFEASIBLE,
     OPTIMAL,
     TIME_LIMIT,
@@ -29,6 +27,7 @@ from .model import (
     Request,
     TspGlSolution,
     edge,
+    tour_sequence,
 )
 from .mpbackend import LinearModel, SolveOutcome, resolve_with_cuts, solve_lp, solve_mip
 from .scenarios import RoutingCostTable
@@ -206,56 +205,86 @@ def _held_karp(nodes: List[int], cost) -> Tuple[List[int], float]:
 def _tsp_mip(nodes: List[int], cost, time_limit: Optional[float]
              ) -> Tuple[List[int], float, List[FrozenSet[int]]]:
     model = LinearModel("tsp")
-    for a, b in itertools.combinations(nodes, 2):
-        model.add_var(f"x_{a}_{b}", lb=0.0, ub=1.0, obj=float(cost[a][b]), integer=True)
+    x = add_edge_vars(model, nodes, cost, integer=True)
     for i in nodes:
-        coeffs = {f"x_{min(i, j)}_{max(i, j)}": 1.0 for j in nodes if j != i}
-        model.add_constr(coeffs, "==", 2.0, name=f"deg_{i}")
+        model.add_constr(degree_coeffs(x, i, nodes), "==", 2.0, name=f"deg_{i}")
     found: List[FrozenSet[int]] = []
 
     def cut_source(out: SolveOutcome):
-        chosen = _chosen_edges(out.values)
-        comps = find_subtours(chosen)
-        cuts = []
-        for comp in comps:
-            found.append(comp)
-            cuts.append((_sec_coeffs(comp), "<=", float(len(comp) - 1)))
-        return cuts
+        comps = find_subtours(chosen_edges(x, out.values))
+        found.extend(comps)
+        return [_sec_cut(x, comp) for comp in comps]
 
     out = resolve_with_cuts(model, cut_source, max_rounds=len(nodes) * 4, time_limit=time_limit)
     if not out.solved:
         raise RuntimeError(f"TSP solve failed with status {out.status}")
-    seq = _tour_sequence(_chosen_edges(out.values))
+    seq = tour_sequence(chosen_edges(x, out.values))
     return seq, out.objective, found
 
 
-def _chosen_edges(values: Dict[str, float]) -> List[Edge]:
-    chosen = []
-    for name, val in values.items():
-        if name.startswith("x_") and val > 0.5:
-            _x, a, b = name.split("_")
-            chosen.append((int(a), int(b)))
-    return sorted(chosen)
+# --- tour and flow blocks shared by every model -----------------------------
+#
+# Edge variables are x_a_b (a < b), arc flows f_h_k_i_j. Each builder adds
+# variables in lexicographic order and returns the map from edge or arc to
+# variable name, so callers never parse names.
+
+def add_edge_vars(model: LinearModel, nodes: Sequence[int], cost, scale: float = 1.0,
+                  integer: bool = False) -> Dict[Edge, str]:
+    """One 0/1 design variable per node pair, costing scale * cost[a][b]."""
+    return {
+        (a, b): model.add_var(f"x_{a}_{b}", lb=0.0, ub=1.0,
+                              obj=scale * cost[a][b], integer=integer)
+        for a, b in itertools.combinations(nodes, 2)
+    }
 
 
-def _sec_coeffs(component: Iterable[int]) -> Dict[str, float]:
+def degree_coeffs(x: Dict[Edge, str], i: int, nodes: Iterable[int]) -> Dict[str, float]:
+    """Coefficients of node i's degree: its edges to the other `nodes`."""
+    return {x[edge(i, j)]: 1.0 for j in nodes if j != i}
+
+
+def add_flow_vars(model: LinearModel, hk: Request, nodes: Sequence[int],
+                  qtilde: RoutingCostTable, alpha: float) -> Dict[Arc, str]:
+    """Arc flows of one request, costing alpha * its routing cost."""
+    h, k = hk
+    return {
+        (i, j): model.add_var(f"f_{h}_{k}_{i}_{j}", lb=0.0,
+                              obj=alpha * qtilde.cost(hk, i, j))
+        for i in nodes for j in nodes if i != j
+    }
+
+
+def flow_coeffs(f: Dict[Arc, str], i: int, nodes: Iterable[int]) -> Dict[str, float]:
+    """Outflow minus inflow of one request's flow at node i."""
+    coeffs: Dict[str, float] = {}
+    for j in nodes:
+        if j != i:
+            coeffs[f[(i, j)]] = 1.0
+            coeffs[f[(j, i)]] = -1.0
+    return coeffs
+
+
+def supply(hk: Request, i: int) -> float:
+    """Net outflow a request's flow needs at node i: 1 at h, -1 at k."""
+    return 1.0 if i == hk[0] else (-1.0 if i == hk[1] else 0.0)
+
+
+def add_linking_rows(model: LinearModel, x: Dict[Edge, str], f: Dict[Arc, str]) -> None:
+    """f <= x on both arcs of every edge."""
+    for (a, b), xab in x.items():
+        model.add_constr({f[(a, b)]: 1.0, xab: -1.0}, "<=", 0.0)
+        model.add_constr({f[(b, a)]: 1.0, xab: -1.0}, "<=", 0.0)
+
+
+def chosen_edges(x: Dict[Edge, str], values: Dict[str, float]) -> List[Edge]:
+    """Edges set to one in a solution, in lexicographic order."""
+    return [e for e, name in x.items() if values[name] > 0.5]
+
+
+def _sec_cut(x: Dict[Edge, str], component: Iterable[int]) -> Tuple[Dict[str, float], str, float]:
+    """Subtour elimination: at most |S| - 1 edges inside S."""
     comp = sorted(component)
-    return {f"x_{a}_{b}": 1.0 for a, b in itertools.combinations(comp, 2)}
-
-
-def _tour_sequence(edges: List[Edge]) -> List[int]:
-    adj: Dict[int, List[int]] = {}
-    for i, j in edges:
-        adj.setdefault(i, []).append(j)
-        adj.setdefault(j, []).append(i)
-    start = min(adj)
-    seq = [start, min(adj[start])]
-    while True:
-        prev, cur = seq[-2], seq[-1]
-        nxt = [v for v in adj[cur] if v != prev]
-        if not nxt or nxt[0] == start:
-            return seq
-        seq.append(nxt[0])
+    return {x[e]: 1.0 for e in itertools.combinations(comp, 2)}, "<=", float(len(comp) - 1)
 
 
 def find_subtours(edges: Iterable[Edge]) -> List[FrozenSet[int]]:
@@ -434,14 +463,12 @@ def _fast_duals(xbar: Sequence[int], hk: Request, qtilde: RoutingCostTable,
 
 def _lp_duals(xbar: Sequence[int], hk: Request, qtilde: RoutingCostTable,
               nodes: Sequence[int]) -> BendersDuals:
-    h, k = hk
     xval = {e: 0.0 for e in itertools.combinations(sorted(nodes), 2)}
     for e in _cycle_edges(xbar):
         xval[e] = 1.0
     model = LinearModel("routing-dual", maximize=True)
     for v in nodes:
-        coeff = 1.0 if v == h else (-1.0 if v == k else 0.0)
-        model.add_var(f"p_{v}", lb=0.0, obj=coeff)
+        model.add_var(f"p_{v}", lb=0.0, obj=supply(hk, v))
     for i in nodes:
         for j in nodes:
             if i != j:
@@ -501,24 +528,22 @@ def aggregated_optimality_cuts(duals_by_request: Dict[Request, BendersDuals],
 
 # --- Benders master loop ---------------------------------------------------
 
-def _master_model(sub: SubInstance) -> LinearModel:
-    inst = sub.inst
+def _master_model(sub: SubInstance) -> Tuple[LinearModel, Dict[Edge, str]]:
     model = LinearModel("tspgl-master")
-    for a, b in sub.edges():
-        model.add_var(f"x_{a}_{b}", lb=0.0, ub=1.0,
-                      obj=(1.0 - sub.alpha) * inst.cbar(a, b), integer=True)
+    x = add_edge_vars(model, sub.nodes, sub.inst.design, scale=1.0 - sub.alpha,
+                      integer=True)
     for h in sub.origins():
         model.add_var(f"eta_{h}", lb=0.0, obj=sub.alpha)
     for i in sub.nodes:
-        coeffs = {f"x_{min(i, j)}_{max(i, j)}": 1.0 for j in sub.nodes if j != i}
-        model.add_constr(coeffs, "==", 2.0, name=f"deg_{i}")
-    return model
+        model.add_constr(degree_coeffs(x, i, sub.nodes), "==", 2.0, name=f"deg_{i}")
+    return model, x
 
 
-def _optimality_constr(cut: OptimalityCut) -> Tuple[Dict[str, float], str, float]:
+def _optimality_constr(x: Dict[Edge, str], cut: OptimalityCut
+                       ) -> Tuple[Dict[str, float], str, float]:
     coeffs = {f"eta_{cut.origin}": 1.0}
-    for (a, b), val in sorted(cut.coeffs.items()):
-        coeffs[f"x_{a}_{b}"] = val
+    for e, val in sorted(cut.coeffs.items()):
+        coeffs[x[e]] = val
     return coeffs, ">=", cut.rhs
 
 
@@ -550,7 +575,6 @@ def benders_solve_tspgl(
     time_limit: Optional[float] = None,
     cutpool: Optional[CutPool] = None,
     max_iterations: int = 500,
-    cut_log_path=None,
 ) -> TspGlOutcome:
     """Benders loop: tour master, per-request path subproblems.
 
@@ -560,13 +584,11 @@ def benders_solve_tspgl(
     """
     deadline = None if time_limit is None else time.monotonic() + time_limit
     pool = cutpool if cutpool is not None else CutPool()
-    log_lines: List[str] = []
-    model = _master_model(sub)
+    model, x = _master_model(sub)
     added_subtours: Set[FrozenSet[int]] = set()
     for comp in pool.subtours_for(sub.key):
-        model.add_constr(_sec_coeffs(comp), "<=", float(len(comp) - 1))
+        model.add_constr(*_sec_cut(x, comp))
         added_subtours.add(comp)
-        log_lines.append(f"feasibility,cached,{sorted(comp)}")
     if warm is None:
         warm = cover_bounds(sub, cutpool=pool)
     if sub.requests and warm.tsp_tour:
@@ -575,9 +597,7 @@ def benders_solve_tspgl(
             for hk in sub.requests
         }
         for h in sub.origins():
-            cut = aggregated_optimality_cuts(duals, h)
-            model.add_constr(*_optimality_constr(cut))
-            log_lines.append(f"optimality,warm,h={h},rhs={cut.rhs:.9g}")
+            model.add_constr(*_optimality_constr(x, aggregated_optimality_cuts(duals, h)))
 
     incumbent: Optional[TspGlSolution] = None
     lower = -math.inf
@@ -599,18 +619,17 @@ def benders_solve_tspgl(
         if incumbent_ub is not None and out.objective > incumbent_ub + _INCUMBENT_EPS:
             status = ABORTED
             break
-        chosen = _chosen_edges(out.values)
+        chosen = chosen_edges(x, out.values)
         comps = find_subtours(chosen)
         if comps:
             for comp in comps:
                 if comp in added_subtours:
                     continue
-                model.add_constr(_sec_coeffs(comp), "<=", float(len(comp) - 1))
+                model.add_constr(*_sec_cut(x, comp))
                 added_subtours.add(comp)
                 pool.add_subtour(sub.key, comp)
-                log_lines.append(f"feasibility,separated,{sorted(comp)}")
             continue
-        seq = _tour_sequence(chosen)
+        seq = tour_sequence(chosen)
         candidate = _solution_from_tour(sub, seq)
         if incumbent is None or candidate.objective < incumbent.objective - _INCUMBENT_EPS:
             incumbent = candidate
@@ -624,9 +643,7 @@ def benders_solve_tspgl(
                 true_h = sum(duals[hk].objective for hk in sub.requests_from(h))
                 eta_val = out.values[f"eta_{h}"]
                 if eta_val < true_h - _CUT_VIOLATION_EPS * max(1.0, abs(true_h)):
-                    cut = aggregated_optimality_cuts(duals, h)
-                    model.add_constr(*_optimality_constr(cut))
-                    log_lines.append(f"optimality,iter{iterations},h={h},rhs={cut.rhs:.9g}")
+                    model.add_constr(*_optimality_constr(x, aggregated_optimality_cuts(duals, h)))
                     violated = True
         if not violated:
             status = OPTIMAL
@@ -634,11 +651,6 @@ def benders_solve_tspgl(
     else:
         status = TIME_LIMIT
 
-    if cut_log_path is not None:
-        with open(cut_log_path, "w") as fh:
-            fh.write("\n".join(log_lines) + ("\n" if log_lines else ""))
-    if status == OPTIMAL:
-        return TspGlOutcome(OPTIMAL, incumbent, lower, iterations)
     return TspGlOutcome(status, incumbent, lower, iterations)
 
 
@@ -650,51 +662,27 @@ def solve_tspgl_direct(sub: SubInstance, time_limit: Optional[float] = None) -> 
     Flow caps alone leave room for a disconnected design when some component
     carries no request, so the resolve loop enforces a single cycle.
     """
-    inst = sub.inst
     model = LinearModel("tspgl-direct")
-    for a, b in sub.edges():
-        model.add_var(f"x_{a}_{b}", lb=0.0, ub=1.0,
-                      obj=(1.0 - sub.alpha) * inst.cbar(a, b), integer=True)
-    for hk in sub.requests:
-        h, k = hk
-        for i in sub.nodes:
-            for j in sub.nodes:
-                if i != j:
-                    model.add_var(
-                        f"f_{h}_{k}_{i}_{j}", lb=0.0,
-                        obj=sub.alpha * sub.qtilde.cost(hk, i, j),
-                    )
+    x = add_edge_vars(model, sub.nodes, sub.inst.design, scale=1.0 - sub.alpha,
+                      integer=True)
+    flows = {hk: add_flow_vars(model, hk, sub.nodes, sub.qtilde, sub.alpha)
+             for hk in sub.requests}
     for i in sub.nodes:
-        coeffs = {f"x_{min(i, j)}_{max(i, j)}": 1.0 for j in sub.nodes if j != i}
-        model.add_constr(coeffs, "==", 2.0, name=f"deg_{i}")
-    for hk in sub.requests:
-        h, k = hk
+        model.add_constr(degree_coeffs(x, i, sub.nodes), "==", 2.0, name=f"deg_{i}")
+    for hk, f in flows.items():
         for i in sub.nodes:
-            coeffs: Dict[str, float] = {}
-            for j in sub.nodes:
-                if j == i:
-                    continue
-                coeffs[f"f_{h}_{k}_{i}_{j}"] = 1.0
-                coeffs[f"f_{h}_{k}_{j}_{i}"] = -1.0
-            rhs = 1.0 if i == h else (-1.0 if i == k else 0.0)
-            model.add_constr(coeffs, "==", rhs, name=f"flow_{h}_{k}_{i}")
-        for a, b in sub.edges():
-            model.add_constr(
-                {f"f_{h}_{k}_{a}_{b}": 1.0, f"x_{a}_{b}": -1.0}, "<=", 0.0
-            )
-            model.add_constr(
-                {f"f_{h}_{k}_{b}_{a}": 1.0, f"x_{a}_{b}": -1.0}, "<=", 0.0
-            )
+            model.add_constr(flow_coeffs(f, i, sub.nodes), "==", supply(hk, i),
+                             name=f"flow_{hk[0]}_{hk[1]}_{i}")
+        add_linking_rows(model, x, f)
 
     def cut_source(out: SolveOutcome):
-        comps = find_subtours(_chosen_edges(out.values))
-        return [(_sec_coeffs(c), "<=", float(len(c) - 1)) for c in comps]
+        return [_sec_cut(x, c) for c in find_subtours(chosen_edges(x, out.values))]
 
     out = resolve_with_cuts(model, cut_source, max_rounds=len(sub.nodes) * 4,
                             time_limit=time_limit)
     if not out.solved:
         return TspGlOutcome(out.status, None, -math.inf)
-    seq = _tour_sequence(_chosen_edges(out.values))
+    seq = tour_sequence(chosen_edges(x, out.values))
     sol = _solution_from_tour(sub, seq)
     status = OPTIMAL if out.status == OPTIMAL and out.cuts_complete else TIME_LIMIT
     bound = out.best_bound if out.best_bound is not None else sol.objective

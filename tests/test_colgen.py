@@ -1,9 +1,16 @@
 from __future__ import annotations
 
+import json
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import stspgl
 
 from oracles import enumerate_minimal_covers
 from stspgl.colgen import (
@@ -202,3 +209,33 @@ def test_cg_log_line_format():
     line = cg_log_line(3, 10.0, -2.0, 8.0, 4, 1)
     assert line == "3,10.0,-2.0,8.0,4,1"
     assert cg_log_line(1, None, -math.inf, None, 1, 0) == "1,,,,1,0"
+
+
+_RMP_MEMORY_PROBE = """
+import json, resource
+from stspgl.colgen import ColumnPool, build_rmp
+from stspgl.covers import make_cover
+from stspgl.mpbackend import solve_lp
+from stspgl.scenarios import deterministic_routing_costs, generate_instance
+
+inst = generate_instance(n=16, seed=1, n_requests=24, n_scenarios=4, theta=0.8, rho=0.2)
+pool = ColumnPool()
+pool.add(make_cover(inst, inst.requests))
+model, _index = build_rmp(inst, pool, deterministic_routing_costs(inst))
+out = solve_lp(model)
+print(json.dumps({"objective": out.objective,
+                  "maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0}))
+"""
+
+
+def test_rmp_lp_memory_stays_bounded():
+    """One n=16 RMP solve in a fresh interpreter. Its constraint matrix has
+    6161 rows, 5881 columns and 23k nonzeros; assembled densely, it pushes
+    the peak RSS of the solve to about 1.2 GB."""
+    env = dict(os.environ, PYTHONPATH=str(Path(stspgl.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _RMP_MEMORY_PROBE], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["objective"] == pytest.approx(498.27207077886237, rel=1e-9)
+    assert report["maxrss_mb"] < 300.0

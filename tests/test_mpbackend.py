@@ -9,18 +9,10 @@ from oracles import oracle_tsp
 from stspgl.model import INFEASIBLE, OPTIMAL, TIME_LIMIT, UNBOUNDED
 from stspgl.mpbackend import (
     LinearModel,
-    resolve_backend,
     resolve_with_cuts,
     solve_lp,
     solve_mip,
 )
-
-
-def test_resolve_backend():
-    assert resolve_backend() == "highs"
-    assert resolve_backend("highs") == "highs"
-    with pytest.raises(ValueError):
-        resolve_backend("cplex")
 
 
 def test_lp_one_dimensional_with_dual():
@@ -64,11 +56,14 @@ def test_lp_weak_duality_random_models():
     for _ in range(25):
         m = LinearModel()
         nv, nc = rng.randint(2, 6), rng.randint(1, 5)
+        obj, ub, rows = {}, {}, {}
         for j in range(nv):
-            m.add_var(f"x{j}", lb=0.0, ub=rng.uniform(1, 10), obj=rng.uniform(-5, 5))
+            ub[f"x{j}"], obj[f"x{j}"] = rng.uniform(1, 10), rng.uniform(-5, 5)
+            m.add_var(f"x{j}", lb=0.0, ub=ub[f"x{j}"], obj=obj[f"x{j}"])
         for c in range(nc):
             coeffs = {f"x{j}": rng.uniform(-2, 2) for j in range(nv)}
             sense = rng.choice(["<=", ">=", "=="])
+            rows[f"c{c}"] = coeffs
             m.add_constr(coeffs, sense, rng.uniform(-3, 3), name=f"c{c}")
         out = solve_lp(m)
         if out.status != OPTIMAL:
@@ -77,6 +72,19 @@ def test_lp_weak_duality_random_models():
         assert out.dual_objective <= out.objective + slack
         # HiGHS returns an optimal basis, so equality should hold too
         assert out.dual_objective == pytest.approx(out.objective, rel=1e-6, abs=1e-6)
+        # the documented orientation makes q_j - sum_c duals[c] * a_cj the
+        # reduced cost whatever each row's sense: >= 0 at the lower bound,
+        # <= 0 at the upper bound, 0 in between
+        tol = 1e-6
+        for var, q in obj.items():
+            rc = q - sum(out.duals[c] * coeffs[var] for c, coeffs in rows.items())
+            x = out.values[var]
+            if x <= tol:
+                assert rc >= -tol
+            elif x >= ub[var] - tol:
+                assert rc <= tol
+            else:
+                assert rc == pytest.approx(0.0, abs=tol)
 
 
 def test_mip_knapsack():
