@@ -23,7 +23,6 @@ from .tspgl import (
     add_linking_rows,
     degree_coeffs,
     flow_coeffs,
-    supply,
 )
 
 
@@ -63,10 +62,10 @@ class ColumnPool:
 
 @dataclass
 class RmpIndex:
-    chi: Dict[Tuple[Request, ...], str]     # cover key -> chi variable name
-    convex_row: str
-    link_rows: Dict[int, str]
-    flow_rows: Dict[Tuple[Request, int], str]
+    chi: Dict[Tuple[Request, ...], int]     # cover key -> chi column, in pool order
+    convex_row: int
+    link_rows: Dict[int, int]
+    flow_rows: Dict[Tuple[Request, int], int]
 
 
 def build_rmp(inst: Instance, pool: ColumnPool, qtilde: RoutingCostTable
@@ -74,48 +73,51 @@ def build_rmp(inst: Instance, pool: ColumnPool, qtilde: RoutingCostTable
     """Continuous restricted master over the current column pool.
 
     chi variables carry no objective; cost lives on the edge and flow
-    variables they unlock. Branched covers keep their column with an upper
-    bound of zero so the dual space stays unchanged.
+    variables they unlock. The rows are laid down first and the pool's
+    covers then enter through `extend_rmp`, the same step that later grows
+    the master in place.
     """
     if not pool.columns:
         raise ValueError("column pool must contain at least one cover")
-    model = LinearModel("rmp")
+    model = LinearModel()
     x = add_edge_vars(model, inst.nodes, inst.design, scale=1.0 - inst.alpha)
     flows = {hk: add_flow_vars(model, hk, inst.nodes, qtilde, inst.alpha)
              for hk in inst.requests}
-    chi: Dict[Tuple[Request, ...], str] = {}
-    for idx, cover in enumerate(pool.columns):
-        ub = 0.0 if cover.requests in pool.branched else math.inf
-        chi[cover.requests] = model.add_var(f"chi_{idx}", lb=0.0, ub=ub)
-
-    convex_row = model.add_constr(
-        {name: 1.0 for name in chi.values()}, "==", 1.0, name="convex"
-    )
-    link_rows: Dict[int, str] = {}
+    index = RmpIndex(chi={}, convex_row=model.add_constr({}, "==", 1.0),
+                     link_rows={}, flow_rows={})
     for i in inst.nodes:
-        coeffs = degree_coeffs(x, i, inst.nodes)
-        for cover in pool.columns:
-            li = cover.node_incidence[i]
-            if li:
-                coeffs[chi[cover.requests]] = -2.0 * li
-        link_rows[i] = model.add_constr(coeffs, "==", 0.0, name=f"link_{i}")
-    flow_rows: Dict[Tuple[Request, int], str] = {}
+        index.link_rows[i] = model.add_constr(degree_coeffs(x, i, inst.nodes), "==", 0.0)
     for hk, f in flows.items():
-        h, k = hk
         for i in inst.nodes:
-            coeffs = flow_coeffs(f, i, inst.nodes)
-            sign = supply(hk, i)
-            if sign:
-                for cover in pool.columns:
-                    if cover.request_incidence[hk]:
-                        coeffs[chi[cover.requests]] = -sign
-            flow_rows[(hk, i)] = model.add_constr(
-                coeffs, "==", 0.0, name=f"flow_{h}_{k}_{i}"
-            )
+            index.flow_rows[(hk, i)] = model.add_constr(flow_coeffs(f, i, inst.nodes),
+                                                        "==", 0.0)
     for f in flows.values():
         add_linking_rows(model, x, f)
-    return model, RmpIndex(chi=chi, convex_row=convex_row, link_rows=link_rows,
-                           flow_rows=flow_rows)
+    extend_rmp(model, index, pool)
+    return model, index
+
+
+def extend_rmp(model: LinearModel, index: RmpIndex, pool: ColumnPool) -> None:
+    """Bring the master up to date with the pool.
+
+    Appends a chi column for every cover pooled since the last call and
+    fixes the column of every branched cover to zero, so the master equals a
+    fresh `build_rmp` over the same pool. Branched covers keep their column
+    so the dual space stays unchanged.
+    """
+    for cover in pool.columns[len(index.chi):]:
+        rows = {index.convex_row: 1.0}
+        for i, li in cover.node_incidence.items():
+            if li:
+                rows[index.link_rows[i]] = -2.0 * li
+        for hk, r in cover.request_incidence.items():
+            if r:
+                rows[index.flow_rows[(hk, hk[0])]] = -1.0
+                rows[index.flow_rows[(hk, hk[1])]] = 1.0
+        index.chi[cover.requests] = model.add_var(lb=0.0, rows=rows)
+    for requests in pool.branched:
+        if requests in index.chi:
+            model.set_ub(index.chi[requests], 0.0)
 
 
 def extract_duals(inst: Instance, index: RmpIndex, outcome: SolveOutcome) -> DualPrices:
@@ -150,33 +152,29 @@ def solve_pricing(
     duals: DualPrices,
     phi: Iterable[Tuple[Request, ...]] = (),
     time_limit: Optional[float] = None,
-    psi: Iterable[Tuple[Request, ...]] = (),
-    minimalize: bool = True,
 ) -> PricingResult:
     """Minimum-reduced-cost cover as a small IP.
 
-    `phi` carries branching exclusions, `psi` optional minimality exclusions
-    (off by default; post-processing with the minimalization routine does the
-    same job without them). Time limit yields (None, -inf) which disables the
-    Lagrangian bound for the round; an infeasible IP (everything excluded)
-    yields (None, +inf).
+    `phi` carries branching exclusions. The raw optimum is minimalized
+    afterwards. Time limit yields (None, -inf) which disables the Lagrangian
+    bound for the round; an infeasible IP (everything excluded) yields
+    (None, +inf).
     """
-    model = LinearModel("pricing")
+    model = LinearModel()
     model.obj_offset = -duals.beta
-    for i in inst.nodes:
-        lb = 1.0 if i in inst.compulsory else 0.0
-        model.add_var(f"l_{i}", lb=lb, ub=1.0, obj=2.0 * duals.iota[i], integer=True)
-    for hk in inst.requests:
-        h, k = hk
-        model.add_var(f"r_{h}_{k}", lb=0.0, ub=1.0,
-                      obj=duals.eps_origin(hk) - duals.eps_dest(hk), integer=True)
-    for s in range(inst.scenarios.size):
-        model.add_var(f"g_{s}", lb=0.0, ub=1.0, obj=0.0, integer=True)
+    stop = {i: model.add_var(lb=1.0 if i in inst.compulsory else 0.0, ub=1.0,
+                             obj=2.0 * duals.iota[i], integer=True)
+            for i in inst.nodes}
+    serve = {hk: model.add_var(lb=0.0, ub=1.0,
+                               obj=duals.eps_origin(hk) - duals.eps_dest(hk), integer=True)
+             for hk in inst.requests}
+    met = [model.add_var(lb=0.0, ub=1.0, obj=0.0, integer=True)
+           for _s in range(inst.scenarios.size)]
 
     for hk in inst.requests:
         h, k = hk
-        model.add_constr({f"r_{h}_{k}": 1.0, f"l_{h}": -1.0}, "<=", 0.0)
-        model.add_constr({f"r_{h}_{k}": 1.0, f"l_{k}": -1.0}, "<=", 0.0)
+        model.add_constr({serve[hk]: 1.0, stop[h]: -1.0}, "<=", 0.0)
+        model.add_constr({serve[hk]: 1.0, stop[k]: -1.0}, "<=", 0.0)
     # an optional stop is only open when some chosen request needs it, so the
     # objective equals the reduced cost of the chosen request set exactly
     incident: Dict[int, List[Request]] = {i: [] for i in inst.nodes}
@@ -186,28 +184,25 @@ def solve_pricing(
     for i in inst.nodes:
         if i in inst.compulsory:
             continue
-        coeffs = {f"l_{i}": 1.0}
+        coeffs = {stop[i]: 1.0}
         for hk in incident[i]:
-            coeffs[f"r_{hk[0]}_{hk[1]}"] = coeffs.get(f"r_{hk[0]}_{hk[1]}", 0.0) - 1.0
+            coeffs[serve[hk]] = -1.0
         model.add_constr(coeffs, "<=", 0.0)
     for s in range(inst.scenarios.size):
         total = inst.scenarios.total(s)
         coeffs = {
-            f"r_{h}_{k}": inst.scenarios.demand[s][r]
-            for r, (h, k) in enumerate(inst.requests)
-            if inst.scenarios.demand[s][r]
+            serve[hk]: inst.scenarios.demand[s][idx]
+            for idx, hk in enumerate(inst.requests)
+            if inst.scenarios.demand[s][idx]
         }
-        coeffs[f"g_{s}"] = -inst.theta * total
+        coeffs[met[s]] = -inst.theta * total
         model.add_constr(coeffs, ">=", 0.0)
     need = required_scenario_count(inst.scenarios.size, inst.rho)
-    model.add_constr(
-        {f"g_{s}": 1.0 for s in range(inst.scenarios.size)}, ">=", float(need)
-    )
-    for excluded in list(phi) + list(psi):
+    model.add_constr({col: 1.0 for col in met}, ">=", float(need))
+    for excluded in phi:
         if not excluded:
             continue
-        coeffs = {f"r_{h}_{k}": 1.0 for h, k in excluded}
-        model.add_constr(coeffs, "<=", float(len(excluded) - 1))
+        model.add_constr({serve[hk]: 1.0 for hk in excluded}, "<=", float(len(excluded) - 1))
 
     out = solve_mip(model, time_limit=time_limit)
     if out.status == TIME_LIMIT and not out.solved:
@@ -220,14 +215,9 @@ def solve_pricing(
     objective = out.objective
     if objective >= -RC_EPS:
         return PricingResult(None, objective)
-    raw = tuple(
-        sorted(hk for hk in inst.requests if out.values[f"r_{hk[0]}_{hk[1]}"] > 0.5)
-    )
-    cover_requests = raw
-    if minimalize:
-        cover_requests = minimal_feasibility_cover(inst, raw).requests
+    raw = tuple(sorted(hk for hk in inst.requests if out.values[serve[hk]] > 0.5))
     return PricingResult(
-        cover=make_cover(inst, cover_requests),
+        cover=make_cover(inst, minimal_feasibility_cover(inst, raw).requests),
         objective=objective,
         raw_requests=raw,
     )

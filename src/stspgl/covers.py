@@ -53,13 +53,13 @@ def _as_requests(obj) -> Tuple[Request, ...]:
     return tuple(sorted((int(h), int(k)) for h, k in obj))
 
 
-def make_cover(inst: Instance, requests, check: bool = True) -> FeasibilityCover:
+def make_cover(inst: Instance, requests) -> FeasibilityCover:
     """Build a cover with its node/request incidence vectors.
 
     Visited nodes are the compulsory set plus all endpoints of the cover.
     """
     reqs = _as_requests(requests)
-    if check and not chance_feasible(inst, reqs):
+    if not chance_feasible(inst, reqs):
         raise CoverError(f"request set {reqs} is not a feasibility cover")
     endpoints = set(inst.compulsory)
     for h, k in reqs:
@@ -157,10 +157,9 @@ def explore(
     n: int,
     seed: int,
     seen: Set[frozenset],
-    attempts: int = 200,
 ) -> Optional[FeasibilityCover]:
     """Random minimal node cover, then a minimal cover of its induced requests."""
-    nc = random_minimal_node_cover(inst, n, seed, seen, attempts=attempts)
+    nc = random_minimal_node_cover(inst, n, seed, seen)
     if nc is None:
         return None
     rng = random.Random(seed + 1)

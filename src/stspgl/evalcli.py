@@ -18,6 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .model import Instance, StspGlResult, load_instance, save_instance
 from .scenarios import (
     MetricsRow,
+    ParameterError,
     evaluate_metrics,
     generate_instance,
     mean_scenario,
@@ -167,7 +168,7 @@ def sweep(inst: Instance, theta_grid: Sequence[float],
             cell = dataclasses.replace(inst, theta=float(theta), rho=float(rho))
             try:
                 res = run_method(method, cell, cfg)
-            except ValueError:
+            except ParameterError:
                 res = None        # theta=0 has no routing weights
             if res is None or res.incumbent is None:
                 drow.append(None)
@@ -288,8 +289,9 @@ def bench(spec: ExperimentSpec) -> List[BenchRow]:
     """Run every method on every instance and seed; persist all artifacts.
 
     Each run's full result JSON lands next to the CSVs, so every table cell
-    can be re-derived without re-solving. Failures become rows too; the
-    sweep over the remaining cells continues.
+    can be re-derived without re-solving. Failures become rows too, with the
+    exception's type and message in an `.error.json` next to the results;
+    the sweep over the remaining cells continues.
     """
     spec.validate()
     out = Path(spec.out_dir)
@@ -300,6 +302,7 @@ def bench(spec: ExperimentSpec) -> List[BenchRow]:
             for seed in spec.seeds:
                 cfg = make_config(spec.time_limit, spec.gap_target, seed)
                 started = time.monotonic()
+                stem = f"{name}_{method}_{seed}"
                 try:
                     res = run_method(method, inst, cfg)
                 except Exception as exc:       # keep the table going
@@ -308,15 +311,16 @@ def bench(spec: ExperimentSpec) -> List[BenchRow]:
                                          f"Error:{type(exc).__name__}",
                                          None, None, None,
                                          time.monotonic() - started))
+                    error = {"type": type(exc).__name__, "message": str(exc)}
+                    (out / "results" / f"{stem}.error.json").write_text(
+                        json.dumps(error, indent=2) + "\n")
                     continue
                 elapsed = time.monotonic() - started
                 rows.append(BenchRow(name, inst.n, len(inst.requests),
                                      inst.scenarios.size, method, seed,
                                      res.status, res.upper_bound,
                                      res.lower_bound, res.gap, elapsed))
-                run_path = out / "results" / f"{name}_{method}_{seed}.json"
-                with open(run_path, "w") as fh:
-                    fh.write(res.to_json(inst))
+                (out / "results" / f"{stem}.json").write_text(res.to_json(inst))
     with open(out / "bench_runs.csv", "w") as fh:
         fh.write(BENCH_CSV_HEADER + "\n")
         for row in rows:

@@ -104,8 +104,8 @@ class ScenarioSet:
 @dataclass(frozen=True)
 class Instance:
     n: int                                        # nodes are 0 .. n-1
-    design: Tuple[Tuple[float, ...], ...]         # symmetric edge cost, > 0 off-diagonal
-    travel: Tuple[Tuple[float, ...], ...]         # arc travel time
+    design: Tuple[Tuple[float, ...], ...]         # symmetric, > 0 off-diagonal; edge
+                                                  # design cost and arc travel time
     compulsory: frozenset                         # nonempty subset of nodes
     requests: Tuple[Request, ...]                 # canonical lexicographic order
     scenarios: ScenarioSet
@@ -124,12 +124,6 @@ class Instance:
 
     def cbar(self, i: Node, j: Node) -> float:
         return self.design[i][j]
-
-    def c(self, i: Node, j: Node) -> float:
-        return self.travel[i][j]
-
-    def request_index(self, hk: Request) -> int:
-        return self._ridx[hk]
 
     def demand(self, s: int, hk: Request) -> float:
         return self.scenarios.demand[s][self._ridx[hk]]
@@ -179,11 +173,9 @@ def build_instance(
         tuple(float(demand[idx][s]) for idx in order)
         for s in range(len(demand[0]) if demand else 0)
     )
-    frozen = tuple(tuple(row) for row in mat)
     return Instance(
         n=n,
-        design=frozen,
-        travel=frozen,
+        design=tuple(tuple(row) for row in mat),
         compulsory=frozenset(int(v) for v in compulsory),
         requests=reqs,
         scenarios=ScenarioSet(demand=rows),

@@ -1,6 +1,8 @@
 """Thin LP/MIP layer over scipy's HiGHS bindings.
 
-Models are built by name, solved in one shot, and report duals with a fixed
+Models address columns and rows by integer handles (their positions), store
+their coefficients as (row, col, val) triplets, solve in one shot, and report
+values and duals as plain lists indexed by those handles. Duals have a fixed
 orientation convention: duals[c] is the derivative of the optimal objective
 with respect to the right-hand side of constraint c as originally written.
 With that convention the reduced cost of a column with objective coefficient
@@ -29,64 +31,68 @@ RC_EPS = 1e-6     # reduced-cost negativity threshold
 
 
 class LinearModel:
-    """Mutable LP/MIP model with named variables and constraints.
+    """Mutable LP/MIP model; columns and rows are integer handles.
 
-    Constraints are stored as they are added: column indices and values in
-    one flat list each, with `_indptr` marking where each row starts.
+    Columns can be added after rows, with their entries in existing rows, so
+    a column-generation master grows in place.
     """
 
-    def __init__(self, name: str = "model", maximize: bool = False):
-        self.name = name
+    def __init__(self, maximize: bool = False):
         self.maximize = maximize
         self.obj_offset = 0.0
-        self._col: Dict[str, int] = {}
         self._obj: List[float] = []
         self._lb: List[float] = []
         self._ub: List[float] = []
         self._int: List[bool] = []
-        self._row: Dict[str, int] = {}
         self._sense: List[str] = []
         self._rhs: List[float] = []
-        self._indptr: List[int] = [0]
+        self._rows: List[int] = []
         self._cols: List[int] = []
         self._vals: List[float] = []
 
-    def add_var(self, name: str, lb: float = 0.0, ub: float = math.inf,
-                obj: float = 0.0, integer: bool = False) -> str:
-        if name in self._col:
-            raise ValueError(f"duplicate variable {name!r}")
+    def add_var(self, lb: float = 0.0, ub: float = math.inf, obj: float = 0.0,
+                integer: bool = False, rows: Optional[Dict[int, float]] = None) -> int:
+        """New column with entries `rows` ({row: coeff}) in existing rows."""
+        col = len(self._obj)
         if not (math.isfinite(obj) and (math.isfinite(lb) or lb == -math.inf)
                 and (math.isfinite(ub) or ub == math.inf)):
-            raise ValueError(f"non-finite data for variable {name!r}")
-        self._col[name] = len(self._obj)
+            raise ValueError(f"non-finite data for column {col}")
+        if rows:
+            self._check(rows, len(self._sense), "row")
+            self._rows.extend(rows)
+            self._cols.extend([col] * len(rows))
+            self._vals.extend(rows.values())
         self._obj.append(float(obj))
         self._lb.append(float(lb))
         self._ub.append(float(ub))
         self._int.append(integer)
-        return name
+        return col
 
-    def add_constr(self, coeffs: Dict[str, float], sense: str, rhs: float,
-                   name: Optional[str] = None) -> str:
+    def add_constr(self, coeffs: Dict[int, float], sense: str, rhs: float) -> int:
+        """New row sum_col coeffs[col] * x[col] (sense) rhs."""
         if sense not in ("<=", ">=", "=="):
             raise ValueError(f"bad sense {sense!r}")
-        cols = []
-        for var in coeffs:
-            if var not in self._col:
-                raise ValueError(f"constraint references unknown variable {var!r}")
-            cols.append(self._col[var])
-        if not all(math.isfinite(v) for v in coeffs.values()) or not math.isfinite(rhs):
+        if not math.isfinite(rhs):
             raise ValueError("non-finite constraint data")
-        if name is None:
-            name = f"c{len(self._sense)}"
-        if name in self._row:
-            raise ValueError(f"duplicate constraint {name!r}")
-        self._row[name] = len(self._sense)
+        self._check(coeffs, len(self._obj), "column")
+        row = len(self._sense)
         self._sense.append(sense)
         self._rhs.append(float(rhs))
-        self._cols.extend(cols)
+        self._rows.extend([row] * len(coeffs))
+        self._cols.extend(coeffs)
         self._vals.extend(coeffs.values())
-        self._indptr.append(len(self._cols))
-        return name
+        return row
+
+    def set_ub(self, col: int, ub: float) -> None:
+        self._ub[col] = float(ub)
+
+    @staticmethod
+    def _check(entries: Dict[int, float], count: int, kind: str) -> None:
+        for handle, val in entries.items():
+            if not 0 <= handle < count:
+                raise ValueError(f"unknown {kind} {handle!r}")
+            if not math.isfinite(val):
+                raise ValueError("non-finite constraint data")
 
     def n_constrs(self) -> int:
         return len(self._sense)
@@ -100,52 +106,32 @@ class LinearModel:
         return c, np.array(self._lb), np.array(self._ub), np.array(self._int, dtype=float)
 
     def _matrix(self) -> Tuple[sparse.csr_matrix, np.ndarray, np.ndarray]:
-        """Single constraint matrix with row bounds (lo, hi)."""
-        mat = sparse.csr_matrix((self._vals, self._cols, self._indptr),
-                                shape=(len(self._sense), len(self._obj)))
+        """Single constraint matrix with row bounds (lo, hi).
+
+        A stable sort groups the triplets by row, so each row lists its
+        entries in the order they were added.
+        """
+        n_rows = len(self._sense)
+        rows = np.array(self._rows, dtype=np.intp)
+        order = np.argsort(rows, kind="stable")
+        indptr = np.zeros(n_rows + 1, dtype=np.intp)
+        np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
+        mat = sparse.csr_matrix((np.array(self._vals, dtype=float)[order],
+                                 np.array(self._cols, dtype=np.intp)[order], indptr),
+                                shape=(n_rows, len(self._obj)))
         sense = np.array(self._sense, dtype="U2")
         rhs = np.array(self._rhs, dtype=float)
         lo = np.where(sense == "<=", -np.inf, rhs)
         hi = np.where(sense == ">=", np.inf, rhs)
         return mat, lo, hi
 
-    def write_lp(self, path) -> None:
-        """CPLEX-LP style dump for debugging."""
-        def term(coef, var):
-            sign = "+" if coef >= 0 else "-"
-            return f"{sign} {abs(coef):.12g} {var}"
-
-        names = list(self._col)
-        with open(path, "w") as fh:
-            fh.write("Maximize\n" if self.maximize else "Minimize\n")
-            parts = [term(obj, name) for name, obj in zip(names, self._obj) if obj != 0.0]
-            fh.write(" obj: " + (" ".join(parts) if parts else "0 " + next(iter(names), "x")) + "\n")
-            fh.write("Subject To\n")
-            for r, cname in enumerate(self._row):
-                span = range(self._indptr[r], self._indptr[r + 1])
-                lhs = " ".join(term(self._vals[t], names[self._cols[t]]) for t in span)
-                op = {"<=": "<=", ">=": ">=", "==": "="}[self._sense[r]]
-                fh.write(f" {cname}: {lhs} {op} {self._rhs[r]:.12g}\n")
-            fh.write("Bounds\n")
-            for name, lb, ub in zip(names, self._lb, self._ub):
-                lo = "-inf" if lb == -math.inf else f"{lb:.12g}"
-                hi = "+inf" if ub == math.inf else f"{ub:.12g}"
-                fh.write(f" {lo} <= {name} <= {hi}\n")
-            ints = [name for name, integer in zip(names, self._int) if integer]
-            if ints:
-                fh.write("General\n " + " ".join(ints) + "\n")
-            fh.write("End\n")
-
-    def _values(self, x: np.ndarray) -> Dict[str, float]:
-        return dict(zip(self._col, x.tolist()))
-
 
 @dataclass
 class SolveOutcome:
     status: str
     objective: Optional[float]
-    values: Optional[Dict[str, float]]
-    duals: Optional[Dict[str, float]] = None       # LP only, original orientation
+    values: Optional[List[float]]                  # indexed by column handle
+    duals: Optional[List[float]] = None            # LP only, by row handle, original orientation
     dual_objective: Optional[float] = None         # LP only
     best_bound: Optional[float] = None             # MIP only
     cut_rounds: int = 0
@@ -190,13 +176,13 @@ def solve_lp(model: LinearModel, time_limit: Optional[float] = None) -> SolveOut
     if status != OPTIMAL or res.x is None:
         return SolveOutcome(status=status, objective=None, values=None)
     sign = -1.0 if model.maximize else 1.0
-    duals: Optional[Dict[str, float]] = None
+    duals: Optional[List[float]] = None
     dual_obj: Optional[float] = None
     if not model.maximize:
         marg = np.empty(len(lo))
         marg[eq] = res.eqlin.marginals
         marg[ineq] = res.ineqlin.marginals * ub_sign
-        duals = dict(zip(model._row, marg.tolist()))
+        duals = marg.tolist()
         has_lb, has_ub = np.isfinite(lb), np.isfinite(ub)
         dual_obj = float(marg @ rhs) \
             + float(res.lower.marginals[has_lb] @ lb[has_lb]) \
@@ -205,7 +191,7 @@ def solve_lp(model: LinearModel, time_limit: Optional[float] = None) -> SolveOut
     return SolveOutcome(
         status=OPTIMAL,
         objective=sign * float(res.fun) + model.obj_offset,
-        values=model._values(res.x),
+        values=res.x.tolist(),
         duals=duals,
         dual_objective=dual_obj,
     )
@@ -246,12 +232,12 @@ def solve_mip(model: LinearModel, time_limit: Optional[float] = None,
     return SolveOutcome(
         status=OPTIMAL if status == OPTIMAL else status,
         objective=sign * float(res.fun) + model.obj_offset,
-        values=model._values(res.x),
+        values=res.x.tolist(),
         best_bound=bound,
     )
 
 
-CutSource = Callable[[SolveOutcome], Iterable[Tuple[Dict[str, float], str, float]]]
+CutSource = Callable[[SolveOutcome], Iterable[Tuple[Dict[int, float], str, float]]]
 
 
 def resolve_with_cuts(model: LinearModel, cut_source: CutSource, max_rounds: int = 50,

@@ -43,6 +43,7 @@ from .colgen import (
     add_branching_cut,
     build_rmp,
     cg_log_line,
+    extend_rmp,
     extract_duals,
     lagrangian_lower_bound,
     solve_pricing,
@@ -242,58 +243,51 @@ def _exact(state: SearchState) -> bool:
 
 # --- compact benchmark ------------------------------------------------------
 
-def _benchmark_model(inst: Instance, qtilde: RoutingCostTable
-                     ) -> Tuple[LinearModel, Dict[Edge, str], Dict[Request, Dict[Arc, str]]]:
-    """One-shot selection model: tour edges, flows, served set, open stops."""
-    model = LinearModel("benchmark")
+def _benchmark_model(inst: Instance, qtilde: RoutingCostTable):
+    """One-shot selection model: tour edges, open stops w, served requests z,
+    flows, and met scenarios y. Returns the model and the handle maps of x,
+    w, z and the flows."""
+    model = LinearModel()
     x = add_edge_vars(model, inst.nodes, inst.design, scale=1.0 - inst.alpha,
                       integer=True)
-    for i in inst.nodes:
-        lb = 1.0 if i in inst.compulsory else 0.0
-        model.add_var(f"w_{i}", lb=lb, ub=1.0, integer=True)
-    flows: Dict[Request, Dict[Arc, str]] = {}
+    w = {i: model.add_var(lb=1.0 if i in inst.compulsory else 0.0, ub=1.0, integer=True)
+         for i in inst.nodes}
+    z: Dict[Request, int] = {}
+    flows: Dict[Request, Dict[Arc, int]] = {}
     for hk in inst.requests:
-        model.add_var(f"z_{hk[0]}_{hk[1]}", lb=0.0, ub=1.0, integer=True)
+        z[hk] = model.add_var(lb=0.0, ub=1.0, integer=True)
         flows[hk] = add_flow_vars(model, hk, inst.nodes, qtilde, inst.alpha)
-    for s in range(inst.scenarios.size):
-        model.add_var(f"y_{s}", lb=0.0, ub=1.0, integer=True)
+    y = [model.add_var(lb=0.0, ub=1.0, integer=True) for _s in range(inst.scenarios.size)]
 
     for i in inst.nodes:
         coeffs = degree_coeffs(x, i, inst.nodes)
-        coeffs[f"w_{i}"] = -2.0
-        model.add_constr(coeffs, "==", 0.0, name=f"deg_{i}")
+        coeffs[w[i]] = -2.0
+        model.add_constr(coeffs, "==", 0.0)
     for hk, f in flows.items():
         h, k = hk
-        zname = f"z_{h}_{k}"
-        model.add_constr({f"w_{h}": 1.0, zname: -1.0}, ">=", 0.0)
-        model.add_constr({f"w_{k}": 1.0, zname: -1.0}, ">=", 0.0)
+        model.add_constr({w[h]: 1.0, z[hk]: -1.0}, ">=", 0.0)
+        model.add_constr({w[k]: 1.0, z[hk]: -1.0}, ">=", 0.0)
         for i in inst.nodes:
             coeffs = flow_coeffs(f, i, inst.nodes)
             sign = supply(hk, i)
             if sign:
-                coeffs[zname] = -sign
-            model.add_constr(coeffs, "==", 0.0, name=f"flow_{h}_{k}_{i}")
+                coeffs[z[hk]] = -sign
+            model.add_constr(coeffs, "==", 0.0)
         add_linking_rows(model, x, f)
     for s in range(inst.scenarios.size):
-        total = inst.scenarios.total(s)
-        coeffs = {}
-        for idx, hk in enumerate(inst.requests):
-            h, k = hk
-            dem = inst.scenarios.demand[s][idx]
-            if dem:
-                coeffs[f"z_{h}_{k}"] = dem
-        coeffs[f"y_{s}"] = -inst.theta * total
-        model.add_constr(coeffs, ">=", 0.0, name=f"service_{s}")
+        coeffs = {z[hk]: inst.scenarios.demand[s][idx]
+                  for idx, hk in enumerate(inst.requests) if inst.scenarios.demand[s][idx]}
+        coeffs[y[s]] = -inst.theta * inst.scenarios.total(s)
+        model.add_constr(coeffs, ">=", 0.0)
     need = required_scenario_count(inst.scenarios.size, inst.rho)
-    model.add_constr({f"y_{s}": 1.0 for s in range(inst.scenarios.size)},
-                     ">=", float(need), name="count")
-    return model, x, flows
+    model.add_constr({col: 1.0 for col in y}, ">=", float(need))
+    return model, x, w, z, flows
 
 
-def _benchmark_cuts(inst: Instance, x: Dict[Edge, str], out: SolveOutcome
-                    ) -> List[Tuple[Dict[str, float], str, float]]:
+def _benchmark_cuts(inst: Instance, x: Dict[Edge, int], w: Dict[int, int],
+                    out: SolveOutcome) -> List[Tuple[Dict[int, float], str, float]]:
     comps = find_subtours(chosen_edges(x, out.values))
-    cuts: List[Tuple[Dict[str, float], str, float]] = []
+    cuts: List[Tuple[Dict[int, float], str, float]] = []
     for comp in comps:
         inside = {x[(a, b)]: 1.0 for a in comp for b in comp if a < b}
         if not comp & inst.compulsory:
@@ -302,27 +296,27 @@ def _benchmark_cuts(inst: Instance, x: Dict[Edge, str], out: SolveOutcome
                 coeffs = dict(inside)
                 for i in comp:
                     if i != v:
-                        coeffs[f"w_{i}"] = coeffs.get(f"w_{i}", 0.0) - 1.0
+                        coeffs[w[i]] = -1.0
                 cuts.append((coeffs, "<=", 0.0))
         elif not (inst.compulsory <= comp):
-            crossing = {name: 1.0 for (a, b), name in x.items()
+            crossing = {col: 1.0 for (a, b), col in x.items()
                         if (a in comp) != (b in comp)}
             cuts.append((crossing, ">=", 2.0))
     return cuts
 
 
-def _benchmark_solution(inst: Instance, qtilde: RoutingCostTable, x: Dict[Edge, str],
-                        f: Dict[Request, Dict[Arc, str]], out: SolveOutcome
-                        ) -> Tuple[TspGlSolution, FeasibilityCover]:
-    served = [(h, k) for h, k in inst.requests if out.values[f"z_{h}_{k}"] > 0.5]
+def _benchmark_solution(inst: Instance, qtilde: RoutingCostTable, x: Dict[Edge, int],
+                        z: Dict[Request, int], f: Dict[Request, Dict[Arc, int]],
+                        out: SolveOutcome) -> Tuple[TspGlSolution, FeasibilityCover]:
+    served = [hk for hk in inst.requests if out.values[z[hk]] > 0.5]
     tour_edges = set(chosen_edges(x, out.values))
     design = sum(inst.cbar(a, b) for a, b in tour_edges)
     routing = 0.0
     flows: Dict[Request, Dict[Arc, float]] = {}
     for hk in served:
         arcflow = {}
-        for (i, j), name in f[hk].items():
-            val = out.values[name]
+        for (i, j), col in f[hk].items():
+            val = out.values[col]
             if val > FLOW_EPS:
                 arcflow[(i, j)] = val
                 routing += qtilde.cost(hk, i, j) * val
@@ -341,15 +335,15 @@ def run_mip_benchmark(inst: Instance, cfg: SearchConfig) -> StspGlResult:
     state = _new_state(cfg)
     if not chance_feasible(inst, inst.requests):
         return _infeasible_result(state, inst)
-    model, x, flows = _benchmark_model(inst, qtilde)
-    out = resolve_with_cuts(model, lambda o: _benchmark_cuts(inst, x, o),
+    model, x, w, z, flows = _benchmark_model(inst, qtilde)
+    out = resolve_with_cuts(model, lambda o: _benchmark_cuts(inst, x, w, o),
                             max_rounds=4 * inst.n * max(1, inst.n),
                             time_limit=_window(state))
     if out.status == INFEASIBLE:
         return _infeasible_result(state, inst)
     if not out.solved:
         return _finish(state, inst, TIME_LIMIT)
-    sol, cover = _benchmark_solution(inst, qtilde, x, flows, out)
+    sol, cover = _benchmark_solution(inst, qtilde, x, z, flows, out)
     update_incumbent(state, cover, sol)
     if out.status == OPTIMAL and out.cuts_complete:
         state.raise_lb(state.ub)
@@ -455,6 +449,7 @@ def run_bp(inst: Instance, cfg: SearchConfig, hybrid: bool = False,
             if cov is not None:
                 pool.add(cov)
 
+    model, index = build_rmp(inst, pool, qtilde)
     status = FEASIBLE
     rounds_total = 0
     iteration = 0
@@ -471,7 +466,7 @@ def run_bp(inst: Instance, cfg: SearchConfig, hybrid: bool = False,
             if state.remaining() <= 0:
                 pricing_state = "timeout"
                 break
-            model, index = build_rmp(inst, pool, qtilde)
+            extend_rmp(model, index, pool)
             rmp_out = solve_lp(model, time_limit=_window(state, cfg.rmp_time_limit))
             if rmp_out.status == INFEASIBLE:
                 # every admissible cover is branched away: the dive is done
@@ -541,7 +536,7 @@ def run_bp(inst: Instance, cfg: SearchConfig, hybrid: bool = False,
         if state.remaining() <= 0:
             status = TIME_LIMIT
             break
-        model, index = build_rmp(inst, pool, qtilde)
+        extend_rmp(model, index, pool)
         rmp_out = solve_lp(model, time_limit=_window(state, cfg.rmp_time_limit))
         if rmp_out.status == INFEASIBLE:
             state.raise_lb(state.ub)
@@ -551,8 +546,7 @@ def run_bp(inst: Instance, cfg: SearchConfig, hybrid: bool = False,
             for cover in pool.columns:
                 if cover.requests in pool.branched or cover.requests in scored:
                     continue
-                name = index.chi[cover.requests]
-                if rmp_out.values.get(name, 0.0) > SUPPORT_EPS:
+                if rmp_out.values[index.chi[cover.requests]] > SUPPORT_EPS:
                     before = len(scored)
                     _score_and_enqueue(state, inst, qtilde, cutpool, queue,
                                        scored, cover, pool=pool)

@@ -50,7 +50,7 @@ def deterministic_routing_costs(inst: Instance) -> RoutingCostTable:
                 raise ParameterError(f"scenario {s} has zero total demand")
             acc += inst.scenarios.demand[s][r] / (inst.theta * total)
         weight[hk] = acc / ns
-    return RoutingCostTable(travel=inst.travel, weight=weight)
+    return RoutingCostTable(travel=inst.design, weight=weight)
 
 
 def required_scenario_count(n_scenarios: int, rho: float) -> int:
@@ -93,7 +93,6 @@ def mean_scenario(inst: Instance) -> Instance:
     return Instance(
         n=inst.n,
         design=inst.design,
-        travel=inst.travel,
         compulsory=inst.compulsory,
         requests=inst.requests,
         scenarios=ScenarioSet(demand=(mean_row,)),

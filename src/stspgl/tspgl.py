@@ -36,6 +36,7 @@ ABORTED = "Aborted"
 
 _CUT_VIOLATION_EPS = 1e-7
 _INCUMBENT_EPS = 1e-9
+MAX_BENDERS_ITERATIONS = 500
 
 
 @dataclass(frozen=True)
@@ -204,10 +205,10 @@ def _held_karp(nodes: List[int], cost) -> Tuple[List[int], float]:
 
 def _tsp_mip(nodes: List[int], cost, time_limit: Optional[float]
              ) -> Tuple[List[int], float, List[FrozenSet[int]]]:
-    model = LinearModel("tsp")
+    model = LinearModel()
     x = add_edge_vars(model, nodes, cost, integer=True)
     for i in nodes:
-        model.add_constr(degree_coeffs(x, i, nodes), "==", 2.0, name=f"deg_{i}")
+        model.add_constr(degree_coeffs(x, i, nodes), "==", 2.0)
     found: List[FrozenSet[int]] = []
 
     def cut_source(out: SolveOutcome):
@@ -224,39 +225,36 @@ def _tsp_mip(nodes: List[int], cost, time_limit: Optional[float]
 
 # --- tour and flow blocks shared by every model -----------------------------
 #
-# Edge variables are x_a_b (a < b), arc flows f_h_k_i_j. Each builder adds
-# variables in lexicographic order and returns the map from edge or arc to
-# variable name, so callers never parse names.
+# One design column per edge (a, b), a < b, and one flow column per arc of
+# each request. Each builder adds its columns in lexicographic order and
+# returns the map from edge or arc to column handle.
 
 def add_edge_vars(model: LinearModel, nodes: Sequence[int], cost, scale: float = 1.0,
-                  integer: bool = False) -> Dict[Edge, str]:
+                  integer: bool = False) -> Dict[Edge, int]:
     """One 0/1 design variable per node pair, costing scale * cost[a][b]."""
     return {
-        (a, b): model.add_var(f"x_{a}_{b}", lb=0.0, ub=1.0,
-                              obj=scale * cost[a][b], integer=integer)
+        (a, b): model.add_var(lb=0.0, ub=1.0, obj=scale * cost[a][b], integer=integer)
         for a, b in itertools.combinations(nodes, 2)
     }
 
 
-def degree_coeffs(x: Dict[Edge, str], i: int, nodes: Iterable[int]) -> Dict[str, float]:
+def degree_coeffs(x: Dict[Edge, int], i: int, nodes: Iterable[int]) -> Dict[int, float]:
     """Coefficients of node i's degree: its edges to the other `nodes`."""
     return {x[edge(i, j)]: 1.0 for j in nodes if j != i}
 
 
 def add_flow_vars(model: LinearModel, hk: Request, nodes: Sequence[int],
-                  qtilde: RoutingCostTable, alpha: float) -> Dict[Arc, str]:
+                  qtilde: RoutingCostTable, alpha: float) -> Dict[Arc, int]:
     """Arc flows of one request, costing alpha * its routing cost."""
-    h, k = hk
     return {
-        (i, j): model.add_var(f"f_{h}_{k}_{i}_{j}", lb=0.0,
-                              obj=alpha * qtilde.cost(hk, i, j))
+        (i, j): model.add_var(lb=0.0, obj=alpha * qtilde.cost(hk, i, j))
         for i in nodes for j in nodes if i != j
     }
 
 
-def flow_coeffs(f: Dict[Arc, str], i: int, nodes: Iterable[int]) -> Dict[str, float]:
+def flow_coeffs(f: Dict[Arc, int], i: int, nodes: Iterable[int]) -> Dict[int, float]:
     """Outflow minus inflow of one request's flow at node i."""
-    coeffs: Dict[str, float] = {}
+    coeffs: Dict[int, float] = {}
     for j in nodes:
         if j != i:
             coeffs[f[(i, j)]] = 1.0
@@ -269,19 +267,19 @@ def supply(hk: Request, i: int) -> float:
     return 1.0 if i == hk[0] else (-1.0 if i == hk[1] else 0.0)
 
 
-def add_linking_rows(model: LinearModel, x: Dict[Edge, str], f: Dict[Arc, str]) -> None:
+def add_linking_rows(model: LinearModel, x: Dict[Edge, int], f: Dict[Arc, int]) -> None:
     """f <= x on both arcs of every edge."""
     for (a, b), xab in x.items():
         model.add_constr({f[(a, b)]: 1.0, xab: -1.0}, "<=", 0.0)
         model.add_constr({f[(b, a)]: 1.0, xab: -1.0}, "<=", 0.0)
 
 
-def chosen_edges(x: Dict[Edge, str], values: Dict[str, float]) -> List[Edge]:
+def chosen_edges(x: Dict[Edge, int], values: List[float]) -> List[Edge]:
     """Edges set to one in a solution, in lexicographic order."""
-    return [e for e, name in x.items() if values[name] > 0.5]
+    return [e for e, col in x.items() if values[col] > 0.5]
 
 
-def _sec_cut(x: Dict[Edge, str], component: Iterable[int]) -> Tuple[Dict[str, float], str, float]:
+def _sec_cut(x: Dict[Edge, int], component: Iterable[int]) -> Tuple[Dict[int, float], str, float]:
     """Subtour elimination: at most |S| - 1 edges inside S."""
     comp = sorted(component)
     return {x[e]: 1.0 for e in itertools.combinations(comp, 2)}, "<=", float(len(comp) - 1)
@@ -315,16 +313,14 @@ def find_subtours(edges: Iterable[Edge]) -> List[FrozenSet[int]]:
 
 # --- bound estimation ------------------------------------------------------
 
-def cover_bounds(sub: SubInstance, alpha: Optional[float] = None,
-                 cutpool: Optional[CutPool] = None) -> BoundEstimate:
+def cover_bounds(sub: SubInstance, cutpool: Optional[CutPool] = None) -> BoundEstimate:
     """Bracket the subproblem value without solving it.
 
     Lower bound: exact TSP design plus each request's direct-arc cost (no
     tour-constrained path is cheaper under a metric). Upper bound: evaluate
     the TSP tour itself, routing each request along it.
     """
-    if alpha is None:
-        alpha = sub.alpha
+    alpha = sub.alpha
     inst = sub.inst
     key = sub.key
     cached = cutpool.tsp_cache.get(key) if cutpool is not None else None
@@ -466,32 +462,18 @@ def _lp_duals(xbar: Sequence[int], hk: Request, qtilde: RoutingCostTable,
     xval = {e: 0.0 for e in itertools.combinations(sorted(nodes), 2)}
     for e in _cycle_edges(xbar):
         xval[e] = 1.0
-    model = LinearModel("routing-dual", maximize=True)
-    for v in nodes:
-        model.add_var(f"p_{v}", lb=0.0, obj=supply(hk, v))
-    for i in nodes:
-        for j in nodes:
-            if i != j:
-                model.add_var(f"l_{i}_{j}", lb=0.0, obj=-xval[edge(i, j)])
-    for i in nodes:
-        for j in nodes:
-            if i == j:
-                continue
-            model.add_constr(
-                {f"p_{i}": 1.0, f"p_{j}": -1.0, f"l_{i}_{j}": -1.0},
-                "<=",
-                qtilde.cost(hk, i, j),
-            )
+    model = LinearModel(maximize=True)
+    pcol = {v: model.add_var(lb=0.0, obj=supply(hk, v)) for v in nodes}
+    lcol = {(i, j): model.add_var(lb=0.0, obj=-xval[edge(i, j)])
+            for i in nodes for j in nodes if i != j}
+    for (i, j), col in lcol.items():
+        model.add_constr({pcol[i]: 1.0, pcol[j]: -1.0, col: -1.0}, "<=",
+                         qtilde.cost(hk, i, j))
     out = solve_lp(model)
     if out.status != OPTIMAL:
         raise RuntimeError(f"routing dual LP ended with status {out.status}")
-    p = {v: out.values[f"p_{v}"] for v in nodes}
-    lam = {
-        (i, j): out.values[f"l_{i}_{j}"]
-        for i in nodes
-        for j in nodes
-        if i != j
-    }
+    p = {v: out.values[col] for v, col in pcol.items()}
+    lam = {arc: out.values[col] for arc, col in lcol.items()}
     lambda_bar = {
         (a, b): lam[(a, b)] + lam[(b, a)]
         for a, b in itertools.combinations(sorted(nodes), 2)
@@ -528,20 +510,20 @@ def aggregated_optimality_cuts(duals_by_request: Dict[Request, BendersDuals],
 
 # --- Benders master loop ---------------------------------------------------
 
-def _master_model(sub: SubInstance) -> Tuple[LinearModel, Dict[Edge, str]]:
-    model = LinearModel("tspgl-master")
+def _master_model(sub: SubInstance) -> Tuple[LinearModel, Dict[Edge, int], Dict[int, int]]:
+    """Tour master: edge columns, one routing-cost column eta per origin."""
+    model = LinearModel()
     x = add_edge_vars(model, sub.nodes, sub.inst.design, scale=1.0 - sub.alpha,
                       integer=True)
-    for h in sub.origins():
-        model.add_var(f"eta_{h}", lb=0.0, obj=sub.alpha)
+    eta = {h: model.add_var(lb=0.0, obj=sub.alpha) for h in sub.origins()}
     for i in sub.nodes:
-        model.add_constr(degree_coeffs(x, i, sub.nodes), "==", 2.0, name=f"deg_{i}")
-    return model, x
+        model.add_constr(degree_coeffs(x, i, sub.nodes), "==", 2.0)
+    return model, x, eta
 
 
-def _optimality_constr(x: Dict[Edge, str], cut: OptimalityCut
-                       ) -> Tuple[Dict[str, float], str, float]:
-    coeffs = {f"eta_{cut.origin}": 1.0}
+def _optimality_constr(x: Dict[Edge, int], eta: Dict[int, int], cut: OptimalityCut
+                       ) -> Tuple[Dict[int, float], str, float]:
+    coeffs = {eta[cut.origin]: 1.0}
     for e, val in sorted(cut.coeffs.items()):
         coeffs[x[e]] = val
     return coeffs, ">=", cut.rhs
@@ -574,7 +556,6 @@ def benders_solve_tspgl(
     incumbent_ub: Optional[float] = None,
     time_limit: Optional[float] = None,
     cutpool: Optional[CutPool] = None,
-    max_iterations: int = 500,
 ) -> TspGlOutcome:
     """Benders loop: tour master, per-request path subproblems.
 
@@ -584,7 +565,7 @@ def benders_solve_tspgl(
     """
     deadline = None if time_limit is None else time.monotonic() + time_limit
     pool = cutpool if cutpool is not None else CutPool()
-    model, x = _master_model(sub)
+    model, x, eta = _master_model(sub)
     added_subtours: Set[FrozenSet[int]] = set()
     for comp in pool.subtours_for(sub.key):
         model.add_constr(*_sec_cut(x, comp))
@@ -597,13 +578,13 @@ def benders_solve_tspgl(
             for hk in sub.requests
         }
         for h in sub.origins():
-            model.add_constr(*_optimality_constr(x, aggregated_optimality_cuts(duals, h)))
+            model.add_constr(*_optimality_constr(x, eta, aggregated_optimality_cuts(duals, h)))
 
     incumbent: Optional[TspGlSolution] = None
     lower = -math.inf
     status = TIME_LIMIT
     iterations = 0
-    for iterations in range(1, max_iterations + 1):
+    for iterations in range(1, MAX_BENDERS_ITERATIONS + 1):
         remaining = None if deadline is None else deadline - time.monotonic()
         if remaining is not None and remaining <= 0:
             status = TIME_LIMIT
@@ -641,9 +622,9 @@ def benders_solve_tspgl(
             }
             for h in sub.origins():
                 true_h = sum(duals[hk].objective for hk in sub.requests_from(h))
-                eta_val = out.values[f"eta_{h}"]
+                eta_val = out.values[eta[h]]
                 if eta_val < true_h - _CUT_VIOLATION_EPS * max(1.0, abs(true_h)):
-                    model.add_constr(*_optimality_constr(x, aggregated_optimality_cuts(duals, h)))
+                    model.add_constr(*_optimality_constr(x, eta, aggregated_optimality_cuts(duals, h)))
                     violated = True
         if not violated:
             status = OPTIMAL
@@ -662,17 +643,16 @@ def solve_tspgl_direct(sub: SubInstance, time_limit: Optional[float] = None) -> 
     Flow caps alone leave room for a disconnected design when some component
     carries no request, so the resolve loop enforces a single cycle.
     """
-    model = LinearModel("tspgl-direct")
+    model = LinearModel()
     x = add_edge_vars(model, sub.nodes, sub.inst.design, scale=1.0 - sub.alpha,
                       integer=True)
     flows = {hk: add_flow_vars(model, hk, sub.nodes, sub.qtilde, sub.alpha)
              for hk in sub.requests}
     for i in sub.nodes:
-        model.add_constr(degree_coeffs(x, i, sub.nodes), "==", 2.0, name=f"deg_{i}")
+        model.add_constr(degree_coeffs(x, i, sub.nodes), "==", 2.0)
     for hk, f in flows.items():
         for i in sub.nodes:
-            model.add_constr(flow_coeffs(f, i, sub.nodes), "==", supply(hk, i),
-                             name=f"flow_{hk[0]}_{hk[1]}_{i}")
+            model.add_constr(flow_coeffs(f, i, sub.nodes), "==", supply(hk, i))
         add_linking_rows(model, x, f)
 
     def cut_source(out: SolveOutcome):

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import stspgl
@@ -20,6 +21,7 @@ from stspgl.colgen import (
     add_branching_cut,
     build_rmp,
     cg_log_line,
+    extend_rmp,
     extract_duals,
     lagrangian_lower_bound,
     reduced_cost,
@@ -197,6 +199,46 @@ def test_branched_column_fixed_to_zero(d1, d1_qtilde):
     out = solve_lp(model)
     assert out.values[index.chi[((1, 3),)]] == pytest.approx(0.0, abs=1e-9)
     assert out.objective >= base - 1e-9
+
+
+def _assert_same_master(grown, grown_index, fresh, fresh_index):
+    assert grown_index == fresh_index
+    mat, lo, hi = grown._matrix()
+    want, want_lo, want_hi = fresh._matrix()
+    assert mat.shape == want.shape
+    for got, ref in ((mat.indptr, want.indptr), (mat.indices, want.indices),
+                     (mat.data, want.data), (lo, want_lo), (hi, want_hi)):
+        assert np.array_equal(got, ref)
+    for got, ref in zip(grown._arrays(), fresh._arrays()):
+        assert np.array_equal(got, ref)
+
+
+def test_rmp_grown_in_place_equals_fresh_build():
+    inst = generate_instance(n=6, seed=404, n_requests=6, n_scenarios=3, theta=0.6, rho=0.3)
+    qt = deterministic_routing_costs(inst)
+    covers = [make_cover(inst, c) for c in enumerate_minimal_covers(inst)]
+    assert len(covers) >= 4
+    pool = _pool_with(inst, inst.requests)
+    model, index = build_rmp(inst, pool, qt)
+    steps = [
+        lambda: pool.add(covers[0]),
+        lambda: (pool.add(covers[1]), pool.add(covers[2])),
+        lambda: add_branching_cut(pool, covers[0].requests),     # already pooled
+        lambda: add_branching_cut(pool, covers[3].requests),     # not pooled yet
+        lambda: pool.add(covers[3]),                             # enters branched
+        lambda: None,                                            # nothing changed
+    ]
+    for step in steps:
+        step()
+        extend_rmp(model, index, pool)
+        fresh, fresh_index = build_rmp(inst, pool, qt)
+        _assert_same_master(model, index, fresh, fresh_index)
+    assert model._ub[index.chi[covers[0].requests]] == 0.0
+    assert model._ub[index.chi[covers[3].requests]] == 0.0
+    grown_out, fresh_out = solve_lp(model), solve_lp(fresh)
+    assert grown_out.status == OPTIMAL
+    assert grown_out.values == fresh_out.values
+    assert grown_out.duals == fresh_out.duals
 
 
 def test_lagrangian_lower_bound():

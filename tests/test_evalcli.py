@@ -97,6 +97,21 @@ def test_sweep_marks_unsolvable_cells(d1, tmp_path):
     assert lines[2] == "0.5,6.0"
 
 
+def asymmetric_instance():
+    """The tiny fixture with one design cost changed in a single direction."""
+    dist = [[abs(i - j) for j in range(5)] for i in range(5)]
+    dist[0][1] = 2
+    return build_instance(compulsory=[0], requests=[(1, 3), (2, 4)],
+                          demand=[[10.0, 0.0], [0.0, 10.0]], theta=0.5, rho=0.5,
+                          alpha=0.25, dist=dist)
+
+
+def test_sweep_reports_invalid_instance():
+    # only the theta=0 cell is unsolvable by design; validation errors surface
+    with pytest.raises(ValueError, match=r"invalid instance: design cost asymmetric at \[0,1\]"):
+        sweep(asymmetric_instance(), theta_grid=[0.5], rho_grid=[0.5], cfg=cfg60())
+
+
 def test_sweep_rejects_bad_grids(d1):
     with pytest.raises(ValueError):
         sweep(d1, [], [0.1], cfg60())
@@ -126,6 +141,22 @@ def test_bench_writes_runs_results_and_table(tmp_path):
     assert len(results) == 4
     doc = json.loads(results[0].read_text())
     assert "status" in doc and "tour" in doc
+
+
+def test_bench_keeps_error_messages(tmp_path):
+    inst_path = tmp_path / "broken.json"
+    save_instance(asymmetric_instance(), inst_path)
+    spec = ExperimentSpec(instances=[str(inst_path)], methods=["mip"], seeds=[3],
+                          time_limit=30.0, out_dir=str(tmp_path / "bench"))
+    rows = bench(spec)
+    assert [row.status for row in rows] == ["Error:ValueError"]
+    runs = (tmp_path / "bench" / "bench_runs.csv").read_text().splitlines()
+    assert runs[1].split(",")[6] == "Error:ValueError"
+    results = tmp_path / "bench" / "results"
+    assert sorted(p.name for p in results.iterdir()) == ["broken_mip_3.error.json"]
+    error = json.loads((results / "broken_mip_3.error.json").read_text())
+    assert error["type"] == "ValueError"
+    assert error["message"].startswith("invalid instance: design cost asymmetric at [0,1]")
 
 
 def test_experiment_spec_validation(tmp_path):

@@ -16,36 +16,36 @@ from stspgl.mpbackend import (
 
 
 def test_lp_one_dimensional_with_dual():
-    m = LinearModel("tiny")
-    m.add_var("x", lb=0.0, obj=1.0)
-    m.add_constr({"x": 1.0}, ">=", 3.0, name="floor")
+    m = LinearModel()
+    x = m.add_var(lb=0.0, obj=1.0)
+    floor = m.add_constr({x: 1.0}, ">=", 3.0)
     out = solve_lp(m)
     assert out.status == OPTIMAL
     assert out.objective == pytest.approx(3.0)
-    assert out.duals["floor"] == pytest.approx(1.0)
+    assert out.duals[floor] == pytest.approx(1.0)
     assert out.dual_objective == pytest.approx(3.0)
 
 
 def test_lp_equality_dual_orientation():
     m = LinearModel()
-    m.add_var("x", obj=1.0)
-    m.add_var("y", obj=2.0)
-    m.add_constr({"x": 1.0, "y": 1.0}, "==", 2.0, name="bal")
+    x = m.add_var(obj=1.0)
+    y = m.add_var(obj=2.0)
+    bal = m.add_constr({x: 1.0, y: 1.0}, "==", 2.0)
     out = solve_lp(m)
     assert out.objective == pytest.approx(2.0)
-    assert out.duals["bal"] == pytest.approx(1.0)
+    assert out.duals[bal] == pytest.approx(1.0)
 
 
 def test_lp_infeasible():
     m = LinearModel()
-    m.add_var("x", lb=0.0, ub=1.0, obj=1.0)
-    m.add_constr({"x": 1.0}, ">=", 2.0)
+    x = m.add_var(lb=0.0, ub=1.0, obj=1.0)
+    m.add_constr({x: 1.0}, ">=", 2.0)
     assert solve_lp(m).status == INFEASIBLE
 
 
 def test_lp_unbounded():
     m = LinearModel()
-    m.add_var("x", lb=-math.inf, obj=1.0)
+    m.add_var(lb=-math.inf, obj=1.0)
     out = solve_lp(m)
     assert out.status in (UNBOUNDED, INFEASIBLE)
     assert out.status == UNBOUNDED
@@ -57,14 +57,14 @@ def test_lp_weak_duality_random_models():
         m = LinearModel()
         nv, nc = rng.randint(2, 6), rng.randint(1, 5)
         obj, ub, rows = {}, {}, {}
-        for j in range(nv):
-            ub[f"x{j}"], obj[f"x{j}"] = rng.uniform(1, 10), rng.uniform(-5, 5)
-            m.add_var(f"x{j}", lb=0.0, ub=ub[f"x{j}"], obj=obj[f"x{j}"])
-        for c in range(nc):
-            coeffs = {f"x{j}": rng.uniform(-2, 2) for j in range(nv)}
+        for _j in range(nv):
+            bound, cost = rng.uniform(1, 10), rng.uniform(-5, 5)
+            col = m.add_var(lb=0.0, ub=bound, obj=cost)
+            ub[col], obj[col] = bound, cost
+        for _c in range(nc):
+            coeffs = {col: rng.uniform(-2, 2) for col in obj}
             sense = rng.choice(["<=", ">=", "=="])
-            rows[f"c{c}"] = coeffs
-            m.add_constr(coeffs, sense, rng.uniform(-3, 3), name=f"c{c}")
+            rows[m.add_constr(coeffs, sense, rng.uniform(-3, 3))] = coeffs
         out = solve_lp(m)
         if out.status != OPTIMAL:
             continue
@@ -87,16 +87,48 @@ def test_lp_weak_duality_random_models():
                 assert rc == pytest.approx(0.0, abs=tol)
 
 
+def test_column_added_into_existing_rows():
+    # x + y >= 2 and x - y <= 1, with y entering after both rows exist
+    grown = LinearModel()
+    x = grown.add_var(obj=1.0)
+    cover = grown.add_constr({x: 1.0}, ">=", 2.0)
+    gap = grown.add_constr({x: 1.0}, "<=", 1.0)
+    y = grown.add_var(ub=5.0, obj=3.0, rows={cover: 1.0, gap: -1.0})
+    fresh = LinearModel()
+    fresh.add_var(obj=1.0)
+    fresh.add_var(ub=5.0, obj=3.0)
+    fresh.add_constr({x: 1.0, y: 1.0}, ">=", 2.0)
+    fresh.add_constr({x: 1.0, y: -1.0}, "<=", 1.0)
+    assert (grown._matrix()[0] != fresh._matrix()[0]).nnz == 0
+    out = solve_lp(grown)
+    assert out.values == pytest.approx([1.5, 0.5])
+    assert out.duals == pytest.approx([2.0, -1.0])
+    grown.set_ub(y, 0.0)
+    assert solve_lp(grown).status == INFEASIBLE
+
+
+def test_unknown_handles_rejected():
+    m = LinearModel()
+    x = m.add_var()
+    with pytest.raises(ValueError):
+        m.add_constr({x + 1: 1.0}, "<=", 1.0)
+    with pytest.raises(ValueError):
+        m.add_var(rows={0: 1.0})
+    with pytest.raises(ValueError):
+        m.add_constr({x: math.nan}, "<=", 1.0)
+    assert m.n_constrs() == 0
+
+
 def test_mip_knapsack():
     m = LinearModel()
-    m.add_var("x", lb=0.0, ub=1.0, obj=3.0, integer=True)
-    m.add_var("y", lb=0.0, ub=1.0, obj=2.0, integer=True)
-    m.add_constr({"x": 1.0, "y": 1.0}, "<=", 1.0)
+    x = m.add_var(lb=0.0, ub=1.0, obj=3.0, integer=True)
+    y = m.add_var(lb=0.0, ub=1.0, obj=2.0, integer=True)
+    m.add_constr({x: 1.0, y: 1.0}, "<=", 1.0)
     m.maximize = True
     out = solve_mip(m)
     assert out.status == OPTIMAL
     assert out.objective == pytest.approx(3.0)
-    assert out.values["x"] == pytest.approx(1.0)
+    assert out.values[x] == pytest.approx(1.0)
 
 
 def test_mip_gap_limit_contract():
@@ -107,8 +139,8 @@ def test_mip_gap_limit_contract():
         w, v = rng.randint(3, 30), rng.randint(2, 40)
         weights.append(w)
         values.append(v)
-        m.add_var(f"x{j}", lb=0.0, ub=1.0, obj=float(v), integer=True)
-    m.add_constr({f"x{j}": float(weights[j]) for j in range(30)}, "<=", 60.0)
+        m.add_var(lb=0.0, ub=1.0, obj=float(v), integer=True)
+    m.add_constr({j: float(weights[j]) for j in range(30)}, "<=", 60.0)
     out = solve_mip(m, gap_limit=0.02)
     assert out.status == OPTIMAL
     assert out.best_bound is not None
@@ -119,8 +151,8 @@ def test_mip_gap_limit_contract():
 
 def test_mip_infeasible():
     m = LinearModel()
-    m.add_var("x", lb=0.0, ub=1.0, obj=1.0, integer=True)
-    m.add_constr({"x": 1.0}, ">=", 2.0)
+    x = m.add_var(lb=0.0, ub=1.0, obj=1.0, integer=True)
+    m.add_constr({x: 1.0}, ">=", 2.0)
     assert solve_mip(m).status == INFEASIBLE
 
 
@@ -128,9 +160,9 @@ def test_mip_time_limit_statuses_are_sane():
     m = LinearModel()
     rng = random.Random(5)
     for j in range(40):
-        m.add_var(f"x{j}", lb=0.0, ub=1.0, obj=rng.uniform(-3, 3), integer=True)
+        m.add_var(lb=0.0, ub=1.0, obj=rng.uniform(-3, 3), integer=True)
     for c in range(25):
-        coeffs = {f"x{j}": rng.uniform(-1, 1) for j in range(40)}
+        coeffs = {j: rng.uniform(-1, 1) for j in range(40)}
         m.add_constr(coeffs, "<=", rng.uniform(0.5, 4.0))
     out = solve_mip(m, time_limit=0.05)
     assert out.status in (OPTIMAL, TIME_LIMIT)
@@ -139,29 +171,25 @@ def test_mip_time_limit_statuses_are_sane():
 
 
 def _degree_model(nodes, cost):
-    m = LinearModel("tsp")
+    m = LinearModel()
+    x = {}
     for i in nodes:
         for j in nodes:
             if i < j:
-                m.add_var(f"x_{i}_{j}", lb=0.0, ub=1.0, obj=cost[i][j], integer=True)
+                x[(i, j)] = m.add_var(lb=0.0, ub=1.0, obj=cost[i][j], integer=True)
     for i in nodes:
         coeffs = {}
         for j in nodes:
             if j == i:
                 continue
-            a, b = min(i, j), max(i, j)
-            coeffs[f"x_{a}_{b}"] = 1.0
-        m.add_constr(coeffs, "==", 2.0, name=f"deg_{i}")
-    return m
+            coeffs[x[(min(i, j), max(i, j))]] = 1.0
+        m.add_constr(coeffs, "==", 2.0)
+    return m, x
 
 
-def _component_cuts(nodes):
+def _component_cuts(nodes, x):
     def cut_source(out):
-        chosen = [
-            tuple(int(v) for v in name.split("_")[1:])
-            for name, val in out.values.items()
-            if name.startswith("x_") and val > 0.5
-        ]
+        chosen = [e for e, col in x.items() if out.values[col] > 0.5]
         adj = {v: set() for v in nodes}
         for i, j in chosen:
             adj[i].add(j)
@@ -184,7 +212,7 @@ def _component_cuts(nodes):
         cuts = []
         for comp in comps:
             coeffs = {
-                f"x_{a}_{b}": 1.0
+                x[(a, b)]: 1.0
                 for a in comp
                 for b in comp
                 if a < b
@@ -197,7 +225,7 @@ def _component_cuts(nodes):
 
 def test_resolve_with_cuts_identity_on_empty_source():
     m = LinearModel()
-    m.add_var("x", lb=0.0, ub=2.0, obj=-1.0, integer=True)
+    m.add_var(lb=0.0, ub=2.0, obj=-1.0, integer=True)
     out = resolve_with_cuts(m, lambda _o: [], max_rounds=5)
     assert out.status == OPTIMAL
     assert out.objective == pytest.approx(-2.0)
@@ -207,7 +235,7 @@ def test_resolve_with_cuts_identity_on_empty_source():
 
 def test_resolve_with_cuts_zero_budget_flagged_incomplete():
     m = LinearModel()
-    m.add_var("x", lb=0.0, ub=2.0, obj=-1.0, integer=True)
+    m.add_var(lb=0.0, ub=2.0, obj=-1.0, integer=True)
     out = resolve_with_cuts(m, lambda _o: [], max_rounds=0)
     assert out.status == OPTIMAL
     assert not out.cuts_complete
@@ -222,9 +250,9 @@ def test_resolve_with_cuts_solves_small_tsps():
             [math.dist(pts[i], pts[j]) for j in nodes]
             for i in nodes
         ]
-        m = _degree_model(nodes, cost)
+        m, x = _degree_model(nodes, cost)
         objectives = []
-        source = _component_cuts(nodes)
+        source = _component_cuts(nodes, x)
 
         def logging_source(out, _source=source, _objs=objectives):
             _objs.append(out.objective)
@@ -239,14 +267,3 @@ def test_resolve_with_cuts_solves_small_tsps():
         for earlier, later in zip(objectives, objectives[1:]):
             assert later >= earlier - 1e-9
 
-
-def test_write_lp_dump(tmp_path):
-    m = LinearModel()
-    m.add_var("x", lb=0.0, ub=4.0, obj=1.5, integer=True)
-    m.add_constr({"x": 2.0}, ">=", 3.0, name="half")
-    path = tmp_path / "model.lp"
-    m.write_lp(path)
-    text = path.read_text()
-    assert "Minimize" in text
-    assert "half:" in text
-    assert "General" in text

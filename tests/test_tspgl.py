@@ -152,23 +152,24 @@ def _flow_lp_value(nodes, tour_seq, hk, qtilde):
     for t in range(len(tour_seq)):
         xval[edge(tour_seq[t], tour_seq[(t + 1) % len(tour_seq)])] = 1.0
     h, k = hk
-    m = LinearModel("flow")
+    m = LinearModel()
+    f = {}
     for i in nodes:
         for j in nodes:
             if i != j:
-                m.add_var(f"f_{i}_{j}", lb=0.0, obj=qtilde.cost(hk, i, j))
+                f[(i, j)] = m.add_var(lb=0.0, obj=qtilde.cost(hk, i, j))
     for i in nodes:
         coeffs = {}
         for j in nodes:
             if j == i:
                 continue
-            coeffs[f"f_{i}_{j}"] = 1.0
-            coeffs[f"f_{j}_{i}"] = -1.0
+            coeffs[f[(i, j)]] = 1.0
+            coeffs[f[(j, i)]] = -1.0
         rhs = 1.0 if i == h else (-1.0 if i == k else 0.0)
         m.add_constr(coeffs, "==", rhs)
     for a, b in itertools.combinations(sorted(nodes), 2):
-        m.add_constr({f"f_{a}_{b}": 1.0}, "<=", xval[(a, b)])
-        m.add_constr({f"f_{b}_{a}": 1.0}, "<=", xval[(a, b)])
+        m.add_constr({f[(a, b)]: 1.0}, "<=", xval[(a, b)])
+        m.add_constr({f[(b, a)]: 1.0}, "<=", xval[(a, b)])
     out = solve_lp(m)
     assert out.status == OPTIMAL
     return out.objective
@@ -208,7 +209,7 @@ def test_dual_subproblem_strong_duality_random():
 
 
 def test_dual_subproblem_zero_costs(d1):
-    zero = RoutingCostTable(travel=d1.travel, weight={(1, 3): 0.0, (2, 4): 0.0})
+    zero = RoutingCostTable(travel=d1.design, weight={(1, 3): 0.0, (2, 4): 0.0})
     duals = dual_subproblem([0, 1, 3], (1, 3), zero)
     assert duals.objective == 0.0
 
@@ -319,7 +320,7 @@ def test_direct_solver_alpha_extremes():
     cov = minimal_feasibility_cover(inst, inst.requests)
 
     at0 = Instance(
-        n=inst.n, design=inst.design, travel=inst.travel, compulsory=inst.compulsory,
+        n=inst.n, design=inst.design, compulsory=inst.compulsory,
         requests=inst.requests, scenarios=inst.scenarios, alpha=0.0,
         theta=inst.theta, rho=inst.rho, rounding=inst.rounding, coords=inst.coords,
     )
@@ -330,7 +331,7 @@ def test_direct_solver_alpha_extremes():
     assert out0.solution.objective == pytest.approx(tsp_val, rel=1e-9)
 
     at1 = Instance(
-        n=inst.n, design=inst.design, travel=inst.travel, compulsory=inst.compulsory,
+        n=inst.n, design=inst.design, compulsory=inst.compulsory,
         requests=inst.requests, scenarios=inst.scenarios, alpha=1.0,
         theta=inst.theta, rho=inst.rho, rounding=inst.rounding, coords=inst.coords,
     )
