@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from .covers import FeasibilityCover, make_cover, minimal_feasibility_cover
+from .covers import FeasibilityCover, minimal_feasibility_cover
 from .model import OPTIMAL, TIME_LIMIT, Instance, Request
 from .mpbackend import RC_EPS, LinearModel, SolveOutcome, solve_mip
 from .scenarios import RoutingCostTable, required_scenario_count
@@ -217,7 +217,7 @@ def solve_pricing(
         return PricingResult(None, objective)
     raw = tuple(sorted(hk for hk in inst.requests if out.values[serve[hk]] > 0.5))
     return PricingResult(
-        cover=make_cover(inst, minimal_feasibility_cover(inst, raw).requests),
+        cover=minimal_feasibility_cover(inst, raw),
         objective=objective,
         raw_requests=raw,
     )

@@ -25,7 +25,6 @@ class FeasibilityCover:
     node_incidence: Dict[int, int]                # l_Q(i) over all nodes
     request_incidence: Dict[Request, int]         # r_Q^hk over all requests
     bounds: Optional[object] = None               # BoundEstimate once scored
-    evaluated: bool = False                       # exact TSP-GL value known
 
     def __eq__(self, other):
         return isinstance(other, FeasibilityCover) and self.requests == other.requests
@@ -40,11 +39,6 @@ class FeasibilityCover:
     @property
     def size(self) -> int:
         return len(self.requests)
-
-
-@dataclass(frozen=True)
-class NodeCover:
-    nodes: frozenset
 
 
 def _as_requests(obj) -> Tuple[Request, ...]:
@@ -119,7 +113,7 @@ def random_minimal_node_cover(
     seed: int,
     seen: Set[frozenset],
     attempts: int = 200,
-) -> Optional[NodeCover]:
+) -> Optional[frozenset]:
     """Sample a size-n node set containing the compulsory nodes, then shrink.
 
     A draw is accepted when its induced request set is a feasibility cover
@@ -148,7 +142,7 @@ def random_minimal_node_cover(
         for v in order:
             if chance_feasible(inst, induced_requests(inst, nodes - {v})):
                 nodes.discard(v)
-        return NodeCover(nodes=frozenset(nodes))
+        return frozenset(nodes)
     return None
 
 
@@ -159,11 +153,11 @@ def explore(
     seen: Set[frozenset],
 ) -> Optional[FeasibilityCover]:
     """Random minimal node cover, then a minimal cover of its induced requests."""
-    nc = random_minimal_node_cover(inst, n, seed, seen)
-    if nc is None:
+    nodes = random_minimal_node_cover(inst, n, seed, seen)
+    if nodes is None:
         return None
     rng = random.Random(seed + 1)
-    induced = induced_requests(inst, nc.nodes)
+    induced = induced_requests(inst, nodes)
     return minimal_feasibility_cover(inst, induced, rng=rng)
 
 

@@ -37,14 +37,8 @@ METHODS = ("mip", "bp", "heuristic", "hybrid", "deterministic")
 
 def make_config(time_limit: float = 3600.0, gap: float = 0.02,
                 seed: int = 0) -> SearchConfig:
-    """Search configuration with the component budgets scaled to the total."""
-    return SearchConfig(
-        time_limit_total=time_limit,
-        rmp_time_limit=max(time_limit * (2.0 / 3.0), 1e-6),
-        pricing_time_limit=max(time_limit / 3.0, 1e-6),
-        gap_target=gap,
-        seed=seed,
-    )
+    """Search configuration for a total time budget, gap target and seed."""
+    return SearchConfig(time_limit_total=time_limit, gap_target=gap, seed=seed)
 
 
 def solve_deterministic(inst: Instance, cfg: SearchConfig) -> StspGlResult:
@@ -208,8 +202,6 @@ class ExperimentSpec:
     seeds: List[int] = field(default_factory=lambda: [0])
     time_limit: float = 3600.0
     gap_target: float = 0.02
-    theta_grid: List[float] = field(default_factory=list)
-    rho_grid: List[float] = field(default_factory=list)
     out_dir: str = "bench_out"
 
     def validate(self) -> None:
@@ -232,8 +224,6 @@ def load_experiment_spec(path) -> ExperimentSpec:
         seeds=[int(s) for s in doc.get("seeds", [0])],
         time_limit=float(doc.get("time_limit", 3600.0)),
         gap_target=float(doc.get("gap_target", 0.02)),
-        theta_grid=[float(v) for v in doc.get("theta_grid", [])],
-        rho_grid=[float(v) for v in doc.get("rho_grid", [])],
         out_dir=str(doc.get("out_dir", "bench_out")),
     )
     spec.validate()

@@ -230,35 +230,6 @@ def load_instance(path) -> Instance:
     return build_instance(dist=doc["dist"], **kwargs)
 
 
-def read_tsplib(path) -> List[Tuple[float, float]]:
-    """Read node coordinates from a TSPLIB file (EUC_2D only)."""
-    coords: Dict[int, Tuple[float, float]] = {}
-    in_section = False
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            upper = line.upper()
-            if upper.startswith("EDGE_WEIGHT_TYPE"):
-                if "EUC_2D" not in upper:
-                    raise ValueError("only EUC_2D TSPLIB files are supported")
-            if upper.startswith("NODE_COORD_SECTION"):
-                in_section = True
-                continue
-            if upper.startswith("EOF"):
-                break
-            if in_section:
-                parts = line.split()
-                if len(parts) < 3:
-                    continue
-                coords[int(parts[0])] = (float(parts[1]), float(parts[2]))
-    if not coords:
-        raise ValueError("no NODE_COORD_SECTION found")
-    ordered = [coords[key] for key in sorted(coords)]
-    return ordered
-
-
 def validate_instance(inst: Instance) -> List[str]:
     """Report-style validation; an empty list means the instance is usable."""
     report: List[str] = []

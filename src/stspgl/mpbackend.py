@@ -200,16 +200,15 @@ def solve_lp(model: LinearModel, time_limit: Optional[float] = None) -> SolveOut
 _MIP_STATUS = {0: OPTIMAL, 1: TIME_LIMIT, 2: INFEASIBLE, 3: UNBOUNDED}
 
 
-def solve_mip(model: LinearModel, time_limit: Optional[float] = None,
-              gap_limit: Optional[float] = None) -> SolveOutcome:
+def solve_mip(model: LinearModel, time_limit: Optional[float] = None) -> SolveOutcome:
     c, lb, ub, integrality = model._arrays()
     constraints = []
     if model.n_constrs():
         mat, lo, hi = model._matrix()
         constraints = [LinearConstraint(mat, lo, hi)]
     options: Dict[str, object] = {
-        # engine default leaves a 1e-4 gap; force exactness unless asked otherwise
-        "mip_rel_gap": float(gap_limit) if gap_limit is not None else 0.0,
+        # engine default leaves a 1e-4 gap; force exactness
+        "mip_rel_gap": 0.0,
     }
     if time_limit is not None:
         options["time_limit"] = max(0.01, float(time_limit))
@@ -241,8 +240,7 @@ CutSource = Callable[[SolveOutcome], Iterable[Tuple[Dict[int, float], str, float
 
 
 def resolve_with_cuts(model: LinearModel, cut_source: CutSource, max_rounds: int = 50,
-                      time_limit: Optional[float] = None,
-                      gap_limit: Optional[float] = None) -> SolveOutcome:
+                      time_limit: Optional[float] = None) -> SolveOutcome:
     """Solve, separate violated cuts, add them, and solve again.
 
     Cuts stay in the model across rounds (and after return, for reuse by the
@@ -256,7 +254,7 @@ def resolve_with_cuts(model: LinearModel, cut_source: CutSource, max_rounds: int
             return None
         return deadline - time.monotonic()
 
-    out = solve_mip(model, time_limit=remaining(), gap_limit=gap_limit)
+    out = solve_mip(model, time_limit=remaining())
     for round_no in range(max_rounds):
         if not out.solved:
             return out
@@ -273,7 +271,7 @@ def resolve_with_cuts(model: LinearModel, cut_source: CutSource, max_rounds: int
             out.status = TIME_LIMIT
             out.cuts_complete = False
             return out
-        out = solve_mip(model, time_limit=left, gap_limit=gap_limit)
+        out = solve_mip(model, time_limit=left)
         out.cut_rounds = round_no + 1
     out.cuts_complete = False
     return out

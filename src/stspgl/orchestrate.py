@@ -6,7 +6,6 @@ master re-optimizes over what is left. The Lagrangian bound from pricing
 drives the lower bound; evaluated covers drive the upper bound.
 """
 
-import heapq
 import math
 import random
 import time
@@ -64,67 +63,53 @@ from .tspgl import (
     supply,
 )
 
-INCUMBENT_EPS = 1e-9   # strict-improvement threshold for incumbent updates
-SUPPORT_EPS = 1e-6     # chi values above this count as basis support
+INCUMBENT_EPS = 1e-9        # strict-improvement threshold for incumbent updates
+SUPPORT_EPS = 1e-6          # chi values above this count as basis support
+RMP_SHARE = 2.0 / 3.0       # cap of one RMP LP, as a share of the total budget
+PRICING_SHARE = 1.0 / 3.0   # cap of one pricing IP, as a share of the total budget
+PRICING_PER_ITERATION = 5   # pricing rounds per branch-and-price iteration
+EVALS_PER_ITERATION = 5     # exact cover evaluations per iteration
 
 
 @dataclass
 class SearchConfig:
     time_limit_total: float = 3600.0
-    rmp_time_limit: float = 2400.0
-    pricing_time_limit: float = 1200.0
     gap_target: float = 0.02
-    pricing_per_iteration: int = 5
-    evals_per_iteration: int = 5
-    exploration_size: Optional[int] = None   # node draw size; instance size if None
     seed: int = 0
 
     def validate(self) -> None:
-        if self.time_limit_total <= 0 or self.rmp_time_limit <= 0 \
-                or self.pricing_time_limit <= 0:
-            raise ValueError("time limits must be positive")
+        if not self.time_limit_total > 0:
+            raise ValueError("time_limit_total must be positive")
         if not (0.0 < self.gap_target < 1.0):
             raise ValueError("gap_target must lie in (0, 1)")
-        if self.pricing_per_iteration <= 0 or self.evals_per_iteration <= 0:
-            raise ValueError("per-iteration budgets must be positive")
-        if self.exploration_size is not None and self.exploration_size <= 0:
-            raise ValueError("exploration_size must be positive when given")
 
 
 class ScoredQueue:
-    """Priority queue of scored covers, keyed by (ub, lb, canonical requests).
+    """Scored covers ranked by (ub, lb, canonical requests).
 
-    The request tuple breaks ties so that pop order never depends on
-    insertion order. Entries are unique per request set; stale heap rows
-    left behind by removals are dropped lazily.
+    The request tuple breaks ties, so the ranking is a total order and never
+    depends on insertion order. Entries are unique per request set.
     """
 
     def __init__(self):
-        self._heap: List[Tuple[float, float, Tuple[Request, ...]]] = []
         self._entries: Dict[Tuple[Request, ...], FeasibilityCover] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def __bool__(self) -> bool:
-        return bool(self._entries)
 
     def push(self, cover: FeasibilityCover) -> bool:
         if cover.bounds is None:
             raise ValueError("cover must be scored before queueing")
         if cover.requests in self._entries:
             return False
-        heapq.heappush(self._heap, (cover.bounds.ub, cover.bounds.lb, cover.requests))
         self._entries[cover.requests] = cover
         return True
 
     def pop(self) -> Optional[FeasibilityCover]:
-        while self._heap:
-            _, _, key = heapq.heappop(self._heap)
-            cover = self._entries.pop(key, None)
-            if cover is not None:
-                return cover
-        return None
+        top = self.smallest(1)
+        if not top:
+            return None
+        return self._entries.pop(top[0].requests)
 
     def remove(self, requests: Tuple[Request, ...]) -> None:
         self._entries.pop(requests, None)
@@ -227,18 +212,16 @@ def _infeasible_result(state: SearchState, inst: Instance) -> StspGlResult:
     return _finish(state, inst, INFEASIBLE)
 
 
-def _gap_closed(state: SearchState, cfg: SearchConfig) -> bool:
-    if not math.isfinite(state.ub):
-        return False
-    if state.lb >= state.ub - INCUMBENT_EPS * max(1.0, abs(state.ub)):
-        return True
-    g = gap_value(state.ub, state.lb if math.isfinite(state.lb) else None)
-    return g is not None and g <= cfg.gap_target
-
-
 def _exact(state: SearchState) -> bool:
     return math.isfinite(state.ub) and \
         state.lb >= state.ub - INCUMBENT_EPS * max(1.0, abs(state.ub))
+
+
+def _gap_closed(state: SearchState, cfg: SearchConfig) -> bool:
+    if _exact(state):
+        return True
+    g = gap_value(state.ub, state.lb)
+    return g is not None and g <= cfg.gap_target
 
 
 # --- compact benchmark ------------------------------------------------------
@@ -355,29 +338,30 @@ def run_mip_benchmark(inst: Instance, cfg: SearchConfig) -> StspGlResult:
 
 # --- scoring ----------------------------------------------------------------
 
-def _score_cover(inst: Instance, qtilde: RoutingCostTable, cutpool: CutPool,
-                 cover: FeasibilityCover) -> FeasibilityCover:
-    sub = make_subinstance(inst, cover, qtilde)
-    cover.bounds = cover_bounds(sub, cutpool=cutpool)
-    return cover
+def _close(state: SearchState, cover: FeasibilityCover,
+           pool: Optional[ColumnPool], event: str, nodes_visited=None) -> None:
+    """Take a cover out of the search: branch it away and log why."""
+    if pool is not None:
+        add_branching_cut(pool, cover.requests)
+    state.note(event, cover_size=cover.size, nodes_visited=nodes_visited)
 
 
 def _score_and_enqueue(state: SearchState, inst: Instance,
                        qtilde: RoutingCostTable, cutpool: CutPool,
                        queue: ScoredQueue, scored: Set[Tuple[Request, ...]],
                        cover: FeasibilityCover,
-                       pool: Optional[ColumnPool] = None) -> None:
+                       pool: Optional[ColumnPool] = None) -> bool:
+    """Bound a cover and queue it unless dominated; False if already scored."""
     if cover.requests in scored:
-        return
+        return False
     scored.add(cover.requests)
-    _score_cover(inst, qtilde, cutpool, cover)
+    cover.bounds = cover_bounds(make_subinstance(inst, cover, qtilde), cutpool=cutpool)
     state.note("score", cover_size=cover.size, nodes_visited=len(cover.visited))
     if cover.bounds.lb >= state.ub - INCUMBENT_EPS:
-        if pool is not None:
-            add_branching_cut(pool, cover.requests)
-        state.note("discard", cover_size=cover.size)
-        return
-    queue.push(cover)
+        _close(state, cover, pool, "discard")
+    else:
+        queue.push(cover)
+    return True
 
 
 def _evaluate_cover(state: SearchState, inst: Instance,
@@ -386,31 +370,22 @@ def _evaluate_cover(state: SearchState, inst: Instance,
                     pool: Optional[ColumnPool] = None) -> None:
     """Exact TSP-GL for one queued cover; incumbent and audit upkeep."""
     if cover.bounds.lb >= state.ub - INCUMBENT_EPS:
-        if pool is not None:
-            add_branching_cut(pool, cover.requests)
-        state.note("discard", cover_size=cover.size)
+        _close(state, cover, pool, "discard")
         return
     sub = make_subinstance(inst, cover, qtilde)
     incumbent_ub = state.ub if math.isfinite(state.ub) else None
     out = benders_solve_tspgl(sub, warm=cover.bounds, incumbent_ub=incumbent_ub,
                               time_limit=_window(state), cutpool=cutpool)
     if out.status == ABORTED:
-        if pool is not None:
-            add_branching_cut(pool, cover.requests)
-        state.note("abort", cover_size=cover.size)
-        return
-    if out.status == OPTIMAL and out.solution is not None:
-        cover.evaluated = True
+        _close(state, cover, pool, "abort")
+    elif out.status == OPTIMAL and out.solution is not None:
         state.evaluated.append((cover.requests, cover.bounds.lb,
                                 cover.bounds.ub, out.solution.objective))
         update_incumbent(state, cover, out.solution)
-        if pool is not None:
-            add_branching_cut(pool, cover.requests)
-        state.note("evaluate", cover_size=cover.size,
-                   nodes_visited=len(out.solution.visited))
-        return
-    # ran out of time mid-evaluation: keep any feasible tour, skip branching
-    if out.solution is not None:
+        _close(state, cover, pool, "evaluate",
+               nodes_visited=len(out.solution.visited))
+    elif out.solution is not None:
+        # ran out of time mid-evaluation: keep any feasible tour, skip branching
         update_incumbent(state, cover, out.solution)
 
 
@@ -420,18 +395,30 @@ def run_bp(inst: Instance, cfg: SearchConfig, hybrid: bool = False,
            cg_log: Optional[List[str]] = None) -> StspGlResult:
     """Column-generation dive with exact cover evaluations.
 
-    Each iteration runs up to `pricing_per_iteration` pricing rounds, scores
+    Each iteration runs up to `PRICING_PER_ITERATION` pricing rounds, scores
     the master's support covers, and exactly evaluates up to
-    `evals_per_iteration` covers from the queue. Evaluated or dominated
-    covers leave the search through branching cuts, so the master tightens
-    monotonically until the gap target, the clock, or exhaustion stops it.
+    `EVALS_PER_ITERATION` covers from the queue. Each RMP LP may use up to
+    `RMP_SHARE` of the total budget and each pricing IP `PRICING_SHARE`.
+    Evaluated or dominated covers leave the search through branching cuts,
+    so the master tightens monotonically until the gap target, the clock,
+    or exhaustion stops it.
     """
     _check_inputs(inst, cfg)
     qtilde = deterministic_routing_costs(inst)
     state = _new_state(cfg)
     if not chance_feasible(inst, inst.requests):
         return _infeasible_result(state, inst)
+    if _dive(state, inst, cfg, qtilde, hybrid, cg_log):
+        status = TIME_LIMIT
+    else:
+        status = OPTIMAL if _exact(state) else FEASIBLE
+    return _finish(state, inst, status)
 
+
+def _dive(state: SearchState, inst: Instance, cfg: SearchConfig,
+          qtilde: RoutingCostTable, hybrid: bool,
+          cg_log: Optional[List[str]]) -> bool:
+    """The branch-and-price loop of `run_bp`; True when the clock stopped it."""
     rng = random.Random(cfg.seed)
     pool = ColumnPool()
     pool.add(make_cover(inst, inst.requests))
@@ -440,50 +427,46 @@ def run_bp(inst: Instance, cfg: SearchConfig, hybrid: bool = False,
     scored: Set[Tuple[Request, ...]] = set()
     seen_nodesets: Set[frozenset] = set()
     nmin = max(1, len(inst.compulsory))
-    base_size = min(inst.n, max(nmin, cfg.exploration_size or inst.n))
+    rmp_cap = cfg.time_limit_total * RMP_SHARE
+    pricing_cap = cfg.time_limit_total * PRICING_SHARE
 
     if hybrid:
-        for _ in range(cfg.evals_per_iteration):
-            cov = explore(inst, base_size, seed=rng.randrange(1 << 31),
+        for _ in range(EVALS_PER_ITERATION):
+            cov = explore(inst, inst.n, seed=rng.randrange(1 << 31),
                           seen=seen_nodesets)
             if cov is not None:
                 pool.add(cov)
 
     model, index = build_rmp(inst, pool, qtilde)
-    status = FEASIBLE
     rounds_total = 0
     iteration = 0
-    while True:
+    while state.remaining() > 0:
         iteration += 1
-        if state.remaining() <= 0:
-            status = TIME_LIMIT
-            break
         progress = False
+        priced_out = False     # pricing offers no new column
 
         # phase 1: generate columns and tighten the Lagrangian bound
-        pricing_state = "open"
-        for _ in range(cfg.pricing_per_iteration):
+        for _ in range(PRICING_PER_ITERATION):
             if state.remaining() <= 0:
-                pricing_state = "timeout"
-                break
+                return True
             extend_rmp(model, index, pool)
-            rmp_out = solve_lp(model, time_limit=_window(state, cfg.rmp_time_limit))
+            rmp_out = solve_lp(model, time_limit=_window(state, rmp_cap))
             if rmp_out.status == INFEASIBLE:
                 # every admissible cover is branched away: the dive is done
                 state.raise_lb(state.ub)
-                pricing_state = "closed"
-                break
+                return False
             if rmp_out.status != OPTIMAL or rmp_out.duals is None:
-                pricing_state = "timeout"
+                if state.remaining() <= 0:
+                    return True
                 break
             duals = extract_duals(inst, index, rmp_out)
             pres = solve_pricing(inst, duals, phi=sorted(pool.branched),
-                                 time_limit=_window(state, cfg.pricing_time_limit))
+                                 time_limit=_window(state, pricing_cap))
             rounds_total += 1
             if math.isfinite(pres.objective):
                 state.raise_lb(lagrangian_lower_bound(rmp_out.objective,
                                                       pres.objective))
-            elif pres.objective == math.inf and math.isfinite(state.ub):
+            elif pres.objective == math.inf:
                 state.raise_lb(state.ub)
             if cg_log is not None:
                 cg_log.append(cg_log_line(
@@ -491,93 +474,62 @@ def run_bp(inst: Instance, cfg: SearchConfig, hybrid: bool = False,
                     pres.objective if math.isfinite(pres.objective) else None,
                     state.lb if math.isfinite(state.lb) else None,
                     len(pool.columns), len(pool.branched)))
+            if pres.status == TIME_LIMIT and state.remaining() <= 0:
+                return True
             if pres.cover is None:
-                if pres.status == TIME_LIMIT:
-                    pricing_state = "timeout"
-                elif pres.objective == math.inf:
-                    pricing_state = "exhausted"
-                else:
-                    pricing_state = "converged"
+                priced_out = pres.status != TIME_LIMIT
                 break
-            new_cover: Optional[FeasibilityCover] = None
-            if pool.add(pres.cover):
-                new_cover = pres.cover
-            elif pres.raw_requests is not None:
-                raw = make_cover(inst, pres.raw_requests)
-                if pool.add(raw):
-                    new_cover = raw
-            if new_cover is None:
-                # both forms already pooled: numerically converged
-                pricing_state = "converged"
-                break
+            cover = pres.cover
+            if not pool.add(cover):
+                cover = make_cover(inst, pres.raw_requests)
+                if not pool.add(cover):
+                    # both forms already pooled: numerically converged
+                    priced_out = True
+                    break
             progress = True
             if hybrid:
-                size = min(inst.n, max(nmin, len(new_cover.visited)))
-                ls = local_search(inst, new_cover, seed=rng.randrange(1 << 31))
+                size = min(inst.n, max(nmin, len(cover.visited)))
+                ls = local_search(inst, cover, seed=rng.randrange(1 << 31))
                 ex = explore(inst, size, seed=rng.randrange(1 << 31),
                              seen=seen_nodesets)
                 for cand in (ls, ex):
-                    if cand is not None and cand.requests not in pool.branched:
-                        before = len(scored)
+                    if cand is not None:
                         _score_and_enqueue(state, inst, qtilde, cutpool, queue,
                                            scored, cand, pool=pool)
-                        progress = progress or len(scored) > before
-        if pricing_state == "closed":
-            status = OPTIMAL if _exact(state) else FEASIBLE
-            break
-        if pricing_state == "timeout" and state.remaining() <= 0:
-            status = TIME_LIMIT
-            break
         if _gap_closed(state, cfg):
-            status = OPTIMAL if _exact(state) else FEASIBLE
-            break
+            return False
+        if state.remaining() <= 0:
+            return True
 
         # phase 2: score the master's support covers
-        if state.remaining() <= 0:
-            status = TIME_LIMIT
-            break
         extend_rmp(model, index, pool)
-        rmp_out = solve_lp(model, time_limit=_window(state, cfg.rmp_time_limit))
+        rmp_out = solve_lp(model, time_limit=_window(state, rmp_cap))
         if rmp_out.status == INFEASIBLE:
             state.raise_lb(state.ub)
-            status = OPTIMAL if _exact(state) else FEASIBLE
-            break
+            return False
         if rmp_out.status == OPTIMAL:
             for cover in pool.columns:
-                if cover.requests in pool.branched or cover.requests in scored:
-                    continue
-                if rmp_out.values[index.chi[cover.requests]] > SUPPORT_EPS:
-                    before = len(scored)
-                    _score_and_enqueue(state, inst, qtilde, cutpool, queue,
-                                       scored, cover, pool=pool)
-                    progress = progress or len(scored) > before
+                if rmp_out.values[index.chi[cover.requests]] > SUPPORT_EPS and \
+                        _score_and_enqueue(state, inst, qtilde, cutpool, queue,
+                                           scored, cover, pool=pool):
+                    progress = True
         if iteration == 1 and not queue and state.incumbent is None:
             # guarantee a first incumbent: fall back on serving everything
-            full = pool.columns[0]
-            if full.requests not in scored:
-                _score_and_enqueue(state, inst, qtilde, cutpool, queue,
-                                   scored, full, pool=pool)
+            if _score_and_enqueue(state, inst, qtilde, cutpool, queue, scored,
+                                  pool.columns[0], pool=pool):
                 progress = True
 
         # phase 3: exact evaluation of the most promising covers
-        for cover in queue.smallest(cfg.evals_per_iteration):
+        for cover in queue.smallest(EVALS_PER_ITERATION):
             if state.remaining() <= 0:
-                status = TIME_LIMIT
-                break
+                return True
             queue.remove(cover.requests)
             _evaluate_cover(state, inst, qtilde, cutpool, cover, pool=pool)
             progress = True
-        if status == TIME_LIMIT:
-            break
 
-        if _gap_closed(state, cfg):
-            status = OPTIMAL if _exact(state) else FEASIBLE
-            break
-        if pricing_state in ("converged", "exhausted") and not queue and not progress:
-            status = OPTIMAL if _exact(state) else FEASIBLE
-            break
-
-    return _finish(state, inst, status)
+        if _gap_closed(state, cfg) or (priced_out and not queue and not progress):
+            return False
+    return True
 
 
 def run_hybrid(inst: Instance, cfg: SearchConfig,
@@ -609,16 +561,15 @@ def run_heuristic(inst: Instance, cfg: SearchConfig) -> StspGlResult:
     scored: Set[Tuple[Request, ...]] = set()
     seen_nodesets: Set[frozenset] = set()
     nmin = max(1, len(inst.compulsory))
-    base_size = min(inst.n, max(nmin, cfg.exploration_size or inst.n))
-    size = base_size
-    span = base_size - nmin + 1
+    size = inst.n
+    span = inst.n - nmin + 1
     failures = 0
 
     while state.remaining() > 0:
         cov = explore(inst, size, seed=rng.randrange(1 << 31), seen=seen_nodesets)
         if cov is None:
             failures += 1
-            size = size - 1 if size > nmin else base_size
+            size = size - 1 if size > nmin else inst.n
         else:
             failures = 0
             _score_and_enqueue(state, inst, qtilde, cutpool, queue, scored, cov)

@@ -115,23 +115,6 @@ class MetricsRow:
     rhobar: float         # fraction of scenarios missing the service level
     infeasible: bool      # chance constraint violated on these scenarios
 
-    def to_csv_line(self) -> str:
-        return ",".join(
-            [
-                str(self.nodes),
-                repr(self.theta),
-                repr(self.rho),
-                repr(self.design_cost),
-                str(self.nbar),
-                repr(self.dbar),
-                repr(self.rhobar),
-                str(self.infeasible),
-            ]
-        )
-
-
-METRICS_CSV_HEADER = "nodes,theta,rho,design_cost,nbar,dbar,rhobar,infeasible"
-
 
 def evaluate_metrics(inst: Instance, served: Iterable[Request], design_cost: float,
                      visited: Iterable[int]) -> MetricsRow:
@@ -160,13 +143,6 @@ def evaluate_metrics(inst: Instance, served: Iterable[Request], design_cost: flo
         rhobar=missed / ns,
         infeasible=not chance_feasible(inst, served),
     )
-
-
-def write_metrics_csv(rows: List[MetricsRow], path) -> None:
-    with open(path, "w") as fh:
-        fh.write(METRICS_CSV_HEADER + "\n")
-        for row in rows:
-            fh.write(row.to_csv_line() + "\n")
 
 
 def generate_instance(

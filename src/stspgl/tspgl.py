@@ -426,20 +426,17 @@ def _fast_duals(xbar: Sequence[int], hk: Request, qtilde: RoutingCostTable,
     h, k = hk
     seq = list(xbar)
     n = len(seq)
-    pos = {v: t for t, v in enumerate(seq)}
-    dist: Dict[int, float] = {}
-    for v in seq:
-        cw, at = 0.0, pos[h]
-        while seq[at] != v:
-            nxt = (at + 1) % n
-            cw += qtilde.cost(hk, seq[at], seq[nxt])
-            at = nxt
-        ccw, at = 0.0, pos[h]
-        while seq[at] != v:
-            nxt = (at - 1) % n
-            ccw += qtilde.cost(hk, seq[at], seq[nxt])
-            at = nxt
-        dist[v] = min(cw, ccw)
+    start = seq.index(h)
+    # running path costs from h, one walk each way round the tour
+    cw: Dict[int, float] = {}
+    ccw: Dict[int, float] = {}
+    fwd = back = 0.0
+    for t in range(n):
+        a, b = seq[(start + t) % n], seq[(start - t) % n]
+        cw[a], ccw[b] = fwd, back
+        fwd += qtilde.cost(hk, a, seq[(start + t + 1) % n])
+        back += qtilde.cost(hk, b, seq[(start - t - 1) % n])
+    dist = {v: min(cw[v], ccw[v]) for v in seq}
     # off-tour nodes (possible only in degenerate inputs) sit at the far end
     far = max(dist.values(), default=0.0)
     u = {v: dist.get(v, far) for v in nodes}

@@ -66,18 +66,18 @@ def test_is_minimal_on_d1(d1):
 
 def test_random_minimal_node_cover_full_size_always_succeeds(d1):
     seen = set()
-    nc = random_minimal_node_cover(d1, n=5, seed=0, seen=seen)
-    assert nc is not None
-    assert d1.compulsory <= nc.nodes
-    assert chance_feasible(d1, induced_requests(d1, nc.nodes))
+    nodes = random_minimal_node_cover(d1, n=5, seed=0, seen=seen)
+    assert nodes is not None
+    assert d1.compulsory <= nodes
+    assert chance_feasible(d1, induced_requests(d1, nodes))
     # seen is keyed on the drawn set, which at n=|N| is all nodes
     assert frozenset(range(5)) in seen
 
 
 def test_random_minimal_node_cover_shrinks_to_minimality(d1):
-    nc = random_minimal_node_cover(d1, n=5, seed=3, seen=set())
-    for v in nc.nodes - d1.compulsory:
-        assert not chance_feasible(d1, induced_requests(d1, nc.nodes - {v}))
+    nodes = random_minimal_node_cover(d1, n=5, seed=3, seen=set())
+    for v in nodes - d1.compulsory:
+        assert not chance_feasible(d1, induced_requests(d1, nodes - {v}))
 
 
 def test_random_minimal_node_cover_exhaustion(d1):
@@ -105,7 +105,7 @@ def test_random_minimal_node_cover_deterministic(d1):
     b = random_minimal_node_cover(d1, n=4, seed=9, seen=set())
     assert (a is None) == (b is None)
     if a is not None:
-        assert a.nodes == b.nodes
+        assert a == b
 
 
 def test_explore_on_d1_returns_a_minimal_cover(d1):

@@ -1,8 +1,10 @@
 import json
+import math
 
 import pytest
 
 from stspgl.evalcli import (
+    METHODS,
     ExperimentSpec,
     bench,
     comparison_csv_line,
@@ -10,6 +12,7 @@ from stspgl.evalcli import (
     load_experiment_spec,
     main,
     make_config,
+    run_method,
     solve_deterministic,
     sweep,
     vss_experiment,
@@ -39,8 +42,6 @@ def test_make_config_scales_component_budgets():
     cfg = make_config(time_limit=90.0, gap=0.01, seed=3)
     cfg.validate()
     assert cfg.time_limit_total == 90.0
-    assert cfg.rmp_time_limit == pytest.approx(60.0)
-    assert cfg.pricing_time_limit == pytest.approx(30.0)
     assert cfg.gap_target == 0.01
     assert cfg.seed == 3
 
@@ -157,6 +158,22 @@ def test_bench_keeps_error_messages(tmp_path):
     error = json.loads((results / "broken_mip_3.error.json").read_text())
     assert error["type"] == "ValueError"
     assert error["message"].startswith("invalid instance: design cost asymmetric at [0,1]")
+
+
+def test_nan_time_limit_is_rejected(tmp_path, d1):
+    for method in METHODS:
+        with pytest.raises(ValueError, match="time_limit_total"):
+            run_method(method, d1, make_config(time_limit=math.nan))
+    inst_path = tmp_path / "d1.json"
+    save_instance(d1, inst_path)
+    with pytest.raises(ValueError, match="time_limit_total"):
+        main(["solve", str(inst_path), "--time-limit", "nan"])
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"instances": [str(inst_path)], "methods": ["bp"],
+                                     "time_limit": math.nan,
+                                     "out_dir": str(tmp_path / "bench")}))
+    rows = bench(load_experiment_spec(spec_path))
+    assert [row.status for row in rows] == ["Error:ValueError"]
 
 
 def test_experiment_spec_validation(tmp_path):

@@ -16,7 +16,6 @@ from stspgl.model import (
     load_instance,
     metric_closure,
     objective,
-    read_tsplib,
     save_instance,
     validate_instance,
 )
@@ -146,34 +145,6 @@ def test_load_instance_rejects_sparse_node_ids(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="dense"):
         load_instance(path)
-
-
-def test_read_tsplib_euc2d(tmp_path):
-    body = "\n".join(
-        [
-            "NAME: tiny",
-            "TYPE: TSP",
-            "DIMENSION: 3",
-            "EDGE_WEIGHT_TYPE: EUC_2D",
-            "NODE_COORD_SECTION",
-            "1 0.0 0.0",
-            "2 3.0 4.0",
-            "3 6.0 0.0",
-            "EOF",
-        ]
-    )
-    path = tmp_path / "tiny.tsp"
-    path.write_text(body)
-    coords = read_tsplib(path)
-    assert coords == [(0.0, 0.0), (3.0, 4.0), (6.0, 0.0)]
-    assert euc2d(coords[0], coords[1]) == 5
-
-
-def test_read_tsplib_rejects_other_weight_types(tmp_path):
-    path = tmp_path / "geo.tsp"
-    path.write_text("EDGE_WEIGHT_TYPE: GEO\nNODE_COORD_SECTION\n1 0 0\nEOF\n")
-    with pytest.raises(ValueError, match="EUC_2D"):
-        read_tsplib(path)
 
 
 def _d1_solution(d1):

@@ -4,7 +4,6 @@ import pytest
 
 from stspgl.model import build_instance, validate_instance
 from stspgl.scenarios import (
-    METRICS_CSV_HEADER,
     ParameterError,
     chance_feasible,
     deterministic_routing_costs,
@@ -14,7 +13,6 @@ from stspgl.scenarios import (
     required_scenario_count,
     satisfied_count,
     scenario_satisfied,
-    write_metrics_csv,
 )
 
 
@@ -102,16 +100,6 @@ def test_evaluate_metrics_on_d1(d1):
     full = evaluate_metrics(d1, served=list(d1.requests), design_cost=8.0, visited=range(5))
     assert full.dbar == 0.0
     assert full.rhobar == 0.0
-
-
-def test_metrics_csv_shape(tmp_path, d1):
-    row = evaluate_metrics(d1, served=[(1, 3)], design_cost=6.0, visited=[0, 1, 3])
-    path = tmp_path / "metrics.csv"
-    write_metrics_csv([row], path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == METRICS_CSV_HEADER
-    assert lines[1].split(",")[0] == "5"
-    assert lines[1].split(",")[-1] == "False"
 
 
 def test_generate_instance_deterministic():

@@ -25,6 +25,7 @@ from stspgl.tspgl import (
     primal_subproblem,
     solve_tspgl_direct,
     symmetric_tsp,
+    _fast_duals,
     _held_karp,
     _tsp_mip,
 )
@@ -190,6 +191,20 @@ def test_primal_subproblem_matches_flow_lp_on_random_tours():
             assert z == pytest.approx(_flow_lp_value(tour, tour, hk, qt), abs=1e-7)
 
 
+def _walk_distance(tour, hk, qt, v):
+    """Cheaper of the two walks from h to v round the tour, edge by edge."""
+    n, start = len(tour), tour.index(hk[0])
+    walks = []
+    for step in (1, -1):
+        cost, at = 0.0, start
+        while tour[at] != v:
+            nxt = (at + step) % n
+            cost += qt.cost(hk, tour[at], tour[nxt])
+            at = nxt
+        walks.append(cost)
+    return min(walks)
+
+
 def test_dual_subproblem_strong_duality_random():
     rng = random.Random(23)
     for seed in range(6):
@@ -206,6 +221,12 @@ def test_dual_subproblem_strong_duality_random():
             for (i, j), lam in fast.lam.items():
                 assert lam >= -1e-12
                 assert fast.p[i] - fast.p[j] - lam <= qt.cost(hk, i, j) + 1e-9
+            # the running sums add the same edge costs in the same order as
+            # a separate walk to each node, so the floats are equal
+            dist = {v: _walk_distance(tour, hk, qt, v) for v in tour}
+            walked = _fast_duals(tour, hk, qt, sorted(tour))
+            assert walked.objective == dist[hk[1]]
+            assert walked.p == {v: max(dist.values()) - dist[v] for v in tour}
 
 
 def test_dual_subproblem_zero_costs(d1):
