@@ -3,18 +3,20 @@
 The restricted master is the LP relaxation of the cover reformulation: a
 convex combination of cover columns chooses which requests to serve, while
 edge and flow variables price the tour design and routing that the chosen
-covers imply. Pricing searches for a cover with negative reduced cost by
-solving a small IP over request/node/scenario indicators.
+covers imply. Generalized subtour elimination rows on the edge variables
+tighten the master without touching pricing. Pricing searches for a cover
+with negative reduced cost by solving a small IP over request/node/scenario
+indicators.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from .covers import FeasibilityCover, minimal_feasibility_cover
-from .model import OPTIMAL, TIME_LIMIT, Instance, Request
+from .model import OPTIMAL, TIME_LIMIT, Edge, Instance, Request
 from .mpbackend import RC_EPS, LinearModel, SolveOutcome, solve_mip
 from .scenarios import RoutingCostTable, required_scenario_count
 from .tspgl import (
@@ -23,6 +25,8 @@ from .tspgl import (
     add_linking_rows,
     degree_coeffs,
     flow_coeffs,
+    gsec_row,
+    separate_gsecs,
 )
 
 
@@ -66,6 +70,8 @@ class RmpIndex:
     convex_row: int
     link_rows: Dict[int, int]
     flow_rows: Dict[Tuple[Request, int], int]
+    x: Dict[Edge, int]                      # edge -> design column
+    gsecs: Set[Tuple[FrozenSet[int], int]] = field(default_factory=set)   # (S, i) rows added
 
 
 def build_rmp(inst: Instance, pool: ColumnPool, qtilde: RoutingCostTable
@@ -84,7 +90,7 @@ def build_rmp(inst: Instance, pool: ColumnPool, qtilde: RoutingCostTable
     flows = {hk: add_flow_vars(model, hk, inst.nodes, qtilde, inst.alpha)
              for hk in inst.requests}
     index = RmpIndex(chi={}, convex_row=model.add_constr({}, "==", 1.0),
-                     link_rows={}, flow_rows={})
+                     link_rows={}, flow_rows={}, x=x)
     for i in inst.nodes:
         index.link_rows[i] = model.add_constr(degree_coeffs(x, i, inst.nodes), "==", 0.0)
     for hk, f in flows.items():
@@ -118,6 +124,23 @@ def extend_rmp(model: LinearModel, index: RmpIndex, pool: ColumnPool) -> None:
     for requests in pool.branched:
         if requests in index.chi:
             model.set_ub(index.chi[requests], 0.0)
+
+
+def add_gsec_rows(inst: Instance, model: LinearModel, index: RmpIndex,
+                  values: List[float]) -> bool:
+    """Separate GSECs at the master's edge values and add the new violated
+    ones as rows; False when there is none.
+
+    The rows hold only edge variables, so chi columns have no entry in them
+    and pricing, reduced costs and the Lagrangian bound are unchanged.
+    """
+    xval = {e: values[col] for e, col in index.x.items()}
+    cuts = [cut for cut in separate_gsecs(inst.nodes, xval, min(inst.compulsory))
+            if cut not in index.gsecs]
+    for side, i in cuts:
+        model.add_constr(*gsec_row(index.x, inst.nodes, side, i))
+        index.gsecs.add((side, i))
+    return bool(cuts)
 
 
 def extract_duals(inst: Instance, index: RmpIndex, outcome: SolveOutcome) -> DualPrices:
@@ -205,8 +228,6 @@ def solve_pricing(
         model.add_constr({serve[hk]: 1.0 for hk in excluded}, "<=", float(len(excluded) - 1))
 
     out = solve_mip(model, time_limit=time_limit)
-    if out.status == TIME_LIMIT and not out.solved:
-        return PricingResult(None, -math.inf, status=TIME_LIMIT)
     if out.status == TIME_LIMIT:
         # an incumbent without proof of optimality cannot back a Lagrangian bound
         return PricingResult(None, -math.inf, status=TIME_LIMIT)

@@ -2,8 +2,11 @@
 
 The branch-and-price loop is a single-path dive: covers get evaluated
 exactly, then excluded (column fixed to zero, pricing cut added), and the
-master re-optimizes over what is left. The Lagrangian bound from pricing
-drives the lower bound; evaluated covers drive the upper bound.
+master re-optimizes over what is left. Before each pricing call the master
+is cut: generalized subtour elimination rows (GSECs), separated by minimum
+cut on its edge values, are added and kept until none is violated. The
+Lagrangian bound from pricing drives the lower bound; evaluated covers
+drive the upper bound.
 """
 
 import math
@@ -40,6 +43,7 @@ from .mpbackend import LinearModel, SolveOutcome, resolve_with_cuts, solve_lp
 from .colgen import (
     ColumnPool,
     add_branching_cut,
+    add_gsec_rows,
     build_rmp,
     cg_log_line,
     extend_rmp,
@@ -393,11 +397,15 @@ def _evaluate_cover(state: SearchState, inst: Instance,
 
 def run_bp(inst: Instance, cfg: SearchConfig, hybrid: bool = False,
            cg_log: Optional[List[str]] = None) -> StspGlResult:
-    """Column-generation dive with exact cover evaluations.
+    """Branch-price-and-cut dive with exact cover evaluations.
 
-    Each iteration runs up to `PRICING_PER_ITERATION` pricing rounds, scores
-    the master's support covers, and exactly evaluates up to
-    `EVALS_PER_ITERATION` covers from the queue. Each RMP LP may use up to
+    Each iteration runs up to `PRICING_PER_ITERATION` pricing rounds; before
+    each, the master LP is re-solved until its edge values violate no new
+    GSEC row (`colgen.add_gsec_rows`). The iteration then scores the
+    master's support covers, and exactly evaluates up to
+    `EVALS_PER_ITERATION` covers from the queue. A final bound within
+    `_exact`'s tolerance of the incumbent is reported as equal to it, so the
+    result does not depend on the last ulp of the LP. Each RMP LP may use up to
     `RMP_SHARE` of the total budget and each pricing IP `PRICING_SHARE`.
     Evaluated or dominated covers leave the search through branching cuts,
     so the master tightens monotonically until the gap target, the clock,
@@ -408,7 +416,10 @@ def run_bp(inst: Instance, cfg: SearchConfig, hybrid: bool = False,
     state = _new_state(cfg)
     if not chance_feasible(inst, inst.requests):
         return _infeasible_result(state, inst)
-    if _dive(state, inst, cfg, qtilde, hybrid, cg_log):
+    stopped = _dive(state, inst, cfg, qtilde, hybrid, cg_log)
+    if _exact(state):
+        state.lb = state.ub
+    if stopped:
         status = TIME_LIMIT
     else:
         status = OPTIMAL if _exact(state) else FEASIBLE
@@ -451,6 +462,9 @@ def _dive(state: SearchState, inst: Instance, cfg: SearchConfig,
                 return True
             extend_rmp(model, index, pool)
             rmp_out = solve_lp(model, time_limit=_window(state, rmp_cap))
+            while rmp_out.status == OPTIMAL and state.remaining() > 0 and \
+                    add_gsec_rows(inst, model, index, rmp_out.values):
+                rmp_out = solve_lp(model, time_limit=_window(state, rmp_cap))
             if rmp_out.status == INFEASIBLE:
                 # every admissible cover is branched away: the dive is done
                 state.raise_lb(state.ub)

@@ -3,9 +3,11 @@
 Given a feasibility cover Q, the subproblem is: find a Hamiltonian cycle over
 N'(Q) (compulsory nodes plus cover endpoints) minimizing
 (1-alpha) * design + alpha * routing, where each request in Q ships one unit
-of flow along the cheapest tour-constrained path. Solved two ways: a Benders
-loop (master picks the tour, per-request shortest paths price it) and a
-monolithic flow MIP used as the reference oracle.
+of flow along the cheapest tour-constrained path. It is solved by a Benders
+loop: the master picks the tour, per-request shortest paths price it.
+
+The module also holds the tour and flow blocks every model shares, and the
+subtour separation of both integer tours and fractional edge values.
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ ABORTED = "Aborted"
 
 _CUT_VIOLATION_EPS = 1e-7
 _INCUMBENT_EPS = 1e-9
+_FLOW_TOL = 1e-9        # edge values and residual capacities at or below this are zero
+GSEC_EPS = 1e-6         # smallest violation for which a GSEC row is separated
 MAX_BENDERS_ITERATIONS = 500
 
 
@@ -309,6 +313,91 @@ def find_subtours(edges: Iterable[Edge]) -> List[FrozenSet[int]]:
     if len(comps) <= 1:
         return []
     return sorted(comps, key=lambda c: (len(c), sorted(c)))
+
+
+# --- generalized subtour elimination (GSEC) separation -----------------------
+#
+# For a node set S without the depot r and a node i in S, every tour through
+# r satisfies x(δ(S)) >= x(δ(i)): if it visits i, it crosses δ(S) at least
+# twice. The rows hold only edge variables.
+
+def _min_cut_sink_side(adj: Dict[int, List[int]], cap: Dict[Arc, float],
+                       s: int, t: int) -> FrozenSet[int]:
+    """Sink side of a minimum s-t cut, by Edmonds-Karp on float capacities.
+
+    `cap` holds both arcs of every support edge; `adj` lists neighbours in
+    ascending order, so the breadth-first search and the cut are fixed.
+    """
+    flow = dict.fromkeys(cap, 0.0)
+    while True:
+        parent: Dict[int, Optional[int]] = {s: None}
+        frontier = [s]
+        while frontier and t not in parent:
+            nxt = []
+            for u in frontier:
+                for v in adj[u]:
+                    if v not in parent and cap[(u, v)] - flow[(u, v)] > _FLOW_TOL:
+                        parent[v] = u
+                        nxt.append(v)
+            frontier = nxt
+        if t not in parent:
+            return frozenset(adj) - frozenset(parent)
+        path = []
+        v = t
+        while parent[v] is not None:
+            path.append((parent[v], v))
+            v = parent[v]
+        push = min(cap[a] - flow[a] for a in path)
+        for u, v in path:
+            flow[(u, v)] += push
+            flow[(v, u)] -= push
+
+
+def separate_gsecs(nodes: Sequence[int], xval: Dict[Edge, float], root: int
+                   ) -> List[Tuple[FrozenSet[int], int]]:
+    """Violated GSECs at the edge values `xval`, as (S, i) pairs.
+
+    One root-i minimum cut per node i of positive degree; its sink side S
+    yields a row when x(δ(S)) falls below x(δ(i)) by more than `GSEC_EPS`.
+    Each S appears once, paired with its node of largest degree, which
+    gives the most violated row for that S.
+    """
+    support = [e for e in itertools.combinations(sorted(nodes), 2)
+               if xval.get(e, 0.0) > _FLOW_TOL]
+    adj: Dict[int, List[int]] = {root: []}
+    cap: Dict[Arc, float] = {}
+    degree: Dict[int, float] = dict.fromkeys(nodes, 0.0)
+    for a, b in support:
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+        cap[(a, b)] = cap[(b, a)] = xval[(a, b)]
+        degree[a] += xval[(a, b)]
+        degree[b] += xval[(a, b)]
+    for nbrs in adj.values():
+        nbrs.sort()
+    found: List[Tuple[FrozenSet[int], int]] = []
+    seen: Set[FrozenSet[int]] = set()
+    for t in sorted(adj):
+        if t == root:
+            continue
+        side = _min_cut_sink_side(adj, cap, root, t)
+        if side in seen:
+            continue
+        seen.add(side)
+        cut = sum(xval[(a, b)] for a, b in support if (a in side) != (b in side))
+        i = min(side, key=lambda v: (-degree[v], v))
+        if degree[i] - cut > GSEC_EPS:
+            found.append((side, i))
+    return found
+
+
+def gsec_row(x: Dict[Edge, int], nodes: Iterable[int], side: FrozenSet[int], i: int
+             ) -> Tuple[Dict[int, float], str, float]:
+    """x(δ(S)) - x(δ(i)) >= 0, with the edges from i out of S cancelled."""
+    rest = sorted(side - {i})
+    coeffs = {x[edge(a, b)]: 1.0 for a in rest for b in nodes if b not in side}
+    coeffs.update({x[edge(i, b)]: -1.0 for b in rest})
+    return coeffs, ">=", 0.0
 
 
 # --- bound estimation ------------------------------------------------------
@@ -631,37 +720,3 @@ def benders_solve_tspgl(
 
     return TspGlOutcome(status, incumbent, lower, iterations)
 
-
-# --- monolithic reference MIP ---------------------------------------------
-
-def solve_tspgl_direct(sub: SubInstance, time_limit: Optional[float] = None) -> TspGlOutcome:
-    """One-shot flow MIP over the subgraph, with a subtour resolve loop.
-
-    Flow caps alone leave room for a disconnected design when some component
-    carries no request, so the resolve loop enforces a single cycle.
-    """
-    model = LinearModel()
-    x = add_edge_vars(model, sub.nodes, sub.inst.design, scale=1.0 - sub.alpha,
-                      integer=True)
-    flows = {hk: add_flow_vars(model, hk, sub.nodes, sub.qtilde, sub.alpha)
-             for hk in sub.requests}
-    for i in sub.nodes:
-        model.add_constr(degree_coeffs(x, i, sub.nodes), "==", 2.0)
-    for hk, f in flows.items():
-        for i in sub.nodes:
-            model.add_constr(flow_coeffs(f, i, sub.nodes), "==", supply(hk, i))
-        add_linking_rows(model, x, f)
-
-    def cut_source(out: SolveOutcome):
-        return [_sec_cut(x, c) for c in find_subtours(chosen_edges(x, out.values))]
-
-    out = resolve_with_cuts(model, cut_source, max_rounds=len(sub.nodes) * 4,
-                            time_limit=time_limit)
-    if not out.solved:
-        return TspGlOutcome(out.status, None, -math.inf)
-    seq = tour_sequence(chosen_edges(x, out.values))
-    sol = _solution_from_tour(sub, seq)
-    status = OPTIMAL if out.status == OPTIMAL and out.cuts_complete else TIME_LIMIT
-    bound = out.best_bound if out.best_bound is not None else sol.objective
-    return TspGlOutcome(status, sol, bound if status != OPTIMAL else sol.objective,
-                        out.cut_rounds + 1)

@@ -2,7 +2,9 @@
 
 Everything here is brute force on purpose: subset enumeration for covers,
 permutation enumeration for tours. Keep these free of any imports from the
-solver internals beyond the plain data model.
+solver internals beyond the plain data model. The one exception is
+`solve_tspgl_direct`, a monolithic flow MIP that the Benders loop is checked
+against: it shares the LP layer and the block builders, not the Benders code.
 """
 
 from __future__ import annotations
@@ -11,8 +13,23 @@ import itertools
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from stspgl.model import Instance
+from stspgl.model import OPTIMAL, TIME_LIMIT, Instance, tour_sequence
+from stspgl.mpbackend import LinearModel, SolveOutcome, resolve_with_cuts
 from stspgl.scenarios import RoutingCostTable, required_scenario_count
+from stspgl.tspgl import (
+    SubInstance,
+    TspGlOutcome,
+    add_edge_vars,
+    add_flow_vars,
+    add_linking_rows,
+    chosen_edges,
+    degree_coeffs,
+    find_subtours,
+    flow_coeffs,
+    supply,
+    _sec_cut,
+    _solution_from_tour,
+)
 
 SAT_EPS = 1e-9
 
@@ -157,3 +174,36 @@ def oracle_stspgl(inst: Instance, qtilde: Optional[RoutingCostTable] = None) -> 
             best_val = val
             best_cover = cov
     return best_val, best_cover
+
+
+def solve_tspgl_direct(sub: SubInstance, time_limit: Optional[float] = None) -> TspGlOutcome:
+    """One-shot flow MIP over the subgraph, with a subtour resolve loop.
+
+    Flow caps alone leave room for a disconnected design when some component
+    carries no request, so the resolve loop enforces a single cycle.
+    """
+    model = LinearModel()
+    x = add_edge_vars(model, sub.nodes, sub.inst.design, scale=1.0 - sub.alpha,
+                      integer=True)
+    flows = {hk: add_flow_vars(model, hk, sub.nodes, sub.qtilde, sub.alpha)
+             for hk in sub.requests}
+    for i in sub.nodes:
+        model.add_constr(degree_coeffs(x, i, sub.nodes), "==", 2.0)
+    for hk, f in flows.items():
+        for i in sub.nodes:
+            model.add_constr(flow_coeffs(f, i, sub.nodes), "==", supply(hk, i))
+        add_linking_rows(model, x, f)
+
+    def cut_source(out: SolveOutcome):
+        return [_sec_cut(x, c) for c in find_subtours(chosen_edges(x, out.values))]
+
+    out = resolve_with_cuts(model, cut_source, max_rounds=len(sub.nodes) * 4,
+                            time_limit=time_limit)
+    if not out.solved:
+        return TspGlOutcome(out.status, None, -math.inf)
+    seq = tour_sequence(chosen_edges(x, out.values))
+    sol = _solution_from_tour(sub, seq)
+    status = OPTIMAL if out.status == OPTIMAL and out.cuts_complete else TIME_LIMIT
+    bound = out.best_bound if out.best_bound is not None else sol.objective
+    return TspGlOutcome(status, sol, bound if status != OPTIMAL else sol.objective,
+                        out.cut_rounds + 1)

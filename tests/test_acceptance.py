@@ -39,10 +39,9 @@ from stspgl.tspgl import (
     benders_solve_tspgl,
     cover_bounds,
     make_subinstance,
-    solve_tspgl_direct,
 )
 
-from oracles import enumerate_minimal_covers
+from oracles import enumerate_minimal_covers, solve_tspgl_direct
 
 
 def _cfg(seed=0):

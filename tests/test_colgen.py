@@ -13,12 +13,13 @@ import pytest
 
 import stspgl
 
-from oracles import enumerate_minimal_covers
+from oracles import enumerate_minimal_covers, oracle_stspgl
 from stspgl.colgen import (
     CG_LOG_HEADER,
     ColumnPool,
     DualPrices,
     add_branching_cut,
+    add_gsec_rows,
     build_rmp,
     cg_log_line,
     extend_rmp,
@@ -28,7 +29,7 @@ from stspgl.colgen import (
     solve_pricing,
 )
 from stspgl.covers import make_cover
-from stspgl.model import OPTIMAL, build_instance
+from stspgl.model import OPTIMAL
 from stspgl.mpbackend import solve_lp
 from stspgl.scenarios import chance_feasible, deterministic_routing_costs, generate_instance
 
@@ -239,6 +240,40 @@ def test_rmp_grown_in_place_equals_fresh_build():
     assert grown_out.status == OPTIMAL
     assert grown_out.values == fresh_out.values
     assert grown_out.duals == fresh_out.duals
+
+
+@pytest.mark.parametrize("n, seed, n_requests, n_scenarios",
+                         [(7, 11, 6, 4), (8, 1, 7, 4), (8, 7, 8, 5)])
+def test_gsec_rows_lift_the_master_and_leave_pricing_alone(n, seed, n_requests,
+                                                            n_scenarios):
+    inst = generate_instance(n=n, seed=seed, n_requests=n_requests,
+                             n_scenarios=n_scenarios, theta=0.7, rho=0.25)
+    qt = deterministic_routing_costs(inst)
+    pool = ColumnPool()
+    for cov in enumerate_minimal_covers(inst):
+        pool.add(make_cover(inst, cov))
+    model, index = build_rmp(inst, pool, qt)
+    uncut_rows = model.n_constrs()
+    out = solve_lp(model)
+    bounds = [out.objective]
+    while add_gsec_rows(inst, model, index, out.values):
+        out = solve_lp(model)
+        assert out.status == OPTIMAL
+        bounds.append(out.objective)
+    assert index.gsecs and model.n_constrs() == uncut_rows + len(index.gsecs)
+    # the rows are written in edge variables alone
+    mat = model._matrix()[0].tocsc()
+    chi_cols = sorted(index.chi.values())
+    assert mat[uncut_rows:, chi_cols].nnz == 0
+    edge_cols = set(index.x.values())
+    assert set(mat[uncut_rows:].indices) <= edge_cols
+    # every pooled cover's integer point satisfies them, so the bound stays valid
+    optimum, _cover = oracle_stspgl(inst, qt)
+    assert bounds == sorted(bounds) and bounds[-1] > bounds[0]
+    assert bounds[-1] <= optimum * (1 + 1e-9)
+    duals = extract_duals(inst, index, out)
+    for cover in pool.columns:
+        assert reduced_cost(cover, duals) >= -1e-6
 
 
 def test_lagrangian_lower_bound():

@@ -6,7 +6,6 @@ import math
 import pytest
 
 from stspgl.model import (
-    Instance,
     StructuralViolation,
     TspGlSolution,
     build_instance,
@@ -19,7 +18,7 @@ from stspgl.model import (
     save_instance,
     validate_instance,
 )
-from stspgl.scenarios import deterministic_routing_costs, generate_instance
+from stspgl.scenarios import generate_instance
 
 
 def test_euc2d_rounds_to_nearest_integer():

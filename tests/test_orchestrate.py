@@ -14,7 +14,7 @@ from stspgl.orchestrate import (
     run_mip_benchmark,
     update_incumbent,
 )
-from stspgl.scenarios import chance_feasible, deterministic_routing_costs
+from stspgl.scenarios import chance_feasible
 from stspgl.tspgl import symmetric_tsp
 
 from conftest import make_suite

@@ -6,13 +6,20 @@ import random
 
 import pytest
 
-from oracles import oracle_tsp, oracle_tspgl, tour_path_cost
+from oracles import (
+    enumerate_minimal_covers,
+    oracle_tsp,
+    oracle_tspgl,
+    solve_tspgl_direct,
+    tour_path_cost,
+)
 from stspgl.covers import make_cover, minimal_feasibility_cover
-from stspgl.model import OPTIMAL, Instance, build_instance, edge
+from stspgl.model import OPTIMAL, Instance, edge
 from stspgl.mpbackend import LinearModel, solve_lp
 from stspgl.scenarios import RoutingCostTable, deterministic_routing_costs, generate_instance
 from stspgl.tspgl import (
     ABORTED,
+    GSEC_EPS,
     BoundEstimate,
     CutPool,
     aggregated_optimality_cuts,
@@ -20,10 +27,11 @@ from stspgl.tspgl import (
     cover_bounds,
     dual_subproblem,
     find_subtours,
+    gsec_row,
     make_subinstance,
     padded_node_set,
     primal_subproblem,
-    solve_tspgl_direct,
+    separate_gsecs,
     symmetric_tsp,
     _fast_duals,
     _held_karp,
@@ -241,6 +249,102 @@ def test_find_subtours():
     assert len(comps) == 2
     assert frozenset({0, 1, 2}) in comps
     assert frozenset({3, 4, 5}) in comps
+
+
+def _gsec_violation(xval, side, i):
+    """x(δ(i)) - x(δ(S)), summed straight from the edge values."""
+    degree = sum(val for e, val in xval.items() if i in e)
+    cut = sum(val for (a, b), val in xval.items() if (a in side) != (b in side))
+    return degree - cut
+
+
+def _random_cycle_mix(rng, nodes, root):
+    """Convex combination of random cycles through the root: no GSEC is violated."""
+    xval = {e: 0.0 for e in itertools.combinations(nodes, 2)}
+    weights = [rng.random() for _ in range(rng.randint(1, 4))]
+    for w in weights:
+        others = [v for v in nodes if v != root]
+        seq = [root, *rng.sample(others, rng.randint(2, len(others)))]
+        for t in range(len(seq)):
+            xval[edge(seq[t], seq[(t + 1) % len(seq)])] += w / sum(weights)
+    return xval
+
+
+def _random_fractional(rng, nodes):
+    return {e: (rng.random() if rng.random() < 0.5 else 0.0)
+            for e in itertools.combinations(nodes, 2)}
+
+
+def test_gsec_separator_matches_brute_force():
+    rng = random.Random(61)
+    outcomes = {True: 0, False: 0}
+    for trial in range(150):
+        nodes = list(range(rng.randint(3, 7)))
+        root = rng.choice(nodes)
+        if trial % 3 == 0:
+            xval = _random_cycle_mix(rng, nodes, root)
+        elif trial % 3 == 1:
+            xval = _random_fractional(rng, nodes)
+        else:
+            xval = _random_cycle_mix(rng, nodes, root)
+            for e in rng.sample(sorted(xval), 2):
+                xval[e] = rng.random()
+        brute = max((_gsec_violation(xval, frozenset(side), i)
+                     for size in range(1, len(nodes))
+                     for side in itertools.combinations([v for v in nodes if v != root], size)
+                     for i in side), default=-math.inf)
+        rows = separate_gsecs(nodes, xval, root)
+        assert bool(rows) == (brute > GSEC_EPS)
+        outcomes[bool(rows)] += 1
+        assert len({side for side, _i in rows}) == len(rows)
+        for side, i in rows:
+            assert root not in side and i in side
+            assert _gsec_violation(xval, side, i) > GSEC_EPS
+        if rows:
+            # one minimum cut per node finds the most violated row
+            best = max(_gsec_violation(xval, side, i) for side, i in rows)
+            assert best == pytest.approx(brute, abs=1e-9)
+    assert min(outcomes.values()) >= 30
+
+
+@pytest.mark.parametrize("case", ["d1", "n7", "n8"])
+def test_gsec_rows_hold_for_every_cover_tour(case, d1):
+    inst = {"d1": d1,
+            "n7": generate_instance(n=7, seed=11, n_requests=6, n_scenarios=4,
+                                    theta=0.7, rho=0.25),
+            "n8": generate_instance(n=8, seed=1, n_requests=7, n_scenarios=4,
+                                    theta=0.7, rho=0.25)}[case]
+    qt = deterministic_routing_costs(inst)
+    root = min(inst.compulsory)
+    nodes = list(inst.nodes)
+    x = {e: col for col, e in enumerate(itertools.combinations(nodes, 2))}
+    tours = []
+    for cover in enumerate_minimal_covers(inst):
+        _val, seq = oracle_tspgl(inst, qt, cover)
+        values = [0.0] * len(x)
+        for t in range(len(seq)):
+            values[x[edge(seq[t], seq[(t + 1) % len(seq)])]] = 1.0
+        tours.append(values)
+    assert tours
+    rng = random.Random(7)
+    checked = 0
+    for _ in range(40):
+        for side, i in separate_gsecs(nodes, _random_fractional(rng, nodes), root):
+            coeffs, sense, rhs = gsec_row(x, nodes, side, i)
+            assert sense == ">="
+            for values in tours:
+                assert sum(c * values[col] for col, c in coeffs.items()) >= rhs
+            checked += 1
+    assert checked >= 40
+
+
+def test_gsec_row_coefficients():
+    nodes = range(4)
+    x = {e: col for col, e in enumerate(itertools.combinations(nodes, 2))}
+    # S = {2, 3}, i = 2: x(δ(S)) - x(δ(2)) = x02 + x12 + x03 + x13 - x02 - x12 - x23
+    coeffs, sense, rhs = gsec_row(x, nodes, frozenset({2, 3}), 2)
+    assert coeffs == {x[(0, 3)]: 1.0, x[(1, 3)]: 1.0, x[(2, 3)]: -1.0}
+    assert (sense, rhs) == (">=", 0.0)
 
 
 def test_aggregated_cut_tight_at_generating_tour(d1):
