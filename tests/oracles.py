@@ -1,10 +1,12 @@
 """Independent reference implementations used to verify the solvers.
 
-Everything here is brute force on purpose: subset enumeration for covers,
-permutation enumeration for tours. Keep these free of any imports from the
-solver internals beyond the plain data model. The one exception is
-`solve_tspgl_direct`, a monolithic flow MIP that the Benders loop is checked
-against: it shares the LP layer and the block builders, not the Benders code.
+Everything here is brute force or textbook on purpose: subset enumeration
+for covers, permutation enumeration and the loop form of Held-Karp for
+tours. Keep these free of any imports from the solver internals beyond the
+plain data model. Two exceptions share the LP layer and the block builders,
+not the code they check: `solve_tspgl_direct`, a monolithic flow MIP that
+the Benders loop is checked against, and `lp_duals`, the routing dual LP
+that the Benders duals are checked against.
 """
 
 from __future__ import annotations
@@ -13,10 +15,11 @@ import itertools
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from stspgl.model import OPTIMAL, TIME_LIMIT, Instance, tour_sequence
-from stspgl.mpbackend import LinearModel, SolveOutcome, resolve_with_cuts
+from stspgl.model import OPTIMAL, TIME_LIMIT, Instance, Request, edge, tour_sequence
+from stspgl.mpbackend import LinearModel, SolveOutcome, resolve_with_cuts, solve_lp
 from stspgl.scenarios import RoutingCostTable, required_scenario_count
 from stspgl.tspgl import (
+    BendersDuals,
     SubInstance,
     TspGlOutcome,
     add_edge_vars,
@@ -27,6 +30,7 @@ from stspgl.tspgl import (
     find_subtours,
     flow_coeffs,
     supply,
+    _cycle_edges,
     _sec_cut,
     _solution_from_tour,
 )
@@ -82,6 +86,46 @@ def oracle_tsp(nodes: Sequence[int], cost) -> Tuple[List[int], float]:
             best_val = val
             best_seq = seq
     return best_seq, best_val
+
+
+def held_karp_reference(nodes: List[int], cost) -> Tuple[List[int], float]:
+    """Held-Karp in its textbook loop form: push each subset to its supersets.
+
+    Among equal candidates the strict `<` keeps the lowest predecessor, and
+    the closing node is the lowest of the cheapest.
+    """
+    start, others = nodes[0], nodes[1:]
+    m = len(others)
+    full = (1 << m) - 1
+    dp = [[math.inf] * m for _ in range(1 << m)]
+    parent = [[-1] * m for _ in range(1 << m)]
+    for j in range(m):
+        dp[1 << j][j] = cost[start][others[j]]
+    for mask in range(1, full + 1):
+        row = dp[mask]
+        for j in range(m):
+            if not mask >> j & 1 or row[j] == math.inf:
+                continue
+            base = row[j]
+            cj = cost[others[j]]
+            for k in range(m):
+                if mask >> k & 1:
+                    continue
+                nxt = mask | 1 << k
+                cand = base + cj[others[k]]
+                if cand < dp[nxt][k]:
+                    dp[nxt][k] = cand
+                    parent[nxt][k] = j
+    best_j = min(range(m), key=lambda j: (dp[full][j] + cost[others[j]][start], j))
+    value = dp[full][best_j] + cost[others[best_j]][start]
+    seq_rev = []
+    mask, j = full, best_j
+    while j != -1:
+        seq_rev.append(others[j])
+        pj = parent[mask][j]
+        mask &= ~(1 << j)
+        j = pj
+    return [start, *reversed(seq_rev)], value
 
 
 def tour_path_cost(seq: Sequence[int], i: int, j: int, weight) -> float:
@@ -174,6 +218,31 @@ def oracle_stspgl(inst: Instance, qtilde: Optional[RoutingCostTable] = None) -> 
             best_val = val
             best_cover = cov
     return best_val, best_cover
+
+
+def lp_duals(xbar: Sequence[int], hk: Request, qtilde: RoutingCostTable,
+             nodes: Sequence[int]) -> BendersDuals:
+    """Routing duals at the tour `xbar` from the dual LP of the path flow."""
+    xval = {e: 0.0 for e in itertools.combinations(sorted(nodes), 2)}
+    for e in _cycle_edges(xbar):
+        xval[e] = 1.0
+    model = LinearModel(maximize=True)
+    pcol = {v: model.add_var(lb=0.0, obj=supply(hk, v)) for v in nodes}
+    lcol = {(i, j): model.add_var(lb=0.0, obj=-xval[edge(i, j)])
+            for i in nodes for j in nodes if i != j}
+    for (i, j), col in lcol.items():
+        model.add_constr({pcol[i]: 1.0, pcol[j]: -1.0, col: -1.0}, "<=",
+                         qtilde.cost(hk, i, j))
+    out = solve_lp(model)
+    if out.status != OPTIMAL:
+        raise RuntimeError(f"routing dual LP ended with status {out.status}")
+    p = {v: out.values[col] for v, col in pcol.items()}
+    lam = {arc: out.values[col] for arc, col in lcol.items()}
+    lambda_bar = {
+        (a, b): lam[(a, b)] + lam[(b, a)]
+        for a, b in itertools.combinations(sorted(nodes), 2)
+    }
+    return BendersDuals(request=hk, p=p, lam=lam, lambda_bar=lambda_bar, objective=out.objective)
 
 
 def solve_tspgl_direct(sub: SubInstance, time_limit: Optional[float] = None) -> TspGlOutcome:

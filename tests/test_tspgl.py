@@ -1,13 +1,21 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import stspgl
 from oracles import (
     enumerate_minimal_covers,
+    held_karp_reference,
+    lp_duals,
     oracle_tsp,
     oracle_tspgl,
     solve_tspgl_direct,
@@ -84,6 +92,65 @@ def test_tsp_mip_path_agrees_with_held_karp():
         _seq, hk_val = _held_karp(nodes, cost)
         _mseq, mip_val, _found = _tsp_mip(nodes, cost, time_limit=None)
         assert mip_val == pytest.approx(hk_val, rel=1e-9)
+
+
+def _random_costs(rng, size, kind):
+    if kind == "integer":
+        # few distinct values, so equal partial paths and equal tours abound
+        half = {(i, j): float(rng.randint(1, 6)) for i, j in itertools.combinations(range(size), 2)}
+        return [[0.0 if i == j else half[edge(i, j)] for j in range(size)] for i in range(size)]
+    if kind == "euclidean":
+        pts = [(rng.uniform(0, 50), rng.uniform(0, 50)) for _ in range(size)]
+        return [[math.dist(pts[i], pts[j]) for j in range(size)] for i in range(size)]
+    return [[0.0 if i == j else rng.uniform(1, 50) for j in range(size)] for i in range(size)]
+
+
+def test_held_karp_kernel_matches_reference():
+    rng = random.Random(41)
+    for trial in range(300):
+        n = 4 + trial % 10
+        kind = ("integer", "euclidean", "asymmetric")[trial % 3]
+        cost = _random_costs(rng, n + 3, kind)
+        nodes = sorted(rng.sample(range(n + 3), n))
+        seq, value = _held_karp(nodes, cost)
+        ref_seq, ref = held_karp_reference(nodes, cost)
+        assert seq == ref_seq, (trial, kind)
+        assert value == ref, (trial, kind)
+
+
+_HELD_KARP_MEMORY_PROBE = """
+import json, math, random
+from stspgl.tspgl import _held_karp
+
+
+def peak_mb():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")) / 1024.0
+
+
+rng = random.Random(3)
+pts = [(rng.uniform(0, 50), rng.uniform(0, 50)) for _ in range(15)]
+cost = [[math.dist(p, q) for q in pts] for p in pts]
+base = peak_mb()
+_seq, value = _held_karp(list(range(15)), cost)
+print(json.dumps({"value": value, "grown_mb": peak_mb() - base}))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="needs /proc/self/status")
+def test_held_karp_memory_stays_bounded():
+    """One 15-node Held-Karp call in a fresh interpreter. Its DP table holds
+    16384 x 14 floats (1.8 MB); lists of Python floats in its place grow the
+    peak RSS by 9 MB, and a candidate array gathered for a whole subset layer
+    at once by 18 MB. The peak is the child's VmHWM: on Linux its ru_maxrss
+    would start from the RSS of this test process, which hides the growth."""
+    env = dict(os.environ, PYTHONPATH=str(Path(stspgl.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _HELD_KARP_MEMORY_PROBE], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert math.isfinite(report["value"])
+    assert report["grown_mb"] < 6.0
 
 
 def test_padded_node_set(d1):
@@ -222,9 +289,9 @@ def test_dual_subproblem_strong_duality_random():
         rng.shuffle(tour)
         for hk in inst.requests:
             _flow, z = primal_subproblem(tour, hk, qt)
-            fast = dual_subproblem(tour, hk, qt, mode="fast")
+            fast = dual_subproblem(tour, hk, qt)
             assert fast.objective == pytest.approx(z, abs=1e-9)
-            lp = dual_subproblem(tour, hk, qt, mode="lp")
+            lp = lp_duals(tour, hk, qt, sorted(tour))
             assert lp.objective == pytest.approx(z, abs=1e-6)
             for (i, j), lam in fast.lam.items():
                 assert lam >= -1e-12
@@ -241,6 +308,14 @@ def test_dual_subproblem_zero_costs(d1):
     zero = RoutingCostTable(travel=d1.design, weight={(1, 3): 0.0, (2, 4): 0.0})
     duals = dual_subproblem([0, 1, 3], (1, 3), zero)
     assert duals.objective == 0.0
+
+
+def test_dual_subproblem_raises_when_duals_miss_the_path_cost(d1):
+    # under negative costs the tour walk is no shortest path, so the duals
+    # built from it cannot reach the path cost
+    negative = RoutingCostTable(travel=d1.design, weight={(1, 3): -1.0, (2, 4): -1.0})
+    with pytest.raises(RuntimeError, match=r"\(1, 3\) reach .*, the primal path costs -4\.0"):
+        dual_subproblem([0, 1, 3], (1, 3), negative)
 
 
 def test_find_subtours():
