@@ -93,10 +93,6 @@ class ScenarioSet:
     def size(self) -> int:
         return len(self.demand)
 
-    @property
-    def probability(self) -> float:
-        return 1.0 / len(self.demand)
-
     def total(self, s: int) -> float:
         return sum(self.demand[s])
 

@@ -37,8 +37,7 @@ class LinearModel:
     a column-generation master grows in place.
     """
 
-    def __init__(self, maximize: bool = False):
-        self.maximize = maximize
+    def __init__(self):
         self.obj_offset = 0.0
         self._obj: List[float] = []
         self._lb: List[float] = []
@@ -100,10 +99,8 @@ class LinearModel:
     # --- matrix assembly -------------------------------------------------
 
     def _arrays(self):
-        c = np.array(self._obj)
-        if self.maximize:
-            c = -c
-        return c, np.array(self._lb), np.array(self._ub), np.array(self._int, dtype=float)
+        return (np.array(self._obj), np.array(self._lb), np.array(self._ub),
+                np.array(self._int, dtype=float))
 
     def _matrix(self) -> Tuple[sparse.csr_matrix, np.ndarray, np.ndarray]:
         """Single constraint matrix with row bounds (lo, hi).
@@ -175,24 +172,19 @@ def solve_lp(model: LinearModel, time_limit: Optional[float] = None) -> SolveOut
     status = _LP_STATUS.get(res.status, INFEASIBLE)
     if status != OPTIMAL or res.x is None:
         return SolveOutcome(status=status, objective=None, values=None)
-    sign = -1.0 if model.maximize else 1.0
-    duals: Optional[List[float]] = None
-    dual_obj: Optional[float] = None
-    if not model.maximize:
-        marg = np.empty(len(lo))
-        marg[eq] = res.eqlin.marginals
-        marg[ineq] = res.ineqlin.marginals * ub_sign
-        duals = marg.tolist()
-        has_lb, has_ub = np.isfinite(lb), np.isfinite(ub)
-        dual_obj = float(marg @ rhs) \
-            + float(res.lower.marginals[has_lb] @ lb[has_lb]) \
-            + float(res.upper.marginals[has_ub] @ ub[has_ub]) \
-            + model.obj_offset
+    marg = np.empty(len(lo))
+    marg[eq] = res.eqlin.marginals
+    marg[ineq] = res.ineqlin.marginals * ub_sign
+    has_lb, has_ub = np.isfinite(lb), np.isfinite(ub)
+    dual_obj = float(marg @ rhs) \
+        + float(res.lower.marginals[has_lb] @ lb[has_lb]) \
+        + float(res.upper.marginals[has_ub] @ ub[has_ub]) \
+        + model.obj_offset
     return SolveOutcome(
         status=OPTIMAL,
-        objective=sign * float(res.fun) + model.obj_offset,
+        objective=float(res.fun) + model.obj_offset,
         values=res.x.tolist(),
-        duals=duals,
+        duals=marg.tolist(),
         dual_objective=dual_obj,
     )
 
@@ -220,17 +212,16 @@ def solve_mip(model: LinearModel, time_limit: Optional[float] = None) -> SolveOu
         options=options,
     )
     status = _MIP_STATUS.get(res.status, INFEASIBLE)
-    sign = -1.0 if model.maximize else 1.0
     if res.x is None:
         if status == OPTIMAL:
             status = INFEASIBLE
         return SolveOutcome(status=status, objective=None, values=None)
     bound = None
     if res.mip_dual_bound is not None and math.isfinite(res.mip_dual_bound):
-        bound = sign * float(res.mip_dual_bound) + model.obj_offset
+        bound = float(res.mip_dual_bound) + model.obj_offset
     return SolveOutcome(
         status=OPTIMAL if status == OPTIMAL else status,
-        objective=sign * float(res.fun) + model.obj_offset,
+        objective=float(res.fun) + model.obj_offset,
         values=res.x.tolist(),
         best_bound=bound,
     )

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field, asdict
 from typing import Dict, List, Optional, Set, Tuple
 
 from .model import (
-    FLOW_EPS,
     INFEASIBLE,
     OPTIMAL,
     FEASIBLE,
@@ -29,6 +28,7 @@ from .model import (
     StspGlResult,
     TspGlSolution,
     gap_value,
+    tour_sequence,
     validate_instance,
 )
 from .scenarios import (
@@ -64,6 +64,7 @@ from .tspgl import (
     find_subtours,
     flow_coeffs,
     make_subinstance,
+    solution_from_tour,
     supply,
 )
 
@@ -233,7 +234,7 @@ def _gap_closed(state: SearchState, cfg: SearchConfig) -> bool:
 def _benchmark_model(inst: Instance, qtilde: RoutingCostTable):
     """One-shot selection model: tour edges, open stops w, served requests z,
     flows, and met scenarios y. Returns the model and the handle maps of x,
-    w, z and the flows."""
+    w and z."""
     model = LinearModel()
     x = add_edge_vars(model, inst.nodes, inst.design, scale=1.0 - inst.alpha,
                       integer=True)
@@ -268,7 +269,7 @@ def _benchmark_model(inst: Instance, qtilde: RoutingCostTable):
         model.add_constr(coeffs, ">=", 0.0)
     need = required_scenario_count(inst.scenarios.size, inst.rho)
     model.add_constr({col: 1.0 for col in y}, ">=", float(need))
-    return model, x, w, z, flows
+    return model, x, w, z
 
 
 def _benchmark_cuts(inst: Instance, x: Dict[Edge, int], w: Dict[int, int],
@@ -292,29 +293,6 @@ def _benchmark_cuts(inst: Instance, x: Dict[Edge, int], w: Dict[int, int],
     return cuts
 
 
-def _benchmark_solution(inst: Instance, qtilde: RoutingCostTable, x: Dict[Edge, int],
-                        z: Dict[Request, int], f: Dict[Request, Dict[Arc, int]],
-                        out: SolveOutcome) -> Tuple[TspGlSolution, FeasibilityCover]:
-    served = [hk for hk in inst.requests if out.values[z[hk]] > 0.5]
-    tour_edges = set(chosen_edges(x, out.values))
-    design = sum(inst.cbar(a, b) for a, b in tour_edges)
-    routing = 0.0
-    flows: Dict[Request, Dict[Arc, float]] = {}
-    for hk in served:
-        arcflow = {}
-        for (i, j), col in f[hk].items():
-            val = out.values[col]
-            if val > FLOW_EPS:
-                arcflow[(i, j)] = val
-                routing += qtilde.cost(hk, i, j) * val
-        flows[hk] = arcflow
-    total = (1.0 - inst.alpha) * design + inst.alpha * routing
-    sol = TspGlSolution(tour_edges=frozenset(tour_edges), flows=flows,
-                        objective=total, design_cost=design,
-                        routing_cost=routing, served=tuple(sorted(served)))
-    return sol, make_cover(inst, served)
-
-
 def run_mip_benchmark(inst: Instance, cfg: SearchConfig) -> StspGlResult:
     """Solve the whole selection problem as one MIP with lazy cycle cuts."""
     _check_inputs(inst, cfg)
@@ -322,7 +300,7 @@ def run_mip_benchmark(inst: Instance, cfg: SearchConfig) -> StspGlResult:
     state = _new_state(cfg)
     if not chance_feasible(inst, inst.requests):
         return _infeasible_result(state, inst)
-    model, x, w, z, flows = _benchmark_model(inst, qtilde)
+    model, x, w, z = _benchmark_model(inst, qtilde)
     out = resolve_with_cuts(model, lambda o: _benchmark_cuts(inst, x, w, o),
                             max_rounds=4 * inst.n * max(1, inst.n),
                             time_limit=_window(state))
@@ -330,8 +308,12 @@ def run_mip_benchmark(inst: Instance, cfg: SearchConfig) -> StspGlResult:
         return _infeasible_result(state, inst)
     if not out.solved:
         return _finish(state, inst, TIME_LIMIT)
-    sol, cover = _benchmark_solution(inst, qtilde, x, z, flows, out)
-    update_incumbent(state, cover, sol)
+    chosen = chosen_edges(x, out.values)
+    if not find_subtours(chosen):
+        # once the cut rounds run out, the solve may hold several cycles
+        cover = make_cover(inst, [hk for hk in inst.requests if out.values[z[hk]] > 0.5])
+        update_incumbent(state, cover, solution_from_tour(
+            make_subinstance(inst, cover, qtilde), tour_sequence(chosen)))
     if out.status == OPTIMAL and out.cuts_complete:
         state.raise_lb(state.ub)
         return _finish(state, inst, OPTIMAL)

@@ -292,10 +292,14 @@ def supply(hk: Request, i: int) -> float:
 
 
 def add_linking_rows(model: LinearModel, x: Dict[Edge, int], f: Dict[Arc, int]) -> None:
-    """f <= x on both arcs of every edge."""
+    """f_ab + f_ba <= x_ab, one row per edge.
+
+    It replaces f_ab <= x_ab and f_ba <= x_ab without changing any LP or MIP
+    optimum: routing costs are non-negative, so a flow on both arcs of an
+    edge can cancel the smaller amount without costing more.
+    """
     for (a, b), xab in x.items():
-        model.add_constr({f[(a, b)]: 1.0, xab: -1.0}, "<=", 0.0)
-        model.add_constr({f[(b, a)]: 1.0, xab: -1.0}, "<=", 0.0)
+        model.add_constr({f[(a, b)]: 1.0, f[(b, a)]: 1.0, xab: -1.0}, "<=", 0.0)
 
 
 def chosen_edges(x: Dict[Edge, int], values: List[float]) -> List[Edge]:
@@ -609,7 +613,9 @@ def _optimality_constr(x: Dict[Edge, int], eta: Dict[int, int], cut: OptimalityC
     return coeffs, ">=", cut.rhs
 
 
-def _solution_from_tour(sub: SubInstance, seq: Sequence[int]) -> TspGlSolution:
+def solution_from_tour(sub: SubInstance, seq: Sequence[int]) -> TspGlSolution:
+    """Score a tour: its design cost, and each request of the cover routed
+    along it in its cheaper direction."""
     inst = sub.inst
     tour_edges = frozenset(_cycle_edges(seq))
     design = sum(inst.cbar(a, b) for a, b in tour_edges)
@@ -691,7 +697,7 @@ def benders_solve_tspgl(
                 pool.add_subtour(sub.key, comp)
             continue
         seq = tour_sequence(chosen)
-        candidate = _solution_from_tour(sub, seq)
+        candidate = solution_from_tour(sub, seq)
         if incumbent is None or candidate.objective < incumbent.objective - _INCUMBENT_EPS:
             incumbent = candidate
         violated = False

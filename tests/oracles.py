@@ -6,7 +6,9 @@ tours. Keep these free of any imports from the solver internals beyond the
 plain data model. Two exceptions share the LP layer and the block builders,
 not the code they check: `solve_tspgl_direct`, a monolithic flow MIP that
 the Benders loop is checked against, and `lp_duals`, the routing dual LP
-that the Benders duals are checked against.
+that the Benders duals are checked against. `add_split_linking_rows` is the
+textbook two-row form of the linking rows that the paired form is checked
+against.
 """
 
 from __future__ import annotations
@@ -15,7 +17,16 @@ import itertools
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from stspgl.model import OPTIMAL, TIME_LIMIT, Instance, Request, edge, tour_sequence
+from stspgl.model import (
+    OPTIMAL,
+    TIME_LIMIT,
+    Arc,
+    Edge,
+    Instance,
+    Request,
+    edge,
+    tour_sequence,
+)
 from stspgl.mpbackend import LinearModel, SolveOutcome, resolve_with_cuts, solve_lp
 from stspgl.scenarios import RoutingCostTable, required_scenario_count
 from stspgl.tspgl import (
@@ -32,7 +43,7 @@ from stspgl.tspgl import (
     supply,
     _cycle_edges,
     _sec_cut,
-    _solution_from_tour,
+    solution_from_tour,
 )
 
 SAT_EPS = 1e-9
@@ -226,9 +237,10 @@ def lp_duals(xbar: Sequence[int], hk: Request, qtilde: RoutingCostTable,
     xval = {e: 0.0 for e in itertools.combinations(sorted(nodes), 2)}
     for e in _cycle_edges(xbar):
         xval[e] = 1.0
-    model = LinearModel(maximize=True)
-    pcol = {v: model.add_var(lb=0.0, obj=supply(hk, v)) for v in nodes}
-    lcol = {(i, j): model.add_var(lb=0.0, obj=-xval[edge(i, j)])
+    # maximize sum supply * p - sum x * lam as the minimum of its negation
+    model = LinearModel()
+    pcol = {v: model.add_var(lb=0.0, obj=-supply(hk, v)) for v in nodes}
+    lcol = {(i, j): model.add_var(lb=0.0, obj=xval[edge(i, j)])
             for i in nodes for j in nodes if i != j}
     for (i, j), col in lcol.items():
         model.add_constr({pcol[i]: 1.0, pcol[j]: -1.0, col: -1.0}, "<=",
@@ -242,7 +254,14 @@ def lp_duals(xbar: Sequence[int], hk: Request, qtilde: RoutingCostTable,
         (a, b): lam[(a, b)] + lam[(b, a)]
         for a, b in itertools.combinations(sorted(nodes), 2)
     }
-    return BendersDuals(request=hk, p=p, lam=lam, lambda_bar=lambda_bar, objective=out.objective)
+    return BendersDuals(request=hk, p=p, lam=lam, lambda_bar=lambda_bar, objective=-out.objective)
+
+
+def add_split_linking_rows(model: LinearModel, x: Dict[Edge, int], f: Dict[Arc, int]) -> None:
+    """f <= x on both arcs of every edge: two rows per edge."""
+    for (a, b), xab in x.items():
+        model.add_constr({f[(a, b)]: 1.0, xab: -1.0}, "<=", 0.0)
+        model.add_constr({f[(b, a)]: 1.0, xab: -1.0}, "<=", 0.0)
 
 
 def solve_tspgl_direct(sub: SubInstance, time_limit: Optional[float] = None) -> TspGlOutcome:
@@ -271,7 +290,7 @@ def solve_tspgl_direct(sub: SubInstance, time_limit: Optional[float] = None) -> 
     if not out.solved:
         return TspGlOutcome(out.status, None, -math.inf)
     seq = tour_sequence(chosen_edges(x, out.values))
-    sol = _solution_from_tour(sub, seq)
+    sol = solution_from_tour(sub, seq)
     status = OPTIMAL if out.status == OPTIMAL and out.cuts_complete else TIME_LIMIT
     bound = out.best_bound if out.best_bound is not None else sol.objective
     return TspGlOutcome(status, sol, bound if status != OPTIMAL else sol.objective,

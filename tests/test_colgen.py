@@ -13,7 +13,8 @@ import pytest
 
 import stspgl
 
-from oracles import enumerate_minimal_covers, oracle_stspgl
+from oracles import add_split_linking_rows, enumerate_minimal_covers, oracle_stspgl
+from stspgl import colgen
 from stspgl.colgen import (
     CG_LOG_HEADER,
     ColumnPool,
@@ -32,6 +33,7 @@ from stspgl.covers import make_cover
 from stspgl.model import OPTIMAL
 from stspgl.mpbackend import solve_lp
 from stspgl.scenarios import chance_feasible, deterministic_routing_costs, generate_instance
+from stspgl.tspgl import gsec_row
 
 
 def _zero_duals(inst, beta=0.0):
@@ -276,6 +278,32 @@ def test_gsec_rows_lift_the_master_and_leave_pricing_alone(n, seed, n_requests,
         assert reduced_cost(cover, duals) >= -1e-6
 
 
+@pytest.mark.parametrize("n, seed, n_requests, n_scenarios",
+                         [(7, 11, 6, 4), (8, 1, 7, 4), (8, 7, 8, 5)])
+def test_paired_linking_rows_keep_the_master_value(monkeypatch, n, seed, n_requests,
+                                                   n_scenarios):
+    inst = generate_instance(n=n, seed=seed, n_requests=n_requests,
+                             n_scenarios=n_scenarios, theta=0.7, rho=0.25)
+    qt = deterministic_routing_costs(inst)
+    pool = ColumnPool()
+    for cov in enumerate_minimal_covers(inst):
+        pool.add(make_cover(inst, cov))
+    model, index = build_rmp(inst, pool, qt)
+    out = solve_lp(model)
+    while add_gsec_rows(inst, model, index, out.values):
+        out = solve_lp(model)
+    assert out.status == OPTIMAL and index.gsecs
+    # the same master with two rows per edge and request, and the same GSEC rows
+    monkeypatch.setattr(colgen, "add_linking_rows", add_split_linking_rows)
+    split, split_index = build_rmp(inst, pool, qt)
+    for side, i in sorted(index.gsecs, key=lambda cut: (sorted(cut[0]), cut[1])):
+        split.add_constr(*gsec_row(split_index.x, inst.nodes, side, i))
+    split_out = solve_lp(split)
+    assert split_out.status == OPTIMAL
+    assert split.n_constrs() - model.n_constrs() == len(index.x) * len(inst.requests)
+    assert out.objective == pytest.approx(split_out.objective, rel=1e-9)
+
+
 def test_lagrangian_lower_bound():
     assert lagrangian_lower_bound(10.0, -2.0) == 8.0
     assert lagrangian_lower_bound(10.0, 0.0) == 10.0
@@ -289,7 +317,7 @@ def test_cg_log_line_format():
 
 
 _RMP_MEMORY_PROBE = """
-import json, resource
+import json
 from stspgl.colgen import ColumnPool, build_rmp
 from stspgl.covers import make_cover
 from stspgl.mpbackend import solve_lp
@@ -300,19 +328,22 @@ pool = ColumnPool()
 pool.add(make_cover(inst, inst.requests))
 model, _index = build_rmp(inst, pool, deterministic_routing_costs(inst))
 out = solve_lp(model)
-print(json.dumps({"objective": out.objective,
-                  "maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0}))
+with open("/proc/self/status") as fh:
+    peak_mb = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")) / 1024.0
+print(json.dumps({"objective": out.objective, "peak_mb": peak_mb}))
 """
 
 
+@pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="needs /proc/self/status")
 def test_rmp_lp_memory_stays_bounded():
     """One n=16 RMP solve in a fresh interpreter. Its constraint matrix has
-    6161 rows, 5881 columns and 23k nonzeros; assembled densely, it pushes
-    the peak RSS of the solve to about 1.2 GB."""
+    3281 rows, 5881 columns and 20k nonzeros; assembled densely, the matrix
+    alone would take 154 MB of float64. The peak is the child's VmHWM:
+    on Linux its ru_maxrss would start from the RSS of this test process."""
     env = dict(os.environ, PYTHONPATH=str(Path(stspgl.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-c", _RMP_MEMORY_PROBE], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
     assert report["objective"] == pytest.approx(498.27207077886237, rel=1e-9)
-    assert report["maxrss_mb"] < 300.0
+    assert report["peak_mb"] < 300.0

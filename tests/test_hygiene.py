@@ -1,8 +1,10 @@
-"""Source hygiene: every imported name is used in the module that imports it.
+"""Source hygiene: every imported name is used in the module that imports it,
+and every definition of the package is used somewhere.
 
-Parses each module of the package and of the test suite with `ast`; the
-package's `__init__.py` files are skipped because their imports are
-re-exports.
+Parses each module of the package and of the test suite with `ast`, and
+for the definition check the benchmark's modules too. The package's
+`__init__.py` files are skipped by the import check because their imports
+are re-exports.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted(p for d in (ROOT / "src" / "stspgl", ROOT / "tests")
+PACKAGE = ROOT / "src" / "stspgl"
+MODULES = sorted(p for d in (PACKAGE, ROOT / "tests")
                  for p in d.rglob("*.py") if p.name != "__init__.py")
 
 
@@ -42,3 +45,72 @@ def test_unused_import_check_sees_every_binding_form():
               "import os.path\nimport json as js\nfrom math import inf, pi\n"
               "print(os.sep, pi)\n")
     assert unused_imports(source) == [(3, "js"), (4, "inf")]
+
+
+def _definitions(tree: ast.Module) -> list:
+    """Top-level functions and classes, and the methods of those classes."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    found = []
+    for node in tree.body:
+        if isinstance(node, (*functions, ast.ClassDef)):
+            found.append(node)
+            if isinstance(node, ast.ClassDef):
+                found.extend(n for n in node.body if isinstance(n, functions))
+    return [d for d in found if not (d.name.startswith("__") and d.name.endswith("__"))]
+
+
+def _references(tree: ast.Module) -> list:
+    """(name, line) of every name, attribute and `from` import in a module."""
+    refs = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            refs.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            refs.append((node.attr, node.lineno))
+        elif isinstance(node, ast.ImportFrom):
+            refs.extend((alias.name, node.lineno) for alias in node.names)
+    return refs
+
+
+def dead_definitions(package: dict, others: dict) -> list:
+    """(module, line, name) of each definition in `package` that no module
+    refers to by name outside the definition itself; dunders are exempt.
+
+    Both arguments map a module name to its source; only `package` is
+    searched for definitions.
+    """
+    trees = {mod: ast.parse(src) for mod, src in {**others, **package}.items()}
+    refs = {mod: _references(tree) for mod, tree in trees.items()}
+    dead = []
+    for mod in sorted(package):
+        for d in _definitions(trees[mod]):
+            if not any(name == d.name and not (where == mod and d.lineno <= line <= d.end_lineno)
+                       for where, found in refs.items() for name, line in found):
+                dead.append((mod, d.lineno, d.name))
+    return dead
+
+
+def _sources(*dirs: Path) -> dict:
+    return {str(p.relative_to(ROOT)): p.read_text() for d in dirs for p in d.rglob("*.py")}
+
+
+def test_no_dead_definitions():
+    assert dead_definitions(_sources(PACKAGE),
+                            _sources(ROOT / "tests", ROOT / "perfbench")) == []
+
+
+def test_dead_definition_check_sees_methods_properties_and_recursion():
+    package = {"pkg": ("class Box:\n"
+                       "    def __init__(self):\n"
+                       "        self.size = self._measure()\n"
+                       "    def _measure(self):\n"
+                       "        return 1\n"
+                       "    @property\n"
+                       "    def volume(self):\n"
+                       "        return self.size ** 3\n"
+                       "def spin(n):\n"
+                       "    return spin(n - 1)\n"
+                       "def caller():\n"
+                       "    return Box()\n")}
+    others = {"user": "from pkg import caller\ncaller()\n"}
+    assert dead_definitions(package, others) == [("pkg", 7, "volume"), ("pkg", 9, "spin")]

@@ -120,32 +120,32 @@ def test_unknown_handles_rejected():
 
 
 def test_mip_knapsack():
+    # the knapsack's maximum of 3 as the minimum of the negated values
     m = LinearModel()
-    x = m.add_var(lb=0.0, ub=1.0, obj=3.0, integer=True)
-    y = m.add_var(lb=0.0, ub=1.0, obj=2.0, integer=True)
+    x = m.add_var(lb=0.0, ub=1.0, obj=-3.0, integer=True)
+    y = m.add_var(lb=0.0, ub=1.0, obj=-2.0, integer=True)
     m.add_constr({x: 1.0, y: 1.0}, "<=", 1.0)
-    m.maximize = True
     out = solve_mip(m)
     assert out.status == OPTIMAL
-    assert out.objective == pytest.approx(3.0)
+    assert out.objective == pytest.approx(-3.0)
     assert out.values[x] == pytest.approx(1.0)
 
 
 def test_mip_gap_limit_contract():
     rng = random.Random(3)
-    m = LinearModel(maximize=True)
+    m = LinearModel()
     weights, values = [], []
     for j in range(30):
         w, v = rng.randint(3, 30), rng.randint(2, 40)
         weights.append(w)
         values.append(v)
-        m.add_var(lb=0.0, ub=1.0, obj=float(v), integer=True)
+        m.add_var(lb=0.0, ub=1.0, obj=-float(v), integer=True)
     m.add_constr({j: float(weights[j]) for j in range(30)}, "<=", 60.0)
     out = solve_mip(m)
     assert out.status == OPTIMAL
     assert out.best_bound is not None
-    # maximize: bound >= incumbent
-    assert out.best_bound >= out.objective - 1e-9
+    # minimize: bound <= incumbent
+    assert out.best_bound <= out.objective + 1e-9
 
 
 def test_mip_infeasible():

@@ -4,6 +4,8 @@ import pytest
 
 from stspgl.covers import make_cover
 from stspgl.model import SolveTrace, TspGlSolution, build_instance
+from stspgl import orchestrate
+from stspgl.mpbackend import solve_mip
 from stspgl.orchestrate import (
     ScoredQueue,
     SearchConfig,
@@ -14,7 +16,7 @@ from stspgl.orchestrate import (
     run_mip_benchmark,
     update_incumbent,
 )
-from stspgl.scenarios import chance_feasible
+from stspgl.scenarios import chance_feasible, generate_instance
 from stspgl.tspgl import symmetric_tsp
 
 from conftest import make_suite
@@ -146,6 +148,25 @@ def test_benchmark_merges_far_apart_clusters():
     assert bp.incumbent.structural_violations(inst) == []
 
 
+def test_benchmark_keeps_no_tour_with_subtours(monkeypatch):
+    # one request in the first cluster; the uncut MIP closes a second cycle
+    # through the other compulsory node, and a walk from node 0 misses it
+    coords = [(0, 0), (10, 0), (0, 10), (1000, 0), (1010, 0), (1000, 10)]
+    inst = build_instance(compulsory=[0, 3], requests=[(1, 2)], demand=[[5.0]],
+                          theta=1.0, rho=0.0, alpha=0.3, coords=coords)
+
+    def no_round_left(model, cut_source, max_rounds, time_limit):
+        out = solve_mip(model)
+        assert cut_source(out), "the uncut solve should hold a subtour"
+        out.cuts_complete = False
+        return out
+
+    monkeypatch.setattr(orchestrate, "resolve_with_cuts", no_round_left)
+    res = run_mip_benchmark(inst, fast_cfg())
+    assert res.status == "TimeLimit"
+    assert res.incumbent is None
+
+
 def test_bp_matches_benchmark_on_generated_suite():
     for inst in make_suite(6, start_seed=40):
         mip = run_mip_benchmark(inst, fast_cfg())
@@ -158,6 +179,17 @@ def test_bp_matches_benchmark_on_generated_suite():
             bp.upper_bound, rel=1e-9, abs=1e-6)
         assert chance_feasible(inst, bp.incumbent.served)
         assert bp.incumbent.structural_violations(inst) == []
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_mip_and_bp_write_the_same_result_json(seed):
+    # both score their tour with the same evaluator, so no digit may differ
+    inst = generate_instance(n=9, seed=seed, n_requests=12, n_scenarios=5,
+                             theta=0.8, rho=0.2)
+    mip = run_mip_benchmark(inst, fast_cfg())
+    bp = run_bp(inst, fast_cfg())
+    assert mip.status == "Optimal"
+    assert mip.to_json(inst) == bp.to_json(inst)
 
 
 def test_hybrid_matches_benchmark_on_generated_suite():
