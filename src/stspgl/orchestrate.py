@@ -337,11 +337,15 @@ def _score_and_enqueue(state: SearchState, inst: Instance,
                        queue: ScoredQueue, scored: Set[Tuple[Request, ...]],
                        cover: FeasibilityCover,
                        pool: Optional[ColumnPool] = None) -> bool:
-    """Bound a cover and queue it unless dominated; False if already scored."""
+    """Bound a cover and queue it unless dominated; False if already scored
+    or if the clock stops its bound stage, which leaves it unscored."""
     if cover.requests in scored:
         return False
+    cover.bounds = cover_bounds(make_subinstance(inst, cover, qtilde), cutpool=cutpool,
+                                time_limit=_window(state))
+    if cover.bounds is None:
+        return False
     scored.add(cover.requests)
-    cover.bounds = cover_bounds(make_subinstance(inst, cover, qtilde), cutpool=cutpool)
     state.note("score", cover_size=cover.size, nodes_visited=len(cover.visited))
     if cover.bounds.lb >= state.ub - INCUMBENT_EPS:
         _close(state, cover, pool, "discard")

@@ -152,12 +152,14 @@ class TspGlOutcome:
 # --- symmetric TSP ---------------------------------------------------------
 
 def symmetric_tsp(nodes: Sequence[int], cost, time_limit: Optional[float] = None
-                  ) -> Tuple[List[int], float, List[FrozenSet[int]]]:
+                  ) -> Optional[Tuple[List[int], float, List[FrozenSet[int]]]]:
     """Exact tour over `nodes`; also reports subtours met along the way.
 
     Held-Karp for up to 15 nodes (no subtours arise there); larger sets go
     through a degree-2 MIP with a subtour resolve loop, and every component
-    found during that loop is returned for cut caching.
+    found during that loop is returned for cut caching. Only the MIP obeys
+    `time_limit`: it returns None when the limit is spent before it proves
+    a tour.
 
     Held-Karp is vectorized: ~25 ms at 15 nodes, the MIP 15-20 ms. The
     cutoff stays at 15 because the two can return different optimal tours
@@ -228,7 +230,9 @@ def _held_karp(nodes: List[int], cost) -> Tuple[List[int], float]:
 
 
 def _tsp_mip(nodes: List[int], cost, time_limit: Optional[float]
-             ) -> Tuple[List[int], float, List[FrozenSet[int]]]:
+             ) -> Optional[Tuple[List[int], float, List[FrozenSet[int]]]]:
+    if time_limit is not None and time_limit <= 0:
+        return None
     model = LinearModel()
     x = add_edge_vars(model, nodes, cost, integer=True)
     for i in nodes:
@@ -241,6 +245,8 @@ def _tsp_mip(nodes: List[int], cost, time_limit: Optional[float]
         return [_sec_cut(x, comp) for comp in comps]
 
     out = resolve_with_cuts(model, cut_source, max_rounds=len(nodes) * 4, time_limit=time_limit)
+    if out.status == TIME_LIMIT:
+        return None
     if not out.solved:
         raise RuntimeError(f"TSP solve failed with status {out.status}")
     seq = tour_sequence(chosen_edges(x, out.values))
@@ -426,12 +432,14 @@ def gsec_row(x: Dict[Edge, int], nodes: Iterable[int], side: FrozenSet[int], i: 
 
 # --- bound estimation ------------------------------------------------------
 
-def cover_bounds(sub: SubInstance, cutpool: Optional[CutPool] = None) -> BoundEstimate:
+def cover_bounds(sub: SubInstance, cutpool: Optional[CutPool] = None,
+                 time_limit: Optional[float] = None) -> Optional[BoundEstimate]:
     """Bracket the subproblem value without solving it.
 
     Lower bound: exact TSP design plus each request's direct-arc cost (no
     tour-constrained path is cheaper under a metric). Upper bound: evaluate
-    the TSP tour itself, routing each request along it.
+    the TSP tour itself, routing each request along it. None, with nothing
+    cached, when the TSP runs out of `time_limit`.
     """
     alpha = sub.alpha
     inst = sub.inst
@@ -440,7 +448,10 @@ def cover_bounds(sub: SubInstance, cutpool: Optional[CutPool] = None) -> BoundEs
     if cached is not None:
         tour, tsp_val = cached
     else:
-        seq, tsp_val, subtours = symmetric_tsp(sub.nodes, inst.design)
+        tsp = symmetric_tsp(sub.nodes, inst.design, time_limit)
+        if tsp is None:
+            return None
+        seq, tsp_val, subtours = tsp
         tour = tuple(seq)
         if cutpool is not None:
             cutpool.tsp_cache[key] = (tour, tsp_val)
@@ -509,9 +520,10 @@ def dual_subproblem(xbar: Sequence[int], hk: Request, qtilde: RoutingCostTable,
                     nodes: Optional[Sequence[int]] = None) -> BendersDuals:
     """Optimal duals of the routing subproblem at the tour `xbar`.
 
-    They are built from shortest-path distances along the tour, which makes
-    them feasible; their objective must reproduce the primal path cost, and
-    a mismatch raises.
+    They are built from shortest-path distances along the tour, capped at
+    the path cost (see `_fast_duals`): feasible for every tour, tight at
+    this one, and dominant among such cuts. Their objective must reproduce
+    the primal path cost, and a mismatch raises.
     """
     if nodes is None:
         nodes = sorted(xbar)
@@ -534,6 +546,18 @@ def _cycle_edges(seq: Sequence[int]) -> List[Edge]:
 
 def _fast_duals(xbar: Sequence[int], hk: Request, qtilde: RoutingCostTable,
                 nodes: Sequence[int]) -> BendersDuals:
+    """Routing duals from potentials u_v = min(d(v), z), p_v = z - u_v.
+
+    d(v) is the tour distance from h and z = d(k) the path cost; nodes off
+    the tour get z. With lam_ij = max(0, u_j - u_i - c_ij) the duals are
+    - valid: feasible for any u, so the cut holds for every tour;
+    - tight: u_h = 0, u_k = z and lam = 0 on the tour arcs, so the dual
+      objective at `xbar` is z;
+    - dominant (Magnanti & Wong, 1981): min(., z) never widens a potential
+      difference, so every lambda-bar falls or stays while p_h - p_k = z
+      does not move. A node farther from h than k cannot shorten the path
+      and no longer charges the chords to it.
+    """
     h, k = hk
     seq = list(xbar)
     n = len(seq)
@@ -547,12 +571,9 @@ def _fast_duals(xbar: Sequence[int], hk: Request, qtilde: RoutingCostTable,
         cw[a], ccw[b] = fwd, back
         fwd += qtilde.cost(hk, a, seq[(start + t + 1) % n])
         back += qtilde.cost(hk, b, seq[(start - t - 1) % n])
-    dist = {v: min(cw[v], ccw[v]) for v in seq}
-    # off-tour nodes (possible only in degenerate inputs) sit at the far end
-    far = max(dist.values(), default=0.0)
-    u = {v: dist.get(v, far) for v in nodes}
-    top = max(u.values())
-    p = {v: top - u[v] for v in nodes}
+    z = min(cw[k], ccw[k])
+    u = {v: min(cw[v], ccw[v], z) if v in cw else z for v in nodes}
+    p = {v: z - u[v] for v in nodes}
     lam: Dict[Arc, float] = {}
     lambda_bar: Dict[Edge, float] = {}
     for i in nodes:

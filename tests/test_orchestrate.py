@@ -4,7 +4,7 @@ import pytest
 
 from stspgl.covers import make_cover
 from stspgl.model import SolveTrace, TspGlSolution, build_instance
-from stspgl import orchestrate
+from stspgl import orchestrate, tspgl
 from stspgl.mpbackend import solve_mip
 from stspgl.orchestrate import (
     ScoredQueue,
@@ -16,8 +16,8 @@ from stspgl.orchestrate import (
     run_mip_benchmark,
     update_incumbent,
 )
-from stspgl.scenarios import chance_feasible, generate_instance
-from stspgl.tspgl import symmetric_tsp
+from stspgl.scenarios import chance_feasible, deterministic_routing_costs, generate_instance
+from stspgl.tspgl import CutPool, symmetric_tsp
 
 from conftest import make_suite
 
@@ -253,6 +253,34 @@ def test_heuristic_results_are_reproducible(small_instance):
     a = run_heuristic(small_instance, fast_cfg(seed=4))
     b = run_heuristic(small_instance, fast_cfg(seed=4))
     assert a.to_json() == b.to_json()
+
+
+def test_heuristic_benders_masters_stay_few(monkeypatch):
+    # dominant Benders cuts keep this run to 27 master MIPs
+    inst = generate_instance(n=9, seed=3, n_requests=12, n_scenarios=5, theta=0.8, rho=0.2)
+    masters = []
+
+    def counted(model, time_limit=None):
+        masters.append(model)
+        return solve_mip(model, time_limit=time_limit)
+
+    monkeypatch.setattr(tspgl, "solve_mip", counted)
+    res = run_heuristic(inst, fast_cfg(time_limit_total=60.0, seed=0))
+    assert res.status == "Feasible"
+    assert res.upper_bound == 178.06057047819127
+    assert len(masters) <= 30
+
+
+def test_spent_budget_leaves_large_cover_unscored():
+    # covers above 15 nodes take the TSP MIP, which obeys the search clock
+    inst = generate_instance(n=24, seed=2, n_requests=20, n_scenarios=3)
+    cover = make_cover(inst, inst.requests)
+    assert len(cover.visited) > 15
+    state = SearchState(trace=SolveTrace(), start=0.0, deadline=0.0)
+    queue, scored = ScoredQueue(), set()
+    assert not orchestrate._score_and_enqueue(
+        state, inst, deterministic_routing_costs(inst), CutPool(), queue, scored, cover)
+    assert cover.bounds is None and not scored and not queue
 
 
 def test_tiny_time_budget_reports_time_limit(small_instance):

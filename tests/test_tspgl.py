@@ -94,6 +94,26 @@ def test_tsp_mip_path_agrees_with_held_karp():
         assert mip_val == pytest.approx(hk_val, rel=1e-9)
 
 
+def test_tsp_mip_path_returns_none_on_a_spent_budget():
+    rng = random.Random(13)
+    for size in (20, 30, 40):
+        cost = _random_costs(rng, size, "euclidean")
+        assert symmetric_tsp(range(size), cost, time_limit=0.0) is None
+        # a budget too short to prove a tour: no tour, and no error
+        assert symmetric_tsp(range(size), cost, time_limit=0.001) is None
+
+
+def test_cover_bounds_caches_nothing_when_the_tsp_times_out():
+    inst = generate_instance(n=24, seed=2, n_requests=20, n_scenarios=3)
+    sub = _sub(inst, list(inst.requests))
+    assert len(sub.nodes) > 15
+    pool = CutPool()
+    assert cover_bounds(sub, cutpool=pool, time_limit=0.0) is None
+    assert pool.tsp_cache == {} and pool.subtours == {}
+    assert cover_bounds(sub, cutpool=pool, time_limit=60.0) is not None
+    assert sub.key in pool.tsp_cache
+
+
 def _random_costs(rng, size, kind):
     if kind == "integer":
         # few distinct values, so equal partial paths and equal tours abound
@@ -300,8 +320,43 @@ def test_dual_subproblem_strong_duality_random():
             # a separate walk to each node, so the floats are equal
             dist = {v: _walk_distance(tour, hk, qt, v) for v in tour}
             walked = _fast_duals(tour, hk, qt, sorted(tour))
-            assert walked.objective == dist[hk[1]]
-            assert walked.p == {v: max(dist.values()) - dist[v] for v in tour}
+            z = dist[hk[1]]
+            assert walked.objective == z
+            assert walked.p == {v: z - min(dist[v], z) for v in tour}
+
+
+def _uncapped_lambda_bar(tour, hk, qt):
+    """Edge multipliers of the potentials u_v = d(v), without the cap."""
+    u = {v: _walk_distance(tour, hk, qt, v) for v in tour}
+    lam = {(i, j): max(0.0, u[j] - u[i] - qt.cost(hk, i, j))
+           for i in tour for j in tour if i != j}
+    return {(a, b): lam[(a, b)] + lam[(b, a)] for a, b in itertools.combinations(sorted(tour), 2)}
+
+
+def test_capped_cut_dominates_uncapped():
+    rng = random.Random(29)
+    strictly_smaller = 0
+    for seed in range(6):
+        inst = generate_instance(n=8, seed=400 + seed, n_requests=6, n_scenarios=3)
+        qt = deterministic_routing_costs(inst)
+        for _ in range(4):
+            tour = list(inst.nodes)
+            rng.shuffle(tour)
+            requests = rng.sample(list(inst.requests), rng.randint(1, len(inst.requests)))
+            duals = {hk: dual_subproblem(tour, hk, qt) for hk in requests}
+            for h in sorted({hk[0] for hk in requests}):
+                cut = aggregated_optimality_cuts(duals, h)
+                mine = sorted(hk for hk in requests if hk[0] == h)
+                uncapped = {}
+                for hk in mine:
+                    for e, val in _uncapped_lambda_bar(tour, hk, qt).items():
+                        uncapped[e] = uncapped.get(e, 0.0) + val
+                assert cut.rhs == sum(_walk_distance(tour, hk, qt, hk[1]) for hk in mine)
+                for e, val in uncapped.items():
+                    capped = cut.coeffs.get(e, 0.0)
+                    assert capped <= val
+                    strictly_smaller += capped < val
+    assert strictly_smaller > 0
 
 
 def test_dual_subproblem_zero_costs(d1):
@@ -438,8 +493,9 @@ def test_aggregated_cut_tight_at_generating_tour(d1):
         assert true_h + lhs_x == pytest.approx(cut.rhs, abs=1e-9)
 
 
-def test_aggregated_cut_valid_for_all_tours():
-    inst = generate_instance(n=6, seed=77, n_requests=4, n_scenarios=3, theta=0.7, rho=0.3)
+@pytest.mark.parametrize("n, seed", [(6, 77), (7, 11), (7, 303)])
+def test_aggregated_cut_valid_for_all_tours(n, seed):
+    inst = generate_instance(n=n, seed=seed, n_requests=4, n_scenarios=3, theta=0.7, rho=0.3)
     qt = deterministic_routing_costs(inst)
     cov = minimal_feasibility_cover(inst, inst.requests)
     sub = make_subinstance(inst, cov, qt)
