@@ -103,15 +103,17 @@ def build_rmp(inst: Instance, pool: ColumnPool, qtilde: RoutingCostTable
     return model, index
 
 
-def extend_rmp(model: LinearModel, index: RmpIndex, pool: ColumnPool) -> None:
-    """Bring the master up to date with the pool.
+def extend_rmp(model: LinearModel, index: RmpIndex, pool: ColumnPool) -> bool:
+    """Bring the master up to date with the pool; True when that added a
+    column or changed a bound.
 
     Appends a chi column for every cover pooled since the last call and
     fixes the column of every branched cover to zero, so the master equals a
     fresh `build_rmp` over the same pool. Branched covers keep their column
     so the dual space stays unchanged.
     """
-    for cover in pool.columns[len(index.chi):]:
+    new = pool.columns[len(index.chi):]
+    for cover in new:
         rows = {index.convex_row: 1.0}
         for i, li in cover.node_incidence.items():
             if li:
@@ -121,9 +123,11 @@ def extend_rmp(model: LinearModel, index: RmpIndex, pool: ColumnPool) -> None:
                 rows[index.flow_rows[(hk, hk[0])]] = -1.0
                 rows[index.flow_rows[(hk, hk[1])]] = 1.0
         index.chi[cover.requests] = model.add_var(lb=0.0, rows=rows)
+    changed = bool(new)
     for requests in pool.branched:
-        if requests in index.chi:
-            model.set_ub(index.chi[requests], 0.0)
+        if requests in index.chi and model.set_ub(index.chi[requests], 0.0):
+            changed = True
+    return changed
 
 
 def add_gsec_rows(inst: Instance, model: LinearModel, index: RmpIndex,
@@ -227,7 +231,7 @@ def solve_pricing(
             continue
         model.add_constr({serve[hk]: 1.0 for hk in excluded}, "<=", float(len(excluded) - 1))
 
-    out = solve_mip(model, time_limit=time_limit)
+    out = solve_mip(model, time_limit=time_limit, heuristics=False)
     if out.status == TIME_LIMIT:
         # an incumbent without proof of optimality cannot back a Lagrangian bound
         return PricingResult(None, -math.inf, status=TIME_LIMIT)

@@ -12,12 +12,22 @@ each constraint's sense.
 Lazy constraints are realized as a resolve loop (solve, separate, add, solve
 again); no engine callbacks are required, so anything with a plain solve
 entry point can back this module.
+
+Every MIP solve proves optimality (`mip_rel_gap` 0). `solve_mip` can switch
+off HiGHS's primal heuristics (feasibility jump, RINS, RENS, root
+reduced-cost fixing, ZI rounding, shifting): they only search for good
+incumbents and never change the optimum that the solve proves, so small IPs
+with a weak incumbent, such as the pricing IP and the Benders master, solve
+faster without them. A model whose optimum the heuristics find early, such
+as the compact MIP, is faster with them, and on ties they may pick another
+optimal solution.
 """
 
 from __future__ import annotations
 
 import math
 import time
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -28,6 +38,10 @@ from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 from .model import FEASIBLE, INFEASIBLE, OPTIMAL, TIME_LIMIT, UNBOUNDED
 
 RC_EPS = 1e-6     # reduced-cost negativity threshold
+
+# HiGHS options that `solve_mip(..., heuristics=False)` sets to False
+PRIMAL_HEURISTICS = tuple(f"mip_heuristic_run_{name}" for name in (
+    "feasibility_jump", "rins", "rens", "root_reduced_cost", "zi_round", "shifting"))
 
 
 class LinearModel:
@@ -82,8 +96,11 @@ class LinearModel:
         self._vals.extend(coeffs.values())
         return row
 
-    def set_ub(self, col: int, ub: float) -> None:
+    def set_ub(self, col: int, ub: float) -> bool:
+        """Set a column's upper bound; True when that changed it."""
+        changed = self._ub[col] != ub
         self._ub[col] = float(ub)
+        return changed
 
     @staticmethod
     def _check(entries: Dict[int, float], count: int, kind: str) -> None:
@@ -165,7 +182,7 @@ def solve_lp(model: LinearModel, time_limit: Optional[float] = None) -> SolveOut
         b_ub=b_ub if ineq.size else None,
         A_eq=mat[eq] if eq.any() else None,
         b_eq=lo[eq] if eq.any() else None,
-        bounds=list(zip(lb, ub)),
+        bounds=np.column_stack((lb, ub)),
         method="highs",
         options=options,
     )
@@ -192,7 +209,10 @@ def solve_lp(model: LinearModel, time_limit: Optional[float] = None) -> SolveOut
 _MIP_STATUS = {0: OPTIMAL, 1: TIME_LIMIT, 2: INFEASIBLE, 3: UNBOUNDED}
 
 
-def solve_mip(model: LinearModel, time_limit: Optional[float] = None) -> SolveOutcome:
+def solve_mip(model: LinearModel, time_limit: Optional[float] = None,
+              heuristics: bool = True) -> SolveOutcome:
+    """Solve to proven optimality; `heuristics=False` skips the primal
+    heuristics (see the module docstring)."""
     c, lb, ub, integrality = model._arrays()
     constraints = []
     if model.n_constrs():
@@ -204,13 +224,20 @@ def solve_mip(model: LinearModel, time_limit: Optional[float] = None) -> SolveOu
     }
     if time_limit is not None:
         options["time_limit"] = max(0.01, float(time_limit))
-    res = milp(
-        c,
-        constraints=constraints,
-        integrality=integrality,
-        bounds=Bounds(lb, ub),
-        options=options,
-    )
+    if not heuristics:
+        options.update(dict.fromkeys(PRIMAL_HEURISTICS, False))
+    with warnings.catch_warnings():
+        # milp warns on options it does not list but still hands them to
+        # HiGHS, which warns (OptimizeWarning) on a name it does not know
+        warnings.filterwarnings("ignore", message="Unrecognized options",
+                                category=RuntimeWarning)
+        res = milp(
+            c,
+            constraints=constraints,
+            integrality=integrality,
+            bounds=Bounds(lb, ub),
+            options=options,
+        )
     status = _MIP_STATUS.get(res.status, INFEASIBLE)
     if res.x is None:
         if status == OPTIMAL:

@@ -501,9 +501,10 @@ def _dive(state: SearchState, inst: Instance, cfg: SearchConfig,
         if state.remaining() <= 0:
             return True
 
-        # phase 2: score the master's support covers
-        extend_rmp(model, index, pool)
-        rmp_out = solve_lp(model, time_limit=_window(state, rmp_cap))
+        # phase 2: score the master's support covers; an unchanged master
+        # keeps the last optimal solve
+        if extend_rmp(model, index, pool) or rmp_out.status != OPTIMAL:
+            rmp_out = solve_lp(model, time_limit=_window(state, rmp_cap))
         if rmp_out.status == INFEASIBLE:
             state.raise_lb(state.ub)
             return False

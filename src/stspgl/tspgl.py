@@ -696,7 +696,7 @@ def benders_solve_tspgl(
         if remaining is not None and remaining <= 0:
             status = TIME_LIMIT
             break
-        out = solve_mip(model, time_limit=remaining)
+        out = solve_mip(model, time_limit=remaining, heuristics=False)
         if out.status == TIME_LIMIT:
             status = TIME_LIMIT
             break

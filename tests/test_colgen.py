@@ -31,7 +31,7 @@ from stspgl.colgen import (
 )
 from stspgl.covers import make_cover
 from stspgl.model import OPTIMAL
-from stspgl.mpbackend import solve_lp
+from stspgl.mpbackend import RC_EPS, solve_lp, solve_mip
 from stspgl.scenarios import chance_feasible, deterministic_routing_costs, generate_instance
 from stspgl.tspgl import gsec_row
 
@@ -182,6 +182,29 @@ def test_pricing_objective_equals_raw_reduced_cost():
         assert chance_feasible(inst, res.cover.requests)
 
 
+def test_pricing_optimum_does_not_need_primal_heuristics(monkeypatch):
+    # solve_pricing skips HiGHS's primal heuristics; they never change the optimum
+    rng = random.Random(17)
+    with_heuristics = []
+    for seed in range(8):
+        inst = generate_instance(n=9, seed=700 + seed, n_requests=12, n_scenarios=5,
+                                 theta=0.7, rho=0.25)
+        for _ in range(3):
+            duals = DualPrices(
+                iota={i: rng.uniform(-1.0, 1.0) for i in inst.nodes},
+                eps={(hk, i): rng.uniform(-2.0, 2.0)
+                     for hk in inst.requests for i in inst.nodes},
+                beta=rng.uniform(0.0, 3.0),
+            )
+            with monkeypatch.context() as patch:
+                patch.setattr(colgen, "solve_mip",
+                              lambda model, **kw: solve_mip(model, **{**kw, "heuristics": True}))
+                with_heuristics.append(solve_pricing(inst, duals).objective)
+            assert solve_pricing(inst, duals).objective == pytest.approx(
+                with_heuristics[-1], rel=1e-9)
+    assert min(with_heuristics) < -RC_EPS
+
+
 def test_pricing_never_returns_branched_cover(d1):
     duals = _zero_duals(d1, beta=10.0)
     first = solve_pricing(d1, duals)
@@ -223,17 +246,17 @@ def test_rmp_grown_in_place_equals_fresh_build():
     assert len(covers) >= 4
     pool = _pool_with(inst, inst.requests)
     model, index = build_rmp(inst, pool, qt)
-    steps = [
-        lambda: pool.add(covers[0]),
-        lambda: (pool.add(covers[1]), pool.add(covers[2])),
-        lambda: add_branching_cut(pool, covers[0].requests),     # already pooled
-        lambda: add_branching_cut(pool, covers[3].requests),     # not pooled yet
-        lambda: pool.add(covers[3]),                             # enters branched
-        lambda: None,                                            # nothing changed
+    steps = [   # (change to the pool, whether the master changes)
+        (lambda: pool.add(covers[0]), True),
+        (lambda: (pool.add(covers[1]), pool.add(covers[2])), True),
+        (lambda: add_branching_cut(pool, covers[0].requests), True),    # already pooled
+        (lambda: add_branching_cut(pool, covers[3].requests), False),   # not pooled yet
+        (lambda: pool.add(covers[3]), True),                            # enters branched
+        (lambda: None, False),                                          # nothing changed
     ]
-    for step in steps:
+    for step, changed in steps:
         step()
-        extend_rmp(model, index, pool)
+        assert extend_rmp(model, index, pool) is changed
         fresh, fresh_index = build_rmp(inst, pool, qt)
         _assert_same_master(model, index, fresh, fresh_index)
     assert model._ub[index.chi[covers[0].requests]] == 0.0

@@ -2,17 +2,25 @@ from __future__ import annotations
 
 import math
 import random
+import warnings
 
 import pytest
 
 from oracles import oracle_tsp
+from stspgl import mpbackend
+from stspgl.colgen import DualPrices, solve_pricing
+from stspgl.covers import minimal_feasibility_cover
 from stspgl.model import INFEASIBLE, OPTIMAL, TIME_LIMIT, UNBOUNDED
 from stspgl.mpbackend import (
+    PRIMAL_HEURISTICS,
     LinearModel,
     resolve_with_cuts,
     solve_lp,
     solve_mip,
 )
+from stspgl.orchestrate import SearchConfig, run_mip_benchmark
+from stspgl.scenarios import deterministic_routing_costs, generate_instance
+from stspgl.tspgl import _tsp_mip, benders_solve_tspgl, cover_bounds, make_subinstance
 
 
 def test_lp_one_dimensional_with_dual():
@@ -103,7 +111,8 @@ def test_column_added_into_existing_rows():
     out = solve_lp(grown)
     assert out.values == pytest.approx([1.5, 0.5])
     assert out.duals == pytest.approx([2.0, -1.0])
-    grown.set_ub(y, 0.0)
+    assert grown.set_ub(y, 0.0)
+    assert not grown.set_ub(y, 0.0)
     assert solve_lp(grown).status == INFEASIBLE
 
 
@@ -146,6 +155,54 @@ def test_mip_gap_limit_contract():
     assert out.best_bound is not None
     # minimize: bound <= incumbent
     assert out.best_bound <= out.objective + 1e-9
+
+
+def test_mip_without_heuristics_is_exact_and_silent():
+    # HiGHS warns (OptimizeWarning) on an option name it does not know;
+    # solve_mip silences only milp's RuntimeWarning about unlisted names
+    rng = random.Random(3)
+    m = LinearModel()
+    weights = [rng.randint(3, 30) for _ in range(30)]
+    for _w in weights:
+        m.add_var(lb=0.0, ub=1.0, obj=-float(rng.randint(2, 40)), integer=True)
+    m.add_constr({j: float(w) for j, w in enumerate(weights)}, "<=", 60.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = solve_mip(m, heuristics=False)
+    assert not caught
+    assert out.status == OPTIMAL
+    assert out.objective == solve_mip(m).objective
+
+
+def test_only_pricing_and_benders_masters_skip_heuristics(monkeypatch):
+    calls = []
+    real = mpbackend.milp
+
+    def spy(*args, **kwargs):
+        calls.append(dict(kwargs["options"]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mpbackend, "milp", spy)
+    inst = generate_instance(n=7, seed=301, n_requests=5, n_scenarios=4, theta=0.7, rho=0.25)
+    qt = deterministic_routing_costs(inst)
+    sub = make_subinstance(inst, minimal_feasibility_cover(inst, inst.requests), qt)
+    warm = cover_bounds(sub)
+    duals = DualPrices(iota={i: 0.0 for i in inst.nodes},
+                       eps={(hk, i): 0.0 for hk in inst.requests for i in inst.nodes},
+                       beta=1.0)
+    runs = [
+        (True, lambda: solve_pricing(inst, duals)),
+        (True, lambda: benders_solve_tspgl(sub, warm=warm)),
+        (False, lambda: run_mip_benchmark(inst, SearchConfig(time_limit_total=60.0))),
+        (False, lambda: _tsp_mip(sorted(inst.nodes), inst.design, None)),
+    ]
+    for off, run in runs:
+        calls.clear()
+        run()
+        assert calls
+        sent = [{name: opts[name] for name in PRIMAL_HEURISTICS if name in opts}
+                for opts in calls]
+        assert sent == [dict.fromkeys(PRIMAL_HEURISTICS, False) if off else {}] * len(calls)
 
 
 def test_mip_infeasible():

@@ -5,7 +5,7 @@ import pytest
 from stspgl.covers import make_cover
 from stspgl.model import SolveTrace, TspGlSolution, build_instance
 from stspgl import orchestrate, tspgl
-from stspgl.mpbackend import solve_mip
+from stspgl.mpbackend import solve_lp, solve_mip
 from stspgl.orchestrate import (
     ScoredQueue,
     SearchConfig,
@@ -260,15 +260,35 @@ def test_heuristic_benders_masters_stay_few(monkeypatch):
     inst = generate_instance(n=9, seed=3, n_requests=12, n_scenarios=5, theta=0.8, rho=0.2)
     masters = []
 
-    def counted(model, time_limit=None):
+    def counted(model, **kwargs):
         masters.append(model)
-        return solve_mip(model, time_limit=time_limit)
+        return solve_mip(model, **kwargs)
 
     monkeypatch.setattr(tspgl, "solve_mip", counted)
     res = run_heuristic(inst, fast_cfg(time_limit_total=60.0, seed=0))
     assert res.status == "Feasible"
     assert res.upper_bound == 178.06057047819127
     assert len(masters) <= 30
+
+
+@pytest.mark.parametrize("hybrid", [False, True])
+def test_dive_never_resolves_an_unchanged_master(monkeypatch, hybrid):
+    # the master only grows or fixes bounds, so sizes and bounds identify it
+    inst = generate_instance(n=9, seed=1, n_requests=12, n_scenarios=5, theta=0.8, rho=0.2)
+    solves = []
+
+    def spy(model, **kwargs):
+        out = solve_lp(model, **kwargs)
+        solves.append(((len(model._obj), len(model._sense), len(model._vals),
+                        tuple(model._ub)), out.status))
+        return out
+
+    monkeypatch.setattr(orchestrate, "solve_lp", spy)
+    res = run_bp(inst, fast_cfg(), hybrid=hybrid)
+    assert res.status == "Optimal"
+    assert solves
+    for (before, status), (after, _) in zip(solves, solves[1:]):
+        assert before != after or status != "Optimal"
 
 
 def test_spent_budget_leaves_large_cover_unscored():

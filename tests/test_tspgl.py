@@ -21,9 +21,10 @@ from oracles import (
     solve_tspgl_direct,
     tour_path_cost,
 )
+from stspgl import tspgl
 from stspgl.covers import make_cover, minimal_feasibility_cover
 from stspgl.model import OPTIMAL, Instance, edge
-from stspgl.mpbackend import LinearModel, solve_lp
+from stspgl.mpbackend import LinearModel, solve_lp, solve_mip
 from stspgl.scenarios import RoutingCostTable, deterministic_routing_costs, generate_instance
 from stspgl.tspgl import (
     ABORTED,
@@ -560,6 +561,22 @@ def test_benders_matches_direct_on_random_subinstances():
         )
         agree += 1
     assert agree == 12
+
+
+def test_benders_optimum_does_not_need_primal_heuristics(monkeypatch):
+    # the Benders master skips HiGHS's primal heuristics; the optimum stays
+    for seed in range(6):
+        inst = generate_instance(n=11, seed=320 + seed, n_requests=12, n_scenarios=4,
+                                 theta=0.8, rho=0.2)
+        qt = deterministic_routing_costs(inst)
+        sub = make_subinstance(inst, minimal_feasibility_cover(inst, inst.requests), qt)
+        with monkeypatch.context() as patch:
+            patch.setattr(tspgl, "solve_mip",
+                          lambda model, **kw: solve_mip(model, **{**kw, "heuristics": True}))
+            ref = benders_solve_tspgl(sub)
+        out = benders_solve_tspgl(sub)
+        assert ref.status == out.status == OPTIMAL
+        assert out.solution.objective == pytest.approx(ref.solution.objective, rel=1e-9)
 
 
 def test_direct_solver_enumeration_case(d1, d1_qtilde):
