@@ -18,11 +18,12 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 from .covers import FeasibilityCover, minimal_feasibility_cover
 from .model import OPTIMAL, TIME_LIMIT, Edge, Instance, Request
 from .mpbackend import RC_EPS, LinearModel, SolveOutcome, solve_mip
-from .scenarios import RoutingCostTable, required_scenario_count
+from .scenarios import RoutingCostTable
 from .tspgl import (
     add_edge_vars,
     add_flow_vars,
     add_linking_rows,
+    add_service_rows,
     degree_coeffs,
     flow_coeffs,
     gsec_row,
@@ -195,8 +196,6 @@ def solve_pricing(
     serve = {hk: model.add_var(lb=0.0, ub=1.0,
                                obj=duals.eps_origin(hk) - duals.eps_dest(hk), integer=True)
              for hk in inst.requests}
-    met = [model.add_var(lb=0.0, ub=1.0, obj=0.0, integer=True)
-           for _s in range(inst.scenarios.size)]
 
     for hk in inst.requests:
         h, k = hk
@@ -215,17 +214,7 @@ def solve_pricing(
         for hk in incident[i]:
             coeffs[serve[hk]] = -1.0
         model.add_constr(coeffs, "<=", 0.0)
-    for s in range(inst.scenarios.size):
-        total = inst.scenarios.total(s)
-        coeffs = {
-            serve[hk]: inst.scenarios.demand[s][idx]
-            for idx, hk in enumerate(inst.requests)
-            if inst.scenarios.demand[s][idx]
-        }
-        coeffs[met[s]] = -inst.theta * total
-        model.add_constr(coeffs, ">=", 0.0)
-    need = required_scenario_count(inst.scenarios.size, inst.rho)
-    model.add_constr({col: 1.0 for col in met}, ">=", float(need))
+    add_service_rows(model, inst, serve)
     for excluded in phi:
         if not excluded:
             continue

@@ -91,16 +91,6 @@ def minimal_feasibility_cover(inst: Instance, cover, rng: Optional[random.Random
             return make_cover(inst, reqs)
 
 
-def is_minimal(inst: Instance, cover) -> bool:
-    reqs = _as_requests(cover)
-    if not chance_feasible(inst, reqs):
-        return False
-    for r in reqs:
-        if chance_feasible(inst, [x for x in reqs if x != r]):
-            return False
-    return True
-
-
 def induced_requests(inst: Instance, nodes: Iterable[int]) -> Tuple[Request, ...]:
     """Requests whose both endpoints lie inside the node set."""
     node_set = set(nodes)

@@ -308,50 +308,6 @@ class TspGlSolution:
         """Cycle as a node list in canonical rotation and direction."""
         return tour_sequence(self.tour_edges)
 
-    def structural_violations(self, inst: Instance) -> List[str]:
-        report: List[str] = []
-        degree: Dict[Node, int] = {}
-        for i, j in self.tour_edges:
-            degree[i] = degree.get(i, 0) + 1
-            degree[j] = degree.get(j, 0) + 1
-        for v, d in degree.items():
-            if d != 2:
-                report.append(f"node {v} has tour degree {d}")
-        for v in inst.compulsory:
-            if v not in degree:
-                report.append(f"compulsory node {v} not visited")
-        # single connected cycle over the visited nodes
-        if self.tour_edges:
-            seen = {min(degree)}
-            stack = [min(degree)]
-            adj: Dict[Node, List[Node]] = {}
-            for i, j in self.tour_edges:
-                adj.setdefault(i, []).append(j)
-                adj.setdefault(j, []).append(i)
-            while stack:
-                cur = stack.pop()
-                for nb in adj[cur]:
-                    if nb not in seen:
-                        seen.add(nb)
-                        stack.append(nb)
-            if seen != set(degree):
-                report.append("tour is not a single connected cycle")
-        for hk, flow in self.flows.items():
-            out_minus_in: Dict[Node, float] = {}
-            for (i, j), val in flow.items():
-                if val < -FLOW_EPS:
-                    report.append(f"negative flow on arc ({i},{j}) for request {hk}")
-                if val > FLOW_EPS and edge(i, j) not in self.tour_edges:
-                    report.append(f"flow off the tour on arc ({i},{j}) for request {hk}")
-                out_minus_in[i] = out_minus_in.get(i, 0.0) + val
-                out_minus_in[j] = out_minus_in.get(j, 0.0) - val
-            h, k = hk
-            for v, bal in out_minus_in.items():
-                want = 1.0 if v == h else (-1.0 if v == k else 0.0)
-                if abs(bal - want) > 1e-6:
-                    report.append(f"flow conservation broken at node {v} for request {hk}")
-        return report
-
 
 def objective(inst: Instance, sol: TspGlSolution, qtilde) -> Tuple[float, float, float]:
     """Evaluate (total, design, routing) for a solution.

@@ -9,9 +9,11 @@ With that convention the reduced cost of a column with objective coefficient
 q and constraint coefficients a_c is q - sum_c duals[c] * a_c, independent of
 each constraint's sense.
 
-Lazy constraints are realized as a resolve loop (solve, separate, add, solve
-again); no engine callbacks are required, so anything with a plain solve
-entry point can back this module.
+Lazy constraints are realized as one resolve loop, `resolve_with_cuts`
+(solve, separate, add, solve again); no engine callbacks are required, so
+anything with a plain solve entry point can back this module. It serves the
+three cut-driven MIPs: the compact MIP's cycle cuts, the TSP MIP's subtour
+cuts, and the Benders master's subtour and optimality cuts.
 
 Every MIP solve proves optimality (`mip_rel_gap` 0). `solve_mip` can switch
 off HiGHS's primal heuristics (feasibility jump, RINS, RENS, root
@@ -258,38 +260,38 @@ CutSource = Callable[[SolveOutcome], Iterable[Tuple[Dict[int, float], str, float
 
 
 def resolve_with_cuts(model: LinearModel, cut_source: CutSource, max_rounds: int = 50,
-                      time_limit: Optional[float] = None) -> SolveOutcome:
+                      time_limit: Optional[float] = None,
+                      heuristics: bool = True) -> SolveOutcome:
     """Solve, separate violated cuts, add them, and solve again.
 
-    Cuts stay in the model across rounds (and after return, for reuse by the
-    caller). When the round budget runs out before a separation round comes
-    back empty, the outcome is flagged `cuts_complete=False`.
+    `max_rounds` caps the re-solves, so at most `max_rounds + 1` MIPs run,
+    each with `heuristics` passed to `solve_mip`. Cuts stay in the model
+    across rounds (and after return, for reuse by the caller). When the
+    round budget or the clock runs out before a separation round comes back
+    empty, the outcome is flagged `cuts_complete=False`; a spent clock also
+    sets `TimeLimit`, and before the first solve it makes no solve at all.
     """
     deadline = None if time_limit is None else time.monotonic() + time_limit
-
-    def remaining() -> Optional[float]:
-        if deadline is None:
-            return None
-        return deadline - time.monotonic()
-
-    out = solve_mip(model, time_limit=remaining())
-    for round_no in range(max_rounds):
+    out = SolveOutcome(status=TIME_LIMIT, objective=None, values=None, cuts_complete=False)
+    for round_no in range(max_rounds + 1):
+        left = None if deadline is None else deadline - time.monotonic()
+        if left is not None and left <= 0:
+            out.status = TIME_LIMIT
+            out.cuts_complete = False
+            return out
+        out = solve_mip(model, time_limit=left, heuristics=heuristics)
+        out.cut_rounds = round_no
         if not out.solved:
             return out
         if out.status == TIME_LIMIT:
             out.cuts_complete = False
             return out
+        if round_no == max_rounds:
+            break
         cuts = list(cut_source(out))
         if not cuts:
             return out
         for coeffs, sense, rhs in cuts:
             model.add_constr(coeffs, sense, rhs)
-        left = remaining()
-        if left is not None and left <= 0:
-            out.status = TIME_LIMIT
-            out.cuts_complete = False
-            return out
-        out = solve_mip(model, time_limit=left)
-        out.cut_rounds = round_no + 1
     out.cuts_complete = False
     return out

@@ -36,7 +36,6 @@ from .scenarios import (
     chance_feasible,
     deterministic_routing_costs,
     evaluate_metrics,
-    required_scenario_count,
 )
 from .covers import FeasibilityCover, explore, local_search, make_cover
 from .mpbackend import LinearModel, SolveOutcome, resolve_with_cuts, solve_lp
@@ -53,10 +52,12 @@ from .colgen import (
 )
 from .tspgl import (
     ABORTED,
+    INCUMBENT_EPS,
     CutPool,
     add_edge_vars,
     add_flow_vars,
     add_linking_rows,
+    add_service_rows,
     benders_solve_tspgl,
     chosen_edges,
     cover_bounds,
@@ -68,7 +69,6 @@ from .tspgl import (
     supply,
 )
 
-INCUMBENT_EPS = 1e-9        # strict-improvement threshold for incumbent updates
 SUPPORT_EPS = 1e-6          # chi values above this count as basis support
 RMP_SHARE = 2.0 / 3.0       # cap of one RMP LP, as a share of the total budget
 PRICING_SHARE = 1.0 / 3.0   # cap of one pricing IP, as a share of the total budget
@@ -245,7 +245,6 @@ def _benchmark_model(inst: Instance, qtilde: RoutingCostTable):
     for hk in inst.requests:
         z[hk] = model.add_var(lb=0.0, ub=1.0, integer=True)
         flows[hk] = add_flow_vars(model, hk, inst.nodes, qtilde, inst.alpha)
-    y = [model.add_var(lb=0.0, ub=1.0, integer=True) for _s in range(inst.scenarios.size)]
 
     for i in inst.nodes:
         coeffs = degree_coeffs(x, i, inst.nodes)
@@ -262,13 +261,7 @@ def _benchmark_model(inst: Instance, qtilde: RoutingCostTable):
                 coeffs[z[hk]] = -sign
             model.add_constr(coeffs, "==", 0.0)
         add_linking_rows(model, x, f)
-    for s in range(inst.scenarios.size):
-        coeffs = {z[hk]: inst.scenarios.demand[s][idx]
-                  for idx, hk in enumerate(inst.requests) if inst.scenarios.demand[s][idx]}
-        coeffs[y[s]] = -inst.theta * inst.scenarios.total(s)
-        model.add_constr(coeffs, ">=", 0.0)
-    need = required_scenario_count(inst.scenarios.size, inst.rho)
-    model.add_constr({col: 1.0 for col in y}, ">=", float(need))
+    add_service_rows(model, inst, z)
     return model, x, w, z
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -34,13 +33,16 @@ from .model import (
     edge,
     tour_sequence,
 )
-from .mpbackend import LinearModel, SolveOutcome, resolve_with_cuts, solve_mip
-from .scenarios import RoutingCostTable
+from .mpbackend import LinearModel, SolveOutcome, resolve_with_cuts
+from .scenarios import RoutingCostTable, required_scenario_count
 
 ABORTED = "Aborted"
 
 _CUT_VIOLATION_EPS = 1e-7
-_INCUMBENT_EPS = 1e-9
+# A Benders master above `ub + INCUMBENT_EPS` aborts, and the search discards
+# a cover whose bound reaches `ub - INCUMBENT_EPS`; one constant keeps the two
+# in step, and a new incumbent must beat the old one by more than it.
+INCUMBENT_EPS = 1e-9
 _FLOW_TOL = 1e-9        # edge values and residual capacities at or below this are zero
 GSEC_EPS = 1e-6         # smallest violation for which a GSEC row is separated
 MAX_BENDERS_ITERATIONS = 500
@@ -107,7 +109,6 @@ def make_subinstance(inst: Instance, cover: FeasibilityCover, qtilde: RoutingCos
 
 @dataclass
 class BendersDuals:
-    request: Request
     p: Dict[int, float]                 # node potentials, >= 0
     lam: Dict[Arc, float]               # arc multipliers, >= 0
     lambda_bar: Dict[Edge, float]       # lam_ij + lam_ji per edge
@@ -231,8 +232,6 @@ def _held_karp(nodes: List[int], cost) -> Tuple[List[int], float]:
 
 def _tsp_mip(nodes: List[int], cost, time_limit: Optional[float]
              ) -> Optional[Tuple[List[int], float, List[FrozenSet[int]]]]:
-    if time_limit is not None and time_limit <= 0:
-        return None
     model = LinearModel()
     x = add_edge_vars(model, nodes, cost, integer=True)
     for i in nodes:
@@ -306,6 +305,23 @@ def add_linking_rows(model: LinearModel, x: Dict[Edge, int], f: Dict[Arc, int]) 
     """
     for (a, b), xab in x.items():
         model.add_constr({f[(a, b)]: 1.0, f[(b, a)]: 1.0, xab: -1.0}, "<=", 0.0)
+
+
+def add_service_rows(model: LinearModel, inst: Instance, serve: Dict[Request, int]) -> None:
+    """The chance constraint over the 0/1 service columns `serve`.
+
+    One new 0/1 column per scenario, set only when the served demand reaches
+    theta times the scenario's total, and a row that asks for at least
+    ceil((1 - rho) |S|) of them.
+    """
+    met = [model.add_var(lb=0.0, ub=1.0, integer=True) for _s in range(inst.scenarios.size)]
+    for s, col in enumerate(met):
+        coeffs = {serve[hk]: inst.scenarios.demand[s][idx]
+                  for idx, hk in enumerate(inst.requests) if inst.scenarios.demand[s][idx]}
+        coeffs[col] = -inst.theta * inst.scenarios.total(s)
+        model.add_constr(coeffs, ">=", 0.0)
+    need = required_scenario_count(inst.scenarios.size, inst.rho)
+    model.add_constr({col: 1.0 for col in met}, ">=", float(need))
 
 
 def chosen_edges(x: Dict[Edge, int], values: List[float]) -> List[Edge]:
@@ -583,7 +599,7 @@ def _fast_duals(xbar: Sequence[int], hk: Request, qtilde: RoutingCostTable,
             lam[(i, j)] = max(0.0, u[j] - u[i] - qtilde.cost(hk, i, j))
     for a, b in itertools.combinations(nodes, 2):
         lambda_bar[(a, b)] = lam[(a, b)] + lam[(b, a)]
-    return BendersDuals(request=hk, p=p, lam=lam, lambda_bar=lambda_bar, objective=u[k])
+    return BendersDuals(p=p, lam=lam, lambda_bar=lambda_bar, objective=u[k])
 
 
 @dataclass
@@ -667,16 +683,18 @@ def benders_solve_tspgl(
     """Benders loop: tour master, per-request path subproblems.
 
     Warm start seeds the master with the bound-stage TSP tour's optimality
-    cuts and any subtour cuts cached for this node set. The loop aborts as
-    soon as the master objective provably exceeds `incumbent_ub`.
+    cuts and any subtour cuts cached for this node set. The master then runs
+    through `resolve_with_cuts`, without primal heuristics, for at most
+    `MAX_BENDERS_ITERATIONS` MIPs. Each master solution yields subtour cuts
+    if it splits into cycles, and otherwise its tour is scored and the
+    optimality cuts of the origins whose eta it underestimates are added.
+    The loop aborts as soon as the master objective provably exceeds
+    `incumbent_ub`.
     """
-    deadline = None if time_limit is None else time.monotonic() + time_limit
     pool = cutpool if cutpool is not None else CutPool()
     model, x, eta = _master_model(sub)
-    added_subtours: Set[FrozenSet[int]] = set()
     for comp in pool.subtours_for(sub.key):
         model.add_constr(*_sec_cut(x, comp))
-        added_subtours.add(comp)
     if warm is None:
         warm = cover_bounds(sub, cutpool=pool)
     if sub.requests and warm.tsp_tour:
@@ -689,55 +707,41 @@ def benders_solve_tspgl(
 
     incumbent: Optional[TspGlSolution] = None
     lower = -math.inf
-    status = TIME_LIMIT
-    iterations = 0
-    for iterations in range(1, MAX_BENDERS_ITERATIONS + 1):
-        remaining = None if deadline is None else deadline - time.monotonic()
-        if remaining is not None and remaining <= 0:
-            status = TIME_LIMIT
-            break
-        out = solve_mip(model, time_limit=remaining, heuristics=False)
-        if out.status == TIME_LIMIT:
-            status = TIME_LIMIT
-            break
-        if not out.solved:
-            status = INFEASIBLE
-            break
-        lower = max(lower, out.objective)
-        if incumbent_ub is not None and out.objective > incumbent_ub + _INCUMBENT_EPS:
-            status = ABORTED
-            break
+
+    def separate(out: SolveOutcome) -> List[Tuple[Dict[int, float], str, float]]:
+        nonlocal incumbent, lower
+        lower = out.objective
+        if incumbent_ub is not None and out.objective > incumbent_ub + INCUMBENT_EPS:
+            return []
         chosen = chosen_edges(x, out.values)
         comps = find_subtours(chosen)
+        # no integer solution holds a subtour whose row is in the model, so
+        # every component found here is new
+        for comp in comps:
+            pool.add_subtour(sub.key, comp)
         if comps:
-            for comp in comps:
-                if comp in added_subtours:
-                    continue
-                model.add_constr(*_sec_cut(x, comp))
-                added_subtours.add(comp)
-                pool.add_subtour(sub.key, comp)
-            continue
+            return [_sec_cut(x, comp) for comp in comps]
         seq = tour_sequence(chosen)
         candidate = solution_from_tour(sub, seq)
-        if incumbent is None or candidate.objective < incumbent.objective - _INCUMBENT_EPS:
+        if incumbent is None or candidate.objective < incumbent.objective - INCUMBENT_EPS:
             incumbent = candidate
-        violated = False
-        if sub.requests:
-            duals = {
-                hk: dual_subproblem(seq, hk, sub.qtilde, nodes=sub.nodes)
-                for hk in sub.requests
-            }
-            for h in sub.origins():
-                true_h = sum(duals[hk].objective for hk in sub.requests_from(h))
-                eta_val = out.values[eta[h]]
-                if eta_val < true_h - _CUT_VIOLATION_EPS * max(1.0, abs(true_h)):
-                    model.add_constr(*_optimality_constr(x, eta, aggregated_optimality_cuts(duals, h)))
-                    violated = True
-        if not violated:
-            status = OPTIMAL
-            break
-    else:
+        duals = {hk: dual_subproblem(seq, hk, sub.qtilde, nodes=sub.nodes)
+                 for hk in sub.requests}
+        violated = []
+        for h in sub.origins():
+            true_h = sum(duals[hk].objective for hk in sub.requests_from(h))
+            if out.values[eta[h]] < true_h - _CUT_VIOLATION_EPS * max(1.0, abs(true_h)):
+                violated.append(_optimality_constr(x, eta, aggregated_optimality_cuts(duals, h)))
+        return violated
+
+    out = resolve_with_cuts(model, separate, max_rounds=MAX_BENDERS_ITERATIONS - 1,
+                            time_limit=time_limit, heuristics=False)
+    if out.status == TIME_LIMIT or not out.cuts_complete:
         status = TIME_LIMIT
-
-    return TspGlOutcome(status, incumbent, lower, iterations)
-
+    elif not out.solved:
+        status = INFEASIBLE
+    elif incumbent_ub is not None and out.objective > incumbent_ub + INCUMBENT_EPS:
+        status = ABORTED
+    else:
+        status = OPTIMAL
+    return TspGlOutcome(status, incumbent, lower, out.cut_rounds + 1)

@@ -8,7 +8,8 @@ not the code they check: `solve_tspgl_direct`, a monolithic flow MIP that
 the Benders loop is checked against, and `lp_duals`, the routing dual LP
 that the Benders duals are checked against. `add_split_linking_rows` is the
 textbook two-row form of the linking rows that the paired form is checked
-against.
+against. `is_minimal` checks cover minimalization against `chance_feasible`
+itself, one request removal at a time.
 """
 
 from __future__ import annotations
@@ -18,17 +19,19 @@ import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from stspgl.model import (
+    FLOW_EPS,
     OPTIMAL,
     TIME_LIMIT,
     Arc,
     Edge,
     Instance,
     Request,
+    TspGlSolution,
     edge,
     tour_sequence,
 )
 from stspgl.mpbackend import LinearModel, SolveOutcome, resolve_with_cuts, solve_lp
-from stspgl.scenarios import RoutingCostTable, required_scenario_count
+from stspgl.scenarios import RoutingCostTable, chance_feasible, required_scenario_count
 from stspgl.tspgl import (
     BendersDuals,
     SubInstance,
@@ -57,6 +60,61 @@ def subset_is_cover(inst: Instance, subset: Sequence) -> bool:
         if got >= inst.theta * inst.scenarios.total(s) - SAT_EPS:
             hits += 1
     return hits >= need
+
+
+def is_minimal(inst: Instance, cover) -> bool:
+    """A feasibility cover that stops being one when any request leaves it."""
+    reqs = list(getattr(cover, "requests", cover))
+    if not chance_feasible(inst, reqs):
+        return False
+    return not any(chance_feasible(inst, [x for x in reqs if x != r]) for r in reqs)
+
+
+def structural_violations(sol: TspGlSolution, inst: Instance) -> List[str]:
+    """One line per flaw: a broken degree, an unvisited compulsory node, a
+    split cycle, or a flow that leaves the tour or breaks conservation."""
+    report: List[str] = []
+    degree: Dict[int, int] = {}
+    for i, j in sol.tour_edges:
+        degree[i] = degree.get(i, 0) + 1
+        degree[j] = degree.get(j, 0) + 1
+    for v, d in degree.items():
+        if d != 2:
+            report.append(f"node {v} has tour degree {d}")
+    for v in inst.compulsory:
+        if v not in degree:
+            report.append(f"compulsory node {v} not visited")
+    # single connected cycle over the visited nodes
+    if sol.tour_edges:
+        seen = {min(degree)}
+        stack = [min(degree)]
+        adj: Dict[int, List[int]] = {}
+        for i, j in sol.tour_edges:
+            adj.setdefault(i, []).append(j)
+            adj.setdefault(j, []).append(i)
+        while stack:
+            cur = stack.pop()
+            for nb in adj[cur]:
+                if nb not in seen:
+                    seen.add(nb)
+                    stack.append(nb)
+        if seen != set(degree):
+            report.append("tour is not a single connected cycle")
+    for hk, flow in sol.flows.items():
+        out_minus_in: Dict[int, float] = {}
+        for (i, j), val in flow.items():
+            if val < -FLOW_EPS:
+                report.append(f"negative flow on arc ({i},{j}) for request {hk}")
+            if val > FLOW_EPS and edge(i, j) not in sol.tour_edges:
+                report.append(f"flow off the tour on arc ({i},{j}) for request {hk}")
+            out_minus_in[i] = out_minus_in.get(i, 0.0) + val
+            out_minus_in[j] = out_minus_in.get(j, 0.0) - val
+        h, k = hk
+        for v, bal in out_minus_in.items():
+            want = 1.0 if v == h else (-1.0 if v == k else 0.0)
+            if abs(bal - want) > 1e-6:
+                report.append(f"flow conservation broken at node {v} for request {hk}")
+    return report
 
 
 def enumerate_minimal_covers(inst: Instance) -> List[Tuple]:
@@ -254,7 +312,7 @@ def lp_duals(xbar: Sequence[int], hk: Request, qtilde: RoutingCostTable,
         (a, b): lam[(a, b)] + lam[(b, a)]
         for a, b in itertools.combinations(sorted(nodes), 2)
     }
-    return BendersDuals(request=hk, p=p, lam=lam, lambda_bar=lambda_bar, objective=-out.objective)
+    return BendersDuals(p=p, lam=lam, lambda_bar=lambda_bar, objective=-out.objective)
 
 
 def add_split_linking_rows(model: LinearModel, x: Dict[Edge, int], f: Dict[Arc, int]) -> None:

@@ -16,7 +16,6 @@ import pytest
 
 from stspgl.covers import (
     explore,
-    is_minimal,
     local_search,
     make_cover,
     minimal_feasibility_cover,
@@ -41,7 +40,7 @@ from stspgl.tspgl import (
     make_subinstance,
 )
 
-from oracles import enumerate_minimal_covers, solve_tspgl_direct
+from oracles import enumerate_minimal_covers, is_minimal, solve_tspgl_direct
 
 
 def _cfg(seed=0):

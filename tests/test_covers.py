@@ -4,12 +4,11 @@ import random
 
 import pytest
 
-from oracles import enumerate_minimal_covers
+from oracles import enumerate_minimal_covers, is_minimal
 from stspgl.covers import (
     CoverError,
     explore,
     induced_requests,
-    is_minimal,
     local_search,
     make_cover,
     minimal_feasibility_cover,

@@ -1,5 +1,5 @@
 """Source hygiene: every imported name is used in the module that imports it,
-and every definition of the package is used somewhere.
+and every definition and dataclass field of the package is used somewhere.
 
 Parses each module of the package and of the test suite with `ast`, and
 for the definition check the benchmark's modules too. The package's
@@ -90,13 +90,37 @@ def dead_definitions(package: dict, others: dict) -> list:
     return dead
 
 
+def _is_dataclass(decorator: ast.expr) -> bool:
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return getattr(target, "id", getattr(target, "attr", None)) == "dataclass"
+
+
+def dead_fields(package: dict, others: dict) -> list:
+    """(module, line, "Class.field") of each dataclass field in `package`
+    that no module reads as an attribute; arguments as in `dead_definitions`.
+    """
+    trees = {mod: ast.parse(src) for mod, src in {**others, **package}.items()}
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    dead = []
+    for mod in sorted(package):
+        for cls in trees[mod].body:
+            if not (isinstance(cls, ast.ClassDef) and any(map(_is_dataclass, cls.decorator_list))):
+                continue
+            dead.extend((mod, stmt.lineno, f"{cls.name}.{stmt.target.id}") for stmt in cls.body
+                        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                        and stmt.target.id not in read)
+    return dead
+
+
 def _sources(*dirs: Path) -> dict:
     return {str(p.relative_to(ROOT)): p.read_text() for d in dirs for p in d.rglob("*.py")}
 
 
 def test_no_dead_definitions():
-    assert dead_definitions(_sources(PACKAGE),
-                            _sources(ROOT / "tests", ROOT / "perfbench")) == []
+    package, others = _sources(PACKAGE), _sources(ROOT / "tests", ROOT / "perfbench")
+    assert dead_definitions(package, others) == []
+    assert dead_fields(package, others) == []
 
 
 def test_dead_definition_check_sees_methods_properties_and_recursion():
@@ -114,3 +138,24 @@ def test_dead_definition_check_sees_methods_properties_and_recursion():
                        "    return Box()\n")}
     others = {"user": "from pkg import caller\ncaller()\n"}
     assert dead_definitions(package, others) == [("pkg", 7, "volume"), ("pkg", 9, "spin")]
+
+
+def test_dead_field_check_counts_only_attribute_reads():
+    package = {"pkg": ("from dataclasses import dataclass, field\n"
+                       "import dataclasses\n"
+                       "@dataclass\n"
+                       "class Point:\n"
+                       "    x: float\n"
+                       "    y: float = 0.0\n"
+                       "    tag: str = field(default='')\n"
+                       "@dataclasses.dataclass(frozen=True)\n"
+                       "class Box:\n"
+                       "    size: int\n"
+                       "class Plain:\n"
+                       "    depth: int = 0\n"
+                       "def make():\n"
+                       "    p = Point(x=1.0, y=2.0, tag='a')\n"
+                       "    p.y = 3.0\n"
+                       "    return p.x\n")}
+    others = {"user": "from pkg import make\nprint(make().size)\n"}
+    assert dead_fields(package, others) == [("pkg", 6, "Point.y"), ("pkg", 7, "Point.tag")]

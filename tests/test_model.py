@@ -20,6 +20,8 @@ from stspgl.model import (
 )
 from stspgl.scenarios import generate_instance
 
+from oracles import structural_violations
+
 
 def test_euc2d_rounds_to_nearest_integer():
     assert euc2d((0, 0), (3, 4)) == 5
@@ -176,7 +178,7 @@ def test_objective_rejects_flow_off_tour(d1, d1_qtilde):
 
 def test_structural_violations_catches_broken_tours(d1):
     sol = _d1_solution(d1)
-    assert sol.structural_violations(d1) == []
+    assert structural_violations(sol, d1) == []
     broken = TspGlSolution(
         tour_edges=frozenset({edge(0, 1), edge(1, 3)}),
         flows={},
@@ -185,7 +187,7 @@ def test_structural_violations_catches_broken_tours(d1):
         routing_cost=0.0,
         served=(),
     )
-    report = broken.structural_violations(d1)
+    report = structural_violations(broken, d1)
     assert any("degree" in line for line in report)
 
 

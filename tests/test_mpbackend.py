@@ -297,6 +297,39 @@ def test_resolve_with_cuts_zero_budget_flagged_incomplete():
     assert not out.cuts_complete
 
 
+def _count_milp(monkeypatch) -> list:
+    calls = []
+    real = mpbackend.milp
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs.get("options"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mpbackend, "milp", spy)
+    return calls
+
+
+def test_resolve_with_cuts_spent_clock_makes_no_solve(monkeypatch):
+    calls = _count_milp(monkeypatch)
+    m = LinearModel()
+    m.add_var(lb=0.0, ub=2.0, obj=-1.0, integer=True)
+    out = resolve_with_cuts(m, lambda _o: pytest.fail("nothing to separate"), time_limit=0)
+    assert out.status == TIME_LIMIT
+    assert not out.cuts_complete
+    assert not out.solved
+    assert out.cut_rounds == 0
+    assert calls == []
+
+
+def test_mip_benchmark_on_a_spent_budget_makes_no_solve(monkeypatch):
+    calls = _count_milp(monkeypatch)
+    inst = generate_instance(n=7, seed=301, n_requests=5, n_scenarios=4, theta=0.7, rho=0.25)
+    res = run_mip_benchmark(inst, SearchConfig(time_limit_total=1e-9))
+    assert res.status == TIME_LIMIT
+    assert res.incumbent is None
+    assert calls == []
+
+
 def test_resolve_with_cuts_solves_small_tsps():
     rng = random.Random(11)
     for n in (4, 5, 6):

@@ -4,7 +4,7 @@ import pytest
 
 from stspgl.covers import make_cover
 from stspgl.model import SolveTrace, TspGlSolution, build_instance
-from stspgl import orchestrate, tspgl
+from stspgl import mpbackend, orchestrate
 from stspgl.mpbackend import solve_lp, solve_mip
 from stspgl.orchestrate import (
     ScoredQueue,
@@ -20,6 +20,7 @@ from stspgl.scenarios import chance_feasible, deterministic_routing_costs, gener
 from stspgl.tspgl import CutPool, symmetric_tsp
 
 from conftest import make_suite
+from oracles import structural_violations
 
 
 def fast_cfg(**kwargs):
@@ -144,8 +145,8 @@ def test_benchmark_merges_far_apart_clusters():
     assert mip.status == "Optimal" and bp.status == "Optimal"
     assert mip.upper_bound == pytest.approx(bp.upper_bound, rel=1e-6)
     assert len(mip.incumbent.tour_sequence()) == 6
-    assert mip.incumbent.structural_violations(inst) == []
-    assert bp.incumbent.structural_violations(inst) == []
+    assert structural_violations(mip.incumbent, inst) == []
+    assert structural_violations(bp.incumbent, inst) == []
 
 
 def test_benchmark_keeps_no_tour_with_subtours(monkeypatch):
@@ -178,7 +179,7 @@ def test_bp_matches_benchmark_on_generated_suite():
         assert bp.lower_bound == pytest.approx(
             bp.upper_bound, rel=1e-9, abs=1e-6)
         assert chance_feasible(inst, bp.incumbent.served)
-        assert bp.incumbent.structural_violations(inst) == []
+        assert structural_violations(bp.incumbent, inst) == []
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -264,7 +265,7 @@ def test_heuristic_benders_masters_stay_few(monkeypatch):
         masters.append(model)
         return solve_mip(model, **kwargs)
 
-    monkeypatch.setattr(tspgl, "solve_mip", counted)
+    monkeypatch.setattr(mpbackend, "solve_mip", counted)
     res = run_heuristic(inst, fast_cfg(time_limit_total=60.0, seed=0))
     assert res.status == "Feasible"
     assert res.upper_bound == 178.06057047819127

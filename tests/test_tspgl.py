@@ -19,11 +19,12 @@ from oracles import (
     oracle_tsp,
     oracle_tspgl,
     solve_tspgl_direct,
+    structural_violations,
     tour_path_cost,
 )
-from stspgl import tspgl
+from stspgl import mpbackend, tspgl
 from stspgl.covers import make_cover, minimal_feasibility_cover
-from stspgl.model import OPTIMAL, Instance, edge
+from stspgl.model import OPTIMAL, Instance, edge, tour_sequence
 from stspgl.mpbackend import LinearModel, solve_lp, solve_mip
 from stspgl.scenarios import RoutingCostTable, deterministic_routing_costs, generate_instance
 from stspgl.tspgl import (
@@ -41,6 +42,7 @@ from stspgl.tspgl import (
     padded_node_set,
     primal_subproblem,
     separate_gsecs,
+    solution_from_tour,
     symmetric_tsp,
     _fast_duals,
     _held_karp,
@@ -571,12 +573,85 @@ def test_benders_optimum_does_not_need_primal_heuristics(monkeypatch):
         qt = deterministic_routing_costs(inst)
         sub = make_subinstance(inst, minimal_feasibility_cover(inst, inst.requests), qt)
         with monkeypatch.context() as patch:
-            patch.setattr(tspgl, "solve_mip",
+            patch.setattr(mpbackend, "solve_mip",
                           lambda model, **kw: solve_mip(model, **{**kw, "heuristics": True}))
             ref = benders_solve_tspgl(sub)
         out = benders_solve_tspgl(sub)
         assert ref.status == out.status == OPTIMAL
         assert out.solution.objective == pytest.approx(ref.solution.objective, rel=1e-9)
+
+
+def _n9_sub():
+    # the Benders loop needs 9 master MIPs on this cover
+    inst = generate_instance(n=9, seed=3, n_requests=12, n_scenarios=4, theta=0.8, rho=0.2)
+    return make_subinstance(inst, minimal_feasibility_cover(inst, inst.requests),
+                            deterministic_routing_costs(inst))
+
+
+def _master_spy(monkeypatch) -> list:
+    """Every master MIP outcome, in solve order."""
+    outcomes = []
+    real = mpbackend.solve_mip
+
+    def spy(model, **kwargs):
+        outcomes.append(real(model, **kwargs))
+        return outcomes[-1]
+
+    monkeypatch.setattr(mpbackend, "solve_mip", spy)
+    return outcomes
+
+
+def test_benders_on_a_spent_clock_solves_no_master(monkeypatch):
+    sub = _n9_sub()
+    warm = cover_bounds(sub)
+    masters = _master_spy(monkeypatch)
+    out = benders_solve_tspgl(sub, warm=warm, time_limit=0)
+    assert out.status == "TimeLimit"
+    assert out.iterations == 1
+    assert out.solution is None
+    assert masters == []
+
+
+@pytest.mark.parametrize("cap", [1, 2, 5])
+def test_benders_iteration_cap_keeps_the_best_tour_found(monkeypatch, cap):
+    sub = _n9_sub()
+    warm = cover_bounds(sub)
+    masters = _master_spy(monkeypatch)
+    monkeypatch.setattr(tspgl, "MAX_BENDERS_ITERATIONS", cap)
+    out = benders_solve_tspgl(sub, warm=warm)
+    assert out.status == "TimeLimit"
+    assert out.iterations == len(masters) == cap
+    # every master but the last is separated; its tour, if it has one, is scored
+    edges = list(itertools.combinations(sub.nodes, 2))
+    best = None
+    for master in masters[:-1]:
+        chosen = [e for e, val in zip(edges, master.values) if val > 0.5]
+        if not find_subtours(chosen):
+            tour = solution_from_tour(sub, tour_sequence(chosen))
+            if best is None or tour.objective < best.objective - 1e-9:
+                best = tour
+    if cap == 5:
+        assert best is not None
+    assert out.solution == best
+
+
+def test_benders_iterations_count_master_mips(monkeypatch):
+    masters = _master_spy(monkeypatch)
+    for seed, ub_shift in ((300, None), (301, None), (320, None), (321, -1.0), (322, -1.0)):
+        inst = generate_instance(n=11 if seed >= 320 else 7, seed=seed,
+                                 n_requests=12 if seed >= 320 else 5, n_scenarios=4,
+                                 theta=0.8, rho=0.2)
+        sub = make_subinstance(inst, minimal_feasibility_cover(inst, inst.requests),
+                               deterministic_routing_costs(inst))
+        warm = cover_bounds(sub)
+        ub = None if ub_shift is None else warm.lb + ub_shift
+        masters.clear()
+        out = benders_solve_tspgl(sub, warm=warm, incumbent_ub=ub)
+        assert out.status == (OPTIMAL if ub is None else ABORTED)
+        assert out.iterations == len(masters) >= 1
+    n9 = _n9_sub()
+    masters.clear()
+    assert benders_solve_tspgl(n9).iterations == len(masters) == 9
 
 
 def test_direct_solver_enumeration_case(d1, d1_qtilde):
@@ -585,7 +660,7 @@ def test_direct_solver_enumeration_case(d1, d1_qtilde):
     assert out.status == OPTIMAL
     want, _seq = oracle_tspgl(d1, d1_qtilde, [(1, 3)])
     assert out.solution.objective == pytest.approx(want)
-    assert out.solution.structural_violations(d1) == []
+    assert structural_violations(out.solution, d1) == []
 
 
 def test_direct_solver_alpha_extremes():
