@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from .covers import FeasibilityCover, minimal_feasibility_cover
-from .model import OPTIMAL, TIME_LIMIT, Edge, Instance, Request
+from .model import OPTIMAL, TIME_LIMIT, Edge, Instance, Request, csv_cell
 from .mpbackend import RC_EPS, LinearModel, SolveOutcome, solve_mip
 from .scenarios import RoutingCostTable
 from .tspgl import (
@@ -60,9 +60,6 @@ class ColumnPool:
         self._keys.add(cover.requests)
         self.columns.append(cover)
         return True
-
-    def has(self, requests: Tuple[Request, ...]) -> bool:
-        return tuple(requests) in self._keys
 
 
 @dataclass
@@ -248,12 +245,7 @@ def add_branching_cut(pool: ColumnPool, requests: Tuple[Request, ...]) -> None:
 
 
 def cg_log_line(iteration: int, rmp_obj, pricing_obj, lb, columns: int, phi: int) -> str:
-    def fmt(v):
-        if v is None or (isinstance(v, float) and not math.isfinite(v)):
-            return ""
-        return repr(float(v))
-
-    return f"{iteration},{fmt(rmp_obj)},{fmt(pricing_obj)},{fmt(lb)},{columns},{phi}"
+    return f"{iteration},{csv_cell(rmp_obj)},{csv_cell(pricing_obj)},{csv_cell(lb)},{columns},{phi}"
 
 
 CG_LOG_HEADER = "iter,rmp_obj,pricing_obj,lb,columns,phi"

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .model import Instance, StspGlResult, load_instance, save_instance
+from .model import Instance, StspGlResult, csv_cell, load_instance, save_instance
 from .scenarios import (
     MetricsRow,
     ParameterError,
@@ -58,15 +58,18 @@ def solve_deterministic(inst: Instance, cfg: SearchConfig) -> StspGlResult:
     return result
 
 
-def run_method(method: str, inst: Instance, cfg: SearchConfig) -> StspGlResult:
+def run_method(method: str, inst: Instance, cfg: SearchConfig,
+               cg_log: Optional[List[str]] = None) -> StspGlResult:
+    """Solve with one of `METHODS`; `bp` and `hybrid` append their pricing
+    rounds to `cg_log` when it is a list."""
     if method == "mip":
         return run_mip_benchmark(inst, cfg)
     if method == "bp":
-        return run_bp(inst, cfg)
+        return run_bp(inst, cfg, cg_log=cg_log)
     if method == "heuristic":
         return run_heuristic(inst, cfg)
     if method == "hybrid":
-        return run_hybrid(inst, cfg)
+        return run_hybrid(inst, cfg, cg_log=cg_log)
     if method == "deterministic":
         return solve_deterministic(inst, cfg)
     raise ValueError(f"unknown method {method!r}")
@@ -96,9 +99,9 @@ COMPARISON_CSV_HEADER = (
 
 def _metrics_cells(row: Optional[MetricsRow]) -> List[str]:
     if row is None:
-        return ["", "", "", "", ""]
-    return [repr(row.design_cost), str(row.nbar), repr(row.dbar),
-            repr(row.rhobar), str(row.infeasible)]
+        return [""] * 5
+    return [csv_cell(v) for v in (row.design_cost, row.nbar, row.dbar, row.rhobar,
+                                  row.infeasible)]
 
 
 def comparison_csv_line(row: ComparisonRow) -> str:
@@ -183,9 +186,7 @@ def write_sweep_csv(result: SweepResult, design_path, nodes_path) -> None:
             header = ["theta/rho"] + [repr(r) for r in result.rho_grid]
             fh.write(",".join(header) + "\n")
             for theta, row in zip(result.theta_grid, matrix):
-                cells = [repr(theta)]
-                for val in row:
-                    cells.append("" if val is None else repr(val))
+                cells = [repr(theta)] + [csv_cell(val) for val in row]
                 fh.write(",".join(cells) + "\n")
 
     dump(result.design, design_path)
@@ -264,14 +265,10 @@ BENCH_CSV_HEADER = ("instance,nodes,requests,scenarios,method,seed,status,"
 
 
 def bench_csv_line(row: BenchRow) -> str:
-    def num(v):
-        return "" if v is None or (isinstance(v, float) and not math.isfinite(v)) \
-            else repr(v)
-
     return ",".join([
         row.instance, str(row.nodes), str(row.requests), str(row.scenarios),
-        row.method, str(row.seed), row.status, num(row.ub), num(row.lb),
-        num(row.gap), f"{row.seconds:.3f}",
+        row.method, str(row.seed), row.status, csv_cell(row.ub), csv_cell(row.lb),
+        csv_cell(row.gap), f"{row.seconds:.3f}",
     ])
 
 
@@ -337,17 +334,13 @@ def _write_bench_table(rows: Sequence[BenchRow], path) -> None:
             cells = [
                 method,
                 str(len(batch)),
-                _fmt(mean([r.ub for r in batch])),
-                _fmt(mean([r.lb for r in batch])),
-                _fmt(mean([r.gap for r in batch])),
-                _fmt(mean([r.seconds for r in batch])),
+                csv_cell(mean([r.ub for r in batch])),
+                csv_cell(mean([r.lb for r in batch])),
+                csv_cell(mean([r.gap for r in batch])),
+                csv_cell(mean([r.seconds for r in batch])),
                 str(no_ub),
             ]
             fh.write(",".join(cells) + "\n")
-
-
-def _fmt(v: Optional[float]) -> str:
-    return "" if v is None else repr(v)
 
 
 # --- command line ------------------------------------------------------------
@@ -427,12 +420,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         cfg = make_config(args.time_limit, args.gap, args.seed)
         cg_lines: Optional[List[str]] = \
             [] if args.cg_log and args.method in ("bp", "hybrid") else None
-        if args.method == "bp":
-            res = run_bp(inst, cfg, cg_log=cg_lines)
-        elif args.method == "hybrid":
-            res = run_hybrid(inst, cfg, cg_log=cg_lines)
-        else:
-            res = run_method(args.method, inst, cfg)
+        res = run_method(args.method, inst, cfg, cg_log=cg_lines)
         payload = res.to_json(inst)
         if args.output:
             with open(args.output, "w") as fh:
@@ -441,7 +429,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(payload)
         if args.trace:
             res.trace.write_csv(args.trace)
-        if args.cg_log and cg_lines is not None:
+        if cg_lines is not None:
             with open(args.cg_log, "w") as fh:
                 fh.write(CG_LOG_HEADER + "\n")
                 for line in cg_lines:

@@ -349,14 +349,8 @@ class SolveTrace:
         with open(path, "w") as fh:
             fh.write("t_seconds,event,ub,lb,cover_size,nodes_visited\n")
             for ev in self.events:
-                cells = [
-                    f"{ev.t_seconds:.3f}",
-                    ev.event,
-                    "" if ev.ub is None or not math.isfinite(ev.ub) else repr(ev.ub),
-                    "" if ev.lb is None or not math.isfinite(ev.lb) else repr(ev.lb),
-                    "" if ev.cover_size is None else str(ev.cover_size),
-                    "" if ev.nodes_visited is None else str(ev.nodes_visited),
-                ]
+                cells = [f"{ev.t_seconds:.3f}", ev.event] + [
+                    csv_cell(v) for v in (ev.ub, ev.lb, ev.cover_size, ev.nodes_visited)]
                 fh.write(",".join(cells) + "\n")
 
 
@@ -420,3 +414,8 @@ class StspGlResult:
 
 def _finite(value: Optional[float]) -> bool:
     return value is not None and math.isfinite(value)
+
+
+def csv_cell(value) -> str:
+    """A number's CSV cell: empty when None or non-finite, else its repr."""
+    return repr(value) if _finite(value) else ""

@@ -158,7 +158,7 @@ class SolveOutcome:
         return self.status in (OPTIMAL, FEASIBLE) and self.values is not None
 
 
-_LP_STATUS = {0: OPTIMAL, 1: TIME_LIMIT, 2: INFEASIBLE, 3: UNBOUNDED}
+_HIGHS_STATUS = {0: OPTIMAL, 1: TIME_LIMIT, 2: INFEASIBLE, 3: UNBOUNDED}
 
 
 def solve_lp(model: LinearModel, time_limit: Optional[float] = None) -> SolveOutcome:
@@ -188,7 +188,7 @@ def solve_lp(model: LinearModel, time_limit: Optional[float] = None) -> SolveOut
         method="highs",
         options=options,
     )
-    status = _LP_STATUS.get(res.status, INFEASIBLE)
+    status = _HIGHS_STATUS.get(res.status, INFEASIBLE)
     if status != OPTIMAL or res.x is None:
         return SolveOutcome(status=status, objective=None, values=None)
     marg = np.empty(len(lo))
@@ -206,9 +206,6 @@ def solve_lp(model: LinearModel, time_limit: Optional[float] = None) -> SolveOut
         duals=marg.tolist(),
         dual_objective=dual_obj,
     )
-
-
-_MIP_STATUS = {0: OPTIMAL, 1: TIME_LIMIT, 2: INFEASIBLE, 3: UNBOUNDED}
 
 
 def solve_mip(model: LinearModel, time_limit: Optional[float] = None,
@@ -240,7 +237,7 @@ def solve_mip(model: LinearModel, time_limit: Optional[float] = None,
             bounds=Bounds(lb, ub),
             options=options,
         )
-    status = _MIP_STATUS.get(res.status, INFEASIBLE)
+    status = _HIGHS_STATUS.get(res.status, INFEASIBLE)
     if res.x is None:
         if status == OPTIMAL:
             status = INFEASIBLE
@@ -249,7 +246,7 @@ def solve_mip(model: LinearModel, time_limit: Optional[float] = None,
     if res.mip_dual_bound is not None and math.isfinite(res.mip_dual_bound):
         bound = float(res.mip_dual_bound) + model.obj_offset
     return SolveOutcome(
-        status=OPTIMAL if status == OPTIMAL else status,
+        status=status,
         objective=float(res.fun) + model.obj_offset,
         values=res.x.tolist(),
         best_bound=bound,

@@ -116,9 +116,6 @@ class ScoredQueue:
             return None
         return self._entries.pop(top[0].requests)
 
-    def remove(self, requests: Tuple[Request, ...]) -> None:
-        self._entries.pop(requests, None)
-
     def smallest(self, count: int) -> List[FeasibilityCover]:
         ranked = sorted(
             self._entries.values(),
@@ -129,6 +126,15 @@ class ScoredQueue:
 
 @dataclass
 class SearchState:
+    """What one solve shares: the instance and its folded routing costs, the
+    clock, the bounds and incumbent, and the cover search's caches.
+
+    `pool` holds the master's columns and takes the branching cuts of closed
+    covers; it is None outside branch-and-price.
+    """
+    inst: Instance
+    qtilde: RoutingCostTable
+    rng: random.Random
     trace: SolveTrace
     start: float
     deadline: float
@@ -137,6 +143,11 @@ class SearchState:
     incumbent: Optional[TspGlSolution] = None
     cover: Optional[FeasibilityCover] = None
     evaluated: List[Tuple] = field(default_factory=list)
+    cutpool: CutPool = field(default_factory=CutPool)
+    queue: ScoredQueue = field(default_factory=ScoredQueue)
+    scored: Set[Tuple[Request, ...]] = field(default_factory=set)
+    seen: Set[frozenset] = field(default_factory=set)       # node sets `explore` drew
+    pool: Optional[ColumnPool] = None
 
     def elapsed(self) -> float:
         return time.monotonic() - self.start
@@ -181,27 +192,27 @@ def _window(state: SearchState, cap: Optional[float] = None) -> float:
     return max(rem, 0.0)
 
 
-def _check_inputs(inst: Instance, cfg: SearchConfig) -> None:
+def _new_state(inst: Instance, cfg: SearchConfig) -> SearchState:
+    """Check the inputs, fold the routing costs, seed the rng, start the clock."""
     cfg.validate()
     problems = validate_instance(inst)
     if problems:
         raise ValueError("invalid instance: " + "; ".join(problems))
-
-
-def _new_state(cfg: SearchConfig) -> SearchState:
+    qtilde = deterministic_routing_costs(inst)
     start = time.monotonic()
-    state = SearchState(trace=SolveTrace(), start=start,
+    state = SearchState(inst=inst, qtilde=qtilde, rng=random.Random(cfg.seed),
+                        trace=SolveTrace(), start=start,
                         deadline=start + cfg.time_limit_total)
     state.note("start")
     return state
 
 
-def _finish(state: SearchState, inst: Instance, status: str) -> StspGlResult:
+def _finish(state: SearchState, status: str) -> StspGlResult:
     ub = state.ub if math.isfinite(state.ub) else None
     lb = state.lb if math.isfinite(state.lb) else None
     metrics = None
     if state.incumbent is not None:
-        row = evaluate_metrics(inst, state.incumbent.served,
+        row = evaluate_metrics(state.inst, state.incumbent.served,
                                state.incumbent.design_cost,
                                state.incumbent.visited)
         metrics = asdict(row)
@@ -212,9 +223,9 @@ def _finish(state: SearchState, inst: Instance, status: str) -> StspGlResult:
                         evaluated=state.evaluated, metrics=metrics)
 
 
-def _infeasible_result(state: SearchState, inst: Instance) -> StspGlResult:
+def _infeasible_result(state: SearchState) -> StspGlResult:
     state.note("infeasible")
-    return _finish(state, inst, INFEASIBLE)
+    return _finish(state, INFEASIBLE)
 
 
 def _exact(state: SearchState) -> bool:
@@ -288,85 +299,75 @@ def _benchmark_cuts(inst: Instance, x: Dict[Edge, int], w: Dict[int, int],
 
 def run_mip_benchmark(inst: Instance, cfg: SearchConfig) -> StspGlResult:
     """Solve the whole selection problem as one MIP with lazy cycle cuts."""
-    _check_inputs(inst, cfg)
-    qtilde = deterministic_routing_costs(inst)
-    state = _new_state(cfg)
+    state = _new_state(inst, cfg)
     if not chance_feasible(inst, inst.requests):
-        return _infeasible_result(state, inst)
-    model, x, w, z = _benchmark_model(inst, qtilde)
+        return _infeasible_result(state)
+    model, x, w, z = _benchmark_model(inst, state.qtilde)
     out = resolve_with_cuts(model, lambda o: _benchmark_cuts(inst, x, w, o),
                             max_rounds=4 * inst.n * max(1, inst.n),
                             time_limit=_window(state))
     if out.status == INFEASIBLE:
-        return _infeasible_result(state, inst)
+        return _infeasible_result(state)
     if not out.solved:
-        return _finish(state, inst, TIME_LIMIT)
+        return _finish(state, TIME_LIMIT)
     chosen = chosen_edges(x, out.values)
     if not find_subtours(chosen):
         # once the cut rounds run out, the solve may hold several cycles
         cover = make_cover(inst, [hk for hk in inst.requests if out.values[z[hk]] > 0.5])
         update_incumbent(state, cover, solution_from_tour(
-            make_subinstance(inst, cover, qtilde), tour_sequence(chosen)))
+            make_subinstance(inst, cover, state.qtilde), tour_sequence(chosen)))
     if out.status == OPTIMAL and out.cuts_complete:
         state.raise_lb(state.ub)
-        return _finish(state, inst, OPTIMAL)
+        return _finish(state, OPTIMAL)
     if out.best_bound is not None and math.isfinite(out.best_bound):
         state.raise_lb(out.best_bound)
-    return _finish(state, inst, TIME_LIMIT)
+    return _finish(state, TIME_LIMIT)
 
 
 # --- scoring ----------------------------------------------------------------
 
-def _close(state: SearchState, cover: FeasibilityCover,
-           pool: Optional[ColumnPool], event: str, nodes_visited=None) -> None:
+def _close(state: SearchState, cover: FeasibilityCover, event: str,
+           nodes_visited=None) -> None:
     """Take a cover out of the search: branch it away and log why."""
-    if pool is not None:
-        add_branching_cut(pool, cover.requests)
+    if state.pool is not None:
+        add_branching_cut(state.pool, cover.requests)
     state.note(event, cover_size=cover.size, nodes_visited=nodes_visited)
 
 
-def _score_and_enqueue(state: SearchState, inst: Instance,
-                       qtilde: RoutingCostTable, cutpool: CutPool,
-                       queue: ScoredQueue, scored: Set[Tuple[Request, ...]],
-                       cover: FeasibilityCover,
-                       pool: Optional[ColumnPool] = None) -> bool:
+def _score_and_enqueue(state: SearchState, cover: FeasibilityCover) -> bool:
     """Bound a cover and queue it unless dominated; False if already scored
     or if the clock stops its bound stage, which leaves it unscored."""
-    if cover.requests in scored:
+    if cover.requests in state.scored:
         return False
-    cover.bounds = cover_bounds(make_subinstance(inst, cover, qtilde), cutpool=cutpool,
-                                time_limit=_window(state))
+    cover.bounds = cover_bounds(make_subinstance(state.inst, cover, state.qtilde),
+                                cutpool=state.cutpool, time_limit=_window(state))
     if cover.bounds is None:
         return False
-    scored.add(cover.requests)
+    state.scored.add(cover.requests)
     state.note("score", cover_size=cover.size, nodes_visited=len(cover.visited))
     if cover.bounds.lb >= state.ub - INCUMBENT_EPS:
-        _close(state, cover, pool, "discard")
+        _close(state, cover, "discard")
     else:
-        queue.push(cover)
+        state.queue.push(cover)
     return True
 
 
-def _evaluate_cover(state: SearchState, inst: Instance,
-                    qtilde: RoutingCostTable, cutpool: CutPool,
-                    cover: FeasibilityCover,
-                    pool: Optional[ColumnPool] = None) -> None:
+def _evaluate_cover(state: SearchState, cover: FeasibilityCover) -> None:
     """Exact TSP-GL for one queued cover; incumbent and audit upkeep."""
     if cover.bounds.lb >= state.ub - INCUMBENT_EPS:
-        _close(state, cover, pool, "discard")
+        _close(state, cover, "discard")
         return
-    sub = make_subinstance(inst, cover, qtilde)
+    sub = make_subinstance(state.inst, cover, state.qtilde)
     incumbent_ub = state.ub if math.isfinite(state.ub) else None
     out = benders_solve_tspgl(sub, warm=cover.bounds, incumbent_ub=incumbent_ub,
-                              time_limit=_window(state), cutpool=cutpool)
+                              time_limit=_window(state), cutpool=state.cutpool)
     if out.status == ABORTED:
-        _close(state, cover, pool, "abort")
+        _close(state, cover, "abort")
     elif out.status == OPTIMAL and out.solution is not None:
         state.evaluated.append((cover.requests, cover.bounds.lb,
                                 cover.bounds.ub, out.solution.objective))
         update_incumbent(state, cover, out.solution)
-        _close(state, cover, pool, "evaluate",
-               nodes_visited=len(out.solution.visited))
+        _close(state, cover, "evaluate", nodes_visited=len(out.solution.visited))
     elif out.solution is not None:
         # ran out of time mid-evaluation: keep any feasible tour, skip branching
         update_incumbent(state, cover, out.solution)
@@ -390,44 +391,36 @@ def run_bp(inst: Instance, cfg: SearchConfig, hybrid: bool = False,
     so the master tightens monotonically until the gap target, the clock,
     or exhaustion stops it.
     """
-    _check_inputs(inst, cfg)
-    qtilde = deterministic_routing_costs(inst)
-    state = _new_state(cfg)
+    state = _new_state(inst, cfg)
     if not chance_feasible(inst, inst.requests):
-        return _infeasible_result(state, inst)
-    stopped = _dive(state, inst, cfg, qtilde, hybrid, cg_log)
+        return _infeasible_result(state)
+    stopped = _dive(state, cfg, hybrid, cg_log)
     if _exact(state):
         state.lb = state.ub
     if stopped:
         status = TIME_LIMIT
     else:
         status = OPTIMAL if _exact(state) else FEASIBLE
-    return _finish(state, inst, status)
+    return _finish(state, status)
 
 
-def _dive(state: SearchState, inst: Instance, cfg: SearchConfig,
-          qtilde: RoutingCostTable, hybrid: bool,
+def _dive(state: SearchState, cfg: SearchConfig, hybrid: bool,
           cg_log: Optional[List[str]]) -> bool:
     """The branch-and-price loop of `run_bp`; True when the clock stopped it."""
-    rng = random.Random(cfg.seed)
-    pool = ColumnPool()
+    inst, queue, rng = state.inst, state.queue, state.rng
+    pool = state.pool = ColumnPool()
     pool.add(make_cover(inst, inst.requests))
-    cutpool = CutPool()
-    queue = ScoredQueue()
-    scored: Set[Tuple[Request, ...]] = set()
-    seen_nodesets: Set[frozenset] = set()
     nmin = max(1, len(inst.compulsory))
     rmp_cap = cfg.time_limit_total * RMP_SHARE
     pricing_cap = cfg.time_limit_total * PRICING_SHARE
 
     if hybrid:
         for _ in range(EVALS_PER_ITERATION):
-            cov = explore(inst, inst.n, seed=rng.randrange(1 << 31),
-                          seen=seen_nodesets)
+            cov = explore(inst, inst.n, seed=rng.randrange(1 << 31), seen=state.seen)
             if cov is not None:
                 pool.add(cov)
 
-    model, index = build_rmp(inst, pool, qtilde)
+    model, index = build_rmp(inst, pool, state.qtilde)
     rounds_total = 0
     iteration = 0
     while state.remaining() > 0:
@@ -462,11 +455,8 @@ def _dive(state: SearchState, inst: Instance, cfg: SearchConfig,
             elif pres.objective == math.inf:
                 state.raise_lb(state.ub)
             if cg_log is not None:
-                cg_log.append(cg_log_line(
-                    rounds_total, rmp_out.objective,
-                    pres.objective if math.isfinite(pres.objective) else None,
-                    state.lb if math.isfinite(state.lb) else None,
-                    len(pool.columns), len(pool.branched)))
+                cg_log.append(cg_log_line(rounds_total, rmp_out.objective, pres.objective,
+                                          state.lb, len(pool.columns), len(pool.branched)))
             if pres.status == TIME_LIMIT and state.remaining() <= 0:
                 return True
             if pres.cover is None:
@@ -483,12 +473,10 @@ def _dive(state: SearchState, inst: Instance, cfg: SearchConfig,
             if hybrid:
                 size = min(inst.n, max(nmin, len(cover.visited)))
                 ls = local_search(inst, cover, seed=rng.randrange(1 << 31))
-                ex = explore(inst, size, seed=rng.randrange(1 << 31),
-                             seen=seen_nodesets)
+                ex = explore(inst, size, seed=rng.randrange(1 << 31), seen=state.seen)
                 for cand in (ls, ex):
                     if cand is not None:
-                        _score_and_enqueue(state, inst, qtilde, cutpool, queue,
-                                           scored, cand, pool=pool)
+                        _score_and_enqueue(state, cand)
         if _gap_closed(state, cfg):
             return False
         if state.remaining() <= 0:
@@ -504,21 +492,18 @@ def _dive(state: SearchState, inst: Instance, cfg: SearchConfig,
         if rmp_out.status == OPTIMAL:
             for cover in pool.columns:
                 if rmp_out.values[index.chi[cover.requests]] > SUPPORT_EPS and \
-                        _score_and_enqueue(state, inst, qtilde, cutpool, queue,
-                                           scored, cover, pool=pool):
+                        _score_and_enqueue(state, cover):
                     progress = True
         if iteration == 1 and not queue and state.incumbent is None:
             # guarantee a first incumbent: fall back on serving everything
-            if _score_and_enqueue(state, inst, qtilde, cutpool, queue, scored,
-                                  pool.columns[0], pool=pool):
+            if _score_and_enqueue(state, pool.columns[0]):
                 progress = True
 
         # phase 3: exact evaluation of the most promising covers
-        for cover in queue.smallest(EVALS_PER_ITERATION):
+        for _ in range(min(EVALS_PER_ITERATION, len(queue))):
             if state.remaining() <= 0:
                 return True
-            queue.remove(cover.requests)
-            _evaluate_cover(state, inst, qtilde, cutpool, cover, pool=pool)
+            _evaluate_cover(state, queue.pop())
             progress = True
 
         if _gap_closed(state, cfg) or (priced_out and not queue and not progress):
@@ -543,44 +528,38 @@ def run_heuristic(inst: Instance, cfg: SearchConfig) -> StspGlResult:
     get exhausted and wraps around; the loop stops at the clock or once
     every size stalls with an empty queue.
     """
-    _check_inputs(inst, cfg)
-    qtilde = deterministic_routing_costs(inst)
-    state = _new_state(cfg)
+    state = _new_state(inst, cfg)
     if not chance_feasible(inst, inst.requests):
-        return _infeasible_result(state, inst)
+        return _infeasible_result(state)
 
-    rng = random.Random(cfg.seed)
-    cutpool = CutPool()
-    queue = ScoredQueue()
-    scored: Set[Tuple[Request, ...]] = set()
-    seen_nodesets: Set[frozenset] = set()
+    queue, rng = state.queue, state.rng
     nmin = max(1, len(inst.compulsory))
     size = inst.n
     span = inst.n - nmin + 1
     failures = 0
 
     while state.remaining() > 0:
-        cov = explore(inst, size, seed=rng.randrange(1 << 31), seen=seen_nodesets)
+        cov = explore(inst, size, seed=rng.randrange(1 << 31), seen=state.seen)
         if cov is None:
             failures += 1
             size = size - 1 if size > nmin else inst.n
         else:
             failures = 0
-            _score_and_enqueue(state, inst, qtilde, cutpool, queue, scored, cov)
+            _score_and_enqueue(state, cov)
         for base in queue.smallest(2):
             ls = local_search(inst, base, seed=rng.randrange(1 << 31))
             if ls is not None:
-                _score_and_enqueue(state, inst, qtilde, cutpool, queue, scored, ls)
+                _score_and_enqueue(state, ls)
         top = queue.pop()
         if top is not None:
-            _evaluate_cover(state, inst, qtilde, cutpool, top)
+            _evaluate_cover(state, top)
         if failures >= span and not queue:
             break
 
     status = TIME_LIMIT if state.remaining() <= 0 else FEASIBLE
     if state.incumbent is None:
         status = TIME_LIMIT
-    result = _finish(state, inst, status)
+    result = _finish(state, status)
     result.lower_bound = None
     result.gap = None
     return result

@@ -67,13 +67,6 @@ class SubInstance:
     def alpha(self) -> float:
         return self.inst.alpha
 
-    def edges(self) -> List[Edge]:
-        return [
-            (self.nodes[a], self.nodes[b])
-            for a in range(len(self.nodes))
-            for b in range(a + 1, len(self.nodes))
-        ]
-
     def origins(self) -> List[int]:
         return sorted({h for h, _k in self.requests})
 
@@ -134,9 +127,6 @@ class CutPool:
 
 @dataclass
 class BoundEstimate:
-    lb_design: float
-    lb_routing: Dict[Request, float]
-    ub_routing: Dict[Request, float]
     lb: float
     ub: float
     tsp_tour: Tuple[int, ...]
@@ -160,7 +150,8 @@ def symmetric_tsp(nodes: Sequence[int], cost, time_limit: Optional[float] = None
     through a degree-2 MIP with a subtour resolve loop, and every component
     found during that loop is returned for cut caching. Only the MIP obeys
     `time_limit`: it returns None when the limit is spent before it proves
-    a tour.
+    a tour, and it raises RuntimeError when its cut rounds run out on a
+    solution that still splits into several cycles.
 
     Held-Karp is vectorized: ~25 ms at 15 nodes, the MIP 15-20 ms. The
     cutoff stays at 15 because the two can return different optimal tours
@@ -248,8 +239,13 @@ def _tsp_mip(nodes: List[int], cost, time_limit: Optional[float]
         return None
     if not out.solved:
         raise RuntimeError(f"TSP solve failed with status {out.status}")
-    seq = tour_sequence(chosen_edges(x, out.values))
-    return seq, out.objective, found
+    chosen = chosen_edges(x, out.values)
+    cycles = find_subtours(chosen)
+    if cycles:
+        # the cut rounds ran out on a solution that was never separated
+        raise RuntimeError(f"TSP MIP over {len(nodes)} nodes ended with subtours "
+                           f"{[sorted(c) for c in cycles]}")
+    return tour_sequence(chosen), out.objective, found
 
 
 # --- tour and flow blocks shared by every model -----------------------------
@@ -473,22 +469,11 @@ def cover_bounds(sub: SubInstance, cutpool: Optional[CutPool] = None,
             cutpool.tsp_cache[key] = (tour, tsp_val)
             for comp in subtours:
                 cutpool.add_subtour(key, comp)
-    lb_routing: Dict[Request, float] = {}
-    ub_routing: Dict[Request, float] = {}
-    for hk in sub.requests:
-        h, k = hk
-        lb_routing[hk] = sub.qtilde.cost(hk, h, k)
-        ub_routing[hk] = _tour_path_cost(tour, hk, sub.qtilde)
-    lb = (1.0 - alpha) * tsp_val + alpha * sum(lb_routing.values())
-    ub = (1.0 - alpha) * tsp_val + alpha * sum(ub_routing.values())
-    return BoundEstimate(
-        lb_design=tsp_val,
-        lb_routing=lb_routing,
-        ub_routing=ub_routing,
-        lb=lb,
-        ub=ub,
-        tsp_tour=tour,
-    )
+    lb_routing = sum(sub.qtilde.cost(hk, *hk) for hk in sub.requests)
+    ub_routing = sum(_tour_path_cost(tour, hk, sub.qtilde) for hk in sub.requests)
+    return BoundEstimate(lb=(1.0 - alpha) * tsp_val + alpha * lb_routing,
+                         ub=(1.0 - alpha) * tsp_val + alpha * ub_routing,
+                         tsp_tour=tour)
 
 
 def _tour_path_cost(seq: Sequence[int], hk: Request, qtilde: RoutingCostTable) -> float:

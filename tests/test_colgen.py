@@ -55,7 +55,7 @@ def test_pool_rejects_duplicates(d1):
     pool = _pool_with(d1, d1.requests)
     assert not pool.add(make_cover(d1, d1.requests))
     assert len(pool.columns) == 1
-    assert pool.has(tuple(d1.requests))
+    assert [c.requests for c in pool.columns] == [tuple(d1.requests)]
 
 
 def test_rmp_feasible_with_single_column(d1, d1_qtilde):

@@ -194,7 +194,8 @@ def test_experiment_spec_validation(tmp_path):
     assert spec.seeds == [1, 2]
 
 
-def test_cli_generate_and_solve_roundtrip(tmp_path):
+@pytest.mark.parametrize("method", ["bp", "hybrid"])
+def test_cli_generate_and_solve_roundtrip(tmp_path, method):
     inst_path = tmp_path / "inst.json"
     code = main(["generate", "--nodes", "6", "--requests", "4",
                  "--scenarios", "3", "--theta", "0.7", "--rho", "0.3",
@@ -206,7 +207,7 @@ def test_cli_generate_and_solve_roundtrip(tmp_path):
     result_path = tmp_path / "res.json"
     trace_path = tmp_path / "trace.csv"
     log_path = tmp_path / "cg.csv"
-    code = main(["solve", str(inst_path), "--method", "bp",
+    code = main(["solve", str(inst_path), "--method", method,
                  "--time-limit", "60", "--gap", "1e-6", "--seed", "1",
                  "--trace", str(trace_path), "--cg-log", str(log_path),
                  "-o", str(result_path)])
@@ -236,7 +237,7 @@ def test_cli_exit_codes_for_failed_solves(d1, tmp_path, monkeypatch):
     inst_path = tmp_path / "d1.json"
     save_instance(d1, inst_path)
 
-    def fake(method, inst, cfg):
+    def fake(method, inst, cfg, cg_log=None):
         return StspGlResult(status="Infeasible", upper_bound=None,
                             lower_bound=None, gap=None, incumbent=None,
                             cover=None)
@@ -245,7 +246,7 @@ def test_cli_exit_codes_for_failed_solves(d1, tmp_path, monkeypatch):
     assert main(["solve", str(inst_path), "--method", "mip",
                  "-o", str(tmp_path / "r.json")]) == 2
 
-    def timed_out(method, inst, cfg):
+    def timed_out(method, inst, cfg, cg_log=None):
         return StspGlResult(status="TimeLimit", upper_bound=None,
                             lower_bound=None, gap=None, incumbent=None,
                             cover=None)

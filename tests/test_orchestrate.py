@@ -3,21 +3,20 @@ import math
 import pytest
 
 from stspgl.covers import make_cover
-from stspgl.model import SolveTrace, TspGlSolution, build_instance
+from stspgl.model import TspGlSolution, build_instance
 from stspgl import mpbackend, orchestrate
 from stspgl.mpbackend import solve_lp, solve_mip
 from stspgl.orchestrate import (
-    ScoredQueue,
     SearchConfig,
-    SearchState,
+    _new_state,
     run_bp,
     run_heuristic,
     run_hybrid,
     run_mip_benchmark,
     update_incumbent,
 )
-from stspgl.scenarios import chance_feasible, deterministic_routing_costs, generate_instance
-from stspgl.tspgl import CutPool, symmetric_tsp
+from stspgl.scenarios import chance_feasible, generate_instance
+from stspgl.tspgl import symmetric_tsp
 
 from conftest import make_suite
 from oracles import structural_violations
@@ -39,26 +38,26 @@ def test_config_validation_rejects_bad_values():
     SearchConfig().validate()
 
 
-def test_scored_queue_orders_by_bounds_then_requests(d1, d1_qtilde):
+def test_scored_queue_orders_by_bounds_then_requests(d1):
     from stspgl.tspgl import BoundEstimate
 
-    queue = ScoredQueue()
+    queue = _new_state(d1, fast_cfg()).queue
     a = make_cover(d1, [(1, 3)])
     b = make_cover(d1, [(2, 4)])
-    a.bounds = BoundEstimate(0, {}, {}, lb=5.0, ub=5.0, tsp_tour=())
-    b.bounds = BoundEstimate(0, {}, {}, lb=6.5, ub=6.5, tsp_tour=())
+    a.bounds = BoundEstimate(lb=5.0, ub=5.0, tsp_tour=())
+    b.bounds = BoundEstimate(lb=6.5, ub=6.5, tsp_tour=())
     assert queue.push(b)
     assert queue.push(a)
     assert not queue.push(a)          # one entry per request set
     assert len(queue) == 2
     assert [c.requests for c in queue.smallest(2)] == [a.requests, b.requests]
     assert queue.pop() is a
-    queue.remove(b.requests)
+    assert queue.pop() is b
     assert queue.pop() is None
 
 
 def test_update_incumbent_requires_strict_improvement(d1):
-    state = SearchState(trace=SolveTrace(), start=0.0, deadline=1.0)
+    state = _new_state(d1, fast_cfg())
     cover = make_cover(d1, [(1, 3)])
     sol = TspGlSolution(tour_edges=frozenset([(0, 1), (1, 3), (0, 3)]),
                         flows={}, objective=5.0, design_cost=6.0,
@@ -297,11 +296,10 @@ def test_spent_budget_leaves_large_cover_unscored():
     inst = generate_instance(n=24, seed=2, n_requests=20, n_scenarios=3)
     cover = make_cover(inst, inst.requests)
     assert len(cover.visited) > 15
-    state = SearchState(trace=SolveTrace(), start=0.0, deadline=0.0)
-    queue, scored = ScoredQueue(), set()
-    assert not orchestrate._score_and_enqueue(
-        state, inst, deterministic_routing_costs(inst), CutPool(), queue, scored, cover)
-    assert cover.bounds is None and not scored and not queue
+    state = _new_state(inst, fast_cfg())
+    state.deadline = state.start      # a spent clock
+    assert not orchestrate._score_and_enqueue(state, cover)
+    assert cover.bounds is None and not state.scored and not state.queue
 
 
 def test_tiny_time_budget_reports_time_limit(small_instance):

@@ -106,6 +106,23 @@ def test_tsp_mip_path_returns_none_on_a_spent_budget():
         assert symmetric_tsp(range(size), cost, time_limit=0.001) is None
 
 
+def test_tsp_mip_rejects_a_solve_that_still_splits(monkeypatch):
+    # two 8-node clusters 1000 apart: the uncut degree-2 MIP closes a cycle
+    # in each, and a walk from node 0 would miss the second one
+    pts = [(10.0 * (i % 4) + 1000.0 * (i // 8), 10.0 * (i // 4 % 2)) for i in range(16)]
+    cost = [[math.dist(a, b) for b in pts] for a in pts]
+
+    def no_round_left(model, cut_source, max_rounds, time_limit):
+        out = solve_mip(model)
+        assert cut_source(out), "the uncut solve should hold a subtour"
+        out.cuts_complete = False
+        return out
+
+    monkeypatch.setattr(tspgl, "resolve_with_cuts", no_round_left)
+    with pytest.raises(RuntimeError, match="16 nodes"):
+        symmetric_tsp(range(16), cost)
+
+
 def test_cover_bounds_caches_nothing_when_the_tsp_times_out():
     inst = generate_instance(n=24, seed=2, n_requests=20, n_scenarios=3)
     sub = _sub(inst, list(inst.requests))
@@ -189,15 +206,14 @@ def test_make_subinstance_on_d1(d1):
     assert sub.nodes == (0, 1, 3)
     assert sub.requests == ((1, 3),)
     assert sub.origins() == [1]
-    assert set(sub.edges()) == {(0, 1), (0, 3), (1, 3)}
+    assert sub.key == frozenset({0, 1, 3})
 
 
 def test_cover_bounds_on_d1(d1):
     sub = _sub(d1, [(1, 3)])
     b = cover_bounds(sub)
-    assert b.lb_design == 6.0
-    assert b.lb_routing[(1, 3)] == pytest.approx(2.0)
-    assert b.ub_routing[(1, 3)] == pytest.approx(2.0)
+    assert b.tsp_tour == (0, 1, 3)
+    # design 6 weighted 0.75, the direct arc's routing cost 2 weighted 0.25
     assert b.lb == pytest.approx(5.0)
     assert b.ub == pytest.approx(5.0)
     other = cover_bounds(_sub(d1, [(2, 4)]))
@@ -226,8 +242,8 @@ def test_cover_bounds_uses_cutpool_cache(d1):
     assert sub.key in pool.tsp_cache
     pool.tsp_cache[sub.key] = (pool.tsp_cache[sub.key][0], 123.0)
     second = cover_bounds(sub, cutpool=pool)
-    assert second.lb_design == 123.0  # cache hit, not recomputed
-    assert first.lb_design == 6.0
+    assert second.lb == pytest.approx(0.75 * 123.0 + 0.25 * 2.0)  # cache hit, not recomputed
+    assert first.lb == pytest.approx(0.75 * 6.0 + 0.25 * 2.0)
 
 
 def test_primal_subproblem_on_d1(d1, d1_qtilde):
@@ -486,10 +502,10 @@ def test_aggregated_cut_tight_at_generating_tour(d1):
     duals = {hk: dual_subproblem(seq, hk, sub.qtilde, nodes=sub.nodes) for hk in sub.requests}
     for h in sub.origins():
         cut = aggregated_optimality_cuts(duals, h)
-        xval = {e: 0.0 for e in sub.edges()}
+        xval = {e: 0.0 for e in itertools.combinations(sub.nodes, 2)}
         for t in range(len(seq)):
             xval[edge(seq[t], seq[(t + 1) % len(seq)])] = 1.0
-        lhs_x = sum(cut.coeffs.get(e, 0.0) * xval[e] for e in sub.edges())
+        lhs_x = sum(cut.coeffs.get(e, 0.0) * xval[e] for e in itertools.combinations(sub.nodes, 2))
         true_h = sum(
             primal_subproblem(seq, hk, sub.qtilde)[1] for hk in sub.requests_from(h)
         )
@@ -509,13 +525,13 @@ def test_aggregated_cut_valid_for_all_tours(n, seed):
         cut = aggregated_optimality_cuts(duals, h)
         for perm in itertools.permutations(nodes[1:]):
             seq = [nodes[0], *perm]
-            xval = {e: 0.0 for e in sub.edges()}
+            xval = {e: 0.0 for e in itertools.combinations(sub.nodes, 2)}
             for t in range(len(seq)):
                 xval[edge(seq[t], seq[(t + 1) % len(seq)])] = 1.0
             eta_true = sum(
                 primal_subproblem(seq, hk, qt)[1] for hk in sub.requests_from(h)
             )
-            lhs = eta_true + sum(cut.coeffs.get(e, 0.0) * xval[e] for e in sub.edges())
+            lhs = eta_true + sum(cut.coeffs.get(e, 0.0) * xval[e] for e in itertools.combinations(sub.nodes, 2))
             assert lhs >= cut.rhs - 1e-9
 
 
