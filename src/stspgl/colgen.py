@@ -113,13 +113,11 @@ def extend_rmp(model: LinearModel, index: RmpIndex, pool: ColumnPool) -> bool:
     new = pool.columns[len(index.chi):]
     for cover in new:
         rows = {index.convex_row: 1.0}
-        for i, li in cover.node_incidence.items():
-            if li:
-                rows[index.link_rows[i]] = -2.0 * li
-        for hk, r in cover.request_incidence.items():
-            if r:
-                rows[index.flow_rows[(hk, hk[0])]] = -1.0
-                rows[index.flow_rows[(hk, hk[1])]] = 1.0
+        for i in sorted(cover.visited):
+            rows[index.link_rows[i]] = -2.0
+        for hk in cover.requests:
+            rows[index.flow_rows[(hk, hk[0])]] = -1.0
+            rows[index.flow_rows[(hk, hk[1])]] = 1.0
         index.chi[cover.requests] = model.add_var(lb=0.0, rows=rows)
     changed = bool(new)
     for requests in pool.branched:
@@ -155,12 +153,10 @@ def extract_duals(inst: Instance, index: RmpIndex, outcome: SolveOutcome) -> Dua
 
 def reduced_cost(cover: FeasibilityCover, duals: DualPrices) -> float:
     value = -duals.beta
-    for i, li in cover.node_incidence.items():
-        if li:
-            value += 2.0 * duals.iota[i]
-    for hk, r in cover.request_incidence.items():
-        if r:
-            value += duals.eps_origin(hk) - duals.eps_dest(hk)
+    for i in sorted(cover.visited):
+        value += 2.0 * duals.iota[i]
+    for hk in cover.requests:
+        value += duals.eps_origin(hk) - duals.eps_dest(hk)
     return value
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Iterable, List, Optional, Set, Tuple
 
 from .model import Instance, Request
 from .scenarios import chance_feasible
@@ -22,8 +22,7 @@ class CoverError(ValueError):
 @dataclass(eq=False)
 class FeasibilityCover:
     requests: Tuple[Request, ...]                 # canonical lexicographic order
-    node_incidence: Dict[int, int]                # l_Q(i) over all nodes
-    request_incidence: Dict[Request, int]         # r_Q^hk over all requests
+    visited: frozenset                            # compulsory nodes and request endpoints
     bounds: Optional[object] = None               # BoundEstimate once scored
 
     def __eq__(self, other):
@@ -31,10 +30,6 @@ class FeasibilityCover:
 
     def __hash__(self):
         return hash(self.requests)
-
-    @property
-    def visited(self) -> frozenset:
-        return frozenset(i for i, li in self.node_incidence.items() if li == 1)
 
     @property
     def size(self) -> int:
@@ -48,25 +43,12 @@ def _as_requests(obj) -> Tuple[Request, ...]:
 
 
 def make_cover(inst: Instance, requests) -> FeasibilityCover:
-    """Build a cover with its node/request incidence vectors.
-
-    Visited nodes are the compulsory set plus all endpoints of the cover.
-    """
+    """Build a cover; it visits the compulsory set plus all endpoints of its
+    requests."""
     reqs = _as_requests(requests)
     if not chance_feasible(inst, reqs):
         raise CoverError(f"request set {reqs} is not a feasibility cover")
-    endpoints = set(inst.compulsory)
-    for h, k in reqs:
-        endpoints.add(h)
-        endpoints.add(k)
-    node_incidence = {i: (1 if i in endpoints else 0) for i in inst.nodes}
-    in_cover = set(reqs)
-    request_incidence = {hk: (1 if hk in in_cover else 0) for hk in inst.requests}
-    return FeasibilityCover(
-        requests=reqs,
-        node_incidence=node_incidence,
-        request_incidence=request_incidence,
-    )
+    return FeasibilityCover(requests=reqs, visited=inst.compulsory.union(*reqs))
 
 
 def minimal_feasibility_cover(inst: Instance, cover, rng: Optional[random.Random] = None) -> FeasibilityCover:

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .model import Instance, StspGlResult, csv_cell, load_instance, save_instance
+from .model import (INFEASIBLE, TIME_LIMIT, Instance, StspGlResult, csv_cell, load_instance,
+                    save_instance)
 from .scenarios import (
     MetricsRow,
     ParameterError,
@@ -123,7 +124,7 @@ def vss_experiment(inst: Instance, cfg: SearchConfig,
     det_row = MetricsRow(**det_res.metrics) if det_res.metrics is not None else None
     sto_row = MetricsRow(**sto_res.metrics) if sto_res.metrics is not None else None
     flagged = det_row is None or sto_row is None \
-        or det_res.status == "Infeasible" or sto_res.status == "Infeasible"
+        or det_res.status == INFEASIBLE or sto_res.status == INFEASIBLE
     return ComparisonRow(nodes=inst.n, theta=inst.theta, rho=inst.rho,
                          method=method, det_status=det_res.status,
                          det=det_row, sto_status=sto_res.status, sto=sto_row,
@@ -379,7 +380,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_budget_args(s)
     s.add_argument("--trace", default=None, help="write the event trace CSV")
     s.add_argument("--cg-log", default=None,
-                   help="write pricing-round log (bp/hybrid only)")
+                   help="write the pricing-round log; only bp and hybrid price, "
+                        "so other methods write just its header")
     s.add_argument("-o", "--output", default=None, help="result JSON path")
 
     v = sub.add_parser("vss", help="deterministic vs stochastic comparison")
@@ -418,8 +420,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "solve":
         inst = load_instance(args.instance)
         cfg = make_config(args.time_limit, args.gap, args.seed)
-        cg_lines: Optional[List[str]] = \
-            [] if args.cg_log and args.method in ("bp", "hybrid") else None
+        cg_lines: Optional[List[str]] = [] if args.cg_log else None
         res = run_method(args.method, inst, cfg, cg_log=cg_lines)
         payload = res.to_json(inst)
         if args.output:
@@ -434,9 +435,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 fh.write(CG_LOG_HEADER + "\n")
                 for line in cg_lines:
                     fh.write(line + "\n")
-        if res.status == "Infeasible":
+        if res.status == INFEASIBLE:
             return 2
-        if res.status == "TimeLimit" and res.incumbent is None:
+        if res.status == TIME_LIMIT and res.incumbent is None:
             return 3
         return 0
 

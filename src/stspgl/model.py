@@ -38,21 +38,33 @@ def edge(i: Node, j: Node) -> Edge:
     return (i, j) if i < j else (j, i)
 
 
-def tour_sequence(edges: Iterable[Edge]) -> List[Node]:
-    """Walk the cycle formed by `edges`, from its smallest node toward that
-    node's smaller neighbour."""
+def cycles(edges: Iterable[Edge]) -> List[List[Node]]:
+    """Every cycle of a degree-2 edge set, ordered by (size, sorted nodes).
+
+    Each cycle is walked from its smallest node toward that node's smaller
+    neighbour. Raises ValueError when some node's degree is not 2.
+    """
     adj: Dict[Node, List[Node]] = {}
     for i, j in edges:
         adj.setdefault(i, []).append(j)
         adj.setdefault(j, []).append(i)
-    start = min(adj)
-    seq = [start, min(adj[start])]
-    while True:
-        prev, cur = seq[-2], seq[-1]
-        nxt = [v for v in adj[cur] if v != prev]
-        if not nxt or nxt[0] == start:
-            return seq
-        seq.append(nxt[0])
+    bad = sorted(v for v, nbrs in adj.items() if len(nbrs) != 2)
+    if bad:
+        raise ValueError(f"nodes {bad} do not have degree 2")
+    found: List[List[Node]] = []
+    left = set(adj)
+    while left:
+        start = min(left)
+        seq = [start, min(adj[start])]
+        while True:
+            a, b = adj[seq[-1]]
+            nxt = b if a == seq[-2] else a
+            if nxt == start:
+                break
+            seq.append(nxt)
+        found.append(seq)
+        left.difference_update(seq)
+    return sorted(found, key=lambda c: (len(c), sorted(c)))
 
 
 def euc2d(a: Sequence[float], b: Sequence[float]) -> int:
@@ -306,7 +318,10 @@ class TspGlSolution:
 
     def tour_sequence(self) -> List[Node]:
         """Cycle as a node list in canonical rotation and direction."""
-        return tour_sequence(self.tour_edges)
+        tours = cycles(self.tour_edges)
+        if len(tours) > 1:
+            raise ValueError(f"tour edges split into {len(tours)} cycles")
+        return tours[0]
 
 
 def objective(inst: Instance, sol: TspGlSolution, qtilde) -> Tuple[float, float, float]:

@@ -262,11 +262,12 @@ def resolve_with_cuts(model: LinearModel, cut_source: CutSource, max_rounds: int
     """Solve, separate violated cuts, add them, and solve again.
 
     `max_rounds` caps the re-solves, so at most `max_rounds + 1` MIPs run,
-    each with `heuristics` passed to `solve_mip`. Cuts stay in the model
-    across rounds (and after return, for reuse by the caller). When the
-    round budget or the clock runs out before a separation round comes back
-    empty, the outcome is flagged `cuts_complete=False`; a spent clock also
-    sets `TimeLimit`, and before the first solve it makes no solve at all.
+    each with `heuristics` passed to `solve_mip`. Every solution is
+    separated, the last one included. Cuts stay in the model across rounds
+    (and after return, for reuse by the caller). When the round budget or
+    the clock runs out before a separation round comes back empty, the
+    outcome is flagged `cuts_complete=False`; a spent clock also sets
+    `TimeLimit`, and before the first solve it makes no solve at all.
     """
     deadline = None if time_limit is None else time.monotonic() + time_limit
     out = SolveOutcome(status=TIME_LIMIT, objective=None, values=None, cuts_complete=False)
@@ -283,8 +284,6 @@ def resolve_with_cuts(model: LinearModel, cut_source: CutSource, max_rounds: int
         if out.status == TIME_LIMIT:
             out.cuts_complete = False
             return out
-        if round_no == max_rounds:
-            break
         cuts = list(cut_source(out))
         if not cuts:
             return out

@@ -27,8 +27,8 @@ from .model import (
     SolveTrace,
     StspGlResult,
     TspGlSolution,
+    cycles,
     gap_value,
-    tour_sequence,
     validate_instance,
 )
 from .scenarios import (
@@ -62,7 +62,6 @@ from .tspgl import (
     chosen_edges,
     cover_bounds,
     degree_coeffs,
-    find_subtours,
     flow_coeffs,
     make_subinstance,
     solution_from_tour,
@@ -278,9 +277,9 @@ def _benchmark_model(inst: Instance, qtilde: RoutingCostTable):
 
 def _benchmark_cuts(inst: Instance, x: Dict[Edge, int], w: Dict[int, int],
                     out: SolveOutcome) -> List[Tuple[Dict[int, float], str, float]]:
-    comps = find_subtours(chosen_edges(x, out.values))
     cuts: List[Tuple[Dict[int, float], str, float]] = []
-    for comp in comps:
+    # a single cycle holds every compulsory node and yields no cut
+    for comp in map(frozenset, cycles(chosen_edges(x, out.values))):
         inside = {x[(a, b)]: 1.0 for a in comp for b in comp if a < b}
         if not comp & inst.compulsory:
             # component may host visits, but never a full private cycle
@@ -310,12 +309,12 @@ def run_mip_benchmark(inst: Instance, cfg: SearchConfig) -> StspGlResult:
         return _infeasible_result(state)
     if not out.solved:
         return _finish(state, TIME_LIMIT)
-    chosen = chosen_edges(x, out.values)
-    if not find_subtours(chosen):
+    tours = cycles(chosen_edges(x, out.values))
+    if len(tours) == 1:
         # once the cut rounds run out, the solve may hold several cycles
         cover = make_cover(inst, [hk for hk in inst.requests if out.values[z[hk]] > 0.5])
         update_incumbent(state, cover, solution_from_tour(
-            make_subinstance(inst, cover, state.qtilde), tour_sequence(chosen)))
+            make_subinstance(inst, cover, state.qtilde), tours[0]))
     if out.status == OPTIMAL and out.cuts_complete:
         state.raise_lb(state.ub)
         return _finish(state, OPTIMAL)

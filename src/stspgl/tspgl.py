@@ -30,8 +30,8 @@ from .model import (
     Instance,
     Request,
     TspGlSolution,
+    cycles,
     edge,
-    tour_sequence,
 )
 from .mpbackend import LinearModel, SolveOutcome, resolve_with_cuts
 from .scenarios import RoutingCostTable, required_scenario_count
@@ -230,22 +230,22 @@ def _tsp_mip(nodes: List[int], cost, time_limit: Optional[float]
     found: List[FrozenSet[int]] = []
 
     def cut_source(out: SolveOutcome):
-        comps = find_subtours(chosen_edges(x, out.values))
-        found.extend(comps)
-        return [_sec_cut(x, comp) for comp in comps]
+        tours = cycles(chosen_edges(x, out.values))
+        if len(tours) == 1:
+            return []
+        found.extend(map(frozenset, tours))
+        return [_sec_cut(x, tour) for tour in tours]
 
     out = resolve_with_cuts(model, cut_source, max_rounds=len(nodes) * 4, time_limit=time_limit)
     if out.status == TIME_LIMIT:
         return None
     if not out.solved:
         raise RuntimeError(f"TSP solve failed with status {out.status}")
-    chosen = chosen_edges(x, out.values)
-    cycles = find_subtours(chosen)
-    if cycles:
-        # the cut rounds ran out on a solution that was never separated
-        raise RuntimeError(f"TSP MIP over {len(nodes)} nodes ended with subtours "
-                           f"{[sorted(c) for c in cycles]}")
-    return tour_sequence(chosen), out.objective, found
+    tours = cycles(chosen_edges(x, out.values))
+    if len(tours) > 1:
+        # the cut rounds ran out on a solution that still splits
+        raise RuntimeError(f"TSP MIP over {len(nodes)} nodes ended with subtours {tours}")
+    return tours[0], out.objective, found
 
 
 # --- tour and flow blocks shared by every model -----------------------------
@@ -329,32 +329,6 @@ def _sec_cut(x: Dict[Edge, int], component: Iterable[int]) -> Tuple[Dict[int, fl
     """Subtour elimination: at most |S| - 1 edges inside S."""
     comp = sorted(component)
     return {x[e]: 1.0 for e in itertools.combinations(comp, 2)}, "<=", float(len(comp) - 1)
-
-
-def find_subtours(edges: Iterable[Edge]) -> List[FrozenSet[int]]:
-    """Connected components of the selected edges; empty when there is one."""
-    adj: Dict[int, Set[int]] = {}
-    for i, j in edges:
-        adj.setdefault(i, set()).add(j)
-        adj.setdefault(j, set()).add(i)
-    if not adj:
-        return []
-    unvisited = set(adj)
-    comps: List[FrozenSet[int]] = []
-    while unvisited:
-        start = min(unvisited)
-        comp, stack = {start}, [start]
-        while stack:
-            cur = stack.pop()
-            for nb in adj[cur]:
-                if nb not in comp:
-                    comp.add(nb)
-                    stack.append(nb)
-        comps.append(frozenset(comp))
-        unvisited -= comp
-    if len(comps) <= 1:
-        return []
-    return sorted(comps, key=lambda c: (len(c), sorted(c)))
 
 
 # --- generalized subtour elimination (GSEC) separation -----------------------
@@ -470,24 +444,34 @@ def cover_bounds(sub: SubInstance, cutpool: Optional[CutPool] = None,
             for comp in subtours:
                 cutpool.add_subtour(key, comp)
     lb_routing = sum(sub.qtilde.cost(hk, *hk) for hk in sub.requests)
-    ub_routing = sum(_tour_path_cost(tour, hk, sub.qtilde) for hk in sub.requests)
+    ub_routing = sum(primal_subproblem(tour, hk, sub.qtilde)[1] for hk in sub.requests)
     return BoundEstimate(lb=(1.0 - alpha) * tsp_val + alpha * lb_routing,
                          ub=(1.0 - alpha) * tsp_val + alpha * ub_routing,
                          tsp_tour=tour)
 
 
-def _tour_path_cost(seq: Sequence[int], hk: Request, qtilde: RoutingCostTable) -> float:
-    flow, z = primal_subproblem(seq, hk, qtilde)
-    if flow is None:
-        raise ValueError(f"request {hk} endpoints missing from tour {seq}")
-    return z
-
-
 # --- Benders subproblems ---------------------------------------------------
+
+def _tour_walk(seq: Sequence[int], hk: Request, qtilde: RoutingCostTable
+               ) -> Tuple[Dict[int, float], Dict[int, float]]:
+    """Path cost from h to every node of the tour `seq`, forward and backward."""
+    n = len(seq)
+    start = seq.index(hk[0])
+    fwd: Dict[int, float] = {}
+    back: Dict[int, float] = {}
+    ahead = behind = 0.0
+    for t in range(n):
+        a, b = seq[(start + t) % n], seq[(start - t) % n]
+        fwd[a], back[b] = ahead, behind
+        ahead += qtilde.cost(hk, a, seq[(start + t + 1) % n])
+        behind += qtilde.cost(hk, b, seq[(start - t - 1) % n])
+    return fwd, back
+
 
 def primal_subproblem(xbar: Sequence[int], hk: Request, qtilde: RoutingCostTable
                       ) -> Tuple[Optional[Dict[Arc, float]], float]:
-    """Unit shortest path h -> k along the tour, in either direction.
+    """Unit shortest path h -> k along the tour, in its cheaper direction
+    (forward on a tie).
 
     Returns (None, inf) when an endpoint is off the tour; the caller treats
     that as an infeasibility signal.
@@ -496,61 +480,25 @@ def primal_subproblem(xbar: Sequence[int], hk: Request, qtilde: RoutingCostTable
     seq = list(xbar)
     if h not in seq or k not in seq:
         return None, math.inf
+    fwd, back = _tour_walk(seq, hk, qtilde)
+    step = 1 if fwd[k] <= back[k] else -1
     n = len(seq)
-    pos = {v: t for t, v in enumerate(seq)}
-    cw_arcs, cw_cost = [], 0.0
-    at = pos[h]
+    at = seq.index(h)
+    flow: Dict[Arc, float] = {}
     while seq[at] != k:
-        nxt = (at + 1) % n
-        cw_arcs.append((seq[at], seq[nxt]))
-        cw_cost += qtilde.cost(hk, seq[at], seq[nxt])
+        nxt = (at + step) % n
+        flow[(seq[at], seq[nxt])] = 1.0
         at = nxt
-    ccw_arcs, ccw_cost = [], 0.0
-    at = pos[h]
-    while seq[at] != k:
-        nxt = (at - 1) % n
-        ccw_arcs.append((seq[at], seq[nxt]))
-        ccw_cost += qtilde.cost(hk, seq[at], seq[nxt])
-        at = nxt
-    if cw_cost <= ccw_cost:
-        return {a: 1.0 for a in cw_arcs}, cw_cost
-    return {a: 1.0 for a in ccw_arcs}, ccw_cost
+    return flow, min(fwd[k], back[k])
 
 
-def dual_subproblem(xbar: Sequence[int], hk: Request, qtilde: RoutingCostTable,
-                    nodes: Optional[Sequence[int]] = None) -> BendersDuals:
-    """Optimal duals of the routing subproblem at the tour `xbar`.
+def dual_subproblem(xbar: Sequence[int], hk: Request, qtilde: RoutingCostTable
+                    ) -> BendersDuals:
+    """Optimal duals of the routing subproblem at the tour `xbar`, from
+    potentials u_v = min(d(v), z), p_v = z - u_v over the tour's nodes.
 
-    They are built from shortest-path distances along the tour, capped at
-    the path cost (see `_fast_duals`): feasible for every tour, tight at
-    this one, and dominant among such cuts. Their objective must reproduce
-    the primal path cost, and a mismatch raises.
-    """
-    if nodes is None:
-        nodes = sorted(xbar)
-    _flow, z = primal_subproblem(xbar, hk, qtilde)
-    if _flow is None:
-        raise ValueError(f"request {hk} endpoints missing from tour {list(xbar)}")
-    duals = _fast_duals(xbar, hk, qtilde, nodes)
-    obj = duals.p[hk[0]] - duals.p[hk[1]] - sum(
-        duals.lambda_bar[e] for e in _cycle_edges(xbar)
-    )
-    if abs(obj - z) > 1e-9 * max(1.0, abs(z)):
-        raise RuntimeError(f"routing duals of {hk} reach {obj!r}, the primal path costs {z!r}")
-    return duals
-
-
-def _cycle_edges(seq: Sequence[int]) -> List[Edge]:
-    n = len(seq)
-    return [edge(seq[t], seq[(t + 1) % n]) for t in range(n)]
-
-
-def _fast_duals(xbar: Sequence[int], hk: Request, qtilde: RoutingCostTable,
-                nodes: Sequence[int]) -> BendersDuals:
-    """Routing duals from potentials u_v = min(d(v), z), p_v = z - u_v.
-
-    d(v) is the tour distance from h and z = d(k) the path cost; nodes off
-    the tour get z. With lam_ij = max(0, u_j - u_i - c_ij) the duals are
+    d(v) is the tour distance from h and z = d(k) the path cost. With
+    lam_ij = max(0, u_j - u_i - c_ij) the duals are
     - valid: feasible for any u, so the cut holds for every tour;
     - tight: u_h = 0, u_k = z and lam = 0 on the tour arcs, so the dual
       objective at `xbar` is z;
@@ -558,33 +506,30 @@ def _fast_duals(xbar: Sequence[int], hk: Request, qtilde: RoutingCostTable,
       difference, so every lambda-bar falls or stays while p_h - p_k = z
       does not move. A node farther from h than k cannot shorten the path
       and no longer charges the chords to it.
+    Their objective must reproduce the path cost, and a mismatch raises.
     """
     h, k = hk
     seq = list(xbar)
-    n = len(seq)
-    start = seq.index(h)
-    # running path costs from h, one walk each way round the tour
-    cw: Dict[int, float] = {}
-    ccw: Dict[int, float] = {}
-    fwd = back = 0.0
-    for t in range(n):
-        a, b = seq[(start + t) % n], seq[(start - t) % n]
-        cw[a], ccw[b] = fwd, back
-        fwd += qtilde.cost(hk, a, seq[(start + t + 1) % n])
-        back += qtilde.cost(hk, b, seq[(start - t - 1) % n])
-    z = min(cw[k], ccw[k])
-    u = {v: min(cw[v], ccw[v], z) if v in cw else z for v in nodes}
+    if h not in seq or k not in seq:
+        raise ValueError(f"request {hk} endpoints missing from tour {seq}")
+    fwd, back = _tour_walk(seq, hk, qtilde)
+    z = min(fwd[k], back[k])
+    nodes = sorted(seq)
+    u = {v: min(fwd[v], back[v], z) for v in nodes}
     p = {v: z - u[v] for v in nodes}
-    lam: Dict[Arc, float] = {}
-    lambda_bar: Dict[Edge, float] = {}
-    for i in nodes:
-        for j in nodes:
-            if i == j:
-                continue
-            lam[(i, j)] = max(0.0, u[j] - u[i] - qtilde.cost(hk, i, j))
-    for a, b in itertools.combinations(nodes, 2):
-        lambda_bar[(a, b)] = lam[(a, b)] + lam[(b, a)]
+    lam = {(i, j): max(0.0, u[j] - u[i] - qtilde.cost(hk, i, j))
+           for i in nodes for j in nodes if i != j}
+    lambda_bar = {(a, b): lam[(a, b)] + lam[(b, a)]
+                  for a, b in itertools.combinations(nodes, 2)}
+    obj = p[h] - p[k] - sum(lambda_bar[e] for e in _cycle_edges(seq))
+    if abs(obj - z) > 1e-9 * max(1.0, abs(z)):
+        raise RuntimeError(f"routing duals of {hk} reach {obj!r}, the primal path costs {z!r}")
     return BendersDuals(p=p, lam=lam, lambda_bar=lambda_bar, objective=u[k])
+
+
+def _cycle_edges(seq: Sequence[int]) -> List[Edge]:
+    n = len(seq)
+    return [edge(seq[t], seq[(t + 1) % n]) for t in range(n)]
 
 
 @dataclass
@@ -684,7 +629,7 @@ def benders_solve_tspgl(
         warm = cover_bounds(sub, cutpool=pool)
     if sub.requests and warm.tsp_tour:
         duals = {
-            hk: dual_subproblem(warm.tsp_tour, hk, sub.qtilde, nodes=sub.nodes)
+            hk: dual_subproblem(warm.tsp_tour, hk, sub.qtilde)
             for hk in sub.requests
         }
         for h in sub.origins():
@@ -698,20 +643,18 @@ def benders_solve_tspgl(
         lower = out.objective
         if incumbent_ub is not None and out.objective > incumbent_ub + INCUMBENT_EPS:
             return []
-        chosen = chosen_edges(x, out.values)
-        comps = find_subtours(chosen)
-        # no integer solution holds a subtour whose row is in the model, so
-        # every component found here is new
-        for comp in comps:
-            pool.add_subtour(sub.key, comp)
-        if comps:
-            return [_sec_cut(x, comp) for comp in comps]
-        seq = tour_sequence(chosen)
+        tours = cycles(chosen_edges(x, out.values))
+        if len(tours) > 1:
+            # no integer solution holds a subtour whose row is in the model,
+            # so every cycle found here is new
+            for tour in tours:
+                pool.add_subtour(sub.key, tour)
+            return [_sec_cut(x, tour) for tour in tours]
+        seq = tours[0]
         candidate = solution_from_tour(sub, seq)
         if incumbent is None or candidate.objective < incumbent.objective - INCUMBENT_EPS:
             incumbent = candidate
-        duals = {hk: dual_subproblem(seq, hk, sub.qtilde, nodes=sub.nodes)
-                 for hk in sub.requests}
+        duals = {hk: dual_subproblem(seq, hk, sub.qtilde) for hk in sub.requests}
         violated = []
         for h in sub.origins():
             true_h = sum(duals[hk].objective for hk in sub.requests_from(h))

@@ -27,8 +27,8 @@ from stspgl.model import (
     Instance,
     Request,
     TspGlSolution,
+    cycles,
     edge,
-    tour_sequence,
 )
 from stspgl.mpbackend import LinearModel, SolveOutcome, resolve_with_cuts, solve_lp
 from stspgl.scenarios import RoutingCostTable, chance_feasible, required_scenario_count
@@ -41,7 +41,6 @@ from stspgl.tspgl import (
     add_linking_rows,
     chosen_edges,
     degree_coeffs,
-    find_subtours,
     flow_coeffs,
     supply,
     _cycle_edges,
@@ -341,14 +340,18 @@ def solve_tspgl_direct(sub: SubInstance, time_limit: Optional[float] = None) -> 
         add_linking_rows(model, x, f)
 
     def cut_source(out: SolveOutcome):
-        return [_sec_cut(x, c) for c in find_subtours(chosen_edges(x, out.values))]
+        tours = cycles(chosen_edges(x, out.values))
+        return [_sec_cut(x, tour) for tour in tours] if len(tours) > 1 else []
 
     out = resolve_with_cuts(model, cut_source, max_rounds=len(sub.nodes) * 4,
                             time_limit=time_limit)
     if not out.solved:
         return TspGlOutcome(out.status, None, -math.inf)
-    seq = tour_sequence(chosen_edges(x, out.values))
-    sol = solution_from_tour(sub, seq)
+    tours = cycles(chosen_edges(x, out.values))
+    if len(tours) > 1:
+        # the cut rounds ran out on a solve that still splits
+        return TspGlOutcome(TIME_LIMIT, None, -math.inf, out.cut_rounds + 1)
+    sol = solution_from_tour(sub, tours[0])
     status = OPTIMAL if out.status == OPTIMAL and out.cuts_complete else TIME_LIMIT
     bound = out.best_bound if out.best_bound is not None else sol.objective
     return TspGlOutcome(status, sol, bound if status != OPTIMAL else sol.objective,

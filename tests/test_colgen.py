@@ -108,11 +108,10 @@ def test_reduced_cost_matches_engine_columns(d1, d1_qtilde):
     # rebuild the probe's column coefficients row by row and price it by hand
     engine_rc = -out.duals[index.convex_row]
     for i in d1.nodes:
-        li = probe.node_incidence[i]
-        if li:
-            engine_rc -= out.duals[index.link_rows[i]] * (-2.0 * li)
+        if i in probe.visited:
+            engine_rc -= out.duals[index.link_rows[i]] * (-2.0)
     for hk in d1.requests:
-        if probe.request_incidence[hk]:
+        if hk in probe.requests:
             h, k = hk
             engine_rc -= out.duals[index.flow_rows[(hk, h)]] * (-1.0)
             engine_rc -= out.duals[index.flow_rows[(hk, k)]] * (1.0)

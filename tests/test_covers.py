@@ -21,9 +21,8 @@ from stspgl.scenarios import chance_feasible, generate_instance
 def test_make_cover_incidence_vectors(d1):
     cov = make_cover(d1, [(1, 3)])
     assert cov.requests == ((1, 3),)
-    assert cov.visited == {0, 1, 3}
-    assert cov.node_incidence == {0: 1, 1: 1, 2: 0, 3: 1, 4: 0}
-    assert cov.request_incidence == {(1, 3): 1, (2, 4): 0}
+    assert cov.visited == frozenset({0, 1, 3})
+    assert isinstance(cov.visited, frozenset)
 
 
 def test_make_cover_rejects_non_cover(d1):

@@ -223,6 +223,17 @@ def test_cli_generate_and_solve_roundtrip(tmp_path, method):
     assert len(log) > 1
 
 
+@pytest.mark.parametrize("method", ["mip", "heuristic", "deterministic"])
+def test_cli_cg_log_of_a_method_without_pricing_is_its_header(d1, tmp_path, method):
+    inst_path = tmp_path / "d1.json"
+    save_instance(d1, inst_path)
+    log_path = tmp_path / "cg.csv"
+    code = main(["solve", str(inst_path), "--method", method, "--time-limit", "60",
+                 "--cg-log", str(log_path), "-o", str(tmp_path / "res.json")])
+    assert code == 0
+    assert log_path.read_text() == "iter,rmp_obj,pricing_obj,lb,columns,phi\n"
+
+
 def test_cli_solve_prints_to_stdout(d1, tmp_path, capsys):
     inst_path = tmp_path / "d1.json"
     save_instance(d1, inst_path)

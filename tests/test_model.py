@@ -9,6 +9,7 @@ from stspgl.model import (
     StructuralViolation,
     TspGlSolution,
     build_instance,
+    cycles,
     edge,
     euc2d,
     gap_value,
@@ -194,6 +195,16 @@ def test_structural_violations_catches_broken_tours(d1):
 def test_tour_sequence_is_canonical(d1):
     sol = _d1_solution(d1)
     assert sol.tour_sequence() == [0, 1, 3]
+
+
+def test_cycles_splits_and_orders():
+    assert cycles([(0, 1), (1, 2), (0, 2)]) == [[0, 1, 2]]
+    assert cycles([(5, 9), (3, 9), (3, 4), (4, 5), (0, 1), (1, 2), (0, 2)]) == \
+        [[0, 1, 2], [3, 4, 5, 9]]
+    assert cycles([(3, 4), (4, 5), (3, 5), (0, 1), (1, 2), (0, 2)]) == [[0, 1, 2], [3, 4, 5]]
+    assert cycles([]) == []
+    with pytest.raises(ValueError, match=r"\[0, 2\]"):
+        cycles([(0, 1), (1, 2)])
 
 
 def test_gap_value():

@@ -289,12 +289,25 @@ def test_resolve_with_cuts_identity_on_empty_source():
     assert out.cuts_complete
 
 
-def test_resolve_with_cuts_zero_budget_flagged_incomplete():
+def test_resolve_with_cuts_zero_budget_complete_when_nothing_to_cut(monkeypatch):
+    calls = _count_milp(monkeypatch)
     m = LinearModel()
     m.add_var(lb=0.0, ub=2.0, obj=-1.0, integer=True)
     out = resolve_with_cuts(m, lambda _o: [], max_rounds=0)
     assert out.status == OPTIMAL
+    assert out.cuts_complete
+    assert len(calls) == 1
+
+
+def test_resolve_with_cuts_zero_budget_flagged_incomplete(monkeypatch):
+    calls = _count_milp(monkeypatch)
+    m = LinearModel()
+    m.add_var(lb=0.0, ub=2.0, obj=-1.0, integer=True)
+    out = resolve_with_cuts(m, lambda _o: [({0: 1.0}, "<=", 1.0)], max_rounds=0)
+    assert out.status == OPTIMAL
     assert not out.cuts_complete
+    assert len(calls) == 1
+    assert m.n_constrs() == 1       # the last cuts still enter the model
 
 
 def _count_milp(monkeypatch) -> list:

@@ -1,0 +1,108 @@
+"""Property tests: the cycle utility, the routing subproblems along a tour,
+and the cover algebra, on inputs drawn by hypothesis."""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import is_minimal
+from stspgl.covers import minimal_feasibility_cover
+from stspgl.model import cycles, edge
+from stspgl.scenarios import RoutingCostTable, chance_feasible, generate_instance
+from stspgl.tspgl import _cycle_edges, dual_subproblem, primal_subproblem
+
+PROPERTY = settings(database=None, derandomize=True, deadline=None, max_examples=60)
+
+
+@st.composite
+def disjoint_cycles(draw):
+    """Node-disjoint cycles of 3-6 nodes each, with their edges shuffled and
+    each written in a random orientation."""
+    sizes = draw(st.lists(st.integers(3, 6), min_size=1, max_size=4))
+    labels = draw(st.lists(st.integers(0, 99), min_size=sum(sizes), max_size=sum(sizes),
+                           unique=True))
+    blocks, at = [], 0
+    for size in sizes:
+        blocks.append(labels[at:at + size])
+        at += size
+    edges = [(a, b) for block in blocks for a, b in _cycle_edges(block)]
+    edges = [(b, a) if flip else (a, b)
+             for (a, b), flip in zip(edges, draw(st.lists(st.booleans(), min_size=len(edges),
+                                                          max_size=len(edges))))]
+    return blocks, draw(st.permutations(edges))
+
+
+@PROPERTY
+@given(disjoint_cycles())
+def test_cycles_returns_each_cycle_once_as_a_canonical_walk(drawn):
+    blocks, edges = drawn
+    found = cycles(edges)
+    assert sorted(map(sorted, found)) == sorted(map(sorted, blocks))
+    assert found == sorted(found, key=lambda c: (len(c), sorted(c)))
+    given_edges = {edge(a, b) for a, b in edges}
+    for walk in found:
+        assert walk[0] == min(walk)
+        assert walk[1] < walk[-1]          # toward the smaller neighbour
+        assert set(_cycle_edges(walk)) <= given_edges
+
+
+@PROPERTY
+@given(disjoint_cycles(), st.data())
+def test_cycles_rejects_paths_and_branches(drawn, data):
+    _blocks, edges = drawn
+    a, b = data.draw(st.sampled_from(edges))
+    with pytest.raises(ValueError):
+        cycles([e for e in edges if e != (a, b)])              # opens a cycle into a path
+    with pytest.raises(ValueError):
+        cycles([*edges, (a, 100)])                            # a third edge at a
+
+
+@st.composite
+def tour_and_request(draw):
+    """A tour over some of n nodes, a request between two of its nodes, and
+    random non-negative symmetric travel costs."""
+    n = draw(st.integers(3, 9))
+    tour = draw(st.permutations(range(n)))[:draw(st.integers(3, n))]
+    h, k = draw(st.permutations(tour))[:2]
+    upper = draw(st.lists(st.floats(0.0, 100.0), min_size=n * n, max_size=n * n))
+    travel = tuple(tuple(upper[min(i, j) * n + max(i, j)] if i != j else 0.0
+                         for j in range(n)) for i in range(n))
+    weight = draw(st.floats(0.01, 10.0))
+    return tour, (h, k), RoutingCostTable(travel=travel, weight={(h, k): weight})
+
+
+@PROPERTY
+@given(tour_and_request())
+def test_routing_subproblems_agree_along_the_tour(drawn):
+    tour, hk, qt = drawn
+    flow, z = primal_subproblem(tour, hk, qt)
+    # the arcs form one walk from h to k on tour edges, and cost z exactly
+    tour_edges = set(_cycle_edges(tour))
+    at, cost, arcs = hk[0], 0.0, dict(flow)
+    while at != hk[1]:
+        (arc,) = [a for a in arcs if a[0] == at]
+        assert edge(*arc) in tour_edges
+        cost += qt.cost(hk, *arc)
+        del arcs[arc]
+        at = arc[1]
+    assert arcs == {}
+    assert cost == z
+    assert set(flow.values()) == {1.0}
+    assert dual_subproblem(tour, hk, qt).objective == z
+
+
+@PROPERTY
+@given(st.integers(0, 10_000), st.data())
+def test_covers_grow_feasible_and_shrink_to_minimal(seed, data):
+    inst = generate_instance(n=7, seed=seed, n_requests=8, n_scenarios=4, theta=0.7, rho=0.25)
+    subset = data.draw(st.lists(st.sampled_from(inst.requests), unique=True))
+    extra = data.draw(st.lists(st.sampled_from(inst.requests), unique=True))
+    if chance_feasible(inst, subset):
+        assert chance_feasible(inst, sorted(set(subset) | set(extra)))
+    if chance_feasible(inst, inst.requests):
+        cover = minimal_feasibility_cover(inst, inst.requests, rng=random.Random(seed))
+        assert is_minimal(inst, cover)

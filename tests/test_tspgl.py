@@ -24,7 +24,7 @@ from oracles import (
 )
 from stspgl import mpbackend, tspgl
 from stspgl.covers import make_cover, minimal_feasibility_cover
-from stspgl.model import OPTIMAL, Instance, edge, tour_sequence
+from stspgl.model import OPTIMAL, Instance, cycles, edge
 from stspgl.mpbackend import LinearModel, solve_lp, solve_mip
 from stspgl.scenarios import RoutingCostTable, deterministic_routing_costs, generate_instance
 from stspgl.tspgl import (
@@ -36,7 +36,6 @@ from stspgl.tspgl import (
     benders_solve_tspgl,
     cover_bounds,
     dual_subproblem,
-    find_subtours,
     gsec_row,
     make_subinstance,
     padded_node_set,
@@ -44,7 +43,6 @@ from stspgl.tspgl import (
     separate_gsecs,
     solution_from_tour,
     symmetric_tsp,
-    _fast_duals,
     _held_karp,
     _tsp_mip,
 )
@@ -329,7 +327,7 @@ def test_dual_subproblem_strong_duality_random():
         for hk in inst.requests:
             _flow, z = primal_subproblem(tour, hk, qt)
             fast = dual_subproblem(tour, hk, qt)
-            assert fast.objective == pytest.approx(z, abs=1e-9)
+            assert fast.objective == z
             lp = lp_duals(tour, hk, qt, sorted(tour))
             assert lp.objective == pytest.approx(z, abs=1e-6)
             for (i, j), lam in fast.lam.items():
@@ -338,10 +336,8 @@ def test_dual_subproblem_strong_duality_random():
             # the running sums add the same edge costs in the same order as
             # a separate walk to each node, so the floats are equal
             dist = {v: _walk_distance(tour, hk, qt, v) for v in tour}
-            walked = _fast_duals(tour, hk, qt, sorted(tour))
-            z = dist[hk[1]]
-            assert walked.objective == z
-            assert walked.p == {v: z - min(dist[v], z) for v in tour}
+            assert z == dist[hk[1]]
+            assert fast.p == {v: z - min(dist[v], z) for v in tour}
 
 
 def _uncapped_lambda_bar(tour, hk, qt):
@@ -390,14 +386,6 @@ def test_dual_subproblem_raises_when_duals_miss_the_path_cost(d1):
     negative = RoutingCostTable(travel=d1.design, weight={(1, 3): -1.0, (2, 4): -1.0})
     with pytest.raises(RuntimeError, match=r"\(1, 3\) reach .*, the primal path costs -4\.0"):
         dual_subproblem([0, 1, 3], (1, 3), negative)
-
-
-def test_find_subtours():
-    assert find_subtours([(0, 1), (1, 2), (0, 2)]) == []
-    comps = find_subtours([(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-    assert len(comps) == 2
-    assert frozenset({0, 1, 2}) in comps
-    assert frozenset({3, 4, 5}) in comps
 
 
 def _gsec_violation(xval, side, i):
@@ -499,7 +487,7 @@ def test_gsec_row_coefficients():
 def test_aggregated_cut_tight_at_generating_tour(d1):
     sub = _sub(d1, list(d1.requests))
     seq, _val, _ = symmetric_tsp(sub.nodes, d1.design)
-    duals = {hk: dual_subproblem(seq, hk, sub.qtilde, nodes=sub.nodes) for hk in sub.requests}
+    duals = {hk: dual_subproblem(seq, hk, sub.qtilde) for hk in sub.requests}
     for h in sub.origins():
         cut = aggregated_optimality_cuts(duals, h)
         xval = {e: 0.0 for e in itertools.combinations(sub.nodes, 2)}
@@ -519,7 +507,7 @@ def test_aggregated_cut_valid_for_all_tours(n, seed):
     cov = minimal_feasibility_cover(inst, inst.requests)
     sub = make_subinstance(inst, cov, qt)
     base_seq, _v, _ = symmetric_tsp(sub.nodes, inst.design)
-    duals = {hk: dual_subproblem(base_seq, hk, qt, nodes=sub.nodes) for hk in sub.requests}
+    duals = {hk: dual_subproblem(base_seq, hk, qt) for hk in sub.requests}
     nodes = list(sub.nodes)
     for h in sub.origins():
         cut = aggregated_optimality_cuts(duals, h)
@@ -628,27 +616,29 @@ def test_benders_on_a_spent_clock_solves_no_master(monkeypatch):
     assert masters == []
 
 
-@pytest.mark.parametrize("cap", [1, 2, 5])
+@pytest.mark.parametrize("cap", [1, 2, 4, 5, 9])
 def test_benders_iteration_cap_keeps_the_best_tour_found(monkeypatch, cap):
     sub = _n9_sub()
     warm = cover_bounds(sub)
     masters = _master_spy(monkeypatch)
     monkeypatch.setattr(tspgl, "MAX_BENDERS_ITERATIONS", cap)
     out = benders_solve_tspgl(sub, warm=warm)
-    assert out.status == "TimeLimit"
+    # this cover needs 9 masters; its 4th is the first single tour
+    assert out.status == ("Optimal" if cap == 9 else "TimeLimit")
     assert out.iterations == len(masters) == cap
-    # every master but the last is separated; its tour, if it has one, is scored
+    # every master is separated, the last one included, and its tour scored
     edges = list(itertools.combinations(sub.nodes, 2))
     best = None
-    for master in masters[:-1]:
-        chosen = [e for e, val in zip(edges, master.values) if val > 0.5]
-        if not find_subtours(chosen):
-            tour = solution_from_tour(sub, tour_sequence(chosen))
+    for master in masters:
+        tours = cycles([e for e, val in zip(edges, master.values) if val > 0.5])
+        if len(tours) == 1:
+            tour = solution_from_tour(sub, tours[0])
             if best is None or tour.objective < best.objective - 1e-9:
                 best = tour
-    if cap == 5:
-        assert best is not None
+    assert (best is not None) == (cap >= 4)
     assert out.solution == best
+    if cap == 9:
+        assert out.solution.objective == pytest.approx(solve_tspgl_direct(sub).solution.objective)
 
 
 def test_benders_iterations_count_master_mips(monkeypatch):
