@@ -6,7 +6,8 @@ master re-optimizes over what is left. Before each pricing call the master
 is cut: generalized subtour elimination rows (GSECs), separated by minimum
 cut on its edge values, are added and kept until none is violated. The
 Lagrangian bound from pricing drives the lower bound; evaluated covers
-drive the upper bound.
+drive the upper bound. The dive ends at the first pricing round whose bound
+meets the incumbent, which proves it optimal.
 """
 
 import math
@@ -380,15 +381,17 @@ def run_bp(inst: Instance, cfg: SearchConfig, hybrid: bool = False,
 
     Each iteration runs up to `PRICING_PER_ITERATION` pricing rounds; before
     each, the master LP is re-solved until its edge values violate no new
-    GSEC row (`colgen.add_gsec_rows`). The iteration then scores the
-    master's support covers, and exactly evaluates up to
-    `EVALS_PER_ITERATION` covers from the queue. A final bound within
-    `_exact`'s tolerance of the incumbent is reported as equal to it, so the
-    result does not depend on the last ulp of the LP. Each RMP LP may use up to
-    `RMP_SHARE` of the total budget and each pricing IP `PRICING_SHARE`.
-    Evaluated or dominated covers leave the search through branching cuts,
-    so the master tightens monotonically until the gap target, the clock,
-    or exhaustion stops it.
+    GSEC row (`colgen.add_gsec_rows`). The dive ends at the first round
+    whose Lagrangian bound meets the incumbent within `_exact`'s tolerance:
+    that bound proves the incumbent optimal, and no later round can change
+    the result. Otherwise the iteration scores the master's support covers
+    and exactly evaluates up to `EVALS_PER_ITERATION` covers from the queue.
+    A final bound within `_exact`'s tolerance of the incumbent is reported
+    as equal to it, so the result does not depend on the last ulp of the
+    LP. Each RMP LP may use up to `RMP_SHARE` of the total budget and each
+    pricing IP `PRICING_SHARE`. Evaluated or dominated covers leave the
+    search through branching cuts, so the master tightens monotonically
+    until the gap target, the clock, or exhaustion stops it.
     """
     state = _new_state(inst, cfg)
     if not chance_feasible(inst, inst.requests):
@@ -456,6 +459,8 @@ def _dive(state: SearchState, cfg: SearchConfig, hybrid: bool,
             if cg_log is not None:
                 cg_log.append(cg_log_line(rounds_total, rmp_out.objective, pres.objective,
                                           state.lb, len(pool.columns), len(pool.branched)))
+            if _exact(state):
+                return False
             if pres.status == TIME_LIMIT and state.remaining() <= 0:
                 return True
             if pres.cover is None:

@@ -103,8 +103,8 @@ def make_subinstance(inst: Instance, cover: FeasibilityCover, qtilde: RoutingCos
 @dataclass
 class BendersDuals:
     p: Dict[int, float]                 # node potentials, >= 0
-    lam: Dict[Arc, float]               # arc multipliers, >= 0
-    lambda_bar: Dict[Edge, float]       # lam_ij + lam_ji per edge
+    lam: Dict[Arc, float]               # positive arc multipliers; absent = 0
+    lambda_bar: Dict[Edge, float]       # lam_ij + lam_ji per edge, positive only
     objective: float                    # equals the primal path cost
 
 
@@ -517,11 +517,18 @@ def dual_subproblem(xbar: Sequence[int], hk: Request, qtilde: RoutingCostTable
     nodes = sorted(seq)
     u = {v: min(fwd[v], back[v], z) for v in nodes}
     p = {v: z - u[v] for v in nodes}
-    lam = {(i, j): max(0.0, u[j] - u[i] - qtilde.cost(hk, i, j))
-           for i in nodes for j in nodes if i != j}
-    lambda_bar = {(a, b): lam[(a, b)] + lam[(b, a)]
-                  for a, b in itertools.combinations(nodes, 2)}
-    obj = p[h] - p[k] - sum(lambda_bar[e] for e in _cycle_edges(seq))
+    # only positive multipliers are stored; an absent arc or edge holds 0
+    lam: Dict[Arc, float] = {}
+    lambda_bar: Dict[Edge, float] = {}
+    for i in nodes:
+        for j in nodes:
+            if i != j:
+                gain = u[j] - u[i] - qtilde.cost(hk, i, j)
+                if gain > 0.0:
+                    lam[(i, j)] = gain
+                    e = edge(i, j)
+                    lambda_bar[e] = lambda_bar.get(e, 0.0) + gain
+    obj = p[h] - p[k] - sum(lambda_bar.get(e, 0.0) for e in _cycle_edges(seq))
     if abs(obj - z) > 1e-9 * max(1.0, abs(z)):
         raise RuntimeError(f"routing duals of {hk} reach {obj!r}, the primal path costs {z!r}")
     return BendersDuals(p=p, lam=lam, lambda_bar=lambda_bar, objective=u[k])
@@ -554,8 +561,7 @@ def aggregated_optimality_cuts(duals_by_request: Dict[Request, BendersDuals],
         duals = duals_by_request[hk]
         rhs += duals.p[hk[0]] - duals.p[hk[1]]
         for e, val in duals.lambda_bar.items():
-            if val != 0.0:
-                coeffs[e] = coeffs.get(e, 0.0) + val
+            coeffs[e] = coeffs.get(e, 0.0) + val
     return OptimalityCut(origin=origin, coeffs=coeffs, rhs=rhs)
 
 

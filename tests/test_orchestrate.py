@@ -318,6 +318,22 @@ def test_cg_log_records_pricing_rounds(d1):
         assert int(cells[0]) == idx
 
 
+@pytest.mark.parametrize("method", [run_bp, run_hybrid])
+def test_dive_ends_at_the_round_whose_bound_proves_the_incumbent(method):
+    inst = generate_instance(n=10, seed=1, n_requests=14, n_scenarios=6,
+                             theta=0.8, rho=0.2)
+    lines = []
+    res = method(inst, fast_cfg(), cg_log=lines)
+    assert res.status == "Optimal"
+    assert res.upper_bound == 240.6464515211406
+    ub = res.upper_bound
+    lbs = [line.split(",")[3] for line in lines]
+    closed = [idx for idx, lb in enumerate(lbs, start=1)
+              if lb and float(lb) >= ub - 1e-9 * max(1.0, ub)]
+    # no pricing round runs after the one whose bound met the incumbent
+    assert closed and closed[0] == len(lines)
+
+
 def test_result_json_has_expected_fields(d1):
     res = run_bp(d1, fast_cfg())
     doc = res.to_json_dict(d1)

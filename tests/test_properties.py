@@ -1,5 +1,6 @@
 """Property tests: the cycle utility, the routing subproblems along a tour,
-and the cover algebra, on inputs drawn by hypothesis."""
+the cover algebra and the LP duals' orientation, on inputs drawn by
+hypothesis."""
 
 from __future__ import annotations
 
@@ -11,7 +12,8 @@ from hypothesis import strategies as st
 
 from oracles import is_minimal
 from stspgl.covers import minimal_feasibility_cover
-from stspgl.model import cycles, edge
+from stspgl.model import OPTIMAL, cycles, edge
+from stspgl.mpbackend import LinearModel, solve_lp
 from stspgl.scenarios import RoutingCostTable, chance_feasible, generate_instance
 from stspgl.tspgl import _cycle_edges, dual_subproblem, primal_subproblem
 
@@ -106,3 +108,56 @@ def test_covers_grow_feasible_and_shrink_to_minimal(seed, data):
     if chance_feasible(inst, inst.requests):
         cover = minimal_feasibility_cover(inst, inst.requests, rng=random.Random(seed))
         assert is_minimal(inst, cover)
+
+
+@st.composite
+def bounded_lp(draw):
+    """A small LP over boxed columns, with rows of mixed senses placed around
+    a point of the box, so that it always has an optimum: (q, lb, ub, rows),
+    each row (coeffs by column, sense, rhs)."""
+    n = draw(st.integers(2, 5))
+    coef = st.integers(-4, 4).map(float)
+    q = draw(st.lists(coef, min_size=n, max_size=n))
+    lb = draw(st.lists(st.integers(-3, 0).map(float), min_size=n, max_size=n))
+    ub = [lo + draw(st.integers(1, 5)) for lo in lb]
+    point = [draw(st.integers(int(lo), int(hi))) for lo, hi in zip(lb, ub)]
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        a = draw(st.lists(coef, min_size=n, max_size=n).filter(any))
+        sense = draw(st.sampled_from(["<=", ">=", "=="]))
+        slack = 0 if sense == "==" else draw(st.integers(0, 3))
+        at = sum(c * x for c, x in zip(a, point))
+        rows.append(({j: c for j, c in enumerate(a) if c}, sense,
+                     at + slack if sense == "<=" else at - slack))
+    return q, lb, ub, rows
+
+
+@PROPERTY
+@given(bounded_lp())
+def test_lp_duals_follow_the_documented_orientation(lp):
+    q, lb, ub, rows = lp
+    model = LinearModel()
+    for obj, lo, hi in zip(q, lb, ub):
+        model.add_var(lb=lo, ub=hi, obj=obj)
+    for coeffs, sense, rhs in rows:
+        model.add_constr(coeffs, sense, rhs)
+    out = solve_lp(model)
+    assert out.status == OPTIMAL
+    tol = 1e-7
+    assert abs(out.dual_objective - out.objective) <= tol * max(1.0, abs(out.objective))
+    # duals[c] is d(objective)/d(rhs_c): a looser <= row cannot raise the
+    # minimum, a looser >= row cannot lower it, and a slack row prices nothing
+    for (coeffs, sense, rhs), dual in zip(rows, out.duals):
+        if sense == "<=":
+            assert dual <= tol
+        elif sense == ">=":
+            assert dual >= -tol
+        activity = sum(c * out.values[j] for j, c in coeffs.items())
+        if abs(activity - rhs) > 1e-6:
+            assert abs(dual) <= tol
+    # a column strictly inside its box has a zero reduced cost
+    for j, (obj, lo, hi) in enumerate(zip(q, lb, ub)):
+        if lo + 1e-6 < out.values[j] < hi - 1e-6:
+            rc = obj - sum(dual * coeffs.get(j, 0.0)
+                           for (coeffs, _, _), dual in zip(rows, out.duals))
+            assert abs(rc) <= 1e-6

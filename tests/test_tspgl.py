@@ -330,9 +330,17 @@ def test_dual_subproblem_strong_duality_random():
             assert fast.objective == z
             lp = lp_duals(tour, hk, qt, sorted(tour))
             assert lp.objective == pytest.approx(z, abs=1e-6)
-            for (i, j), lam in fast.lam.items():
-                assert lam >= -1e-12
-                assert fast.p[i] - fast.p[j] - lam <= qt.cost(hk, i, j) + 1e-9
+            # the duals keep only positive multipliers: check every arc,
+            # an absent one at 0
+            assert all(lam > 0.0 for lam in fast.lam.values())
+            for i in tour:
+                for j in tour:
+                    if i != j:
+                        lam = fast.lam.get((i, j), 0.0)
+                        assert fast.p[i] - fast.p[j] - lam <= qt.cost(hk, i, j) + 1e-9
+            for a, b in itertools.combinations(sorted(tour), 2):
+                assert fast.lambda_bar.get((a, b), 0.0) == \
+                    fast.lam.get((a, b), 0.0) + fast.lam.get((b, a), 0.0)
             # the running sums add the same edge costs in the same order as
             # a separate walk to each node, so the floats are equal
             dist = {v: _walk_distance(tour, hk, qt, v) for v in tour}
