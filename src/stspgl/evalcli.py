@@ -15,11 +15,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .model import (INFEASIBLE, TIME_LIMIT, Instance, StspGlResult, csv_cell, load_instance,
-                    save_instance)
+from .model import (INFEASIBLE, TIME_LIMIT, Instance, ParameterError, StspGlResult, csv_cell,
+                    load_instance, save_instance)
 from .scenarios import (
     MetricsRow,
-    ParameterError,
     evaluate_metrics,
     generate_instance,
     mean_scenario,

@@ -9,6 +9,7 @@ demand-weighted routing cost through a tradeoff weight alpha.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -21,6 +22,7 @@ Request = Tuple[int, int]   # (origin h, destination k)
 
 TRIANGLE_EPS = 1e-9   # tolerance for metric violations on rounded distances
 FLOW_EPS = 1e-6       # flow below this is treated as structurally zero
+SAT_EPS = 1e-9        # absolute tolerance on the service-level inequality
 
 # result / outcome status labels shared across the solvers
 OPTIMAL = "Optimal"
@@ -32,6 +34,10 @@ UNBOUNDED = "Unbounded"
 
 class StructuralViolation(ValueError):
     """A solution breaks a structural contract (e.g. flow off the tour)."""
+
+
+class ParameterError(ValueError):
+    """A model parameter is outside its meaningful range."""
 
 
 def edge(i: Node, j: Node) -> Edge:
@@ -123,9 +129,6 @@ class Instance:
     rounding: str = "exact"                       # "euc2d" | "exact"
     coords: Optional[Tuple[Tuple[float, float], ...]] = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "_ridx", {r: i for i, r in enumerate(self.requests)})
-
     @property
     def nodes(self) -> range:
         return range(self.n)
@@ -133,8 +136,37 @@ class Instance:
     def cbar(self, i: Node, j: Node) -> float:
         return self.design[i][j]
 
-    def demand(self, s: int, hk: Request) -> float:
-        return self.scenarios.demand[s][self._ridx[hk]]
+    # The chance constraint's data, computed once per instance on first use,
+    # so that an instance with parameters out of range still builds and
+    # `validate_instance` can report them.
+    @functools.cached_property
+    def demand_columns(self) -> Dict[Request, Tuple[float, ...]]:
+        """Each request's demand, scenario by scenario."""
+        rows = self.scenarios.demand
+        return {hk: tuple(row[r] for row in rows) for r, hk in enumerate(self.requests)}
+
+    @functools.cached_property
+    def service_floors(self) -> Tuple[float, ...]:
+        """Per scenario, the served demand that meets the service level."""
+        return tuple(self.theta * self.scenarios.total(s) - SAT_EPS
+                     for s in range(self.scenarios.size))
+
+    @functools.cached_property
+    def required_scenarios(self) -> int:
+        return required_scenario_count(self.scenarios.size, self.rho)
+
+
+def required_scenario_count(n_scenarios: int, rho: float) -> int:
+    """Number of scenarios that must meet the service level.
+
+    ceil((1-rho)*|S|) with a guard against float noise pushing an exact
+    integer product up by one.
+    """
+    if n_scenarios < 0:
+        raise ParameterError("negative scenario count")
+    if not 0.0 <= rho <= 1.0:
+        raise ParameterError("rho outside [0, 1]")
+    return max(0, math.ceil((1.0 - rho) * n_scenarios - SAT_EPS))
 
 
 def canonical_requests(requests: Iterable[Request]) -> Tuple[Request, ...]:

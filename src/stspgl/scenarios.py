@@ -8,17 +8,12 @@ matrix instead of per-scenario copies.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .model import Instance, Request, ScenarioSet, build_instance, validate_instance
-
-SAT_EPS = 1e-9  # absolute tolerance on the service-level inequality
-
-
-class ParameterError(ValueError):
-    """A model parameter is outside its meaningful range."""
+from .model import Instance, ParameterError, Request, ScenarioSet, build_instance, validate_instance
 
 
 @dataclass(frozen=True)
@@ -53,34 +48,21 @@ def deterministic_routing_costs(inst: Instance) -> RoutingCostTable:
     return RoutingCostTable(travel=inst.design, weight=weight)
 
 
-def required_scenario_count(n_scenarios: int, rho: float) -> int:
-    """Number of scenarios that must meet the service level.
-
-    ceil((1-rho)*|S|) with a guard against float noise pushing an exact
-    integer product up by one.
-    """
-    if n_scenarios < 0:
-        raise ParameterError("negative scenario count")
-    if not 0.0 <= rho <= 1.0:
-        raise ParameterError("rho outside [0, 1]")
-    return max(0, math.ceil((1.0 - rho) * n_scenarios - SAT_EPS))
+def served_demand(inst: Instance, served: Iterable[Request]) -> List[float]:
+    """Demand served in each scenario, added request by request in the
+    order given, as the builtin sum adds a per-scenario generator."""
+    columns = [inst.demand_columns[hk] for hk in served]
+    if not columns:
+        return [0.0] * inst.scenarios.size
+    return [sum(col) for col in zip(*columns)]
 
 
-def scenario_satisfied(inst: Instance, served: Iterable[Request], s: int) -> bool:
-    """True when the served requests cover a theta share of scenario demand."""
-    got = sum(inst.demand(s, hk) for hk in served)
-    need = inst.theta * inst.scenarios.total(s)
-    return got >= need - SAT_EPS
-
-
-def satisfied_count(inst: Instance, served: Iterable[Request]) -> int:
-    served = list(served)
-    return sum(1 for s in range(inst.scenarios.size) if scenario_satisfied(inst, served, s))
+def _scenarios_met(inst: Instance, got: List[float]) -> int:
+    return sum(map(operator.ge, got, inst.service_floors))
 
 
 def chance_feasible(inst: Instance, served: Iterable[Request]) -> bool:
-    served = list(served)
-    return satisfied_count(inst, served) >= required_scenario_count(inst.scenarios.size, inst.rho)
+    return _scenarios_met(inst, served_demand(inst, served)) >= inst.required_scenarios
 
 
 def mean_scenario(inst: Instance) -> Instance:
@@ -123,16 +105,13 @@ def evaluate_metrics(inst: Instance, served: Iterable[Request], design_cost: flo
     Works for solutions produced on a different scenario set (e.g. the mean
     scenario), which is the point: the scenarios of `inst` are the judge.
     """
-    served = list(served)
     ns = inst.scenarios.size
+    got = served_demand(inst, served)
     unmet = 0.0
-    missed = 0
     for s in range(ns):
         total = inst.scenarios.total(s)
-        got = sum(inst.demand(s, hk) for hk in served)
-        unmet += max(0.0, total - got) / total
-        if not scenario_satisfied(inst, served, s):
-            missed += 1
+        unmet += max(0.0, total - got[s]) / total
+    met = _scenarios_met(inst, got)
     return MetricsRow(
         nodes=inst.n,
         theta=inst.theta,
@@ -140,8 +119,8 @@ def evaluate_metrics(inst: Instance, served: Iterable[Request], design_cost: flo
         design_cost=design_cost,
         nbar=len(set(visited)),
         dbar=unmet / ns,
-        rhobar=missed / ns,
-        infeasible=not chance_feasible(inst, served),
+        rhobar=(ns - met) / ns,
+        infeasible=met < inst.required_scenarios,
     )
 
 

@@ -34,7 +34,7 @@ from .model import (
     edge,
 )
 from .mpbackend import LinearModel, SolveOutcome, resolve_with_cuts
-from .scenarios import RoutingCostTable, required_scenario_count
+from .scenarios import RoutingCostTable
 
 ABORTED = "Aborted"
 
@@ -153,9 +153,10 @@ def symmetric_tsp(nodes: Sequence[int], cost, time_limit: Optional[float] = None
     a tour, and it raises RuntimeError when its cut rounds run out on a
     solution that still splits into several cycles.
 
-    Held-Karp is vectorized: ~25 ms at 15 nodes, the MIP 15-20 ms. The
-    cutoff stays at 15 because the two can return different optimal tours
-    for one node set, and a solve's result must not change.
+    Held-Karp is vectorized: 13-22 ms at 15 nodes on a 2-vCPU host, where
+    the MIP takes 9-43 ms. The cutoff stays at 15 because the two can return
+    different optimal tours for one node set, and a solve's result must not
+    change.
     """
     nodes = sorted(nodes)
     n = len(nodes)
@@ -194,7 +195,8 @@ def _subset_layers(m: int) -> Tuple[Tuple[int, np.ndarray], ...]:
 def _held_karp(nodes: List[int], cost) -> Tuple[List[int], float]:
     """Held-Karp, pulled per subset layer and last node. Each dp entry is the
     same float64 addition as in the textbook loop (kept in tests as the
-    reference), and argmin keeps its lowest-predecessor tie-break."""
+    reference), read at the first argmin: one reduction gives the minimum
+    and the loop's lowest-predecessor tie-break."""
     start, others = nodes[0], nodes[1:]
     m = len(others)
     full = (1 << m) - 1
@@ -203,11 +205,14 @@ def _held_karp(nodes: List[int], cost) -> Tuple[List[int], float]:
     parent = np.full((1 << m, m), -1, dtype=np.int8)
     for j in range(m):
         dp[1 << j, j] = cost[start][others[j]]
+    rows = np.arange(1 << m)
     # per bit k: a whole layer at once would gather (masks, m, m) floats
     for k, sel in _subset_layers(m):
-        cand = dp[sel ^ (1 << k)] + c[:, k]
-        dp[sel, k] = cand.min(axis=1)
-        parent[sel, k] = cand.argmin(axis=1)
+        cand = dp.take(sel ^ (1 << k), axis=0)
+        cand += c[:, k]
+        best = cand.argmin(axis=1)
+        dp[sel, k] = cand[rows[:len(sel)], best]
+        parent[sel, k] = best
     closing = dp[full] + np.array([cost[v][start] for v in others], dtype=np.float64)
     best_j = int(closing.argmin())
     value = float(closing[best_j])
@@ -316,8 +321,7 @@ def add_service_rows(model: LinearModel, inst: Instance, serve: Dict[Request, in
                   for idx, hk in enumerate(inst.requests) if inst.scenarios.demand[s][idx]}
         coeffs[col] = -inst.theta * inst.scenarios.total(s)
         model.add_constr(coeffs, ">=", 0.0)
-    need = required_scenario_count(inst.scenarios.size, inst.rho)
-    model.add_constr({col: 1.0 for col in met}, ">=", float(need))
+    model.add_constr({col: 1.0 for col in met}, ">=", float(inst.required_scenarios))
 
 
 def chosen_edges(x: Dict[Edge, int], values: List[float]) -> List[Edge]:
@@ -459,12 +463,13 @@ def _tour_walk(seq: Sequence[int], hk: Request, qtilde: RoutingCostTable
     start = seq.index(hk[0])
     fwd: Dict[int, float] = {}
     back: Dict[int, float] = {}
+    travel, w = qtilde.travel, qtilde.weight[hk]
     ahead = behind = 0.0
     for t in range(n):
         a, b = seq[(start + t) % n], seq[(start - t) % n]
         fwd[a], back[b] = ahead, behind
-        ahead += qtilde.cost(hk, a, seq[(start + t + 1) % n])
-        behind += qtilde.cost(hk, b, seq[(start - t - 1) % n])
+        ahead += travel[a][seq[(start + t + 1) % n]] * w
+        behind += travel[b][seq[(start - t - 1) % n]] * w
     return fwd, back
 
 
@@ -520,10 +525,12 @@ def dual_subproblem(xbar: Sequence[int], hk: Request, qtilde: RoutingCostTable
     # only positive multipliers are stored; an absent arc or edge holds 0
     lam: Dict[Arc, float] = {}
     lambda_bar: Dict[Edge, float] = {}
+    w = qtilde.weight[hk]
     for i in nodes:
+        ui, row = u[i], qtilde.travel[i]
         for j in nodes:
             if i != j:
-                gain = u[j] - u[i] - qtilde.cost(hk, i, j)
+                gain = u[j] - ui - row[j] * w
                 if gain > 0.0:
                     lam[(i, j)] = gain
                     e = edge(i, j)

@@ -9,7 +9,10 @@ the Benders loop is checked against, and `lp_duals`, the routing dual LP
 that the Benders duals are checked against. `add_split_linking_rows` is the
 textbook two-row form of the linking rows that the paired form is checked
 against. `is_minimal` checks cover minimalization against `chance_feasible`
-itself, one request removal at a time.
+itself, one request removal at a time. The chance constraint's reference
+sums each scenario's served demand with its own generator, request by
+request, which the solver's precomputed demand columns must reproduce bit
+for bit; `metrics_reference` scores a solution from those sums.
 """
 
 from __future__ import annotations
@@ -29,9 +32,10 @@ from stspgl.model import (
     TspGlSolution,
     cycles,
     edge,
+    required_scenario_count,
 )
 from stspgl.mpbackend import LinearModel, SolveOutcome, resolve_with_cuts, solve_lp
-from stspgl.scenarios import RoutingCostTable, chance_feasible, required_scenario_count
+from stspgl.scenarios import MetricsRow, RoutingCostTable, chance_feasible
 from stspgl.tspgl import (
     BendersDuals,
     SubInstance,
@@ -51,14 +55,48 @@ from stspgl.tspgl import (
 SAT_EPS = 1e-9
 
 
-def subset_is_cover(inst: Instance, subset: Sequence) -> bool:
-    need = required_scenario_count(inst.scenarios.size, inst.rho)
-    hits = 0
-    for s in range(inst.scenarios.size):
-        got = sum(inst.demand(s, hk) for hk in subset)
-        if got >= inst.theta * inst.scenarios.total(s) - SAT_EPS:
-            hits += 1
-    return hits >= need
+def demand(inst: Instance, s: int, hk: Request) -> float:
+    return inst.scenarios.demand[s][inst.requests.index(hk)]
+
+
+def served_demand_reference(inst: Instance, served: Sequence[Request]) -> List[float]:
+    served = list(served)
+    return [sum(demand(inst, s, hk) for hk in served) for s in range(inst.scenarios.size)]
+
+
+def scenario_satisfied(inst: Instance, served: Sequence[Request], s: int) -> bool:
+    """True when the served requests cover a theta share of scenario demand."""
+    got = sum(demand(inst, s, hk) for hk in served)
+    need = inst.theta * inst.scenarios.total(s)
+    return got >= need - SAT_EPS
+
+
+def satisfied_count(inst: Instance, served: Sequence[Request]) -> int:
+    served = list(served)
+    return sum(1 for s in range(inst.scenarios.size) if scenario_satisfied(inst, served, s))
+
+
+def subset_is_cover(inst: Instance, subset: Sequence[Request]) -> bool:
+    return satisfied_count(inst, subset) >= required_scenario_count(inst.scenarios.size, inst.rho)
+
+
+def metrics_reference(inst: Instance, served: Sequence[Request], design_cost: float,
+                      visited: Sequence[int]) -> MetricsRow:
+    """The metrics row with each scenario's served demand summed afresh for
+    the unmet share, the per-scenario verdict and the chance constraint."""
+    served = list(served)
+    ns = inst.scenarios.size
+    unmet = 0.0
+    missed = 0
+    for s in range(ns):
+        total = inst.scenarios.total(s)
+        got = sum(demand(inst, s, hk) for hk in served)
+        unmet += max(0.0, total - got) / total
+        if not scenario_satisfied(inst, served, s):
+            missed += 1
+    return MetricsRow(nodes=inst.n, theta=inst.theta, rho=inst.rho, design_cost=design_cost,
+                      nbar=len(set(visited)), dbar=unmet / ns, rhobar=missed / ns,
+                      infeasible=not subset_is_cover(inst, served))
 
 
 def is_minimal(inst: Instance, cover) -> bool:

@@ -21,7 +21,7 @@ from stspgl.model import (
 )
 from stspgl.scenarios import generate_instance
 
-from oracles import structural_violations
+from oracles import demand, structural_violations
 
 
 def test_euc2d_rounds_to_nearest_integer():
@@ -43,7 +43,7 @@ def test_build_instance_canonicalizes_request_order():
     assert inst.requests == ((1, 3), (2, 4))
     # demand rows must follow the request reordering
     assert inst.scenarios.demand == ((3.0, 1.0), (4.0, 2.0))
-    assert inst.demand(0, (2, 4)) == 1.0
+    assert demand(inst, 0, (2, 4)) == 1.0
 
 
 def test_validate_instance_clean_on_d1(d1):

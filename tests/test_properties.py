@@ -1,20 +1,33 @@
 """Property tests: the cycle utility, the routing subproblems along a tour,
-the cover algebra and the LP duals' orientation, on inputs drawn by
-hypothesis."""
+the chance constraint, the cover algebra and the LP duals' orientation, on
+inputs drawn by hypothesis."""
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import is_minimal
+from oracles import (
+    is_minimal,
+    metrics_reference,
+    served_demand_reference,
+    subset_is_cover,
+    tour_path_cost,
+)
 from stspgl.covers import minimal_feasibility_cover
-from stspgl.model import OPTIMAL, cycles, edge
+from stspgl.model import OPTIMAL, ScenarioSet, cycles, edge
 from stspgl.mpbackend import LinearModel, solve_lp
-from stspgl.scenarios import RoutingCostTable, chance_feasible, generate_instance
+from stspgl.scenarios import (
+    RoutingCostTable,
+    chance_feasible,
+    evaluate_metrics,
+    generate_instance,
+    served_demand,
+)
 from stspgl.tspgl import _cycle_edges, dual_subproblem, primal_subproblem
 
 PROPERTY = settings(database=None, derandomize=True, deadline=None, max_examples=60)
@@ -94,7 +107,45 @@ def test_routing_subproblems_agree_along_the_tour(drawn):
     assert arcs == {}
     assert cost == z
     assert set(flow.values()) == {1.0}
-    assert dual_subproblem(tour, hk, qt).objective == z
+    # the duals come from the same walks, priced arc by arc with qt.cost
+    duals = dual_subproblem(tour, hk, qt)
+    assert duals.objective == z
+    u = {v: min(tour_path_cost(tour, hk[0], v, lambda a, b: qt.cost(hk, a, b)), z) for v in tour}
+    assert duals.p == {v: z - u[v] for v in tour}
+    gains = {(i, j): u[j] - u[i] - qt.cost(hk, i, j) for i in tour for j in tour if i != j}
+    assert duals.lam == {arc: gain for arc, gain in gains.items() if gain > 0.0}
+
+
+@st.composite
+def instance_and_served(draw):
+    """A generated instance with fractional demands, so that the order of
+    the additions shows in the sums, and a served request list in drawn
+    order: empty, all requests, or a random subset."""
+    n = draw(st.integers(3, 8))
+    inst = generate_instance(n=n, seed=draw(st.integers(0, 10_000)),
+                             n_requests=draw(st.integers(1, min(n * (n - 1), 12))),
+                             n_scenarios=draw(st.integers(1, 6)),
+                             theta=draw(st.floats(0.05, 1.0)), rho=draw(st.floats(0.0, 1.0)))
+    size = len(inst.requests) * inst.scenarios.size
+    scale = iter(draw(st.lists(st.floats(0.01, 10.0), min_size=size, max_size=size)))
+    demand = tuple(tuple(v * next(scale) for v in row) for row in inst.scenarios.demand)
+    inst = dataclasses.replace(inst, scenarios=ScenarioSet(demand=demand))
+    served = draw(st.one_of(st.just([]), st.just(list(inst.requests)),
+                            st.lists(st.sampled_from(inst.requests), unique=True)))
+    return inst, served
+
+
+@PROPERTY
+@given(instance_and_served(), st.floats(0.0, 1000.0))
+def test_chance_constraint_matches_the_per_scenario_sums(drawn, design_cost):
+    inst, served = drawn
+    got = served_demand(inst, served)
+    assert [float(v).hex() for v in got] == \
+        [float(v).hex() for v in served_demand_reference(inst, served)]
+    assert chance_feasible(inst, served) == subset_is_cover(inst, served)
+    visited = inst.compulsory.union(*served)
+    assert evaluate_metrics(inst, served, design_cost, visited) == \
+        metrics_reference(inst, served, design_cost, visited)
 
 
 @PROPERTY

@@ -2,17 +2,14 @@ from __future__ import annotations
 
 import pytest
 
-from stspgl.model import build_instance, validate_instance
+from oracles import satisfied_count, scenario_satisfied
+from stspgl.model import ParameterError, build_instance, required_scenario_count, validate_instance
 from stspgl.scenarios import (
-    ParameterError,
     chance_feasible,
     deterministic_routing_costs,
     evaluate_metrics,
     generate_instance,
     mean_scenario,
-    required_scenario_count,
-    satisfied_count,
-    scenario_satisfied,
 )
 
 

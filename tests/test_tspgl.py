@@ -144,10 +144,12 @@ def _random_costs(rng, size, kind):
 
 
 def test_held_karp_kernel_matches_reference():
+    kinds = ("integer", "euclidean", "asymmetric")
+    # 4..13 nodes, then one trial per kind at 14 and 15, the Held-Karp cutoff
+    trials = [(4 + trial % 10, kinds[trial % 3]) for trial in range(300)]
+    trials += [(n, kind) for n in (14, 15) for kind in kinds]
     rng = random.Random(41)
-    for trial in range(300):
-        n = 4 + trial % 10
-        kind = ("integer", "euclidean", "asymmetric")[trial % 3]
+    for trial, (n, kind) in enumerate(trials):
         cost = _random_costs(rng, n + 3, kind)
         nodes = sorted(rng.sample(range(n + 3), n))
         seq, value = _held_karp(nodes, cost)
