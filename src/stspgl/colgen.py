@@ -143,7 +143,7 @@ def add_gsec_rows(inst: Instance, model: LinearModel, index: RmpIndex,
     return bool(cuts)
 
 
-def extract_duals(inst: Instance, index: RmpIndex, outcome: SolveOutcome) -> DualPrices:
+def extract_duals(index: RmpIndex, outcome: SolveOutcome) -> DualPrices:
     if outcome.duals is None:
         raise ValueError("dual prices require an optimal LP outcome")
     iota = {i: outcome.duals[row] for i, row in index.link_rows.items()}
@@ -228,16 +228,6 @@ def solve_pricing(
         objective=objective,
         raw_requests=raw,
     )
-
-
-def lagrangian_lower_bound(rmp_obj: float, pricing_obj: float) -> float:
-    """Master value plus the minimum reduced cost (convexity multiplier 1)."""
-    return rmp_obj + pricing_obj
-
-
-def add_branching_cut(pool: ColumnPool, requests: Tuple[Request, ...]) -> None:
-    """Fix the cover's column to zero and exclude it from future pricing."""
-    pool.branched.add(tuple(requests))
 
 
 def cg_log_line(iteration: int, rmp_obj, pricing_obj, lb, columns: int, phi: int) -> str:

@@ -7,6 +7,7 @@ wires them to instance files.
 
 import argparse
 import dataclasses
+import inspect
 import json
 import math
 import sys
@@ -195,6 +196,12 @@ def write_sweep_csv(result: SweepResult, design_path, nodes_path) -> None:
 
 # --- benchmark tables --------------------------------------------------------
 
+# `generate_instance`'s parameters except the seed, which `_spec_instances`
+# counts up from `start_seed`, plus the instance count
+GENERATOR_KEYS = (frozenset(inspect.signature(generate_instance).parameters) - {"seed"}) \
+    | {"count", "start_seed"}
+
+
 @dataclass
 class ExperimentSpec:
     instances: List[str] = field(default_factory=list)   # instance file paths
@@ -213,6 +220,10 @@ class ExperimentSpec:
             raise ValueError("methods and seeds must be nonempty")
         if not self.instances and self.generator is None:
             raise ValueError("spec needs instance files or generator params")
+        unknown = sorted(set(self.generator or ()) - GENERATOR_KEYS)
+        if unknown:
+            hint = "; give the first instance's seed as start_seed" if "seed" in unknown else ""
+            raise ValueError(f"unknown generator keys {unknown}{hint}")
 
 
 def load_experiment_spec(path) -> ExperimentSpec:

@@ -42,13 +42,11 @@ from .covers import FeasibilityCover, explore, local_search, make_cover
 from .mpbackend import LinearModel, SolveOutcome, resolve_with_cuts, solve_lp
 from .colgen import (
     ColumnPool,
-    add_branching_cut,
     add_gsec_rows,
     build_rmp,
     cg_log_line,
     extend_rmp,
     extract_duals,
-    lagrangian_lower_bound,
     solve_pricing,
 )
 from .tspgl import (
@@ -330,7 +328,8 @@ def _close(state: SearchState, cover: FeasibilityCover, event: str,
            nodes_visited=None) -> None:
     """Take a cover out of the search: branch it away and log why."""
     if state.pool is not None:
-        add_branching_cut(state.pool, cover.requests)
+        # its master column is fixed to zero and pricing excludes it
+        state.pool.branched.add(cover.requests)
     state.note(event, cover_size=cover.size, nodes_visited=nodes_visited)
 
 
@@ -340,7 +339,7 @@ def _score_and_enqueue(state: SearchState, cover: FeasibilityCover) -> bool:
     if cover.requests in state.scored:
         return False
     cover.bounds = cover_bounds(make_subinstance(state.inst, cover, state.qtilde),
-                                cutpool=state.cutpool, time_limit=_window(state))
+                                state.cutpool, time_limit=_window(state))
     if cover.bounds is None:
         return False
     state.scored.add(cover.requests)
@@ -358,9 +357,8 @@ def _evaluate_cover(state: SearchState, cover: FeasibilityCover) -> None:
         _close(state, cover, "discard")
         return
     sub = make_subinstance(state.inst, cover, state.qtilde)
-    incumbent_ub = state.ub if math.isfinite(state.ub) else None
-    out = benders_solve_tspgl(sub, warm=cover.bounds, incumbent_ub=incumbent_ub,
-                              time_limit=_window(state), cutpool=state.cutpool)
+    out = benders_solve_tspgl(sub, cover.bounds, state.cutpool, incumbent_ub=state.ub,
+                              time_limit=_window(state))
     if out.status == ABORTED:
         _close(state, cover, "abort")
     elif out.status == OPTIMAL and out.solution is not None:
@@ -443,17 +441,17 @@ def _dive(state: SearchState, cfg: SearchConfig, hybrid: bool,
                 # every admissible cover is branched away: the dive is done
                 state.raise_lb(state.ub)
                 return False
-            if rmp_out.status != OPTIMAL or rmp_out.duals is None:
+            if rmp_out.status != OPTIMAL:
                 if state.remaining() <= 0:
                     return True
                 break
-            duals = extract_duals(inst, index, rmp_out)
+            duals = extract_duals(index, rmp_out)
             pres = solve_pricing(inst, duals, phi=sorted(pool.branched),
                                  time_limit=_window(state, pricing_cap))
             rounds_total += 1
             if math.isfinite(pres.objective):
-                state.raise_lb(lagrangian_lower_bound(rmp_out.objective,
-                                                      pres.objective))
+                # master value plus the minimum reduced cost (convexity multiplier 1)
+                state.raise_lb(rmp_out.objective + pres.objective)
             elif pres.objective == math.inf:
                 state.raise_lb(state.ub)
             if cg_log is not None:

@@ -7,6 +7,7 @@ matrix instead of per-scenario copies.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import operator
 import random
@@ -72,18 +73,7 @@ def mean_scenario(inst: Instance) -> Instance:
         sum(inst.scenarios.demand[s][r] for s in range(ns)) / ns
         for r in range(len(inst.requests))
     )
-    return Instance(
-        n=inst.n,
-        design=inst.design,
-        compulsory=inst.compulsory,
-        requests=inst.requests,
-        scenarios=ScenarioSet(demand=(mean_row,)),
-        alpha=inst.alpha,
-        theta=inst.theta,
-        rho=inst.rho,
-        rounding=inst.rounding,
-        coords=inst.coords,
-    )
+    return dataclasses.replace(inst, scenarios=ScenarioSet(demand=(mean_row,)))
 
 
 @dataclass

@@ -58,7 +58,6 @@ class SubInstance:
     """
 
     inst: Instance
-    cover: FeasibilityCover
     nodes: Tuple[int, ...]
     requests: Tuple[Request, ...]
     qtilde: RoutingCostTable
@@ -69,9 +68,6 @@ class SubInstance:
 
     def origins(self) -> List[int]:
         return sorted({h for h, _k in self.requests})
-
-    def requests_from(self, h: int) -> List[Request]:
-        return [hk for hk in self.requests if hk[0] == h]
 
     @property
     def key(self) -> frozenset:
@@ -97,7 +93,7 @@ def padded_node_set(inst: Instance, visited: Iterable[int]) -> Tuple[int, ...]:
 
 def make_subinstance(inst: Instance, cover: FeasibilityCover, qtilde: RoutingCostTable) -> SubInstance:
     nodes = padded_node_set(inst, cover.visited)
-    return SubInstance(inst=inst, cover=cover, nodes=nodes, requests=cover.requests, qtilde=qtilde)
+    return SubInstance(inst=inst, nodes=nodes, requests=cover.requests, qtilde=qtilde)
 
 
 @dataclass
@@ -136,7 +132,6 @@ class BoundEstimate:
 class TspGlOutcome:
     status: str                         # Optimal | TimeLimit | Aborted | Infeasible
     solution: Optional[TspGlSolution]
-    lower_bound: float                  # last master objective, valid for this subproblem
     iterations: int = 0
 
 
@@ -422,31 +417,30 @@ def gsec_row(x: Dict[Edge, int], nodes: Iterable[int], side: FrozenSet[int], i: 
 
 # --- bound estimation ------------------------------------------------------
 
-def cover_bounds(sub: SubInstance, cutpool: Optional[CutPool] = None,
+def cover_bounds(sub: SubInstance, cutpool: CutPool,
                  time_limit: Optional[float] = None) -> Optional[BoundEstimate]:
     """Bracket the subproblem value without solving it.
 
     Lower bound: exact TSP design plus each request's direct-arc cost (no
     tour-constrained path is cheaper under a metric). Upper bound: evaluate
-    the TSP tour itself, routing each request along it. None, with nothing
-    cached, when the TSP runs out of `time_limit`.
+    the TSP tour itself, routing each request along it. The tour and the
+    subtours met finding it go into `cutpool`. None, with nothing cached,
+    when the TSP runs out of `time_limit`.
     """
     alpha = sub.alpha
-    inst = sub.inst
     key = sub.key
-    cached = cutpool.tsp_cache.get(key) if cutpool is not None else None
+    cached = cutpool.tsp_cache.get(key)
     if cached is not None:
         tour, tsp_val = cached
     else:
-        tsp = symmetric_tsp(sub.nodes, inst.design, time_limit)
+        tsp = symmetric_tsp(sub.nodes, sub.inst.design, time_limit)
         if tsp is None:
             return None
         seq, tsp_val, subtours = tsp
         tour = tuple(seq)
-        if cutpool is not None:
-            cutpool.tsp_cache[key] = (tour, tsp_val)
-            for comp in subtours:
-                cutpool.add_subtour(key, comp)
+        cutpool.tsp_cache[key] = (tour, tsp_val)
+        for comp in subtours:
+            cutpool.add_subtour(key, comp)
     lb_routing = sum(sub.qtilde.cost(hk, *hk) for hk in sub.requests)
     ub_routing = sum(primal_subproblem(tour, hk, sub.qtilde)[1] for hk in sub.requests)
     return BoundEstimate(lb=(1.0 - alpha) * tsp_val + alpha * lb_routing,
@@ -546,32 +540,6 @@ def _cycle_edges(seq: Sequence[int]) -> List[Edge]:
     return [edge(seq[t], seq[(t + 1) % n]) for t in range(n)]
 
 
-@dataclass
-class OptimalityCut:
-    origin: int
-    coeffs: Dict[Edge, float]    # lambda-bar summed over the origin's requests
-    rhs: float                   # sum of p_h - p_k over those requests
-
-
-def aggregated_optimality_cuts(duals_by_request: Dict[Request, BendersDuals],
-                               origin: int) -> OptimalityCut:
-    """One Benders cut bundling every request leaving `origin`.
-
-    eta_h + sum_e coeffs[e] * x_e >= rhs. Valid for every tour because each
-    request's duals stay feasible whatever x is (weak duality per request).
-    """
-    coeffs: Dict[Edge, float] = {}
-    rhs = 0.0
-    for hk in sorted(duals_by_request):
-        if hk[0] != origin:
-            continue
-        duals = duals_by_request[hk]
-        rhs += duals.p[hk[0]] - duals.p[hk[1]]
-        for e, val in duals.lambda_bar.items():
-            coeffs[e] = coeffs.get(e, 0.0) + val
-    return OptimalityCut(origin=origin, coeffs=coeffs, rhs=rhs)
-
-
 # --- Benders master loop ---------------------------------------------------
 
 def _master_model(sub: SubInstance) -> Tuple[LinearModel, Dict[Edge, int], Dict[int, int]]:
@@ -585,12 +553,27 @@ def _master_model(sub: SubInstance) -> Tuple[LinearModel, Dict[Edge, int], Dict[
     return model, x, eta
 
 
-def _optimality_constr(x: Dict[Edge, int], eta: Dict[int, int], cut: OptimalityCut
-                       ) -> Tuple[Dict[int, float], str, float]:
-    coeffs = {eta[cut.origin]: 1.0}
-    for e, val in sorted(cut.coeffs.items()):
+def _optimality_row(x: Dict[Edge, int], eta: Dict[int, int],
+                    duals: Dict[Request, BendersDuals], origin: int
+                    ) -> Tuple[Dict[int, float], str, float]:
+    """One Benders cut bundling every request leaving `origin`:
+    eta_h + sum_e lambda-bar_e * x_e >= sum (p_h - p_k).
+
+    Valid for every tour because each request's duals stay feasible whatever
+    x is (weak duality per request).
+    """
+    lambda_bar: Dict[Edge, float] = {}
+    rhs = 0.0
+    for hk in sorted(duals):
+        if hk[0] != origin:
+            continue
+        rhs += duals[hk].p[hk[0]] - duals[hk].p[hk[1]]
+        for e, val in duals[hk].lambda_bar.items():
+            lambda_bar[e] = lambda_bar.get(e, 0.0) + val
+    coeffs = {eta[origin]: 1.0}
+    for e, val in sorted(lambda_bar.items()):
         coeffs[x[e]] = val
-    return coeffs, ">=", cut.rhs
+    return coeffs, ">=", rhs
 
 
 def solution_from_tour(sub: SubInstance, seq: Sequence[int]) -> TspGlSolution:
@@ -618,50 +601,41 @@ def solution_from_tour(sub: SubInstance, seq: Sequence[int]) -> TspGlSolution:
 
 def benders_solve_tspgl(
     sub: SubInstance,
-    warm: Optional[BoundEstimate] = None,
-    incumbent_ub: Optional[float] = None,
+    warm: BoundEstimate,
+    cutpool: CutPool,
+    incumbent_ub: float = math.inf,
     time_limit: Optional[float] = None,
-    cutpool: Optional[CutPool] = None,
 ) -> TspGlOutcome:
     """Benders loop: tour master, per-request path subproblems.
 
-    Warm start seeds the master with the bound-stage TSP tour's optimality
-    cuts and any subtour cuts cached for this node set. The master then runs
-    through `resolve_with_cuts`, without primal heuristics, for at most
+    The master starts with the optimality cuts of `warm`'s TSP tour and the
+    subtour cuts `cutpool` holds for this node set. It then runs through
+    `resolve_with_cuts`, without primal heuristics, for at most
     `MAX_BENDERS_ITERATIONS` MIPs. Each master solution yields subtour cuts
     if it splits into cycles, and otherwise its tour is scored and the
     optimality cuts of the origins whose eta it underestimates are added.
     The loop aborts as soon as the master objective provably exceeds
     `incumbent_ub`.
     """
-    pool = cutpool if cutpool is not None else CutPool()
     model, x, eta = _master_model(sub)
-    for comp in pool.subtours_for(sub.key):
+    for comp in cutpool.subtours_for(sub.key):
         model.add_constr(*_sec_cut(x, comp))
-    if warm is None:
-        warm = cover_bounds(sub, cutpool=pool)
-    if sub.requests and warm.tsp_tour:
-        duals = {
-            hk: dual_subproblem(warm.tsp_tour, hk, sub.qtilde)
-            for hk in sub.requests
-        }
-        for h in sub.origins():
-            model.add_constr(*_optimality_constr(x, eta, aggregated_optimality_cuts(duals, h)))
+    duals = {hk: dual_subproblem(warm.tsp_tour, hk, sub.qtilde) for hk in sub.requests}
+    for h in sub.origins():
+        model.add_constr(*_optimality_row(x, eta, duals, h))
 
     incumbent: Optional[TspGlSolution] = None
-    lower = -math.inf
 
     def separate(out: SolveOutcome) -> List[Tuple[Dict[int, float], str, float]]:
-        nonlocal incumbent, lower
-        lower = out.objective
-        if incumbent_ub is not None and out.objective > incumbent_ub + INCUMBENT_EPS:
+        nonlocal incumbent
+        if out.objective > incumbent_ub + INCUMBENT_EPS:
             return []
         tours = cycles(chosen_edges(x, out.values))
         if len(tours) > 1:
             # no integer solution holds a subtour whose row is in the model,
             # so every cycle found here is new
             for tour in tours:
-                pool.add_subtour(sub.key, tour)
+                cutpool.add_subtour(sub.key, tour)
             return [_sec_cut(x, tour) for tour in tours]
         seq = tours[0]
         candidate = solution_from_tour(sub, seq)
@@ -670,9 +644,9 @@ def benders_solve_tspgl(
         duals = {hk: dual_subproblem(seq, hk, sub.qtilde) for hk in sub.requests}
         violated = []
         for h in sub.origins():
-            true_h = sum(duals[hk].objective for hk in sub.requests_from(h))
+            true_h = sum(duals[hk].objective for hk in sub.requests if hk[0] == h)
             if out.values[eta[h]] < true_h - _CUT_VIOLATION_EPS * max(1.0, abs(true_h)):
-                violated.append(_optimality_constr(x, eta, aggregated_optimality_cuts(duals, h)))
+                violated.append(_optimality_row(x, eta, duals, h))
         return violated
 
     out = resolve_with_cuts(model, separate, max_rounds=MAX_BENDERS_ITERATIONS - 1,
@@ -681,8 +655,8 @@ def benders_solve_tspgl(
         status = TIME_LIMIT
     elif not out.solved:
         status = INFEASIBLE
-    elif incumbent_ub is not None and out.objective > incumbent_ub + INCUMBENT_EPS:
+    elif out.objective > incumbent_ub + INCUMBENT_EPS:
         status = ABORTED
     else:
         status = OPTIMAL
-    return TspGlOutcome(status, incumbent, lower, out.cut_rounds + 1)
+    return TspGlOutcome(status, incumbent, out.cut_rounds + 1)

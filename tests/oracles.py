@@ -8,7 +8,8 @@ not the code they check: `solve_tspgl_direct`, a monolithic flow MIP that
 the Benders loop is checked against, and `lp_duals`, the routing dual LP
 that the Benders duals are checked against. `add_split_linking_rows` is the
 textbook two-row form of the linking rows that the paired form is checked
-against. `is_minimal` checks cover minimalization against `chance_feasible`
+against. `warm_start` runs the solver's own bound stage, because the
+Benders loop takes its tour and cut cache as inputs. `is_minimal` checks cover minimalization against `chance_feasible`
 itself, one request removal at a time. The chance constraint's reference
 sums each scenario's served demand with its own generator, request by
 request, which the solver's precomputed demand columns must reproduce bit
@@ -38,12 +39,15 @@ from stspgl.mpbackend import LinearModel, SolveOutcome, resolve_with_cuts, solve
 from stspgl.scenarios import MetricsRow, RoutingCostTable, chance_feasible
 from stspgl.tspgl import (
     BendersDuals,
+    BoundEstimate,
+    CutPool,
     SubInstance,
     TspGlOutcome,
     add_edge_vars,
     add_flow_vars,
     add_linking_rows,
     chosen_edges,
+    cover_bounds,
     degree_coeffs,
     flow_coeffs,
     supply,
@@ -384,13 +388,18 @@ def solve_tspgl_direct(sub: SubInstance, time_limit: Optional[float] = None) -> 
     out = resolve_with_cuts(model, cut_source, max_rounds=len(sub.nodes) * 4,
                             time_limit=time_limit)
     if not out.solved:
-        return TspGlOutcome(out.status, None, -math.inf)
+        return TspGlOutcome(out.status, None)
     tours = cycles(chosen_edges(x, out.values))
     if len(tours) > 1:
         # the cut rounds ran out on a solve that still splits
-        return TspGlOutcome(TIME_LIMIT, None, -math.inf, out.cut_rounds + 1)
+        return TspGlOutcome(TIME_LIMIT, None, out.cut_rounds + 1)
     sol = solution_from_tour(sub, tours[0])
     status = OPTIMAL if out.status == OPTIMAL and out.cuts_complete else TIME_LIMIT
-    bound = out.best_bound if out.best_bound is not None else sol.objective
-    return TspGlOutcome(status, sol, bound if status != OPTIMAL else sol.objective,
-                        out.cut_rounds + 1)
+    return TspGlOutcome(status, sol, out.cut_rounds + 1)
+
+
+def warm_start(sub: SubInstance) -> Tuple[BoundEstimate, CutPool]:
+    """The bound stage of a cover on a fresh cut cache, as the warm start and
+    cache `benders_solve_tspgl` takes after the sub."""
+    pool = CutPool()
+    return cover_bounds(sub, pool), pool

@@ -36,11 +36,10 @@ from stspgl.scenarios import (
 )
 from stspgl.tspgl import (
     benders_solve_tspgl,
-    cover_bounds,
     make_subinstance,
 )
 
-from oracles import enumerate_minimal_covers, is_minimal, solve_tspgl_direct
+from oracles import enumerate_minimal_covers, is_minimal, solve_tspgl_direct, warm_start
 
 
 def _cfg(seed=0):
@@ -107,8 +106,8 @@ def c2_pairs():
             taken.add(cov.requests)
             sub = make_subinstance(inst, cov, qtilde)
             assert len(sub.nodes) <= 8
-            bounds = cover_bounds(sub)
-            ben = benders_solve_tspgl(sub, warm=bounds)
+            bounds, pool = warm_start(sub)
+            ben = benders_solve_tspgl(sub, bounds, pool)
             direct = solve_tspgl_direct(sub)
             rows.append((bounds, ben, direct))
     return rows, time.monotonic() - started
@@ -132,8 +131,8 @@ def c3_rows():
         for requests in covers:
             cov = make_cover(inst, requests)
             sub = make_subinstance(inst, cov, qtilde)
-            bounds = cover_bounds(sub)
-            out = benders_solve_tspgl(sub, warm=bounds)
+            bounds, pool = warm_start(sub)
+            out = benders_solve_tspgl(sub, bounds, pool)
             assert out.status == "Optimal"
             audits.append((bounds.lb, out.solution.objective, bounds.ub))
             best = min(best, out.solution.objective)

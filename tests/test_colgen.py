@@ -19,13 +19,11 @@ from stspgl.colgen import (
     CG_LOG_HEADER,
     ColumnPool,
     DualPrices,
-    add_branching_cut,
     add_gsec_rows,
     build_rmp,
     cg_log_line,
     extend_rmp,
     extract_duals,
-    lagrangian_lower_bound,
     reduced_cost,
     solve_pricing,
 )
@@ -103,7 +101,7 @@ def test_reduced_cost_matches_engine_columns(d1, d1_qtilde):
     pool = _pool_with(d1, d1.requests, [(1, 3)])
     model, index = build_rmp(d1, pool, d1_qtilde)
     out = solve_lp(model)
-    duals = extract_duals(d1, index, out)
+    duals = extract_duals(index, out)
     probe = make_cover(d1, [(2, 4)])
     # rebuild the probe's column coefficients row by row and price it by hand
     engine_rc = -out.duals[index.convex_row]
@@ -130,7 +128,7 @@ def test_pooled_columns_price_nonnegative_at_optimum():
         model, index = build_rmp(inst, pool, qt)
         out = solve_lp(model)
         assert out.status == OPTIMAL
-        duals = extract_duals(inst, index, out)
+        duals = extract_duals(index, out)
         for cover in pool.columns:
             assert reduced_cost(cover, duals) >= -1e-6
 
@@ -209,8 +207,8 @@ def test_pricing_never_returns_branched_cover(d1):
     first = solve_pricing(d1, duals)
     assert first.cover is not None
     pool = ColumnPool()
-    add_branching_cut(pool, first.cover.requests)
-    add_branching_cut(pool, first.cover.requests)  # duplicate is a no-op
+    pool.branched.add(first.cover.requests)
+    pool.branched.add(first.cover.requests)  # duplicate is a no-op
     second = solve_pricing(d1, duals, phi=pool.branched)
     if second.cover is not None:
         assert second.cover.requests != first.cover.requests
@@ -219,7 +217,7 @@ def test_pricing_never_returns_branched_cover(d1):
 def test_branched_column_fixed_to_zero(d1, d1_qtilde):
     pool = _pool_with(d1, d1.requests, [(1, 3)])
     base = solve_lp(build_rmp(d1, pool, d1_qtilde)[0]).objective
-    add_branching_cut(pool, ((1, 3),))
+    pool.branched.add(((1, 3),))
     model, index = build_rmp(d1, pool, d1_qtilde)
     out = solve_lp(model)
     assert out.values[index.chi[((1, 3),)]] == pytest.approx(0.0, abs=1e-9)
@@ -248,8 +246,8 @@ def test_rmp_grown_in_place_equals_fresh_build():
     steps = [   # (change to the pool, whether the master changes)
         (lambda: pool.add(covers[0]), True),
         (lambda: (pool.add(covers[1]), pool.add(covers[2])), True),
-        (lambda: add_branching_cut(pool, covers[0].requests), True),    # already pooled
-        (lambda: add_branching_cut(pool, covers[3].requests), False),   # not pooled yet
+        (lambda: pool.branched.add(covers[0].requests), True),    # already pooled
+        (lambda: pool.branched.add(covers[3].requests), False),   # not pooled yet
         (lambda: pool.add(covers[3]), True),                            # enters branched
         (lambda: None, False),                                          # nothing changed
     ]
@@ -295,7 +293,7 @@ def test_gsec_rows_lift_the_master_and_leave_pricing_alone(n, seed, n_requests,
     optimum, _cover = oracle_stspgl(inst, qt)
     assert bounds == sorted(bounds) and bounds[-1] > bounds[0]
     assert bounds[-1] <= optimum * (1 + 1e-9)
-    duals = extract_duals(inst, index, out)
+    duals = extract_duals(index, out)
     for cover in pool.columns:
         assert reduced_cost(cover, duals) >= -1e-6
 
@@ -324,11 +322,6 @@ def test_paired_linking_rows_keep_the_master_value(monkeypatch, n, seed, n_reque
     assert split_out.status == OPTIMAL
     assert split.n_constrs() - model.n_constrs() == len(index.x) * len(inst.requests)
     assert out.objective == pytest.approx(split_out.objective, rel=1e-9)
-
-
-def test_lagrangian_lower_bound():
-    assert lagrangian_lower_bound(10.0, -2.0) == 8.0
-    assert lagrangian_lower_bound(10.0, 0.0) == 10.0
 
 
 def test_cg_log_line_format():

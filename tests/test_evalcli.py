@@ -38,7 +38,7 @@ def strict_instance():
     )
 
 
-def test_make_config_scales_component_budgets():
+def test_make_config_sets_budget_gap_and_seed():
     cfg = make_config(time_limit=90.0, gap=0.01, seed=3)
     cfg.validate()
     assert cfg.time_limit_total == 90.0
@@ -192,6 +192,18 @@ def test_experiment_spec_validation(tmp_path):
     spec = load_experiment_spec(path)
     assert spec.methods == ["heuristic"]
     assert spec.seeds == [1, 2]
+    # every key `generate_instance` takes passes; a seed or any other key does not
+    ExperimentSpec(generator={"count": 2, "start_seed": 4, "n": 5, "n_requests": 4,
+                              "n_scenarios": 3, "theta": 0.7, "rho": 0.3, "alpha": 0.5,
+                              "demand_presence": 0.9, "demand_max": 5}).validate()
+    with pytest.raises(ValueError, match=r"\['seed'\]; give the first instance's seed as start_seed"):
+        ExperimentSpec(generator={"n": 5, "seed": 3}).validate()
+    with pytest.raises(ValueError, match=r"unknown generator keys \['bogus'\]$"):
+        ExperimentSpec(generator={"n": 5, "bogus": 1}).validate()
+    path.write_text(json.dumps({"generator": {"n": 5, "seed": 3}, "out_dir": str(tmp_path / "x")}))
+    with pytest.raises(ValueError, match="start_seed"):
+        load_experiment_spec(path)
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("method", ["bp", "hybrid"])

@@ -6,7 +6,7 @@ import warnings
 
 import pytest
 
-from oracles import oracle_tsp
+from oracles import oracle_tsp, warm_start
 from stspgl import mpbackend
 from stspgl.colgen import DualPrices, solve_pricing
 from stspgl.covers import minimal_feasibility_cover
@@ -20,7 +20,7 @@ from stspgl.mpbackend import (
 )
 from stspgl.orchestrate import SearchConfig, run_mip_benchmark
 from stspgl.scenarios import deterministic_routing_costs, generate_instance
-from stspgl.tspgl import _tsp_mip, benders_solve_tspgl, cover_bounds, make_subinstance
+from stspgl.tspgl import _tsp_mip, benders_solve_tspgl, make_subinstance
 
 
 def test_lp_one_dimensional_with_dual():
@@ -186,13 +186,13 @@ def test_only_pricing_and_benders_masters_skip_heuristics(monkeypatch):
     inst = generate_instance(n=7, seed=301, n_requests=5, n_scenarios=4, theta=0.7, rho=0.25)
     qt = deterministic_routing_costs(inst)
     sub = make_subinstance(inst, minimal_feasibility_cover(inst, inst.requests), qt)
-    warm = cover_bounds(sub)
+    warm = warm_start(sub)
     duals = DualPrices(iota={i: 0.0 for i in inst.nodes},
                        eps={(hk, i): 0.0 for hk in inst.requests for i in inst.nodes},
                        beta=1.0)
     runs = [
         (True, lambda: solve_pricing(inst, duals)),
-        (True, lambda: benders_solve_tspgl(sub, warm=warm)),
+        (True, lambda: benders_solve_tspgl(sub, *warm)),
         (False, lambda: run_mip_benchmark(inst, SearchConfig(time_limit_total=60.0))),
         (False, lambda: _tsp_mip(sorted(inst.nodes), inst.design, None)),
     ]

@@ -334,6 +334,27 @@ def test_dive_ends_at_the_round_whose_bound_proves_the_incumbent(method):
     assert closed and closed[0] == len(lines)
 
 
+@pytest.mark.parametrize("method", [run_bp, run_hybrid])
+def test_dive_bound_is_the_master_value_plus_the_pricing_optimum(method):
+    # the Lagrangian bound with convexity multiplier 1, capped at the incumbent
+    inst = generate_instance(n=10, seed=1, n_requests=14, n_scenarios=6,
+                             theta=0.8, rho=0.2)
+    lines = []
+    res = method(inst, fast_cfg(), cg_log=lines)
+    assert res.status == "Optimal"
+    lb = -math.inf
+    met = 0
+    for line in lines:
+        _it, rmp, pricing, logged, _columns, _phi = line.split(",")
+        bound = float(rmp) + float(pricing)
+        assert float(logged) >= max(lb, min(bound, res.upper_bound))
+        if bound <= res.upper_bound:
+            assert float(logged) == max(lb, bound)
+            met += 1
+        lb = float(logged)
+    assert met >= 2
+
+
 def test_result_json_has_expected_fields(d1):
     res = run_bp(d1, fast_cfg())
     doc = res.to_json_dict(d1)

@@ -1,9 +1,17 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from oracles import satisfied_count, scenario_satisfied
-from stspgl.model import ParameterError, build_instance, required_scenario_count, validate_instance
+from stspgl.model import (
+    Instance,
+    ParameterError,
+    build_instance,
+    required_scenario_count,
+    validate_instance,
+)
 from stspgl.scenarios import (
     chance_feasible,
     deterministic_routing_costs,
@@ -85,6 +93,14 @@ def test_mean_scenario_keeps_everything_else(d1):
     assert det.design == d1.design
     assert det.requests == d1.requests
     assert (det.theta, det.rho, det.alpha) == (d1.theta, d1.rho, d1.alpha)
+    # every other field, on an instance that has coordinates
+    inst = generate_instance(n=7, seed=3, n_requests=6, n_scenarios=4, theta=0.7, rho=0.3)
+    assert inst.coords is not None
+    det = mean_scenario(inst)
+    assert det.scenarios.size == 1
+    for f in dataclasses.fields(Instance):
+        if f.name != "scenarios":
+            assert getattr(det, f.name) == getattr(inst, f.name), f.name
 
 
 def test_evaluate_metrics_on_d1(d1):

@@ -21,6 +21,7 @@ from oracles import (
     solve_tspgl_direct,
     structural_violations,
     tour_path_cost,
+    warm_start,
 )
 from stspgl import mpbackend, tspgl
 from stspgl.covers import make_cover, minimal_feasibility_cover
@@ -32,7 +33,6 @@ from stspgl.tspgl import (
     GSEC_EPS,
     BoundEstimate,
     CutPool,
-    aggregated_optimality_cuts,
     benders_solve_tspgl,
     cover_bounds,
     dual_subproblem,
@@ -44,6 +44,7 @@ from stspgl.tspgl import (
     solution_from_tour,
     symmetric_tsp,
     _held_karp,
+    _optimality_row,
     _tsp_mip,
 )
 
@@ -126,9 +127,9 @@ def test_cover_bounds_caches_nothing_when_the_tsp_times_out():
     sub = _sub(inst, list(inst.requests))
     assert len(sub.nodes) > 15
     pool = CutPool()
-    assert cover_bounds(sub, cutpool=pool, time_limit=0.0) is None
+    assert cover_bounds(sub, pool, time_limit=0.0) is None
     assert pool.tsp_cache == {} and pool.subtours == {}
-    assert cover_bounds(sub, cutpool=pool, time_limit=60.0) is not None
+    assert cover_bounds(sub, pool, time_limit=60.0) is not None
     assert sub.key in pool.tsp_cache
 
 
@@ -211,12 +212,12 @@ def test_make_subinstance_on_d1(d1):
 
 def test_cover_bounds_on_d1(d1):
     sub = _sub(d1, [(1, 3)])
-    b = cover_bounds(sub)
+    b = cover_bounds(sub, CutPool())
     assert b.tsp_tour == (0, 1, 3)
     # design 6 weighted 0.75, the direct arc's routing cost 2 weighted 0.25
     assert b.lb == pytest.approx(5.0)
     assert b.ub == pytest.approx(5.0)
-    other = cover_bounds(_sub(d1, [(2, 4)]))
+    other = cover_bounds(_sub(d1, [(2, 4)]), CutPool())
     assert other.lb == pytest.approx(6.5)
     assert other.ub == pytest.approx(6.5)
 
@@ -228,7 +229,7 @@ def test_cover_bounds_sandwich_random():
         qt = deterministic_routing_costs(inst)
         cov = minimal_feasibility_cover(inst, inst.requests)
         sub = make_subinstance(inst, cov, qt)
-        b = cover_bounds(sub)
+        b = cover_bounds(sub, CutPool())
         assert b.lb <= b.ub + 1e-9
         want, _ = oracle_tspgl(inst, qt, cov.requests)
         assert b.lb <= want + 1e-9
@@ -238,10 +239,10 @@ def test_cover_bounds_sandwich_random():
 def test_cover_bounds_uses_cutpool_cache(d1):
     pool = CutPool()
     sub = _sub(d1, [(1, 3)])
-    first = cover_bounds(sub, cutpool=pool)
+    first = cover_bounds(sub, pool)
     assert sub.key in pool.tsp_cache
     pool.tsp_cache[sub.key] = (pool.tsp_cache[sub.key][0], 123.0)
-    second = cover_bounds(sub, cutpool=pool)
+    second = cover_bounds(sub, pool)
     assert second.lb == pytest.approx(0.75 * 123.0 + 0.25 * 2.0)  # cache hit, not recomputed
     assert first.lb == pytest.approx(0.75 * 6.0 + 0.25 * 2.0)
 
@@ -350,6 +351,19 @@ def test_dual_subproblem_strong_duality_random():
             assert fast.p == {v: z - min(dist[v], z) for v in tour}
 
 
+def _optimality_cut(duals, origin, nodes):
+    """The optimality row of `origin` read back over edges: edge columns in
+    lexicographic order, then one eta column per origin. Returns the edge
+    coefficients and the rhs; the row holds no other column."""
+    x = {e: col for col, e in enumerate(itertools.combinations(sorted(nodes), 2))}
+    eta = {h: len(x) + t for t, h in enumerate(sorted({hk[0] for hk in duals}))}
+    coeffs, sense, rhs = _optimality_row(x, eta, duals, origin)
+    assert sense == ">="
+    assert coeffs.pop(eta[origin]) == 1.0
+    edge_of = {col: e for e, col in x.items()}
+    return {edge_of[col]: val for col, val in coeffs.items()}, rhs
+
+
 def _uncapped_lambda_bar(tour, hk, qt):
     """Edge multipliers of the potentials u_v = d(v), without the cap."""
     u = {v: _walk_distance(tour, hk, qt, v) for v in tour}
@@ -370,15 +384,15 @@ def test_capped_cut_dominates_uncapped():
             requests = rng.sample(list(inst.requests), rng.randint(1, len(inst.requests)))
             duals = {hk: dual_subproblem(tour, hk, qt) for hk in requests}
             for h in sorted({hk[0] for hk in requests}):
-                cut = aggregated_optimality_cuts(duals, h)
+                coeffs, rhs = _optimality_cut(duals, h, tour)
                 mine = sorted(hk for hk in requests if hk[0] == h)
                 uncapped = {}
                 for hk in mine:
                     for e, val in _uncapped_lambda_bar(tour, hk, qt).items():
                         uncapped[e] = uncapped.get(e, 0.0) + val
-                assert cut.rhs == sum(_walk_distance(tour, hk, qt, hk[1]) for hk in mine)
+                assert rhs == sum(_walk_distance(tour, hk, qt, hk[1]) for hk in mine)
                 for e, val in uncapped.items():
-                    capped = cut.coeffs.get(e, 0.0)
+                    capped = coeffs.get(e, 0.0)
                     assert capped <= val
                     strictly_smaller += capped < val
     assert strictly_smaller > 0
@@ -499,15 +513,15 @@ def test_aggregated_cut_tight_at_generating_tour(d1):
     seq, _val, _ = symmetric_tsp(sub.nodes, d1.design)
     duals = {hk: dual_subproblem(seq, hk, sub.qtilde) for hk in sub.requests}
     for h in sub.origins():
-        cut = aggregated_optimality_cuts(duals, h)
+        coeffs, rhs = _optimality_cut(duals, h, sub.nodes)
         xval = {e: 0.0 for e in itertools.combinations(sub.nodes, 2)}
         for t in range(len(seq)):
             xval[edge(seq[t], seq[(t + 1) % len(seq)])] = 1.0
-        lhs_x = sum(cut.coeffs.get(e, 0.0) * xval[e] for e in itertools.combinations(sub.nodes, 2))
+        lhs_x = sum(coeffs.get(e, 0.0) * xval[e] for e in itertools.combinations(sub.nodes, 2))
         true_h = sum(
-            primal_subproblem(seq, hk, sub.qtilde)[1] for hk in sub.requests_from(h)
+            primal_subproblem(seq, hk, sub.qtilde)[1] for hk in sub.requests if hk[0] == h
         )
-        assert true_h + lhs_x == pytest.approx(cut.rhs, abs=1e-9)
+        assert true_h + lhs_x == pytest.approx(rhs, abs=1e-9)
 
 
 @pytest.mark.parametrize("n, seed", [(6, 77), (7, 11), (7, 303)])
@@ -520,42 +534,42 @@ def test_aggregated_cut_valid_for_all_tours(n, seed):
     duals = {hk: dual_subproblem(base_seq, hk, qt) for hk in sub.requests}
     nodes = list(sub.nodes)
     for h in sub.origins():
-        cut = aggregated_optimality_cuts(duals, h)
+        coeffs, rhs = _optimality_cut(duals, h, nodes)
         for perm in itertools.permutations(nodes[1:]):
             seq = [nodes[0], *perm]
             xval = {e: 0.0 for e in itertools.combinations(sub.nodes, 2)}
             for t in range(len(seq)):
                 xval[edge(seq[t], seq[(t + 1) % len(seq)])] = 1.0
             eta_true = sum(
-                primal_subproblem(seq, hk, qt)[1] for hk in sub.requests_from(h)
+                primal_subproblem(seq, hk, qt)[1] for hk in sub.requests if hk[0] == h
             )
-            lhs = eta_true + sum(cut.coeffs.get(e, 0.0) * xval[e] for e in itertools.combinations(sub.nodes, 2))
-            assert lhs >= cut.rhs - 1e-9
+            lhs = eta_true + sum(coeffs.get(e, 0.0) * xval[e] for e in itertools.combinations(sub.nodes, 2))
+            assert lhs >= rhs - 1e-9
 
 
 def test_benders_on_d1_covers(d1):
-    out13 = benders_solve_tspgl(_sub(d1, [(1, 3)]))
+    sub13 = _sub(d1, [(1, 3)])
+    out13 = benders_solve_tspgl(sub13, *warm_start(sub13))
     assert out13.status == OPTIMAL
     assert out13.solution.objective == pytest.approx(5.0)
     assert sorted(out13.solution.visited) == [0, 1, 3]
-    out24 = benders_solve_tspgl(_sub(d1, [(2, 4)]))
+    sub24 = _sub(d1, [(2, 4)])
+    out24 = benders_solve_tspgl(sub24, *warm_start(sub24))
     assert out24.status == OPTIMAL
     assert out24.solution.objective == pytest.approx(6.5)
-    assert out24.lower_bound == pytest.approx(6.5, abs=1e-6)
 
 
 def test_benders_early_abort(d1):
     sub = _sub(d1, [(2, 4)])
-    out = benders_solve_tspgl(sub, incumbent_ub=5.0)
+    out = benders_solve_tspgl(sub, *warm_start(sub), incumbent_ub=5.0)
     assert out.status == ABORTED
-    assert out.lower_bound > 5.0
 
 
 def test_benders_reuses_cached_cuts(d1):
     pool = CutPool()
     sub = _sub(d1, [(1, 3)])
     pool.add_subtour(sub.key, frozenset({0, 1}))  # harmless valid-shaped cut
-    out = benders_solve_tspgl(sub, cutpool=pool)
+    out = benders_solve_tspgl(sub, cover_bounds(sub, pool), pool)
     assert out.status == OPTIMAL
     assert out.solution.objective == pytest.approx(5.0)
 
@@ -568,7 +582,7 @@ def test_benders_matches_direct_on_random_subinstances():
         qt = deterministic_routing_costs(inst)
         cov = minimal_feasibility_cover(inst, inst.requests)
         sub = make_subinstance(inst, cov, qt)
-        ben = benders_solve_tspgl(sub)
+        ben = benders_solve_tspgl(sub, *warm_start(sub))
         direct = solve_tspgl_direct(sub)
         assert ben.status == OPTIMAL
         assert direct.status == OPTIMAL
@@ -589,8 +603,8 @@ def test_benders_optimum_does_not_need_primal_heuristics(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(mpbackend, "solve_mip",
                           lambda model, **kw: solve_mip(model, **{**kw, "heuristics": True}))
-            ref = benders_solve_tspgl(sub)
-        out = benders_solve_tspgl(sub)
+            ref = benders_solve_tspgl(sub, *warm_start(sub))
+        out = benders_solve_tspgl(sub, *warm_start(sub))
         assert ref.status == out.status == OPTIMAL
         assert out.solution.objective == pytest.approx(ref.solution.objective, rel=1e-9)
 
@@ -617,9 +631,9 @@ def _master_spy(monkeypatch) -> list:
 
 def test_benders_on_a_spent_clock_solves_no_master(monkeypatch):
     sub = _n9_sub()
-    warm = cover_bounds(sub)
+    warm = warm_start(sub)
     masters = _master_spy(monkeypatch)
-    out = benders_solve_tspgl(sub, warm=warm, time_limit=0)
+    out = benders_solve_tspgl(sub, *warm, time_limit=0)
     assert out.status == "TimeLimit"
     assert out.iterations == 1
     assert out.solution is None
@@ -629,10 +643,10 @@ def test_benders_on_a_spent_clock_solves_no_master(monkeypatch):
 @pytest.mark.parametrize("cap", [1, 2, 4, 5, 9])
 def test_benders_iteration_cap_keeps_the_best_tour_found(monkeypatch, cap):
     sub = _n9_sub()
-    warm = cover_bounds(sub)
+    warm = warm_start(sub)
     masters = _master_spy(monkeypatch)
     monkeypatch.setattr(tspgl, "MAX_BENDERS_ITERATIONS", cap)
-    out = benders_solve_tspgl(sub, warm=warm)
+    out = benders_solve_tspgl(sub, *warm)
     # this cover needs 9 masters; its 4th is the first single tour
     assert out.status == ("Optimal" if cap == 9 else "TimeLimit")
     assert out.iterations == len(masters) == cap
@@ -659,15 +673,15 @@ def test_benders_iterations_count_master_mips(monkeypatch):
                                  theta=0.8, rho=0.2)
         sub = make_subinstance(inst, minimal_feasibility_cover(inst, inst.requests),
                                deterministic_routing_costs(inst))
-        warm = cover_bounds(sub)
-        ub = None if ub_shift is None else warm.lb + ub_shift
+        warm, pool = warm_start(sub)
+        ub = math.inf if ub_shift is None else warm.lb + ub_shift
         masters.clear()
-        out = benders_solve_tspgl(sub, warm=warm, incumbent_ub=ub)
-        assert out.status == (OPTIMAL if ub is None else ABORTED)
+        out = benders_solve_tspgl(sub, warm, pool, incumbent_ub=ub)
+        assert out.status == (OPTIMAL if ub_shift is None else ABORTED)
         assert out.iterations == len(masters) >= 1
     n9 = _n9_sub()
     masters.clear()
-    assert benders_solve_tspgl(n9).iterations == len(masters) == 9
+    assert benders_solve_tspgl(n9, *warm_start(n9)).iterations == len(masters) == 9
 
 
 def test_direct_solver_enumeration_case(d1, d1_qtilde):
@@ -735,8 +749,9 @@ def test_restriction_matches_full_graph_enumeration(d1, d1_qtilde):
 
 def test_benders_warm_start_accepts_external_bounds(d1):
     sub = _sub(d1, [(1, 3)])
-    warm = cover_bounds(sub)
+    pool = CutPool()
+    warm = cover_bounds(sub, pool)
     assert isinstance(warm, BoundEstimate)
-    out = benders_solve_tspgl(sub, warm=warm)
+    out = benders_solve_tspgl(sub, warm, pool)
     assert out.status == OPTIMAL
     assert out.solution.objective == pytest.approx(5.0)
