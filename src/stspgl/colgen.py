@@ -172,14 +172,14 @@ def solve_pricing(
     inst: Instance,
     duals: DualPrices,
     phi: Iterable[Tuple[Request, ...]] = (),
-    time_limit: Optional[float] = None,
+    deadline: float = math.inf,
 ) -> PricingResult:
     """Minimum-reduced-cost cover as a small IP.
 
     `phi` carries branching exclusions. The raw optimum is minimalized
-    afterwards. Time limit yields (None, -inf) which disables the Lagrangian
-    bound for the round; an infeasible IP (everything excluded) yields
-    (None, +inf).
+    afterwards. Reaching the `deadline` (a `time.monotonic()` instant)
+    yields (None, -inf), which disables the Lagrangian bound for the round;
+    an infeasible IP (everything excluded) yields (None, +inf).
     """
     model = LinearModel()
     model.obj_offset = -duals.beta
@@ -213,7 +213,7 @@ def solve_pricing(
             continue
         model.add_constr({serve[hk]: 1.0 for hk in excluded}, "<=", float(len(excluded) - 1))
 
-    out = solve_mip(model, time_limit=time_limit, heuristics=False)
+    out = solve_mip(model, deadline=deadline, heuristics=False)
     if out.status == TIME_LIMIT:
         # an incumbent without proof of optimality cannot back a Lagrangian bound
         return PricingResult(None, -math.inf, status=TIME_LIMIT)

@@ -212,6 +212,14 @@ class ExperimentSpec:
     gap_target: float = 0.02
     out_dir: str = "bench_out"
 
+    def __post_init__(self):
+        self.instances = list(self.instances)
+        self.methods = list(self.methods)
+        self.seeds = [int(s) for s in self.seeds]
+        self.time_limit = float(self.time_limit)
+        self.gap_target = float(self.gap_target)
+        self.out_dir = str(self.out_dir)
+
     def validate(self) -> None:
         for m in self.methods:
             if m not in METHODS:
@@ -220,24 +228,25 @@ class ExperimentSpec:
             raise ValueError("methods and seeds must be nonempty")
         if not self.instances and self.generator is None:
             raise ValueError("spec needs instance files or generator params")
-        unknown = sorted(set(self.generator or ()) - GENERATOR_KEYS)
+        if self.generator is None:
+            return
+        unknown = sorted(set(self.generator) - GENERATOR_KEYS)
         if unknown:
             hint = "; give the first instance's seed as start_seed" if "seed" in unknown else ""
             raise ValueError(f"unknown generator keys {unknown}{hint}")
+        missing = [name for name, param in inspect.signature(generate_instance).parameters.items()
+                   if param.default is param.empty and name != "seed" and name not in self.generator]
+        if missing:
+            raise ValueError(f"missing generator keys {missing}")
 
 
 def load_experiment_spec(path) -> ExperimentSpec:
     with open(path) as fh:
         doc = json.load(fh)
-    spec = ExperimentSpec(
-        instances=list(doc.get("instances", [])),
-        generator=doc.get("generator"),
-        methods=list(doc.get("methods", ["bp"])),
-        seeds=[int(s) for s in doc.get("seeds", [0])],
-        time_limit=float(doc.get("time_limit", 3600.0)),
-        gap_target=float(doc.get("gap_target", 0.02)),
-        out_dir=str(doc.get("out_dir", "bench_out")),
-    )
+    unknown = sorted(set(doc) - {f.name for f in dataclasses.fields(ExperimentSpec)})
+    if unknown:
+        raise ValueError(f"unknown spec keys {unknown}")
+    spec = ExperimentSpec(**doc)
     spec.validate()
     return spec
 

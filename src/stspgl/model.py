@@ -21,7 +21,6 @@ Arc = Tuple[int, int]       # ordered pair (i, j), i != j
 Request = Tuple[int, int]   # (origin h, destination k)
 
 TRIANGLE_EPS = 1e-9   # tolerance for metric violations on rounded distances
-FLOW_EPS = 1e-6       # flow below this is treated as structurally zero
 SAT_EPS = 1e-9        # absolute tolerance on the service-level inequality
 
 # result / outcome status labels shared across the solvers
@@ -30,10 +29,6 @@ FEASIBLE = "Feasible"
 INFEASIBLE = "Infeasible"
 TIME_LIMIT = "TimeLimit"
 UNBOUNDED = "Unbounded"
-
-
-class StructuralViolation(ValueError):
-    """A solution breaks a structural contract (e.g. flow off the tour)."""
 
 
 class ParameterError(ValueError):
@@ -354,25 +349,6 @@ class TspGlSolution:
         if len(tours) > 1:
             raise ValueError(f"tour edges split into {len(tours)} cycles")
         return tours[0]
-
-
-def objective(inst: Instance, sol: TspGlSolution, qtilde) -> Tuple[float, float, float]:
-    """Evaluate (total, design, routing) for a solution.
-
-    Raises StructuralViolation when positive flow uses an arc whose edge is
-    not part of the tour.
-    """
-    design = sum(inst.cbar(i, j) for i, j in sol.tour_edges)
-    routing = 0.0
-    for hk, flow in sol.flows.items():
-        for (i, j), val in flow.items():
-            if val <= 0.0:
-                continue
-            if val > FLOW_EPS and edge(i, j) not in sol.tour_edges:
-                raise StructuralViolation(f"flow on non-tour edge [{i},{j}] for request {hk}")
-            routing += qtilde.cost(hk, i, j) * val
-    total = (1.0 - inst.alpha) * design + inst.alpha * routing
-    return total, design, routing
 
 
 @dataclass

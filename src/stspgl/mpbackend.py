@@ -161,11 +161,13 @@ class SolveOutcome:
 _HIGHS_STATUS = {0: OPTIMAL, 1: TIME_LIMIT, 2: INFEASIBLE, 3: UNBOUNDED}
 
 
-def solve_lp(model: LinearModel, time_limit: Optional[float] = None) -> SolveOutcome:
+def solve_lp(model: LinearModel, deadline: float = math.inf) -> SolveOutcome:
     """Solve the continuous relaxation; integer markings are ignored.
 
     Equality rows go to `A_eq`; `<=` rows and negated `>=` rows go to `A_ub`,
-    each group in the model's row order.
+    each group in the model's row order. HiGHS gets the time left before
+    `deadline`, a `time.monotonic()` instant, with a 0.01 s floor; once the
+    deadline has passed, no LP is solved and the outcome is `TimeLimit`.
     """
     c, lb, ub, _ = model._arrays()
     mat, lo, hi = model._matrix()
@@ -175,14 +177,18 @@ def solve_lp(model: LinearModel, time_limit: Optional[float] = None) -> SolveOut
     ub_sign = np.where(np.isfinite(hi[ineq]), 1.0, -1.0)   # -1 marks a negated >= row
     a_ub = sparse.diags(ub_sign) @ mat[ineq]
     b_ub = ub_sign * rhs[ineq]
+    a_eq = mat[eq] if eq.any() else None
     options = {"presolve": True}
-    if time_limit is not None:
-        options["time_limit"] = max(0.01, float(time_limit))
+    left = deadline - time.monotonic()
+    if left <= 0:
+        return SolveOutcome(status=TIME_LIMIT, objective=None, values=None)
+    if left < math.inf:
+        options["time_limit"] = max(0.01, left)
     res = linprog(
         c,
         A_ub=a_ub if ineq.size else None,
         b_ub=b_ub if ineq.size else None,
-        A_eq=mat[eq] if eq.any() else None,
+        A_eq=a_eq,
         b_eq=lo[eq] if eq.any() else None,
         bounds=np.column_stack((lb, ub)),
         method="highs",
@@ -208,10 +214,11 @@ def solve_lp(model: LinearModel, time_limit: Optional[float] = None) -> SolveOut
     )
 
 
-def solve_mip(model: LinearModel, time_limit: Optional[float] = None,
+def solve_mip(model: LinearModel, deadline: float = math.inf,
               heuristics: bool = True) -> SolveOutcome:
     """Solve to proven optimality; `heuristics=False` skips the primal
-    heuristics (see the module docstring)."""
+    heuristics (see the module docstring). A passed `deadline` solves
+    nothing, as in `solve_lp`."""
     c, lb, ub, integrality = model._arrays()
     constraints = []
     if model.n_constrs():
@@ -221,10 +228,13 @@ def solve_mip(model: LinearModel, time_limit: Optional[float] = None,
         # engine default leaves a 1e-4 gap; force exactness
         "mip_rel_gap": 0.0,
     }
-    if time_limit is not None:
-        options["time_limit"] = max(0.01, float(time_limit))
     if not heuristics:
         options.update(dict.fromkeys(PRIMAL_HEURISTICS, False))
+    left = deadline - time.monotonic()
+    if left <= 0:
+        return SolveOutcome(status=TIME_LIMIT, objective=None, values=None)
+    if left < math.inf:
+        options["time_limit"] = max(0.01, left)
     with warnings.catch_warnings():
         # milp warns on options it does not list but still hands them to
         # HiGHS, which warns (OptimizeWarning) on a name it does not know
@@ -257,32 +267,29 @@ CutSource = Callable[[SolveOutcome], Iterable[Tuple[Dict[int, float], str, float
 
 
 def resolve_with_cuts(model: LinearModel, cut_source: CutSource, max_rounds: int = 50,
-                      time_limit: Optional[float] = None,
+                      deadline: float = math.inf,
                       heuristics: bool = True) -> SolveOutcome:
     """Solve, separate violated cuts, add them, and solve again.
 
     `max_rounds` caps the re-solves, so at most `max_rounds + 1` MIPs run,
-    each with `heuristics` passed to `solve_mip`. Every solution is
-    separated, the last one included. Cuts stay in the model across rounds
-    (and after return, for reuse by the caller). When the round budget or
-    the clock runs out before a separation round comes back empty, the
-    outcome is flagged `cuts_complete=False`; a spent clock also sets
-    `TimeLimit`, and before the first solve it makes no solve at all.
+    each with `deadline` and `heuristics` passed to `solve_mip`. Every
+    solution is separated, the last one included. Cuts stay in the model
+    across rounds (and after return, for reuse by the caller). When the
+    round budget or the clock runs out before a separation round comes back
+    empty, the outcome is flagged `cuts_complete=False`; a spent clock also
+    sets `TimeLimit`, and before the first solve it makes no solve at all.
     """
-    deadline = None if time_limit is None else time.monotonic() + time_limit
     out = SolveOutcome(status=TIME_LIMIT, objective=None, values=None, cuts_complete=False)
     for round_no in range(max_rounds + 1):
-        left = None if deadline is None else deadline - time.monotonic()
-        if left is not None and left <= 0:
+        if time.monotonic() >= deadline:
             out.status = TIME_LIMIT
             out.cuts_complete = False
             return out
-        out = solve_mip(model, time_limit=left, heuristics=heuristics)
+        out = solve_mip(model, deadline=deadline, heuristics=heuristics)
         out.cut_rounds = round_no
-        if not out.solved:
-            return out
         if out.status == TIME_LIMIT:
             out.cuts_complete = False
+        if not out.solved:
             return out
         cuts = list(cut_source(out))
         if not cuts:

@@ -14,6 +14,7 @@ import math
 import random
 import time
 from dataclasses import dataclass, field, asdict
+from heapq import heappop, heappush, nsmallest
 from typing import Dict, List, Optional, Set, Tuple
 
 from .model import (
@@ -68,8 +69,6 @@ from .tspgl import (
 )
 
 SUPPORT_EPS = 1e-6          # chi values above this count as basis support
-RMP_SHARE = 2.0 / 3.0       # cap of one RMP LP, as a share of the total budget
-PRICING_SHARE = 1.0 / 3.0   # cap of one pricing IP, as a share of the total budget
 PRICING_PER_ITERATION = 5   # pricing rounds per branch-and-price iteration
 EVALS_PER_ITERATION = 5     # exact cover evaluations per iteration
 
@@ -87,48 +86,17 @@ class SearchConfig:
             raise ValueError("gap_target must lie in (0, 1)")
 
 
-class ScoredQueue:
-    """Scored covers ranked by (ub, lb, canonical requests).
-
-    The request tuple breaks ties, so the ranking is a total order and never
-    depends on insertion order. Entries are unique per request set.
-    """
-
-    def __init__(self):
-        self._entries: Dict[Tuple[Request, ...], FeasibilityCover] = {}
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def push(self, cover: FeasibilityCover) -> bool:
-        if cover.bounds is None:
-            raise ValueError("cover must be scored before queueing")
-        if cover.requests in self._entries:
-            return False
-        self._entries[cover.requests] = cover
-        return True
-
-    def pop(self) -> Optional[FeasibilityCover]:
-        top = self.smallest(1)
-        if not top:
-            return None
-        return self._entries.pop(top[0].requests)
-
-    def smallest(self, count: int) -> List[FeasibilityCover]:
-        ranked = sorted(
-            self._entries.values(),
-            key=lambda c: (c.bounds.ub, c.bounds.lb, c.requests),
-        )
-        return ranked[:count]
-
-
 @dataclass
 class SearchState:
     """What one solve shares: the instance and its folded routing costs, the
     clock, the bounds and incumbent, and the cover search's caches.
 
-    `pool` holds the master's columns and takes the branching cuts of closed
-    covers; it is None outside branch-and-price.
+    `deadline` is the `time.monotonic()` instant every layer stops at.
+    `queue` is a heap of scored covers, (ub, lb, requests, cover): the
+    request tuple breaks ties, and `scored` lets each request set in once,
+    so the order is total and no cover is ever compared. `pool` holds the
+    master's columns and takes the branching cuts of closed covers; it is
+    None outside branch-and-price.
     """
     inst: Instance
     qtilde: RoutingCostTable
@@ -142,7 +110,8 @@ class SearchState:
     cover: Optional[FeasibilityCover] = None
     evaluated: List[Tuple] = field(default_factory=list)
     cutpool: CutPool = field(default_factory=CutPool)
-    queue: ScoredQueue = field(default_factory=ScoredQueue)
+    queue: List[Tuple[float, float, Tuple[Request, ...], FeasibilityCover]] = \
+        field(default_factory=list)
     scored: Set[Tuple[Request, ...]] = field(default_factory=set)
     seen: Set[frozenset] = field(default_factory=set)       # node sets `explore` drew
     pool: Optional[ColumnPool] = None
@@ -181,13 +150,6 @@ def update_incumbent(state: SearchState, cover: FeasibilityCover,
     state.note("incumbent", cover_size=cover.size,
                nodes_visited=len(solution.visited))
     return True
-
-
-def _window(state: SearchState, cap: Optional[float] = None) -> float:
-    rem = state.remaining()
-    if cap is not None:
-        rem = min(rem, cap)
-    return max(rem, 0.0)
 
 
 def _new_state(inst: Instance, cfg: SearchConfig) -> SearchState:
@@ -303,14 +265,15 @@ def run_mip_benchmark(inst: Instance, cfg: SearchConfig) -> StspGlResult:
     model, x, w, z = _benchmark_model(inst, state.qtilde)
     out = resolve_with_cuts(model, lambda o: _benchmark_cuts(inst, x, w, o),
                             max_rounds=4 * inst.n * max(1, inst.n),
-                            time_limit=_window(state))
+                            deadline=state.deadline)
     if out.status == INFEASIBLE:
         return _infeasible_result(state)
-    if not out.solved:
+    if out.values is None:
         return _finish(state, TIME_LIMIT)
     tours = cycles(chosen_edges(x, out.values))
     if len(tours) == 1:
-        # once the cut rounds run out, the solve may hold several cycles
+        # once the cut rounds or the clock run out, the solve may hold
+        # several cycles
         cover = make_cover(inst, [hk for hk in inst.requests if out.values[z[hk]] > 0.5])
         update_incumbent(state, cover, solution_from_tour(
             make_subinstance(inst, cover, state.qtilde), tours[0]))
@@ -339,7 +302,7 @@ def _score_and_enqueue(state: SearchState, cover: FeasibilityCover) -> bool:
     if cover.requests in state.scored:
         return False
     cover.bounds = cover_bounds(make_subinstance(state.inst, cover, state.qtilde),
-                                state.cutpool, time_limit=_window(state))
+                                state.cutpool, deadline=state.deadline)
     if cover.bounds is None:
         return False
     state.scored.add(cover.requests)
@@ -347,7 +310,7 @@ def _score_and_enqueue(state: SearchState, cover: FeasibilityCover) -> bool:
     if cover.bounds.lb >= state.ub - INCUMBENT_EPS:
         _close(state, cover, "discard")
     else:
-        state.queue.push(cover)
+        heappush(state.queue, (cover.bounds.ub, cover.bounds.lb, cover.requests, cover))
     return True
 
 
@@ -357,8 +320,8 @@ def _evaluate_cover(state: SearchState, cover: FeasibilityCover) -> None:
         _close(state, cover, "discard")
         return
     sub = make_subinstance(state.inst, cover, state.qtilde)
-    out = benders_solve_tspgl(sub, cover.bounds, state.cutpool, incumbent_ub=state.ub,
-                              time_limit=_window(state))
+    out = benders_solve_tspgl(sub, state.cutpool, incumbent_ub=state.ub,
+                              deadline=state.deadline)
     if out.status == ABORTED:
         _close(state, cover, "abort")
     elif out.status == OPTIMAL and out.solution is not None:
@@ -386,10 +349,10 @@ def run_bp(inst: Instance, cfg: SearchConfig, hybrid: bool = False,
     and exactly evaluates up to `EVALS_PER_ITERATION` covers from the queue.
     A final bound within `_exact`'s tolerance of the incumbent is reported
     as equal to it, so the result does not depend on the last ulp of the
-    LP. Each RMP LP may use up to `RMP_SHARE` of the total budget and each
-    pricing IP `PRICING_SHARE`. Evaluated or dominated covers leave the
-    search through branching cuts, so the master tightens monotonically
-    until the gap target, the clock, or exhaustion stops it.
+    LP. Every LP and MIP runs against the solve's one deadline. Evaluated
+    or dominated covers leave the search through branching cuts, so the
+    master tightens monotonically until the gap target, the clock, or
+    exhaustion stops it.
     """
     state = _new_state(inst, cfg)
     if not chance_feasible(inst, inst.requests):
@@ -411,8 +374,6 @@ def _dive(state: SearchState, cfg: SearchConfig, hybrid: bool,
     pool = state.pool = ColumnPool()
     pool.add(make_cover(inst, inst.requests))
     nmin = max(1, len(inst.compulsory))
-    rmp_cap = cfg.time_limit_total * RMP_SHARE
-    pricing_cap = cfg.time_limit_total * PRICING_SHARE
 
     if hybrid:
         for _ in range(EVALS_PER_ITERATION):
@@ -433,10 +394,10 @@ def _dive(state: SearchState, cfg: SearchConfig, hybrid: bool,
             if state.remaining() <= 0:
                 return True
             extend_rmp(model, index, pool)
-            rmp_out = solve_lp(model, time_limit=_window(state, rmp_cap))
+            rmp_out = solve_lp(model, deadline=state.deadline)
             while rmp_out.status == OPTIMAL and state.remaining() > 0 and \
                     add_gsec_rows(inst, model, index, rmp_out.values):
-                rmp_out = solve_lp(model, time_limit=_window(state, rmp_cap))
+                rmp_out = solve_lp(model, deadline=state.deadline)
             if rmp_out.status == INFEASIBLE:
                 # every admissible cover is branched away: the dive is done
                 state.raise_lb(state.ub)
@@ -447,7 +408,7 @@ def _dive(state: SearchState, cfg: SearchConfig, hybrid: bool,
                 break
             duals = extract_duals(index, rmp_out)
             pres = solve_pricing(inst, duals, phi=sorted(pool.branched),
-                                 time_limit=_window(state, pricing_cap))
+                                 deadline=state.deadline)
             rounds_total += 1
             if math.isfinite(pres.objective):
                 # master value plus the minimum reduced cost (convexity multiplier 1)
@@ -487,7 +448,7 @@ def _dive(state: SearchState, cfg: SearchConfig, hybrid: bool,
         # phase 2: score the master's support covers; an unchanged master
         # keeps the last optimal solve
         if extend_rmp(model, index, pool) or rmp_out.status != OPTIMAL:
-            rmp_out = solve_lp(model, time_limit=_window(state, rmp_cap))
+            rmp_out = solve_lp(model, deadline=state.deadline)
         if rmp_out.status == INFEASIBLE:
             state.raise_lb(state.ub)
             return False
@@ -505,7 +466,7 @@ def _dive(state: SearchState, cfg: SearchConfig, hybrid: bool,
         for _ in range(min(EVALS_PER_ITERATION, len(queue))):
             if state.remaining() <= 0:
                 return True
-            _evaluate_cover(state, queue.pop())
+            _evaluate_cover(state, heappop(queue)[-1])
             progress = True
 
         if _gap_closed(state, cfg) or (priced_out and not queue and not progress):
@@ -548,20 +509,16 @@ def run_heuristic(inst: Instance, cfg: SearchConfig) -> StspGlResult:
         else:
             failures = 0
             _score_and_enqueue(state, cov)
-        for base in queue.smallest(2):
+        for *_, base in nsmallest(2, queue):
             ls = local_search(inst, base, seed=rng.randrange(1 << 31))
             if ls is not None:
                 _score_and_enqueue(state, ls)
-        top = queue.pop()
-        if top is not None:
-            _evaluate_cover(state, top)
+        if queue:
+            _evaluate_cover(state, heappop(queue)[-1])
         if failures >= span and not queue:
             break
 
     status = TIME_LIMIT if state.remaining() <= 0 else FEASIBLE
     if state.incumbent is None:
         status = TIME_LIMIT
-    result = _finish(state, status)
-    result.lower_bound = None
-    result.gap = None
-    return result
+    return _finish(state, status)

@@ -125,7 +125,6 @@ class CutPool:
 class BoundEstimate:
     lb: float
     ub: float
-    tsp_tour: Tuple[int, ...]
 
 
 @dataclass
@@ -137,16 +136,17 @@ class TspGlOutcome:
 
 # --- symmetric TSP ---------------------------------------------------------
 
-def symmetric_tsp(nodes: Sequence[int], cost, time_limit: Optional[float] = None
+def symmetric_tsp(nodes: Sequence[int], cost, deadline: float = math.inf
                   ) -> Optional[Tuple[List[int], float, List[FrozenSet[int]]]]:
     """Exact tour over `nodes`; also reports subtours met along the way.
 
     Held-Karp for up to 15 nodes (no subtours arise there); larger sets go
     through a degree-2 MIP with a subtour resolve loop, and every component
     found during that loop is returned for cut caching. Only the MIP obeys
-    `time_limit`: it returns None when the limit is spent before it proves
-    a tour, and it raises RuntimeError when its cut rounds run out on a
-    solution that still splits into several cycles.
+    `deadline`, a `time.monotonic()` instant: it returns None when the
+    deadline passes before it proves a tour, and it raises RuntimeError when
+    its cut rounds run out on a solution that still splits into several
+    cycles.
 
     Held-Karp is vectorized: 13-22 ms at 15 nodes on a 2-vCPU host, where
     the MIP takes 9-43 ms. The cutoff stays at 15 because the two can return
@@ -166,7 +166,7 @@ def symmetric_tsp(nodes: Sequence[int], cost, time_limit: Optional[float] = None
     if n <= 15:
         seq, val = _held_karp(nodes, cost)
         return seq, val, []
-    return _tsp_mip(nodes, cost, time_limit)
+    return _tsp_mip(nodes, cost, deadline)
 
 
 @functools.lru_cache(maxsize=None)
@@ -221,7 +221,7 @@ def _held_karp(nodes: List[int], cost) -> Tuple[List[int], float]:
     return [start, *reversed(seq_rev)], value
 
 
-def _tsp_mip(nodes: List[int], cost, time_limit: Optional[float]
+def _tsp_mip(nodes: List[int], cost, deadline: float
              ) -> Optional[Tuple[List[int], float, List[FrozenSet[int]]]]:
     model = LinearModel()
     x = add_edge_vars(model, nodes, cost, integer=True)
@@ -236,7 +236,7 @@ def _tsp_mip(nodes: List[int], cost, time_limit: Optional[float]
         found.extend(map(frozenset, tours))
         return [_sec_cut(x, tour) for tour in tours]
 
-    out = resolve_with_cuts(model, cut_source, max_rounds=len(nodes) * 4, time_limit=time_limit)
+    out = resolve_with_cuts(model, cut_source, max_rounds=len(nodes) * 4, deadline=deadline)
     if out.status == TIME_LIMIT:
         return None
     if not out.solved:
@@ -418,14 +418,14 @@ def gsec_row(x: Dict[Edge, int], nodes: Iterable[int], side: FrozenSet[int], i: 
 # --- bound estimation ------------------------------------------------------
 
 def cover_bounds(sub: SubInstance, cutpool: CutPool,
-                 time_limit: Optional[float] = None) -> Optional[BoundEstimate]:
+                 deadline: float = math.inf) -> Optional[BoundEstimate]:
     """Bracket the subproblem value without solving it.
 
     Lower bound: exact TSP design plus each request's direct-arc cost (no
     tour-constrained path is cheaper under a metric). Upper bound: evaluate
     the TSP tour itself, routing each request along it. The tour and the
-    subtours met finding it go into `cutpool`. None, with nothing cached,
-    when the TSP runs out of `time_limit`.
+    subtours met finding it go into `cutpool`, where `benders_solve_tspgl`
+    reads them. None, with nothing cached, when the TSP reaches `deadline`.
     """
     alpha = sub.alpha
     key = sub.key
@@ -433,7 +433,7 @@ def cover_bounds(sub: SubInstance, cutpool: CutPool,
     if cached is not None:
         tour, tsp_val = cached
     else:
-        tsp = symmetric_tsp(sub.nodes, sub.inst.design, time_limit)
+        tsp = symmetric_tsp(sub.nodes, sub.inst.design, deadline)
         if tsp is None:
             return None
         seq, tsp_val, subtours = tsp
@@ -444,8 +444,7 @@ def cover_bounds(sub: SubInstance, cutpool: CutPool,
     lb_routing = sum(sub.qtilde.cost(hk, *hk) for hk in sub.requests)
     ub_routing = sum(primal_subproblem(tour, hk, sub.qtilde)[1] for hk in sub.requests)
     return BoundEstimate(lb=(1.0 - alpha) * tsp_val + alpha * lb_routing,
-                         ub=(1.0 - alpha) * tsp_val + alpha * ub_routing,
-                         tsp_tour=tour)
+                         ub=(1.0 - alpha) * tsp_val + alpha * ub_routing)
 
 
 # --- Benders subproblems ---------------------------------------------------
@@ -601,26 +600,27 @@ def solution_from_tour(sub: SubInstance, seq: Sequence[int]) -> TspGlSolution:
 
 def benders_solve_tspgl(
     sub: SubInstance,
-    warm: BoundEstimate,
     cutpool: CutPool,
     incumbent_ub: float = math.inf,
-    time_limit: Optional[float] = None,
+    deadline: float = math.inf,
 ) -> TspGlOutcome:
     """Benders loop: tour master, per-request path subproblems.
 
-    The master starts with the optimality cuts of `warm`'s TSP tour and the
-    subtour cuts `cutpool` holds for this node set. It then runs through
-    `resolve_with_cuts`, without primal heuristics, for at most
-    `MAX_BENDERS_ITERATIONS` MIPs. Each master solution yields subtour cuts
-    if it splits into cycles, and otherwise its tour is scored and the
-    optimality cuts of the origins whose eta it underestimates are added.
-    The loop aborts as soon as the master objective provably exceeds
-    `incumbent_ub`.
+    The master starts with the optimality cuts of the TSP tour that
+    `cover_bounds` cached in `cutpool.tsp_cache` for this node set (so that
+    stage must have run) and the subtour cuts `cutpool` holds for it. It
+    then runs through `resolve_with_cuts`, without primal heuristics, for
+    at most `MAX_BENDERS_ITERATIONS` MIPs or until `deadline`. Each master
+    solution yields subtour cuts if it splits into cycles, and otherwise its
+    tour is scored and the optimality cuts of the origins whose eta it
+    underestimates are added. The loop aborts as soon as the master
+    objective provably exceeds `incumbent_ub`.
     """
     model, x, eta = _master_model(sub)
     for comp in cutpool.subtours_for(sub.key):
         model.add_constr(*_sec_cut(x, comp))
-    duals = {hk: dual_subproblem(warm.tsp_tour, hk, sub.qtilde) for hk in sub.requests}
+    tour, _tsp_val = cutpool.tsp_cache[sub.key]
+    duals = {hk: dual_subproblem(tour, hk, sub.qtilde) for hk in sub.requests}
     for h in sub.origins():
         model.add_constr(*_optimality_row(x, eta, duals, h))
 
@@ -650,7 +650,7 @@ def benders_solve_tspgl(
         return violated
 
     out = resolve_with_cuts(model, separate, max_rounds=MAX_BENDERS_ITERATIONS - 1,
-                            time_limit=time_limit, heuristics=False)
+                            deadline=deadline, heuristics=False)
     if out.status == TIME_LIMIT or not out.cuts_complete:
         status = TIME_LIMIT
     elif not out.solved:

@@ -9,7 +9,8 @@ the Benders loop is checked against, and `lp_duals`, the routing dual LP
 that the Benders duals are checked against. `add_split_linking_rows` is the
 textbook two-row form of the linking rows that the paired form is checked
 against. `warm_start` runs the solver's own bound stage, because the
-Benders loop takes its tour and cut cache as inputs. `is_minimal` checks cover minimalization against `chance_feasible`
+Benders loop reads its tour from the cut cache that stage fills.
+`is_minimal` checks cover minimalization against `chance_feasible`
 itself, one request removal at a time. The chance constraint's reference
 sums each scenario's served demand with its own generator, request by
 request, which the solver's precomputed demand columns must reproduce bit
@@ -23,7 +24,6 @@ import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from stspgl.model import (
-    FLOW_EPS,
     OPTIMAL,
     TIME_LIMIT,
     Arc,
@@ -39,7 +39,6 @@ from stspgl.mpbackend import LinearModel, SolveOutcome, resolve_with_cuts, solve
 from stspgl.scenarios import MetricsRow, RoutingCostTable, chance_feasible
 from stspgl.tspgl import (
     BendersDuals,
-    BoundEstimate,
     CutPool,
     SubInstance,
     TspGlOutcome,
@@ -56,6 +55,7 @@ from stspgl.tspgl import (
     solution_from_tour,
 )
 
+FLOW_EPS = 1e-6       # flow below this is treated as structurally zero
 SAT_EPS = 1e-9
 
 
@@ -363,7 +363,7 @@ def add_split_linking_rows(model: LinearModel, x: Dict[Edge, int], f: Dict[Arc, 
         model.add_constr({f[(b, a)]: 1.0, xab: -1.0}, "<=", 0.0)
 
 
-def solve_tspgl_direct(sub: SubInstance, time_limit: Optional[float] = None) -> TspGlOutcome:
+def solve_tspgl_direct(sub: SubInstance, deadline: float = math.inf) -> TspGlOutcome:
     """One-shot flow MIP over the subgraph, with a subtour resolve loop.
 
     Flow caps alone leave room for a disconnected design when some component
@@ -386,7 +386,7 @@ def solve_tspgl_direct(sub: SubInstance, time_limit: Optional[float] = None) -> 
         return [_sec_cut(x, tour) for tour in tours] if len(tours) > 1 else []
 
     out = resolve_with_cuts(model, cut_source, max_rounds=len(sub.nodes) * 4,
-                            time_limit=time_limit)
+                            deadline=deadline)
     if not out.solved:
         return TspGlOutcome(out.status, None)
     tours = cycles(chosen_edges(x, out.values))
@@ -398,8 +398,9 @@ def solve_tspgl_direct(sub: SubInstance, time_limit: Optional[float] = None) -> 
     return TspGlOutcome(status, sol, out.cut_rounds + 1)
 
 
-def warm_start(sub: SubInstance) -> Tuple[BoundEstimate, CutPool]:
-    """The bound stage of a cover on a fresh cut cache, as the warm start and
-    cache `benders_solve_tspgl` takes after the sub."""
+def warm_start(sub: SubInstance) -> CutPool:
+    """A fresh cut cache after the cover's bound stage, holding the TSP tour
+    `benders_solve_tspgl` starts from."""
     pool = CutPool()
-    return cover_bounds(sub, pool), pool
+    cover_bounds(sub, pool)
+    return pool

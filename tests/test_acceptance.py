@@ -35,11 +35,13 @@ from stspgl.scenarios import (
     generate_instance,
 )
 from stspgl.tspgl import (
+    CutPool,
     benders_solve_tspgl,
+    cover_bounds,
     make_subinstance,
 )
 
-from oracles import enumerate_minimal_covers, is_minimal, solve_tspgl_direct, warm_start
+from oracles import enumerate_minimal_covers, is_minimal, solve_tspgl_direct
 
 
 def _cfg(seed=0):
@@ -106,8 +108,9 @@ def c2_pairs():
             taken.add(cov.requests)
             sub = make_subinstance(inst, cov, qtilde)
             assert len(sub.nodes) <= 8
-            bounds, pool = warm_start(sub)
-            ben = benders_solve_tspgl(sub, bounds, pool)
+            pool = CutPool()
+            bounds = cover_bounds(sub, pool)
+            ben = benders_solve_tspgl(sub, pool)
             direct = solve_tspgl_direct(sub)
             rows.append((bounds, ben, direct))
     return rows, time.monotonic() - started
@@ -131,8 +134,9 @@ def c3_rows():
         for requests in covers:
             cov = make_cover(inst, requests)
             sub = make_subinstance(inst, cov, qtilde)
-            bounds, pool = warm_start(sub)
-            out = benders_solve_tspgl(sub, bounds, pool)
+            pool = CutPool()
+            bounds = cover_bounds(sub, pool)
+            out = benders_solve_tspgl(sub, pool)
             assert out.status == "Optimal"
             audits.append((bounds.lb, out.solution.objective, bounds.ub))
             best = min(best, out.solution.objective)

@@ -204,6 +204,22 @@ def test_experiment_spec_validation(tmp_path):
     with pytest.raises(ValueError, match="start_seed"):
         load_experiment_spec(path)
     assert not (tmp_path / "x").exists()
+    # a generator without `n`, and a misspelt top-level key, are named
+    with pytest.raises(ValueError, match=r"missing generator keys \['n'\]$"):
+        ExperimentSpec(generator={"count": 1}).validate()
+    path.write_text(json.dumps({"generator": {"count": 1}, "out_dir": str(tmp_path / "x")}))
+    with pytest.raises(ValueError, match=r"\['n'\]"):
+        load_experiment_spec(path)
+    path.write_text(json.dumps({"generator": {"n": 5}, "method": ["mip"], "time_limt": 1,
+                                "out_dir": str(tmp_path / "x")}))
+    with pytest.raises(ValueError, match=r"unknown spec keys \['method', 'time_limt'\]$"):
+        load_experiment_spec(path)
+    assert not (tmp_path / "x").exists()
+    # keys left out take the dataclass defaults; given ones keep their types
+    path.write_text(json.dumps({"generator": {"n": 5}, "seeds": [4.0], "time_limit": 7}))
+    spec = load_experiment_spec(path)
+    assert spec == ExperimentSpec(generator={"n": 5}, seeds=[4], time_limit=7.0)
+    assert (type(spec.seeds[0]), type(spec.time_limit)) == (int, float)
 
 
 @pytest.mark.parametrize("method", ["bp", "hybrid"])

@@ -6,7 +6,6 @@ import math
 import pytest
 
 from stspgl.model import (
-    StructuralViolation,
     TspGlSolution,
     build_instance,
     cycles,
@@ -15,11 +14,11 @@ from stspgl.model import (
     gap_value,
     load_instance,
     metric_closure,
-    objective,
     save_instance,
     validate_instance,
 )
 from stspgl.scenarios import generate_instance
+from stspgl.tspgl import SubInstance, solution_from_tour
 
 from oracles import demand, structural_violations
 
@@ -163,18 +162,21 @@ def _d1_solution(d1):
 
 
 def test_objective_on_d1_cover_13(d1, d1_qtilde):
-    sol = _d1_solution(d1)
-    total, design, routing = objective(d1, sol, d1_qtilde)
-    assert design == 6.0
-    assert routing == pytest.approx(2.0)
-    assert total == pytest.approx(5.0)
+    sub = SubInstance(inst=d1, nodes=(0, 1, 3), requests=((1, 3),), qtilde=d1_qtilde)
+    sol = solution_from_tour(sub, [0, 1, 3])
+    assert sol.tour_edges == _d1_solution(d1).tour_edges
+    assert sol.flows == _d1_solution(d1).flows
+    assert sol.design_cost == 6.0
+    assert sol.routing_cost == pytest.approx(2.0)
+    assert sol.objective == pytest.approx(5.0)
 
 
-def test_objective_rejects_flow_off_tour(d1, d1_qtilde):
+def test_objective_rejects_flow_off_tour(d1):
     sol = _d1_solution(d1)
     sol.flows[(1, 3)] = {(1, 2): 1.0, (2, 3): 1.0}
-    with pytest.raises(StructuralViolation):
-        objective(d1, sol, d1_qtilde)
+    report = structural_violations(sol, d1)
+    assert "flow off the tour on arc (1,2) for request (1, 3)" in report
+    assert "flow off the tour on arc (2,3) for request (1, 3)" in report
 
 
 def test_structural_violations_catches_broken_tours(d1):

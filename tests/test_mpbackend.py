@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import math
 import random
+import time
 import warnings
+from types import SimpleNamespace
 
 import pytest
 
@@ -186,15 +188,15 @@ def test_only_pricing_and_benders_masters_skip_heuristics(monkeypatch):
     inst = generate_instance(n=7, seed=301, n_requests=5, n_scenarios=4, theta=0.7, rho=0.25)
     qt = deterministic_routing_costs(inst)
     sub = make_subinstance(inst, minimal_feasibility_cover(inst, inst.requests), qt)
-    warm = warm_start(sub)
+    pool = warm_start(sub)
     duals = DualPrices(iota={i: 0.0 for i in inst.nodes},
                        eps={(hk, i): 0.0 for hk in inst.requests for i in inst.nodes},
                        beta=1.0)
     runs = [
         (True, lambda: solve_pricing(inst, duals)),
-        (True, lambda: benders_solve_tspgl(sub, *warm)),
+        (True, lambda: benders_solve_tspgl(sub, pool)),
         (False, lambda: run_mip_benchmark(inst, SearchConfig(time_limit_total=60.0))),
-        (False, lambda: _tsp_mip(sorted(inst.nodes), inst.design, None)),
+        (False, lambda: _tsp_mip(sorted(inst.nodes), inst.design, math.inf)),
     ]
     for off, run in runs:
         calls.clear()
@@ -220,7 +222,7 @@ def test_mip_time_limit_statuses_are_sane():
     for c in range(25):
         coeffs = {j: rng.uniform(-1, 1) for j in range(40)}
         m.add_constr(coeffs, "<=", rng.uniform(0.5, 4.0))
-    out = solve_mip(m, time_limit=0.05)
+    out = solve_mip(m, deadline=time.monotonic() + 0.05)
     assert out.status in (OPTIMAL, TIME_LIMIT)
     if out.status == TIME_LIMIT and out.values is not None:
         assert math.isfinite(out.objective)
@@ -326,12 +328,59 @@ def test_resolve_with_cuts_spent_clock_makes_no_solve(monkeypatch):
     calls = _count_milp(monkeypatch)
     m = LinearModel()
     m.add_var(lb=0.0, ub=2.0, obj=-1.0, integer=True)
-    out = resolve_with_cuts(m, lambda _o: pytest.fail("nothing to separate"), time_limit=0)
+    out = resolve_with_cuts(m, lambda _o: pytest.fail("nothing to separate"),
+                            deadline=time.monotonic())
     assert out.status == TIME_LIMIT
     assert not out.cuts_complete
     assert not out.solved
     assert out.cut_rounds == 0
     assert calls == []
+
+
+def _spy_highs(monkeypatch) -> list:
+    """(entry point, options) of every linprog and milp call."""
+    calls = []
+    for name in ("linprog", "milp"):
+        real = getattr(mpbackend, name)
+
+        def spy(*args, _name=name, _real=real, **kwargs):
+            calls.append((_name, dict(kwargs["options"])))
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(mpbackend, name, spy)
+    return calls
+
+
+def test_a_passed_deadline_makes_no_highs_call(monkeypatch):
+    calls = _spy_highs(monkeypatch)
+    m = LinearModel()
+    x = m.add_var(lb=0.0, ub=2.0, obj=-1.0, integer=True)
+    m.add_constr({x: 1.0}, "<=", 1.5)
+    passed = time.monotonic()
+    for out in (solve_lp(m, deadline=passed), solve_mip(m, deadline=passed),
+                resolve_with_cuts(m, lambda _o: pytest.fail("nothing to separate"),
+                                  deadline=passed)):
+        assert out.status == TIME_LIMIT
+        assert not out.solved
+    assert calls == []
+
+
+def test_deadline_becomes_the_highs_time_limit(monkeypatch):
+    calls = _spy_highs(monkeypatch)
+    m = LinearModel()
+    x = m.add_var(lb=0.0, ub=2.0, obj=-1.0, integer=True)
+    m.add_constr({x: 1.0}, "<=", 1.5)
+    assert solve_lp(m).status == solve_mip(m).status == OPTIMAL
+    assert [("time_limit" in opts) for _name, opts in calls] == [False, False]
+    calls.clear()
+    # a clock that stands still at 100 s
+    monkeypatch.setattr(mpbackend, "time", SimpleNamespace(monotonic=lambda: 100.0))
+    for deadline in (130.0, 100.001):
+        solve_lp(m, deadline=deadline)
+        solve_mip(m, deadline=deadline)
+    # the time left, with a 0.01 s floor
+    assert [(name, opts["time_limit"]) for name, opts in calls] == \
+        [("linprog", 30.0), ("milp", 30.0), ("linprog", 0.01), ("milp", 0.01)]
 
 
 def test_mip_benchmark_on_a_spent_budget_makes_no_solve(monkeypatch):

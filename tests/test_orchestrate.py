@@ -1,14 +1,16 @@
 import math
+from heapq import heappop, nsmallest
 
 import pytest
 
 from stspgl.covers import make_cover
-from stspgl.model import TspGlSolution, build_instance
+from stspgl.model import TspGlSolution, build_instance, gap_value
 from stspgl import mpbackend, orchestrate
 from stspgl.mpbackend import solve_lp, solve_mip
 from stspgl.orchestrate import (
     SearchConfig,
     _new_state,
+    _score_and_enqueue,
     run_bp,
     run_heuristic,
     run_hybrid,
@@ -38,22 +40,26 @@ def test_config_validation_rejects_bad_values():
     SearchConfig().validate()
 
 
-def test_scored_queue_orders_by_bounds_then_requests(d1):
+def test_scored_queue_orders_by_bounds_then_requests(d1, monkeypatch):
     from stspgl.tspgl import BoundEstimate
 
-    queue = _new_state(d1, fast_cfg()).queue
     a = make_cover(d1, [(1, 3)])
     b = make_cover(d1, [(2, 4)])
-    a.bounds = BoundEstimate(lb=5.0, ub=5.0, tsp_tour=())
-    b.bounds = BoundEstimate(lb=6.5, ub=6.5, tsp_tour=())
-    assert queue.push(b)
-    assert queue.push(a)
-    assert not queue.push(a)          # one entry per request set
-    assert len(queue) == 2
-    assert [c.requests for c in queue.smallest(2)] == [a.requests, b.requests]
-    assert queue.pop() is a
-    assert queue.pop() is b
-    assert queue.pop() is None
+    c = make_cover(d1, [(1, 3), (2, 4)])
+    bounds = {a.requests: BoundEstimate(lb=5.0, ub=5.0),
+              b.requests: BoundEstimate(lb=4.0, ub=5.0),
+              c.requests: BoundEstimate(lb=5.0, ub=5.0)}
+    monkeypatch.setattr(orchestrate, "cover_bounds",
+                        lambda sub, cutpool, deadline: bounds[sub.requests])
+    state = _new_state(d1, fast_cfg())
+    for cover in (c, a, b):
+        assert _score_and_enqueue(state, cover)
+    assert not _score_and_enqueue(state, a)      # one entry per request set
+    assert len(state.queue) == 3
+    # ub, then lb, then the request tuple: a and c tie on both bounds
+    assert [entry[-1] for entry in nsmallest(2, state.queue)] == [b, a]
+    assert [heappop(state.queue)[-1] for _ in range(3)] == [b, a, c]
+    assert state.queue == []
 
 
 def test_update_incumbent_requires_strict_improvement(d1):
@@ -155,7 +161,7 @@ def test_benchmark_keeps_no_tour_with_subtours(monkeypatch):
     inst = build_instance(compulsory=[0, 3], requests=[(1, 2)], demand=[[5.0]],
                           theta=1.0, rho=0.0, alpha=0.3, coords=coords)
 
-    def no_round_left(model, cut_source, max_rounds, time_limit):
+    def no_round_left(model, cut_source, max_rounds, deadline):
         out = solve_mip(model)
         assert cut_source(out), "the uncut solve should hold a subtour"
         out.cuts_complete = False
@@ -165,6 +171,30 @@ def test_benchmark_keeps_no_tour_with_subtours(monkeypatch):
     res = run_mip_benchmark(inst, fast_cfg())
     assert res.status == "TimeLimit"
     assert res.incumbent is None
+
+
+def test_clock_stopped_benchmark_keeps_the_tour_and_bound_it_holds(monkeypatch):
+    # the real solve, reported as if the clock had stopped it
+    inst = generate_instance(n=7, seed=301, n_requests=5, n_scenarios=4, theta=0.7, rho=0.25)
+    real = orchestrate.resolve_with_cuts
+    held = []
+
+    def stopped(*args, **kwargs):
+        out = real(*args, **kwargs)
+        assert out.status == "Optimal" and out.cuts_complete
+        out.status, out.cuts_complete = "TimeLimit", False
+        held.append(out)
+        return out
+
+    monkeypatch.setattr(orchestrate, "resolve_with_cuts", stopped)
+    res = run_mip_benchmark(inst, fast_cfg())
+    monkeypatch.undo()
+    optimum = run_mip_benchmark(inst, fast_cfg())
+    assert res.status == "TimeLimit"
+    assert res.incumbent is not None
+    assert res.upper_bound == optimum.upper_bound
+    assert res.lower_bound == min(held[0].best_bound, res.upper_bound)
+    assert res.gap == gap_value(res.upper_bound, res.lower_bound)
 
 
 def test_bp_matches_benchmark_on_generated_suite():

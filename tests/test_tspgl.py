@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -92,7 +93,7 @@ def test_tsp_mip_path_agrees_with_held_karp():
         cost = [[math.dist(pts[i], pts[j]) for j in range(n)] for i in range(n)]
         nodes = list(range(n))
         _seq, hk_val = _held_karp(nodes, cost)
-        _mseq, mip_val, _found = _tsp_mip(nodes, cost, time_limit=None)
+        _mseq, mip_val, _found = _tsp_mip(nodes, cost, deadline=math.inf)
         assert mip_val == pytest.approx(hk_val, rel=1e-9)
 
 
@@ -100,9 +101,9 @@ def test_tsp_mip_path_returns_none_on_a_spent_budget():
     rng = random.Random(13)
     for size in (20, 30, 40):
         cost = _random_costs(rng, size, "euclidean")
-        assert symmetric_tsp(range(size), cost, time_limit=0.0) is None
+        assert symmetric_tsp(range(size), cost, deadline=time.monotonic()) is None
         # a budget too short to prove a tour: no tour, and no error
-        assert symmetric_tsp(range(size), cost, time_limit=0.001) is None
+        assert symmetric_tsp(range(size), cost, deadline=time.monotonic() + 0.001) is None
 
 
 def test_tsp_mip_rejects_a_solve_that_still_splits(monkeypatch):
@@ -111,7 +112,7 @@ def test_tsp_mip_rejects_a_solve_that_still_splits(monkeypatch):
     pts = [(10.0 * (i % 4) + 1000.0 * (i // 8), 10.0 * (i // 4 % 2)) for i in range(16)]
     cost = [[math.dist(a, b) for b in pts] for a in pts]
 
-    def no_round_left(model, cut_source, max_rounds, time_limit):
+    def no_round_left(model, cut_source, max_rounds, deadline):
         out = solve_mip(model)
         assert cut_source(out), "the uncut solve should hold a subtour"
         out.cuts_complete = False
@@ -127,9 +128,9 @@ def test_cover_bounds_caches_nothing_when_the_tsp_times_out():
     sub = _sub(inst, list(inst.requests))
     assert len(sub.nodes) > 15
     pool = CutPool()
-    assert cover_bounds(sub, pool, time_limit=0.0) is None
+    assert cover_bounds(sub, pool, deadline=time.monotonic()) is None
     assert pool.tsp_cache == {} and pool.subtours == {}
-    assert cover_bounds(sub, pool, time_limit=60.0) is not None
+    assert cover_bounds(sub, pool, deadline=time.monotonic() + 60.0) is not None
     assert sub.key in pool.tsp_cache
 
 
@@ -212,8 +213,9 @@ def test_make_subinstance_on_d1(d1):
 
 def test_cover_bounds_on_d1(d1):
     sub = _sub(d1, [(1, 3)])
-    b = cover_bounds(sub, CutPool())
-    assert b.tsp_tour == (0, 1, 3)
+    pool = CutPool()
+    b = cover_bounds(sub, pool)
+    assert pool.tsp_cache[sub.key] == ((0, 1, 3), 6.0)
     # design 6 weighted 0.75, the direct arc's routing cost 2 weighted 0.25
     assert b.lb == pytest.approx(5.0)
     assert b.ub == pytest.approx(5.0)
@@ -549,19 +551,19 @@ def test_aggregated_cut_valid_for_all_tours(n, seed):
 
 def test_benders_on_d1_covers(d1):
     sub13 = _sub(d1, [(1, 3)])
-    out13 = benders_solve_tspgl(sub13, *warm_start(sub13))
+    out13 = benders_solve_tspgl(sub13, warm_start(sub13))
     assert out13.status == OPTIMAL
     assert out13.solution.objective == pytest.approx(5.0)
     assert sorted(out13.solution.visited) == [0, 1, 3]
     sub24 = _sub(d1, [(2, 4)])
-    out24 = benders_solve_tspgl(sub24, *warm_start(sub24))
+    out24 = benders_solve_tspgl(sub24, warm_start(sub24))
     assert out24.status == OPTIMAL
     assert out24.solution.objective == pytest.approx(6.5)
 
 
 def test_benders_early_abort(d1):
     sub = _sub(d1, [(2, 4)])
-    out = benders_solve_tspgl(sub, *warm_start(sub), incumbent_ub=5.0)
+    out = benders_solve_tspgl(sub, warm_start(sub), incumbent_ub=5.0)
     assert out.status == ABORTED
 
 
@@ -569,7 +571,8 @@ def test_benders_reuses_cached_cuts(d1):
     pool = CutPool()
     sub = _sub(d1, [(1, 3)])
     pool.add_subtour(sub.key, frozenset({0, 1}))  # harmless valid-shaped cut
-    out = benders_solve_tspgl(sub, cover_bounds(sub, pool), pool)
+    cover_bounds(sub, pool)
+    out = benders_solve_tspgl(sub, pool)
     assert out.status == OPTIMAL
     assert out.solution.objective == pytest.approx(5.0)
 
@@ -582,7 +585,7 @@ def test_benders_matches_direct_on_random_subinstances():
         qt = deterministic_routing_costs(inst)
         cov = minimal_feasibility_cover(inst, inst.requests)
         sub = make_subinstance(inst, cov, qt)
-        ben = benders_solve_tspgl(sub, *warm_start(sub))
+        ben = benders_solve_tspgl(sub, warm_start(sub))
         direct = solve_tspgl_direct(sub)
         assert ben.status == OPTIMAL
         assert direct.status == OPTIMAL
@@ -603,8 +606,8 @@ def test_benders_optimum_does_not_need_primal_heuristics(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(mpbackend, "solve_mip",
                           lambda model, **kw: solve_mip(model, **{**kw, "heuristics": True}))
-            ref = benders_solve_tspgl(sub, *warm_start(sub))
-        out = benders_solve_tspgl(sub, *warm_start(sub))
+            ref = benders_solve_tspgl(sub, warm_start(sub))
+        out = benders_solve_tspgl(sub, warm_start(sub))
         assert ref.status == out.status == OPTIMAL
         assert out.solution.objective == pytest.approx(ref.solution.objective, rel=1e-9)
 
@@ -631,9 +634,9 @@ def _master_spy(monkeypatch) -> list:
 
 def test_benders_on_a_spent_clock_solves_no_master(monkeypatch):
     sub = _n9_sub()
-    warm = warm_start(sub)
+    pool = warm_start(sub)
     masters = _master_spy(monkeypatch)
-    out = benders_solve_tspgl(sub, *warm, time_limit=0)
+    out = benders_solve_tspgl(sub, pool, deadline=time.monotonic())
     assert out.status == "TimeLimit"
     assert out.iterations == 1
     assert out.solution is None
@@ -643,10 +646,10 @@ def test_benders_on_a_spent_clock_solves_no_master(monkeypatch):
 @pytest.mark.parametrize("cap", [1, 2, 4, 5, 9])
 def test_benders_iteration_cap_keeps_the_best_tour_found(monkeypatch, cap):
     sub = _n9_sub()
-    warm = warm_start(sub)
+    pool = warm_start(sub)
     masters = _master_spy(monkeypatch)
     monkeypatch.setattr(tspgl, "MAX_BENDERS_ITERATIONS", cap)
-    out = benders_solve_tspgl(sub, *warm)
+    out = benders_solve_tspgl(sub, pool)
     # this cover needs 9 masters; its 4th is the first single tour
     assert out.status == ("Optimal" if cap == 9 else "TimeLimit")
     assert out.iterations == len(masters) == cap
@@ -673,15 +676,16 @@ def test_benders_iterations_count_master_mips(monkeypatch):
                                  theta=0.8, rho=0.2)
         sub = make_subinstance(inst, minimal_feasibility_cover(inst, inst.requests),
                                deterministic_routing_costs(inst))
-        warm, pool = warm_start(sub)
-        ub = math.inf if ub_shift is None else warm.lb + ub_shift
+        pool = CutPool()
+        lb = cover_bounds(sub, pool).lb
+        ub = math.inf if ub_shift is None else lb + ub_shift
         masters.clear()
-        out = benders_solve_tspgl(sub, warm, pool, incumbent_ub=ub)
+        out = benders_solve_tspgl(sub, pool, incumbent_ub=ub)
         assert out.status == (OPTIMAL if ub_shift is None else ABORTED)
         assert out.iterations == len(masters) >= 1
     n9 = _n9_sub()
     masters.clear()
-    assert benders_solve_tspgl(n9, *warm_start(n9)).iterations == len(masters) == 9
+    assert benders_solve_tspgl(n9, warm_start(n9)).iterations == len(masters) == 9
 
 
 def test_direct_solver_enumeration_case(d1, d1_qtilde):
@@ -748,10 +752,12 @@ def test_restriction_matches_full_graph_enumeration(d1, d1_qtilde):
 
 
 def test_benders_warm_start_accepts_external_bounds(d1):
+    # the warm start is the tour the bound stage leaves in the cut cache
     sub = _sub(d1, [(1, 3)])
     pool = CutPool()
-    warm = cover_bounds(sub, pool)
-    assert isinstance(warm, BoundEstimate)
-    out = benders_solve_tspgl(sub, warm, pool)
+    with pytest.raises(KeyError):
+        benders_solve_tspgl(sub, pool)
+    assert isinstance(cover_bounds(sub, pool), BoundEstimate)
+    out = benders_solve_tspgl(sub, pool)
     assert out.status == OPTIMAL
     assert out.solution.objective == pytest.approx(5.0)
