@@ -17,7 +17,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from .covers import FeasibilityCover, minimal_feasibility_cover
 from .model import OPTIMAL, TIME_LIMIT, Edge, Instance, Request, csv_cell
-from .mpbackend import RC_EPS, LinearModel, SolveOutcome, solve_mip
+from .mpbackend import NO_PRIMAL_HEURISTICS, RC_EPS, LinearModel, SolveOutcome, solve_mip
 from .scenarios import RoutingCostTable
 from .tspgl import (
     add_edge_vars,
@@ -213,7 +213,7 @@ def solve_pricing(
             continue
         model.add_constr({serve[hk]: 1.0 for hk in excluded}, "<=", float(len(excluded) - 1))
 
-    out = solve_mip(model, deadline=deadline, heuristics=False)
+    out = solve_mip(model, deadline=deadline, tuning=NO_PRIMAL_HEURISTICS)
     if out.status == TIME_LIMIT:
         # an incumbent without proof of optimality cannot back a Lagrangian bound
         return PricingResult(None, -math.inf, status=TIME_LIMIT)

@@ -40,7 +40,7 @@ from .scenarios import (
     evaluate_metrics,
 )
 from .covers import FeasibilityCover, explore, local_search, make_cover
-from .mpbackend import LinearModel, SolveOutcome, resolve_with_cuts, solve_lp
+from .mpbackend import PSEUDO_COST_BRANCHING, LinearModel, SolveOutcome, resolve_with_cuts, solve_lp
 from .colgen import (
     ColumnPool,
     add_gsec_rows,
@@ -265,7 +265,7 @@ def run_mip_benchmark(inst: Instance, cfg: SearchConfig) -> StspGlResult:
     model, x, w, z = _benchmark_model(inst, state.qtilde)
     out = resolve_with_cuts(model, lambda o: _benchmark_cuts(inst, x, w, o),
                             max_rounds=4 * inst.n * max(1, inst.n),
-                            deadline=state.deadline)
+                            deadline=state.deadline, tuning=PSEUDO_COST_BRANCHING)
     if out.status == INFEASIBLE:
         return _infeasible_result(state)
     if out.values is None:

@@ -33,7 +33,7 @@ from .model import (
     cycles,
     edge,
 )
-from .mpbackend import LinearModel, SolveOutcome, resolve_with_cuts
+from .mpbackend import NO_PRIMAL_HEURISTICS, LinearModel, SolveOutcome, resolve_with_cuts
 from .scenarios import RoutingCostTable
 
 ABORTED = "Aborted"
@@ -650,7 +650,7 @@ def benders_solve_tspgl(
         return violated
 
     out = resolve_with_cuts(model, separate, max_rounds=MAX_BENDERS_ITERATIONS - 1,
-                            deadline=deadline, heuristics=False)
+                            deadline=deadline, tuning=NO_PRIMAL_HEURISTICS)
     if out.status == TIME_LIMIT or not out.cuts_complete:
         status = TIME_LIMIT
     elif not out.solved:

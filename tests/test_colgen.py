@@ -195,7 +195,7 @@ def test_pricing_optimum_does_not_need_primal_heuristics(monkeypatch):
             )
             with monkeypatch.context() as patch:
                 patch.setattr(colgen, "solve_mip",
-                              lambda model, **kw: solve_mip(model, **{**kw, "heuristics": True}))
+                              lambda model, **kw: solve_mip(model, **{**kw, "tuning": {}}))
                 with_heuristics.append(solve_pricing(inst, duals).objective)
             assert solve_pricing(inst, duals).objective == pytest.approx(
                 with_heuristics[-1], rel=1e-9)

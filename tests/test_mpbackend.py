@@ -9,19 +9,20 @@ from types import SimpleNamespace
 import pytest
 
 from oracles import oracle_tsp, warm_start
-from stspgl import mpbackend
+from stspgl import mpbackend, orchestrate
 from stspgl.colgen import DualPrices, solve_pricing
 from stspgl.covers import minimal_feasibility_cover
+from stspgl.evalcli import solve_deterministic
 from stspgl.model import INFEASIBLE, OPTIMAL, TIME_LIMIT, UNBOUNDED
 from stspgl.mpbackend import (
-    PRIMAL_HEURISTICS,
+    NO_PRIMAL_HEURISTICS,
     LinearModel,
     resolve_with_cuts,
     solve_lp,
     solve_mip,
 )
 from stspgl.orchestrate import SearchConfig, run_mip_benchmark
-from stspgl.scenarios import deterministic_routing_costs, generate_instance
+from stspgl.scenarios import deterministic_routing_costs, generate_instance, mean_scenario
 from stspgl.tspgl import _tsp_mip, benders_solve_tspgl, make_subinstance
 
 
@@ -170,13 +171,19 @@ def test_mip_without_heuristics_is_exact_and_silent():
     m.add_constr({j: float(w) for j, w in enumerate(weights)}, "<=", 60.0)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        out = solve_mip(m, heuristics=False)
+        out = solve_mip(m, tuning=NO_PRIMAL_HEURISTICS)
     assert not caught
     assert out.status == OPTIMAL
     assert out.objective == solve_mip(m).objective
 
 
 def test_only_pricing_and_benders_masters_skip_heuristics(monkeypatch):
+    # each MIP sends its own HiGHS options and no other: the pricing IP and
+    # the Benders master skip the primal heuristics, the compact MIP (also
+    # under `deterministic`) skips strong branching, the TSP MIP sends none
+    no_heuristics = {f"mip_heuristic_run_{name}": False for name in (
+        "feasibility_jump", "rins", "rens", "root_reduced_cost", "zi_round", "shifting")}
+    pseudo_costs = {"mip_pscost_minreliable": 0}
     calls = []
     real = mpbackend.milp
 
@@ -192,19 +199,45 @@ def test_only_pricing_and_benders_masters_skip_heuristics(monkeypatch):
     duals = DualPrices(iota={i: 0.0 for i in inst.nodes},
                        eps={(hk, i): 0.0 for hk in inst.requests for i in inst.nodes},
                        beta=1.0)
+    cfg = SearchConfig(time_limit_total=60.0)
     runs = [
-        (True, lambda: solve_pricing(inst, duals)),
-        (True, lambda: benders_solve_tspgl(sub, pool)),
-        (False, lambda: run_mip_benchmark(inst, SearchConfig(time_limit_total=60.0))),
-        (False, lambda: _tsp_mip(sorted(inst.nodes), inst.design, math.inf)),
+        (no_heuristics, lambda: solve_pricing(inst, duals)),
+        (no_heuristics, lambda: benders_solve_tspgl(sub, pool)),
+        (pseudo_costs, lambda: run_mip_benchmark(inst, cfg)),
+        (pseudo_costs, lambda: solve_deterministic(inst, cfg)),
+        ({}, lambda: _tsp_mip(sorted(inst.nodes), inst.design, math.inf)),
     ]
-    for off, run in runs:
+    for tuning, run in runs:
         calls.clear()
         run()
         assert calls
-        sent = [{name: opts[name] for name in PRIMAL_HEURISTICS if name in opts}
+        sent = [{name: val for name, val in opts.items() if name not in ("mip_rel_gap", "time_limit")}
                 for opts in calls]
-        assert sent == [dict.fromkeys(PRIMAL_HEURISTICS, False) if off else {}] * len(calls)
+        assert sent == [tuning] * len(calls)
+
+
+def test_compact_mip_branching_changes_no_result(monkeypatch):
+    # pseudo-cost branching only changes the search: the compact MIP proves
+    # the same optimum and writes the same result JSON as with HiGHS's
+    # default branching, and HiGHS knows the option (an unknown name warns);
+    # each of these compact MIPs branches (17-106 nodes)
+    cfg = SearchConfig(time_limit_total=60.0, gap_target=1e-6)
+    insts = [generate_instance(n=n, seed=seed, n_requests=12, n_scenarios=5, theta=0.8, rho=0.2)
+             for n, seed in ((7, 1), (7, 2), (8, 1), (8, 3), (9, 3))]
+    insts.append(mean_scenario(insts[-1]))
+    real = orchestrate.resolve_with_cuts
+    for inst in insts:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = run_mip_benchmark(inst, cfg)
+        assert not caught
+        with monkeypatch.context() as patch:
+            patch.setattr(orchestrate, "resolve_with_cuts",
+                          lambda *args, **kw: real(*args, **{**kw, "tuning": {}}))
+            ref = run_mip_benchmark(inst, cfg)
+        assert res.status == ref.status == OPTIMAL
+        assert res.upper_bound == pytest.approx(ref.upper_bound, rel=1e-9)
+        assert res.to_json(inst) == ref.to_json(inst)
 
 
 def test_mip_infeasible():

@@ -161,8 +161,8 @@ def test_benchmark_keeps_no_tour_with_subtours(monkeypatch):
     inst = build_instance(compulsory=[0, 3], requests=[(1, 2)], demand=[[5.0]],
                           theta=1.0, rho=0.0, alpha=0.3, coords=coords)
 
-    def no_round_left(model, cut_source, max_rounds, deadline):
-        out = solve_mip(model)
+    def no_round_left(model, cut_source, max_rounds, deadline, tuning):
+        out = solve_mip(model, tuning=tuning)
         assert cut_source(out), "the uncut solve should hold a subtour"
         out.cuts_complete = False
         return out

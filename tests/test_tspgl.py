@@ -605,7 +605,7 @@ def test_benders_optimum_does_not_need_primal_heuristics(monkeypatch):
         sub = make_subinstance(inst, minimal_feasibility_cover(inst, inst.requests), qt)
         with monkeypatch.context() as patch:
             patch.setattr(mpbackend, "solve_mip",
-                          lambda model, **kw: solve_mip(model, **{**kw, "heuristics": True}))
+                          lambda model, **kw: solve_mip(model, **{**kw, "tuning": {}}))
             ref = benders_solve_tspgl(sub, warm_start(sub))
         out = benders_solve_tspgl(sub, warm_start(sub))
         assert ref.status == out.status == OPTIMAL
