@@ -19,17 +19,12 @@ class CoverError(ValueError):
     """Contract violation in cover construction (input is not a cover)."""
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True)
 class FeasibilityCover:
+    """Built by `make_cover` only, which derives `visited` from `requests`."""
+
     requests: Tuple[Request, ...]                 # canonical lexicographic order
     visited: frozenset                            # compulsory nodes and request endpoints
-    bounds: Optional[object] = None               # BoundEstimate once scored
-
-    def __eq__(self, other):
-        return isinstance(other, FeasibilityCover) and self.requests == other.requests
-
-    def __hash__(self):
-        return hash(self.requests)
 
     @property
     def size(self) -> int:

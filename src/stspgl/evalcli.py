@@ -28,7 +28,6 @@ from .orchestrate import (
     SearchConfig,
     run_bp,
     run_heuristic,
-    run_hybrid,
     run_mip_benchmark,
 )
 from .colgen import CG_LOG_HEADER
@@ -70,7 +69,7 @@ def run_method(method: str, inst: Instance, cfg: SearchConfig,
     if method == "heuristic":
         return run_heuristic(inst, cfg)
     if method == "hybrid":
-        return run_hybrid(inst, cfg, cg_log=cg_log)
+        return run_bp(inst, cfg, hybrid=True, cg_log=cg_log)
     if method == "deterministic":
         return solve_deterministic(inst, cfg)
     raise ValueError(f"unknown method {method!r}")

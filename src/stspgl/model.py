@@ -2,8 +2,8 @@
 
 An instance couples a complete metric graph with a set of origin-destination
 requests whose demand is scenario based. A solution is a Hamiltonian cycle on
-a node subset together with one unit of flow per served request, routed on
-the arcs induced by the tour edges. The objective mixes tour design cost and
+a node subset together with the requests it serves, each routed along the
+tour the cheaper way round. The objective mixes tour design cost and
 demand-weighted routing cost through a tradeoff weight alpha.
 """
 
@@ -330,10 +330,10 @@ def validate_instance(inst: Instance) -> List[str]:
 
 @dataclass
 class TspGlSolution:
-    """A tour over a node subset plus unit flows for the served requests."""
+    """A tour over a node subset plus the requests it serves, each routed
+    along the tour the cheaper way round."""
 
     tour_edges: frozenset                      # of Edge
-    flows: Dict[Request, Dict[Arc, float]]     # per served request
     objective: float
     design_cost: float
     routing_cost: float

@@ -40,6 +40,7 @@ from __future__ import annotations
 import math
 import time
 import warnings
+from array import array
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
@@ -71,8 +72,9 @@ class LinearModel:
         self._lb: List[float] = []
         self._ub: List[float] = []
         self._int: List[bool] = []
-        self._sense: List[str] = []
-        self._rhs: List[float] = []
+        # row bounds, lo <= row <= hi, as packed doubles: no float object per row
+        self._lo = array("d")
+        self._hi = array("d")
         self._rows: List[int] = []
         self._cols: List[int] = []
         self._vals: List[float] = []
@@ -85,7 +87,7 @@ class LinearModel:
                 and (math.isfinite(ub) or ub == math.inf)):
             raise ValueError(f"non-finite data for column {col}")
         if rows:
-            self._check(rows, len(self._sense), "row")
+            self._check(rows, len(self._lo), "row")
             self._rows.extend(rows)
             self._cols.extend([col] * len(rows))
             self._vals.extend(rows.values())
@@ -102,9 +104,9 @@ class LinearModel:
         if not math.isfinite(rhs):
             raise ValueError("non-finite constraint data")
         self._check(coeffs, len(self._obj), "column")
-        row = len(self._sense)
-        self._sense.append(sense)
-        self._rhs.append(float(rhs))
+        row = len(self._lo)
+        self._lo.append(-math.inf if sense == "<=" else rhs)
+        self._hi.append(math.inf if sense == ">=" else rhs)
         self._rows.extend([row] * len(coeffs))
         self._cols.extend(coeffs)
         self._vals.extend(coeffs.values())
@@ -125,7 +127,7 @@ class LinearModel:
                 raise ValueError("non-finite constraint data")
 
     def n_constrs(self) -> int:
-        return len(self._sense)
+        return len(self._lo)
 
     # --- matrix assembly -------------------------------------------------
 
@@ -139,7 +141,7 @@ class LinearModel:
         A stable sort groups the triplets by row, so each row lists its
         entries in the order they were added.
         """
-        n_rows = len(self._sense)
+        n_rows = len(self._lo)
         rows = np.array(self._rows, dtype=np.intp)
         order = np.argsort(rows, kind="stable")
         indptr = np.zeros(n_rows + 1, dtype=np.intp)
@@ -147,11 +149,7 @@ class LinearModel:
         mat = sparse.csr_matrix((np.array(self._vals, dtype=float)[order],
                                  np.array(self._cols, dtype=np.intp)[order], indptr),
                                 shape=(n_rows, len(self._obj)))
-        sense = np.array(self._sense, dtype="U2")
-        rhs = np.array(self._rhs, dtype=float)
-        lo = np.where(sense == "<=", -np.inf, rhs)
-        hi = np.where(sense == ">=", np.inf, rhs)
-        return mat, lo, hi
+        return mat, np.array(self._lo), np.array(self._hi)
 
 
 @dataclass

@@ -301,22 +301,24 @@ def _score_and_enqueue(state: SearchState, cover: FeasibilityCover) -> bool:
     or if the clock stops its bound stage, which leaves it unscored."""
     if cover.requests in state.scored:
         return False
-    cover.bounds = cover_bounds(make_subinstance(state.inst, cover, state.qtilde),
-                                state.cutpool, deadline=state.deadline)
-    if cover.bounds is None:
+    bounds = cover_bounds(make_subinstance(state.inst, cover, state.qtilde),
+                          state.cutpool, deadline=state.deadline)
+    if bounds is None:
         return False
     state.scored.add(cover.requests)
     state.note("score", cover_size=cover.size, nodes_visited=len(cover.visited))
-    if cover.bounds.lb >= state.ub - INCUMBENT_EPS:
+    if bounds.lb >= state.ub - INCUMBENT_EPS:
         _close(state, cover, "discard")
     else:
-        heappush(state.queue, (cover.bounds.ub, cover.bounds.lb, cover.requests, cover))
+        heappush(state.queue, (bounds.ub, bounds.lb, cover.requests, cover))
     return True
 
 
-def _evaluate_cover(state: SearchState, cover: FeasibilityCover) -> None:
-    """Exact TSP-GL for one queued cover; incumbent and audit upkeep."""
-    if cover.bounds.lb >= state.ub - INCUMBENT_EPS:
+def _evaluate_cover(state: SearchState,
+                    entry: Tuple[float, float, Tuple[Request, ...], FeasibilityCover]) -> None:
+    """Exact TSP-GL for one popped queue entry; incumbent and audit upkeep."""
+    ub, lb, _requests, cover = entry
+    if lb >= state.ub - INCUMBENT_EPS:
         _close(state, cover, "discard")
         return
     sub = make_subinstance(state.inst, cover, state.qtilde)
@@ -325,8 +327,7 @@ def _evaluate_cover(state: SearchState, cover: FeasibilityCover) -> None:
     if out.status == ABORTED:
         _close(state, cover, "abort")
     elif out.status == OPTIMAL and out.solution is not None:
-        state.evaluated.append((cover.requests, cover.bounds.lb,
-                                cover.bounds.ub, out.solution.objective))
+        state.evaluated.append((cover.requests, lb, ub, out.solution.objective))
         update_incumbent(state, cover, out.solution)
         _close(state, cover, "evaluate", nodes_visited=len(out.solution.visited))
     elif out.solution is not None:
@@ -338,7 +339,8 @@ def _evaluate_cover(state: SearchState, cover: FeasibilityCover) -> None:
 
 def run_bp(inst: Instance, cfg: SearchConfig, hybrid: bool = False,
            cg_log: Optional[List[str]] = None) -> StspGlResult:
-    """Branch-price-and-cut dive with exact cover evaluations.
+    """Branch-price-and-cut dive with exact cover evaluations; `hybrid`
+    warms and widens it with the exploration operators.
 
     Each iteration runs up to `PRICING_PER_ITERATION` pricing rounds; before
     each, the master LP is re-solved until its edge values violate no new
@@ -466,18 +468,12 @@ def _dive(state: SearchState, cfg: SearchConfig, hybrid: bool,
         for _ in range(min(EVALS_PER_ITERATION, len(queue))):
             if state.remaining() <= 0:
                 return True
-            _evaluate_cover(state, heappop(queue)[-1])
+            _evaluate_cover(state, heappop(queue))
             progress = True
 
         if _gap_closed(state, cfg) or (priced_out and not queue and not progress):
             return False
     return True
-
-
-def run_hybrid(inst: Instance, cfg: SearchConfig,
-               cg_log: Optional[List[str]] = None) -> StspGlResult:
-    """Branch-and-price warmed and widened by the exploration operators."""
-    return run_bp(inst, cfg, hybrid=True, cg_log=cg_log)
 
 
 # --- sampling heuristic -----------------------------------------------------
@@ -514,7 +510,7 @@ def run_heuristic(inst: Instance, cfg: SearchConfig) -> StspGlResult:
             if ls is not None:
                 _score_and_enqueue(state, ls)
         if queue:
-            _evaluate_cover(state, heappop(queue)[-1])
+            _evaluate_cover(state, heappop(queue))
         if failures >= span and not queue:
             break
 

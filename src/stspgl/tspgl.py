@@ -62,10 +62,6 @@ class SubInstance:
     requests: Tuple[Request, ...]
     qtilde: RoutingCostTable
 
-    @property
-    def alpha(self) -> float:
-        return self.inst.alpha
-
     def origins(self) -> List[int]:
         return sorted({h for h, _k in self.requests})
 
@@ -99,7 +95,6 @@ def make_subinstance(inst: Instance, cover: FeasibilityCover, qtilde: RoutingCos
 @dataclass
 class BendersDuals:
     p: Dict[int, float]                 # node potentials, >= 0
-    lam: Dict[Arc, float]               # positive arc multipliers; absent = 0
     lambda_bar: Dict[Edge, float]       # lam_ij + lam_ji per edge, positive only
     objective: float                    # equals the primal path cost
 
@@ -427,7 +422,7 @@ def cover_bounds(sub: SubInstance, cutpool: CutPool,
     subtours met finding it go into `cutpool`, where `benders_solve_tspgl`
     reads them. None, with nothing cached, when the TSP reaches `deadline`.
     """
-    alpha = sub.alpha
+    alpha = sub.inst.alpha
     key = sub.key
     cached = cutpool.tsp_cache.get(key)
     if cached is not None:
@@ -442,7 +437,7 @@ def cover_bounds(sub: SubInstance, cutpool: CutPool,
         for comp in subtours:
             cutpool.add_subtour(key, comp)
     lb_routing = sum(sub.qtilde.cost(hk, *hk) for hk in sub.requests)
-    ub_routing = sum(primal_subproblem(tour, hk, sub.qtilde)[1] for hk in sub.requests)
+    ub_routing = sum(primal_subproblem(tour, hk, sub.qtilde) for hk in sub.requests)
     return BoundEstimate(lb=(1.0 - alpha) * tsp_val + alpha * lb_routing,
                          ub=(1.0 - alpha) * tsp_val + alpha * ub_routing)
 
@@ -466,28 +461,19 @@ def _tour_walk(seq: Sequence[int], hk: Request, qtilde: RoutingCostTable
     return fwd, back
 
 
-def primal_subproblem(xbar: Sequence[int], hk: Request, qtilde: RoutingCostTable
-                      ) -> Tuple[Optional[Dict[Arc, float]], float]:
-    """Unit shortest path h -> k along the tour, in its cheaper direction
-    (forward on a tie).
+def primal_subproblem(xbar: Sequence[int], hk: Request, qtilde: RoutingCostTable) -> float:
+    """Cost of the unit shortest path h -> k along the tour: the cheaper of
+    its two directions.
 
-    Returns (None, inf) when an endpoint is off the tour; the caller treats
-    that as an infeasibility signal.
+    Returns inf when an endpoint is off the tour; the caller treats that as
+    an infeasibility signal.
     """
     h, k = hk
     seq = list(xbar)
     if h not in seq or k not in seq:
-        return None, math.inf
+        return math.inf
     fwd, back = _tour_walk(seq, hk, qtilde)
-    step = 1 if fwd[k] <= back[k] else -1
-    n = len(seq)
-    at = seq.index(h)
-    flow: Dict[Arc, float] = {}
-    while seq[at] != k:
-        nxt = (at + step) % n
-        flow[(seq[at], seq[nxt])] = 1.0
-        at = nxt
-    return flow, min(fwd[k], back[k])
+    return min(fwd[k], back[k])
 
 
 def dual_subproblem(xbar: Sequence[int], hk: Request, qtilde: RoutingCostTable
@@ -515,8 +501,7 @@ def dual_subproblem(xbar: Sequence[int], hk: Request, qtilde: RoutingCostTable
     nodes = sorted(seq)
     u = {v: min(fwd[v], back[v], z) for v in nodes}
     p = {v: z - u[v] for v in nodes}
-    # only positive multipliers are stored; an absent arc or edge holds 0
-    lam: Dict[Arc, float] = {}
+    # each positive lam_ij goes into its edge's lambda-bar; an absent edge holds 0
     lambda_bar: Dict[Edge, float] = {}
     w = qtilde.weight[hk]
     for i in nodes:
@@ -525,13 +510,12 @@ def dual_subproblem(xbar: Sequence[int], hk: Request, qtilde: RoutingCostTable
             if i != j:
                 gain = u[j] - ui - row[j] * w
                 if gain > 0.0:
-                    lam[(i, j)] = gain
                     e = edge(i, j)
                     lambda_bar[e] = lambda_bar.get(e, 0.0) + gain
     obj = p[h] - p[k] - sum(lambda_bar.get(e, 0.0) for e in _cycle_edges(seq))
     if abs(obj - z) > 1e-9 * max(1.0, abs(z)):
         raise RuntimeError(f"routing duals of {hk} reach {obj!r}, the primal path costs {z!r}")
-    return BendersDuals(p=p, lam=lam, lambda_bar=lambda_bar, objective=u[k])
+    return BendersDuals(p=p, lambda_bar=lambda_bar, objective=u[k])
 
 
 def _cycle_edges(seq: Sequence[int]) -> List[Edge]:
@@ -544,9 +528,9 @@ def _cycle_edges(seq: Sequence[int]) -> List[Edge]:
 def _master_model(sub: SubInstance) -> Tuple[LinearModel, Dict[Edge, int], Dict[int, int]]:
     """Tour master: edge columns, one routing-cost column eta per origin."""
     model = LinearModel()
-    x = add_edge_vars(model, sub.nodes, sub.inst.design, scale=1.0 - sub.alpha,
+    x = add_edge_vars(model, sub.nodes, sub.inst.design, scale=1.0 - sub.inst.alpha,
                       integer=True)
-    eta = {h: model.add_var(lb=0.0, obj=sub.alpha) for h in sub.origins()}
+    eta = {h: model.add_var(lb=0.0, obj=sub.inst.alpha) for h in sub.origins()}
     for i in sub.nodes:
         model.add_constr(degree_coeffs(x, i, sub.nodes), "==", 2.0)
     return model, x, eta
@@ -581,16 +565,12 @@ def solution_from_tour(sub: SubInstance, seq: Sequence[int]) -> TspGlSolution:
     inst = sub.inst
     tour_edges = frozenset(_cycle_edges(seq))
     design = sum(inst.cbar(a, b) for a, b in tour_edges)
-    flows: Dict[Request, Dict[Arc, float]] = {}
     routing = 0.0
     for hk in sub.requests:
-        flow, z = primal_subproblem(seq, hk, sub.qtilde)
-        flows[hk] = flow
-        routing += z
-    total = (1.0 - sub.alpha) * design + sub.alpha * routing
+        routing += primal_subproblem(seq, hk, sub.qtilde)
+    total = (1.0 - inst.alpha) * design + inst.alpha * routing
     return TspGlSolution(
         tour_edges=tour_edges,
-        flows=flows,
         objective=total,
         design_cost=design,
         routing_cost=routing,

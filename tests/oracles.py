@@ -10,6 +10,8 @@ that the Benders duals are checked against. `add_split_linking_rows` is the
 textbook two-row form of the linking rows that the paired form is checked
 against. `warm_start` runs the solver's own bound stage, because the
 Benders loop reads its tour from the cut cache that stage fills.
+`structural_violations` prices routing with the solver's folded weights
+(`deterministic_routing_costs`), which define a solution's routing cost.
 `is_minimal` checks cover minimalization against `chance_feasible`
 itself, one request removal at a time. The chance constraint's reference
 sums each scenario's served demand with its own generator, request by
@@ -36,7 +38,7 @@ from stspgl.model import (
     required_scenario_count,
 )
 from stspgl.mpbackend import LinearModel, SolveOutcome, resolve_with_cuts, solve_lp
-from stspgl.scenarios import MetricsRow, RoutingCostTable, chance_feasible
+from stspgl.scenarios import MetricsRow, RoutingCostTable, chance_feasible, deterministic_routing_costs
 from stspgl.tspgl import (
     BendersDuals,
     CutPool,
@@ -55,7 +57,6 @@ from stspgl.tspgl import (
     solution_from_tour,
 )
 
-FLOW_EPS = 1e-6       # flow below this is treated as structurally zero
 SAT_EPS = 1e-9
 
 
@@ -113,7 +114,12 @@ def is_minimal(inst: Instance, cover) -> bool:
 
 def structural_violations(sol: TspGlSolution, inst: Instance) -> List[str]:
     """One line per flaw: a broken degree, an unvisited compulsory node, a
-    split cycle, or a flow that leaves the tour or breaks conservation."""
+    split cycle, a served request with an endpoint off the tour, or a cost
+    that the tour does not give.
+
+    The oracle routes each served request itself, the cheaper way round the
+    tour under `deterministic_routing_costs`, and checks the design,
+    routing and total costs to 1e-9 relative."""
     report: List[str] = []
     degree: Dict[int, int] = {}
     for i, j in sol.tour_edges:
@@ -141,20 +147,22 @@ def structural_violations(sol: TspGlSolution, inst: Instance) -> List[str]:
                     stack.append(nb)
         if seen != set(degree):
             report.append("tour is not a single connected cycle")
-    for hk, flow in sol.flows.items():
-        out_minus_in: Dict[int, float] = {}
-        for (i, j), val in flow.items():
-            if val < -FLOW_EPS:
-                report.append(f"negative flow on arc ({i},{j}) for request {hk}")
-            if val > FLOW_EPS and edge(i, j) not in sol.tour_edges:
-                report.append(f"flow off the tour on arc ({i},{j}) for request {hk}")
-            out_minus_in[i] = out_minus_in.get(i, 0.0) + val
-            out_minus_in[j] = out_minus_in.get(j, 0.0) - val
-        h, k = hk
-        for v, bal in out_minus_in.items():
-            want = 1.0 if v == h else (-1.0 if v == k else 0.0)
-            if abs(bal - want) > 1e-6:
-                report.append(f"flow conservation broken at node {v} for request {hk}")
+    off = [hk for hk in sol.served if hk[0] not in degree or hk[1] not in degree]
+    report.extend(f"request {hk} has an endpoint off the tour" for hk in off)
+    if report:
+        return report
+    design = sum(inst.cbar(a, b) for a, b in sol.tour_edges)
+    qt = deterministic_routing_costs(inst)
+    seq = sol.tour_sequence()
+    routing = 0.0
+    for hk in sol.served:
+        routing += tour_path_cost(seq, *hk, lambda a, b: qt.cost(hk, a, b))
+    total = (1.0 - inst.alpha) * design + inst.alpha * routing
+    for name, got, want in (("design_cost", sol.design_cost, design),
+                            ("routing_cost", sol.routing_cost, routing),
+                            ("objective", sol.objective, total)):
+        if abs(got - want) > 1e-9 * max(1.0, abs(want)):
+            report.append(f"{name} {got!r} differs from the tour's {want!r}")
     return report
 
 
@@ -313,8 +321,6 @@ def oracle_stspgl(inst: Instance, qtilde: Optional[RoutingCostTable] = None) -> 
     grows (metric shortcutting), so some minimal cover attains the optimum.
     Returns (None, None) when no cover exists.
     """
-    from stspgl.scenarios import deterministic_routing_costs
-
     if qtilde is None:
         qtilde = deterministic_routing_costs(inst)
     covers = enumerate_minimal_covers(inst)
@@ -348,12 +354,11 @@ def lp_duals(xbar: Sequence[int], hk: Request, qtilde: RoutingCostTable,
     if out.status != OPTIMAL:
         raise RuntimeError(f"routing dual LP ended with status {out.status}")
     p = {v: out.values[col] for v, col in pcol.items()}
-    lam = {arc: out.values[col] for arc, col in lcol.items()}
     lambda_bar = {
-        (a, b): lam[(a, b)] + lam[(b, a)]
+        (a, b): out.values[lcol[(a, b)]] + out.values[lcol[(b, a)]]
         for a, b in itertools.combinations(sorted(nodes), 2)
     }
-    return BendersDuals(p=p, lam=lam, lambda_bar=lambda_bar, objective=-out.objective)
+    return BendersDuals(p=p, lambda_bar=lambda_bar, objective=-out.objective)
 
 
 def add_split_linking_rows(model: LinearModel, x: Dict[Edge, int], f: Dict[Arc, int]) -> None:
@@ -370,9 +375,9 @@ def solve_tspgl_direct(sub: SubInstance, deadline: float = math.inf) -> TspGlOut
     carries no request, so the resolve loop enforces a single cycle.
     """
     model = LinearModel()
-    x = add_edge_vars(model, sub.nodes, sub.inst.design, scale=1.0 - sub.alpha,
+    x = add_edge_vars(model, sub.nodes, sub.inst.design, scale=1.0 - sub.inst.alpha,
                       integer=True)
-    flows = {hk: add_flow_vars(model, hk, sub.nodes, sub.qtilde, sub.alpha)
+    flows = {hk: add_flow_vars(model, hk, sub.nodes, sub.qtilde, sub.inst.alpha)
              for hk in sub.requests}
     for i in sub.nodes:
         model.add_constr(degree_coeffs(x, i, sub.nodes), "==", 2.0)

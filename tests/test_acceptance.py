@@ -28,7 +28,7 @@ from stspgl.evalcli import (
     vss_experiment,
 )
 from stspgl.model import load_instance
-from stspgl.orchestrate import run_bp, run_hybrid, run_mip_benchmark
+from stspgl.orchestrate import run_bp, run_mip_benchmark
 from stspgl.scenarios import (
     chance_feasible,
     deterministic_routing_costs,
@@ -76,7 +76,7 @@ def c1_runs():
     for inst in _c1_instances():
         mip = run_mip_benchmark(inst, _cfg())
         bp = run_bp(inst, _cfg())
-        hyb = run_hybrid(inst, _cfg())
+        hyb = run_bp(inst, _cfg(), hybrid=True)
         runs.append((inst, mip, bp, hyb))
     return runs, time.monotonic() - started
 
@@ -330,7 +330,7 @@ def test_criterion_10_identical_runs_yield_identical_json():
     a = run_bp(first, _cfg(seed=13)).to_json(first)
     b = run_bp(second, _cfg(seed=13)).to_json(second)
     assert a == b
-    ha = run_hybrid(first, _cfg(seed=13)).to_json(first)
-    hb = run_hybrid(second, _cfg(seed=13)).to_json(second)
+    ha = run_bp(first, _cfg(seed=13), hybrid=True).to_json(first)
+    hb = run_bp(second, _cfg(seed=13), hybrid=True).to_json(second)
     assert ha == hb
     json.loads(a)   # and it is valid JSON

@@ -150,10 +150,8 @@ def test_load_instance_rejects_sparse_node_ids(tmp_path):
 
 def _d1_solution(d1):
     tour = frozenset({edge(0, 1), edge(1, 3), edge(0, 3)})
-    flows = {(1, 3): {(1, 3): 1.0}}
     return TspGlSolution(
         tour_edges=tour,
-        flows=flows,
         objective=5.0,
         design_cost=6.0,
         routing_cost=2.0,
@@ -165,18 +163,26 @@ def test_objective_on_d1_cover_13(d1, d1_qtilde):
     sub = SubInstance(inst=d1, nodes=(0, 1, 3), requests=((1, 3),), qtilde=d1_qtilde)
     sol = solution_from_tour(sub, [0, 1, 3])
     assert sol.tour_edges == _d1_solution(d1).tour_edges
-    assert sol.flows == _d1_solution(d1).flows
+    assert sol.served == ((1, 3),)
+    assert structural_violations(sol, d1) == []
     assert sol.design_cost == 6.0
     assert sol.routing_cost == pytest.approx(2.0)
     assert sol.objective == pytest.approx(5.0)
 
 
-def test_objective_rejects_flow_off_tour(d1):
+def test_structural_oracle_rejects_an_endpoint_off_the_tour(d1):
     sol = _d1_solution(d1)
-    sol.flows[(1, 3)] = {(1, 2): 1.0, (2, 3): 1.0}
-    report = structural_violations(sol, d1)
-    assert "flow off the tour on arc (1,2) for request (1, 3)" in report
-    assert "flow off the tour on arc (2,3) for request (1, 3)" in report
+    sol.served = ((1, 3), (2, 4))
+    assert structural_violations(sol, d1) == ["request (2, 4) has an endpoint off the tour"]
+
+
+def test_structural_oracle_rejects_a_wrong_routing_cost(d1):
+    # (1, 3) routed the long way round, 1 -> 0 -> 3, instead of on the direct arc
+    sol = _d1_solution(d1)
+    sol.routing_cost = 4.0
+    sol.objective = 0.75 * 6.0 + 0.25 * 4.0
+    assert structural_violations(sol, d1) == ["routing_cost 4.0 differs from the tour's 2.0",
+                                              "objective 5.5 differs from the tour's 5.0"]
 
 
 def test_structural_violations_catches_broken_tours(d1):
@@ -184,7 +190,6 @@ def test_structural_violations_catches_broken_tours(d1):
     assert structural_violations(sol, d1) == []
     broken = TspGlSolution(
         tour_edges=frozenset({edge(0, 1), edge(1, 3)}),
-        flows={},
         objective=0.0,
         design_cost=0.0,
         routing_cost=0.0,

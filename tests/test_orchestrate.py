@@ -13,7 +13,6 @@ from stspgl.orchestrate import (
     _score_and_enqueue,
     run_bp,
     run_heuristic,
-    run_hybrid,
     run_mip_benchmark,
     update_incumbent,
 )
@@ -66,14 +65,14 @@ def test_update_incumbent_requires_strict_improvement(d1):
     state = _new_state(d1, fast_cfg())
     cover = make_cover(d1, [(1, 3)])
     sol = TspGlSolution(tour_edges=frozenset([(0, 1), (1, 3), (0, 3)]),
-                        flows={}, objective=5.0, design_cost=6.0,
+                        objective=5.0, design_cost=6.0,
                         routing_cost=2.0, served=((1, 3),))
     assert update_incumbent(state, cover, sol)
     assert state.ub == 5.0
-    same = TspGlSolution(tour_edges=sol.tour_edges, flows={}, objective=5.0,
+    same = TspGlSolution(tour_edges=sol.tour_edges, objective=5.0,
                          design_cost=6.0, routing_cost=2.0, served=((1, 3),))
     assert not update_incumbent(state, cover, same)
-    worse = TspGlSolution(tour_edges=sol.tour_edges, flows={}, objective=5.5,
+    worse = TspGlSolution(tour_edges=sol.tour_edges, objective=5.5,
                           design_cost=6.0, routing_cost=2.0, served=((1, 3),))
     assert not update_incumbent(state, cover, worse)
     assert state.trace.events[-1].event == "incumbent"
@@ -103,7 +102,7 @@ def test_bp_solves_tiny_example(d1):
 
 
 def test_hybrid_solves_tiny_example(d1):
-    res = run_hybrid(d1, fast_cfg())
+    res = run_bp(d1, fast_cfg(), hybrid=True)
     assert res.status == "Optimal"
     assert res.upper_bound == pytest.approx(5.0, abs=1e-9)
     assert res.lower_bound == pytest.approx(5.0, abs=1e-9)
@@ -225,7 +224,7 @@ def test_mip_and_bp_write_the_same_result_json(seed):
 def test_hybrid_matches_benchmark_on_generated_suite():
     for inst in make_suite(4, start_seed=60):
         mip = run_mip_benchmark(inst, fast_cfg())
-        hyb = run_hybrid(inst, fast_cfg())
+        hyb = run_bp(inst, fast_cfg(), hybrid=True)
         assert hyb.status == "Optimal"
         assert hyb.upper_bound == pytest.approx(
             mip.upper_bound, rel=1e-6, abs=1e-6)
@@ -274,8 +273,8 @@ def test_bp_results_are_reproducible(small_instance):
     a = run_bp(small_instance, fast_cfg(seed=13))
     b = run_bp(small_instance, fast_cfg(seed=13))
     assert a.to_json() == b.to_json()
-    ha = run_hybrid(small_instance, fast_cfg(seed=13))
-    hb = run_hybrid(small_instance, fast_cfg(seed=13))
+    ha = run_bp(small_instance, fast_cfg(seed=13), hybrid=True)
+    hb = run_bp(small_instance, fast_cfg(seed=13), hybrid=True)
     assert ha.to_json() == hb.to_json()
 
 
@@ -309,7 +308,7 @@ def test_dive_never_resolves_an_unchanged_master(monkeypatch, hybrid):
 
     def spy(model, **kwargs):
         out = solve_lp(model, **kwargs)
-        solves.append(((len(model._obj), len(model._sense), len(model._vals),
+        solves.append(((len(model._obj), model.n_constrs(), len(model._vals),
                         tuple(model._ub)), out.status))
         return out
 
@@ -329,7 +328,7 @@ def test_spent_budget_leaves_large_cover_unscored():
     state = _new_state(inst, fast_cfg())
     state.deadline = state.start      # a spent clock
     assert not orchestrate._score_and_enqueue(state, cover)
-    assert cover.bounds is None and not state.scored and not state.queue
+    assert not state.scored and not state.queue
 
 
 def test_tiny_time_budget_reports_time_limit(small_instance):
@@ -348,12 +347,12 @@ def test_cg_log_records_pricing_rounds(d1):
         assert int(cells[0]) == idx
 
 
-@pytest.mark.parametrize("method", [run_bp, run_hybrid])
-def test_dive_ends_at_the_round_whose_bound_proves_the_incumbent(method):
+@pytest.mark.parametrize("hybrid", [False, True], ids=["run_bp", "run_hybrid"])
+def test_dive_ends_at_the_round_whose_bound_proves_the_incumbent(hybrid):
     inst = generate_instance(n=10, seed=1, n_requests=14, n_scenarios=6,
                              theta=0.8, rho=0.2)
     lines = []
-    res = method(inst, fast_cfg(), cg_log=lines)
+    res = run_bp(inst, fast_cfg(), hybrid=hybrid, cg_log=lines)
     assert res.status == "Optimal"
     assert res.upper_bound == 240.6464515211406
     ub = res.upper_bound
@@ -364,13 +363,13 @@ def test_dive_ends_at_the_round_whose_bound_proves_the_incumbent(method):
     assert closed and closed[0] == len(lines)
 
 
-@pytest.mark.parametrize("method", [run_bp, run_hybrid])
-def test_dive_bound_is_the_master_value_plus_the_pricing_optimum(method):
+@pytest.mark.parametrize("hybrid", [False, True], ids=["run_bp", "run_hybrid"])
+def test_dive_bound_is_the_master_value_plus_the_pricing_optimum(hybrid):
     # the Lagrangian bound with convexity multiplier 1, capped at the incumbent
     inst = generate_instance(n=10, seed=1, n_requests=14, n_scenarios=6,
                              theta=0.8, rho=0.2)
     lines = []
-    res = method(inst, fast_cfg(), cg_log=lines)
+    res = run_bp(inst, fast_cfg(), hybrid=hybrid, cg_log=lines)
     assert res.status == "Optimal"
     lb = -math.inf
     met = 0

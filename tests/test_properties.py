@@ -5,6 +5,7 @@ inputs drawn by hypothesis."""
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -94,26 +95,25 @@ def tour_and_request(draw):
 @given(tour_and_request())
 def test_routing_subproblems_agree_along_the_tour(drawn):
     tour, hk, qt = drawn
-    flow, z = primal_subproblem(tour, hk, qt)
-    # the arcs form one walk from h to k on tour edges, and cost z exactly
-    tour_edges = set(_cycle_edges(tour))
-    at, cost, arcs = hk[0], 0.0, dict(flow)
-    while at != hk[1]:
-        (arc,) = [a for a in arcs if a[0] == at]
-        assert edge(*arc) in tour_edges
-        cost += qt.cost(hk, *arc)
-        del arcs[arc]
-        at = arc[1]
-    assert arcs == {}
-    assert cost == z
-    assert set(flow.values()) == {1.0}
+
+    def cost(a, b):
+        return qt.cost(hk, a, b)
+
+    z = primal_subproblem(tour, hk, qt)
+    # the cheaper of the two walks from h to k round the tour, edge by edge,
+    # costs z exactly, whichever way the tour is listed
+    assert z == tour_path_cost(tour, *hk, cost) == tour_path_cost(tour[::-1], *hk, cost)
     # the duals come from the same walks, priced arc by arc with qt.cost
     duals = dual_subproblem(tour, hk, qt)
     assert duals.objective == z
-    u = {v: min(tour_path_cost(tour, hk[0], v, lambda a, b: qt.cost(hk, a, b)), z) for v in tour}
+    u = {v: min(tour_path_cost(tour, hk[0], v, cost), z) for v in tour}
     assert duals.p == {v: z - u[v] for v in tour}
-    gains = {(i, j): u[j] - u[i] - qt.cost(hk, i, j) for i in tour for j in tour if i != j}
-    assert duals.lam == {arc: gain for arc, gain in gains.items() if gain > 0.0}
+    # lambda-bar holds each edge's sum of the positive arc gains of the
+    # potentials u = z - p pinned above, recomputed here
+    gains = {(i, j): max(0.0, u[j] - u[i] - cost(i, j)) for i in tour for j in tour if i != j}
+    sums = {(a, b): gains[(a, b)] + gains[(b, a)]
+            for a, b in itertools.combinations(sorted(tour), 2)}
+    assert duals.lambda_bar == {e: val for e, val in sums.items() if val > 0.0}
 
 
 @st.composite

@@ -251,18 +251,12 @@ def test_cover_bounds_uses_cutpool_cache(d1):
 
 def test_primal_subproblem_on_d1(d1, d1_qtilde):
     # direct arc costs 2, the long way around costs 1 + 3
-    flow, z = primal_subproblem([0, 1, 3], (1, 3), d1_qtilde)
-    assert z == pytest.approx(2.0)
-    assert flow == {(1, 3): 1.0}
-    flow2, z2 = primal_subproblem([3, 1, 0], (1, 3), d1_qtilde)
-    assert z2 == pytest.approx(2.0)
-    assert flow2 == {(1, 3): 1.0}
+    assert primal_subproblem([0, 1, 3], (1, 3), d1_qtilde) == 2.0
+    assert primal_subproblem([3, 1, 0], (1, 3), d1_qtilde) == 2.0
 
 
 def test_primal_subproblem_endpoint_off_tour(d1, d1_qtilde):
-    flow, z = primal_subproblem([0, 1, 3], (2, 4), d1_qtilde)
-    assert flow is None
-    assert z == math.inf
+    assert primal_subproblem([0, 1, 3], (2, 4), d1_qtilde) == math.inf
 
 
 def _flow_lp_value(nodes, tour_seq, hk, qtilde):
@@ -304,7 +298,7 @@ def test_primal_subproblem_matches_flow_lp_on_random_tours():
         for hk in inst.requests:
             if hk[0] not in tour or hk[1] not in tour:
                 continue
-            _flow, z = primal_subproblem(tour, hk, qt)
+            z = primal_subproblem(tour, hk, qt)
             assert z == pytest.approx(_flow_lp_value(tour, tour, hk, qt), abs=1e-7)
 
 
@@ -330,27 +324,28 @@ def test_dual_subproblem_strong_duality_random():
         tour = list(inst.nodes)
         rng.shuffle(tour)
         for hk in inst.requests:
-            _flow, z = primal_subproblem(tour, hk, qt)
+            z = primal_subproblem(tour, hk, qt)
             fast = dual_subproblem(tour, hk, qt)
             assert fast.objective == z
             lp = lp_duals(tour, hk, qt, sorted(tour))
             assert lp.objective == pytest.approx(z, abs=1e-6)
-            # the duals keep only positive multipliers: check every arc,
-            # an absent one at 0
-            assert all(lam > 0.0 for lam in fast.lam.values())
-            for i in tour:
-                for j in tour:
-                    if i != j:
-                        lam = fast.lam.get((i, j), 0.0)
-                        assert fast.p[i] - fast.p[j] - lam <= qt.cost(hk, i, j) + 1e-9
-            for a, b in itertools.combinations(sorted(tour), 2):
-                assert fast.lambda_bar.get((a, b), 0.0) == \
-                    fast.lam.get((a, b), 0.0) + fast.lam.get((b, a), 0.0)
             # the running sums add the same edge costs in the same order as
             # a separate walk to each node, so the floats are equal
             dist = {v: _walk_distance(tour, hk, qt, v) for v in tour}
             assert z == dist[hk[1]]
             assert fast.p == {v: z - min(dist[v], z) for v in tour}
+            # the arc gains lam_ij = max(0, u_j - u_i - c_ij) of the potentials
+            # u = z - p keep every arc's dual row feasible, and lambda-bar
+            # holds their positive edge sums only
+            u = {v: z - fast.p[v] for v in tour}
+            lam = {(i, j): max(0.0, u[j] - u[i] - qt.cost(hk, i, j))
+                   for i in tour for j in tour if i != j}
+            for (i, j), gain in lam.items():
+                assert fast.p[i] - fast.p[j] - gain <= qt.cost(hk, i, j) + 1e-9
+            assert all(val > 0.0 for val in fast.lambda_bar.values())
+            for a, b in itertools.combinations(sorted(tour), 2):
+                assert fast.lambda_bar.get((a, b), 0.0) == \
+                    pytest.approx(lam[(a, b)] + lam[(b, a)], abs=1e-9)
 
 
 def _optimality_cut(duals, origin, nodes):
@@ -521,7 +516,7 @@ def test_aggregated_cut_tight_at_generating_tour(d1):
             xval[edge(seq[t], seq[(t + 1) % len(seq)])] = 1.0
         lhs_x = sum(coeffs.get(e, 0.0) * xval[e] for e in itertools.combinations(sub.nodes, 2))
         true_h = sum(
-            primal_subproblem(seq, hk, sub.qtilde)[1] for hk in sub.requests if hk[0] == h
+            primal_subproblem(seq, hk, sub.qtilde) for hk in sub.requests if hk[0] == h
         )
         assert true_h + lhs_x == pytest.approx(rhs, abs=1e-9)
 
@@ -543,7 +538,7 @@ def test_aggregated_cut_valid_for_all_tours(n, seed):
             for t in range(len(seq)):
                 xval[edge(seq[t], seq[(t + 1) % len(seq)])] = 1.0
             eta_true = sum(
-                primal_subproblem(seq, hk, qt)[1] for hk in sub.requests if hk[0] == h
+                primal_subproblem(seq, hk, qt) for hk in sub.requests if hk[0] == h
             )
             lhs = eta_true + sum(coeffs.get(e, 0.0) * xval[e] for e in itertools.combinations(sub.nodes, 2))
             assert lhs >= rhs - 1e-9
