@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from .covers import FeasibilityCover, minimal_feasibility_cover
-from .model import OPTIMAL, TIME_LIMIT, Edge, Instance, Request, csv_cell
+from .model import OPTIMAL, TIME_LIMIT, Edge, Instance, Request, csv_line
 from .mpbackend import NO_PRIMAL_HEURISTICS, RC_EPS, LinearModel, SolveOutcome, solve_mip
 from .scenarios import RoutingCostTable
 from .tspgl import (
@@ -35,15 +35,9 @@ from .tspgl import (
 class DualPrices:
     """Duals of one optimal RMP solve, keyed the way pricing consumes them."""
 
-    iota: Dict[int, float]                      # degree-link rows, per node
-    eps: Dict[Tuple[Request, int], float]       # flow rows, per request and node
-    beta: float                                 # convexity row
-
-    def eps_origin(self, hk: Request) -> float:
-        return self.eps[(hk, hk[0])]
-
-    def eps_dest(self, hk: Request) -> float:
-        return self.eps[(hk, hk[1])]
+    iota: Dict[int, float]        # degree-link rows, per node
+    serve: Dict[Request, float]   # per request: flow row dual at h minus at k
+    beta: float                   # convexity row
 
 
 @dataclass
@@ -146,9 +140,11 @@ def add_gsec_rows(inst: Instance, model: LinearModel, index: RmpIndex,
 def extract_duals(index: RmpIndex, outcome: SolveOutcome) -> DualPrices:
     if outcome.duals is None:
         raise ValueError("dual prices require an optimal LP outcome")
-    iota = {i: outcome.duals[row] for i, row in index.link_rows.items()}
-    eps = {key: outcome.duals[row] for key, row in index.flow_rows.items()}
-    return DualPrices(iota=iota, eps=eps, beta=outcome.duals[index.convex_row])
+    duals, flow = outcome.duals, index.flow_rows
+    iota = {i: duals[row] for i, row in index.link_rows.items()}
+    serve = {hk: duals[flow[(hk, hk[0])]] - duals[flow[(hk, hk[1])]]
+             for hk, i in flow if i == hk[0]}
+    return DualPrices(iota=iota, serve=serve, beta=duals[index.convex_row])
 
 
 def reduced_cost(cover: FeasibilityCover, duals: DualPrices) -> float:
@@ -156,14 +152,14 @@ def reduced_cost(cover: FeasibilityCover, duals: DualPrices) -> float:
     for i in sorted(cover.visited):
         value += 2.0 * duals.iota[i]
     for hk in cover.requests:
-        value += duals.eps_origin(hk) - duals.eps_dest(hk)
+        value += duals.serve[hk]
     return value
 
 
 @dataclass
 class PricingResult:
     cover: Optional[FeasibilityCover]      # minimalized; None when nothing prices out
-    objective: float                       # raw IP optimum (the true min reduced cost)
+    objective: float                       # IP optimum minus beta (the true min reduced cost)
     raw_requests: Optional[Tuple[Request, ...]] = None
     status: str = OPTIMAL
 
@@ -182,12 +178,10 @@ def solve_pricing(
     an infeasible IP (everything excluded) yields (None, +inf).
     """
     model = LinearModel()
-    model.obj_offset = -duals.beta
     stop = {i: model.add_var(lb=1.0 if i in inst.compulsory else 0.0, ub=1.0,
                              obj=2.0 * duals.iota[i], integer=True)
             for i in inst.nodes}
-    serve = {hk: model.add_var(lb=0.0, ub=1.0,
-                               obj=duals.eps_origin(hk) - duals.eps_dest(hk), integer=True)
+    serve = {hk: model.add_var(lb=0.0, ub=1.0, obj=duals.serve[hk], integer=True)
              for hk in inst.requests}
 
     for hk in inst.requests:
@@ -195,7 +189,7 @@ def solve_pricing(
         model.add_constr({serve[hk]: 1.0, stop[h]: -1.0}, "<=", 0.0)
         model.add_constr({serve[hk]: 1.0, stop[k]: -1.0}, "<=", 0.0)
     # an optional stop is only open when some chosen request needs it, so the
-    # objective equals the reduced cost of the chosen request set exactly
+    # objective minus beta equals the reduced cost of the chosen request set exactly
     incident: Dict[int, List[Request]] = {i: [] for i in inst.nodes}
     for hk in inst.requests:
         incident[hk[0]].append(hk)
@@ -219,7 +213,7 @@ def solve_pricing(
         return PricingResult(None, -math.inf, status=TIME_LIMIT)
     if out.status != OPTIMAL:
         return PricingResult(None, math.inf, status=out.status)
-    objective = out.objective
+    objective = out.objective - duals.beta
     if objective >= -RC_EPS:
         return PricingResult(None, objective)
     raw = tuple(sorted(hk for hk in inst.requests if out.values[serve[hk]] > 0.5))
@@ -231,7 +225,7 @@ def solve_pricing(
 
 
 def cg_log_line(iteration: int, rmp_obj, pricing_obj, lb, columns: int, phi: int) -> str:
-    return f"{iteration},{csv_cell(rmp_obj)},{csv_cell(pricing_obj)},{csv_cell(lb)},{columns},{phi}"
+    return csv_line([iteration, rmp_obj, pricing_obj, lb, columns, phi])
 
 
 CG_LOG_HEADER = "iter,rmp_obj,pricing_obj,lb,columns,phi"

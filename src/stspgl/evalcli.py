@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .model import (INFEASIBLE, TIME_LIMIT, Instance, ParameterError, StspGlResult, csv_cell,
-                    load_instance, save_instance)
+from .model import (INFEASIBLE, TIME_LIMIT, Instance, ParameterError, StspGlResult, csv_line,
+                    load_instance, save_instance, write_lines)
 from .scenarios import (
     MetricsRow,
     evaluate_metrics,
@@ -97,18 +97,13 @@ COMPARISON_CSV_HEADER = (
 )
 
 
-def _metrics_cells(row: Optional[MetricsRow]) -> List[str]:
-    if row is None:
-        return [""] * 5
-    return [csv_cell(v) for v in (row.design_cost, row.nbar, row.dbar, row.rhobar,
-                                  row.infeasible)]
-
-
 def comparison_csv_line(row: ComparisonRow) -> str:
-    cells = [str(row.nodes), repr(row.theta), repr(row.rho), row.method,
-             row.det_status] + _metrics_cells(row.det) + [row.sto_status] \
-        + _metrics_cells(row.sto) + [str(row.flagged)]
-    return ",".join(cells)
+    cells = [row.nodes, row.theta, row.rho, row.method]
+    for status, m in ((row.det_status, row.det), (row.sto_status, row.sto)):
+        # a side without a solution has no metrics and gets empty cells
+        cells += [status, *((m.design_cost, m.nbar, m.dbar, m.rhobar, m.infeasible)
+                            if m is not None else (None,) * 5)]
+    return csv_line(cells + [row.flagged])
 
 
 def vss_experiment(inst: Instance, cfg: SearchConfig,
@@ -128,13 +123,6 @@ def vss_experiment(inst: Instance, cfg: SearchConfig,
                          method=method, det_status=det_res.status,
                          det=det_row, sto_status=sto_res.status, sto=sto_row,
                          flagged=flagged)
-
-
-def write_comparison_csv(rows: Sequence[ComparisonRow], path) -> None:
-    with open(path, "w") as fh:
-        fh.write(COMPARISON_CSV_HEADER + "\n")
-        for row in rows:
-            fh.write(comparison_csv_line(row) + "\n")
 
 
 # --- theta/rho sweep ---------------------------------------------------------
@@ -181,16 +169,9 @@ def sweep(inst: Instance, theta_grid: Sequence[float],
 
 
 def write_sweep_csv(result: SweepResult, design_path, nodes_path) -> None:
-    def dump(matrix, path):
-        with open(path, "w") as fh:
-            header = ["theta/rho"] + [repr(r) for r in result.rho_grid]
-            fh.write(",".join(header) + "\n")
-            for theta, row in zip(result.theta_grid, matrix):
-                cells = [repr(theta)] + [csv_cell(val) for val in row]
-                fh.write(",".join(cells) + "\n")
-
-    dump(result.design, design_path)
-    dump(result.nodes_in_tour, nodes_path)
+    for matrix, path in ((result.design, design_path), (result.nodes_in_tour, nodes_path)):
+        write_lines(path, [csv_line(["theta/rho", *result.rho_grid])] + [
+            csv_line([theta, *row]) for theta, row in zip(result.theta_grid, matrix)])
 
 
 # --- benchmark tables --------------------------------------------------------
@@ -283,14 +264,6 @@ BENCH_CSV_HEADER = ("instance,nodes,requests,scenarios,method,seed,status,"
                     "ub,lb,gap,seconds")
 
 
-def bench_csv_line(row: BenchRow) -> str:
-    return ",".join([
-        row.instance, str(row.nodes), str(row.requests), str(row.scenarios),
-        row.method, str(row.seed), row.status, csv_cell(row.ub), csv_cell(row.lb),
-        csv_cell(row.gap), f"{row.seconds:.3f}",
-    ])
-
-
 def bench(spec: ExperimentSpec) -> List[BenchRow]:
     """Run every method on every instance and seed; persist all artifacts.
 
@@ -327,10 +300,8 @@ def bench(spec: ExperimentSpec) -> List[BenchRow]:
                                      res.status, res.upper_bound,
                                      res.lower_bound, res.gap, elapsed))
                 (out / "results" / f"{stem}.json").write_text(res.to_json(inst))
-    with open(out / "bench_runs.csv", "w") as fh:
-        fh.write(BENCH_CSV_HEADER + "\n")
-        for row in rows:
-            fh.write(bench_csv_line(row) + "\n")
+    write_lines(out / "bench_runs.csv", [BENCH_CSV_HEADER] + [
+        csv_line([*dataclasses.astuple(row)[:-1], f"{row.seconds:.3f}"]) for row in rows])
     _write_bench_table(rows, out / "bench_table.csv")
     return rows
 
@@ -345,21 +316,11 @@ def _write_bench_table(rows: Sequence[BenchRow], path) -> None:
         vals = [v for v in vals if v is not None and math.isfinite(v)]
         return sum(vals) / len(vals) if vals else None
 
-    with open(path, "w") as fh:
-        fh.write("method,runs,mean_ub,mean_lb,mean_gap,mean_seconds,no_ub\n")
-        for method in sorted(groups):
-            batch = groups[method]
-            no_ub = sum(1 for r in batch if r.ub is None)
-            cells = [
-                method,
-                str(len(batch)),
-                csv_cell(mean([r.ub for r in batch])),
-                csv_cell(mean([r.lb for r in batch])),
-                csv_cell(mean([r.gap for r in batch])),
-                csv_cell(mean([r.seconds for r in batch])),
-                str(no_ub),
-            ]
-            fh.write(",".join(cells) + "\n")
+    write_lines(path, ["method,runs,mean_ub,mean_lb,mean_gap,mean_seconds,no_ub"] + [
+        csv_line([method, len(batch), mean([r.ub for r in batch]), mean([r.lb for r in batch]),
+                  mean([r.gap for r in batch]), mean([r.seconds for r in batch]),
+                  sum(1 for r in batch if r.ub is None)])
+        for method, batch in sorted(groups.items())])
 
 
 # --- command line ------------------------------------------------------------
@@ -449,10 +410,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.trace:
             res.trace.write_csv(args.trace)
         if cg_lines is not None:
-            with open(args.cg_log, "w") as fh:
-                fh.write(CG_LOG_HEADER + "\n")
-                for line in cg_lines:
-                    fh.write(line + "\n")
+            write_lines(args.cg_log, [CG_LOG_HEADER] + cg_lines)
         if res.status == INFEASIBLE:
             return 2
         if res.status == TIME_LIMIT and res.incumbent is None:
@@ -462,12 +420,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "vss":
         inst = load_instance(args.instance)
         cfg = make_config(args.time_limit, args.gap, args.seed)
-        row = vss_experiment(inst, cfg, method=args.method)
+        lines = [COMPARISON_CSV_HEADER,
+                 comparison_csv_line(vss_experiment(inst, cfg, method=args.method))]
         if args.output:
-            write_comparison_csv([row], args.output)
+            write_lines(args.output, lines)
         else:
-            print(COMPARISON_CSV_HEADER)
-            print(comparison_csv_line(row))
+            print("\n".join(lines))
         return 0
 
     if args.command == "sweep":

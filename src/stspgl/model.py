@@ -369,12 +369,9 @@ class SolveTrace:
         self.events.append(TraceEvent(t_seconds, event, ub, lb, cover_size, nodes_visited))
 
     def write_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("t_seconds,event,ub,lb,cover_size,nodes_visited\n")
-            for ev in self.events:
-                cells = [f"{ev.t_seconds:.3f}", ev.event] + [
-                    csv_cell(v) for v in (ev.ub, ev.lb, ev.cover_size, ev.nodes_visited)]
-                fh.write(",".join(cells) + "\n")
+        write_lines(path, ["t_seconds,event,ub,lb,cover_size,nodes_visited"] + [
+            csv_line([f"{ev.t_seconds:.3f}", ev.event, ev.ub, ev.lb, ev.cover_size,
+                      ev.nodes_visited]) for ev in self.events])
 
 
 def gap_value(ub: Optional[float], lb: Optional[float]) -> Optional[float]:
@@ -393,7 +390,6 @@ class StspGlResult:
     lower_bound: Optional[float]
     gap: Optional[float]
     incumbent: Optional[TspGlSolution]
-    cover: Optional[object]                      # FeasibilityCover of the incumbent
     trace: SolveTrace = field(default_factory=SolveTrace)
     evaluated: List = field(default_factory=list)  # (cover, bounds, exact) audit rows
     metrics: Optional[Dict] = None               # service metrics of the incumbent
@@ -414,10 +410,8 @@ class StspGlResult:
         else:
             doc["tour"] = None
             doc["served"] = None
-        if self.cover is not None:
-            doc["cover"] = [list(hk) for hk in self.cover.requests]
-        else:
-            doc["cover"] = None
+        # the incumbent is scored on its own cover, which it serves whole
+        doc["cover"] = doc["served"]
         if self.metrics is not None:
             doc["metrics"] = dict(self.metrics)
         if inst is not None:
@@ -442,3 +436,14 @@ def _finite(value: Optional[float]) -> bool:
 def csv_cell(value) -> str:
     """A number's CSV cell: empty when None or non-finite, else its repr."""
     return repr(value) if _finite(value) else ""
+
+
+def csv_line(cells) -> str:
+    """One CSV line: a string cell as it is, any other through `csv_cell`."""
+    return ",".join(cell if isinstance(cell, str) else csv_cell(cell) for cell in cells)
+
+
+def write_lines(path, lines) -> None:
+    """Write each line to `path`, newline-terminated."""
+    with open(path, "w") as fh:
+        fh.writelines(line + "\n" for line in lines)

@@ -67,7 +67,6 @@ class LinearModel:
     """
 
     def __init__(self):
-        self.obj_offset = 0.0
         self._obj: List[float] = []
         self._lb: List[float] = []
         self._ub: List[float] = []
@@ -213,11 +212,10 @@ def solve_lp(model: LinearModel, deadline: float = math.inf) -> SolveOutcome:
     has_lb, has_ub = np.isfinite(lb), np.isfinite(ub)
     dual_obj = float(marg @ rhs) \
         + float(res.lower.marginals[has_lb] @ lb[has_lb]) \
-        + float(res.upper.marginals[has_ub] @ ub[has_ub]) \
-        + model.obj_offset
+        + float(res.upper.marginals[has_ub] @ ub[has_ub])
     return SolveOutcome(
         status=OPTIMAL,
-        objective=float(res.fun) + model.obj_offset,
+        objective=float(res.fun),
         values=res.x.tolist(),
         duals=marg.tolist(),
         dual_objective=dual_obj,
@@ -263,10 +261,10 @@ def solve_mip(model: LinearModel, deadline: float = math.inf,
         return SolveOutcome(status=status, objective=None, values=None)
     bound = None
     if res.mip_dual_bound is not None and math.isfinite(res.mip_dual_bound):
-        bound = float(res.mip_dual_bound) + model.obj_offset
+        bound = float(res.mip_dual_bound)
     return SolveOutcome(
         status=status,
-        objective=float(res.fun) + model.obj_offset,
+        objective=float(res.fun),
         values=res.x.tolist(),
         best_bound=bound,
     )

@@ -107,7 +107,6 @@ class SearchState:
     ub: float = math.inf
     lb: float = -math.inf
     incumbent: Optional[TspGlSolution] = None
-    cover: Optional[FeasibilityCover] = None
     evaluated: List[Tuple] = field(default_factory=list)
     cutpool: CutPool = field(default_factory=CutPool)
     queue: List[Tuple[float, float, Tuple[Request, ...], FeasibilityCover]] = \
@@ -138,16 +137,14 @@ class SearchState:
             self.note("bound")
 
 
-def update_incumbent(state: SearchState, cover: FeasibilityCover,
-                     solution: TspGlSolution) -> bool:
+def update_incumbent(state: SearchState, solution: TspGlSolution) -> bool:
     """Accept strictly better solutions only; log the event when accepted."""
     if solution.objective >= state.ub - INCUMBENT_EPS:
         return False
     state.ub = solution.objective
     state.incumbent = solution
-    state.cover = cover
     state.lb = min(state.lb, state.ub)
-    state.note("incumbent", cover_size=cover.size,
+    state.note("incumbent", cover_size=len(solution.served),
                nodes_visited=len(solution.visited))
     return True
 
@@ -178,8 +175,7 @@ def _finish(state: SearchState, status: str) -> StspGlResult:
         metrics = asdict(row)
     state.note("final")
     return StspGlResult(status=status, upper_bound=ub, lower_bound=lb,
-                        gap=gap_value(ub, lb), incumbent=state.incumbent,
-                        cover=state.cover, trace=state.trace,
+                        gap=gap_value(ub, lb), incumbent=state.incumbent, trace=state.trace,
                         evaluated=state.evaluated, metrics=metrics)
 
 
@@ -275,7 +271,7 @@ def run_mip_benchmark(inst: Instance, cfg: SearchConfig) -> StspGlResult:
         # once the cut rounds or the clock run out, the solve may hold
         # several cycles
         cover = make_cover(inst, [hk for hk in inst.requests if out.values[z[hk]] > 0.5])
-        update_incumbent(state, cover, solution_from_tour(
+        update_incumbent(state, solution_from_tour(
             make_subinstance(inst, cover, state.qtilde), tours[0]))
     if out.status == OPTIMAL and out.cuts_complete:
         state.raise_lb(state.ub)
@@ -328,11 +324,11 @@ def _evaluate_cover(state: SearchState,
         _close(state, cover, "abort")
     elif out.status == OPTIMAL and out.solution is not None:
         state.evaluated.append((cover.requests, lb, ub, out.solution.objective))
-        update_incumbent(state, cover, out.solution)
+        update_incumbent(state, out.solution)
         _close(state, cover, "evaluate", nodes_visited=len(out.solution.visited))
     elif out.solution is not None:
         # ran out of time mid-evaluation: keep any feasible tour, skip branching
-        update_incumbent(state, cover, out.solution)
+        update_incumbent(state, out.solution)
 
 
 # --- branch and price -------------------------------------------------------

@@ -35,11 +35,17 @@ from stspgl.tspgl import gsec_row
 
 
 def _zero_duals(inst, beta=0.0):
-    return DualPrices(
-        iota={i: 0.0 for i in inst.nodes},
-        eps={(hk, i): 0.0 for hk in inst.requests for i in inst.nodes},
-        beta=beta,
-    )
+    return DualPrices(iota={i: 0.0 for i in inst.nodes},
+                      serve={hk: 0.0 for hk in inst.requests}, beta=beta)
+
+
+def _random_duals(inst, rng, spread):
+    """Draws per node, then per (request, node) flow row, then beta; a
+    request's `serve` is its origin row's draw minus its destination row's."""
+    iota = {i: rng.uniform(-1.0, 1.0) for i in inst.nodes}
+    eps = {(hk, i): rng.uniform(-spread, spread) for hk in inst.requests for i in inst.nodes}
+    serve = {hk: eps[(hk, hk[0])] - eps[(hk, hk[1])] for hk in inst.requests}
+    return DualPrices(iota=iota, serve=serve, beta=rng.uniform(0.0, 3.0))
 
 
 def _pool_with(inst, *request_sets):
@@ -92,9 +98,8 @@ def test_reduced_cost_formula_values(d1):
     duals.iota[1] = 1.0
     assert reduced_cost(cov, duals) == 2.0  # l_Q(1) = 1
     duals.iota[1] = 0.0
-    duals.eps[((1, 3), 1)] = 0.75
-    duals.eps[((1, 3), 3)] = 0.25
-    assert reduced_cost(cov, duals) == pytest.approx(0.5)
+    duals.serve[(1, 3)] = 0.75 - 0.25     # flow duals at h = 1 and k = 3
+    assert reduced_cost(cov, duals) == 0.5
 
 
 def test_reduced_cost_matches_engine_columns(d1, d1_qtilde):
@@ -133,6 +138,43 @@ def test_pooled_columns_price_nonnegative_at_optimum():
             assert reduced_cost(cover, duals) >= -1e-6
 
 
+def test_extract_duals_serve_is_the_flow_dual_difference():
+    inst = generate_instance(n=7, seed=401, n_requests=6, n_scenarios=3, theta=0.7, rho=0.3)
+    pool = _pool_with(inst, inst.requests, *enumerate_minimal_covers(inst)[:3])
+    model, index = build_rmp(inst, pool, deterministic_routing_costs(inst))
+    out = solve_lp(model)
+    duals = extract_duals(index, out)
+    assert list(duals.serve) == list(inst.requests)
+    for hk in inst.requests:
+        row_h, row_k = index.flow_rows[(hk, hk[0])], index.flow_rows[(hk, hk[1])]
+        assert duals.serve[hk] == out.duals[row_h] - out.duals[row_k]
+    assert duals.iota == {i: out.duals[row] for i, row in index.link_rows.items()}
+    assert duals.beta == out.duals[index.convex_row]
+
+
+def test_pricing_objective_is_the_ip_optimum_minus_beta(d1, monkeypatch):
+    rng = random.Random(23)
+    cases = [(d1, _zero_duals(d1, beta=0.5)), (d1, _zero_duals(d1))]   # prices out, and not
+    for seed in range(3):
+        inst = generate_instance(n=6, seed=520 + seed, n_requests=5, n_scenarios=3,
+                                 theta=0.6, rho=0.3)
+        cases.append((inst, _random_duals(inst, rng, 1.0)))
+    seen = []
+
+    def spy(model, **kw):
+        out = solve_mip(model, **kw)
+        seen.append(out.objective)
+        return out
+
+    monkeypatch.setattr(colgen, "solve_mip", spy)
+    covers = []
+    for inst, duals in cases:
+        res = solve_pricing(inst, duals)
+        assert res.objective == seen[-1] - duals.beta
+        covers.append(res.cover)
+    assert covers[0] is not None and covers[1] is None
+
+
 def test_pricing_constant_negative_beta(d1):
     duals = _zero_duals(d1, beta=1.0)
     res = solve_pricing(d1, duals)
@@ -160,15 +202,7 @@ def test_pricing_objective_equals_raw_reduced_cost():
     for seed in range(6):
         inst = generate_instance(n=6, seed=500 + seed, n_requests=5, n_scenarios=3,
                                  theta=0.6, rho=0.3)
-        duals = DualPrices(
-            iota={i: rng.uniform(-1.0, 1.0) for i in inst.nodes},
-            eps={
-                (hk, i): rng.uniform(-1.0, 1.0)
-                for hk in inst.requests
-                for i in inst.nodes
-            },
-            beta=rng.uniform(0.0, 3.0),
-        )
+        duals = _random_duals(inst, rng, 1.0)
         res = solve_pricing(inst, duals)
         if res.cover is None:
             assert res.objective >= -1e-6
@@ -187,12 +221,7 @@ def test_pricing_optimum_does_not_need_primal_heuristics(monkeypatch):
         inst = generate_instance(n=9, seed=700 + seed, n_requests=12, n_scenarios=5,
                                  theta=0.7, rho=0.25)
         for _ in range(3):
-            duals = DualPrices(
-                iota={i: rng.uniform(-1.0, 1.0) for i in inst.nodes},
-                eps={(hk, i): rng.uniform(-2.0, 2.0)
-                     for hk in inst.requests for i in inst.nodes},
-                beta=rng.uniform(0.0, 3.0),
-            )
+            duals = _random_duals(inst, rng, 2.0)
             with monkeypatch.context() as patch:
                 patch.setattr(colgen, "solve_mip",
                               lambda model, **kw: solve_mip(model, **{**kw, "tuning": {}}))

@@ -19,6 +19,7 @@ from stspgl.evalcli import (
     write_sweep_csv,
 )
 from stspgl.model import StspGlResult, build_instance, load_instance, save_instance
+from stspgl.scenarios import generate_instance
 
 
 def cfg60(seed=0):
@@ -49,7 +50,7 @@ def test_make_config_sets_budget_gap_and_seed():
 def test_deterministic_solve_is_judged_on_original_scenarios(d1):
     res = solve_deterministic(d1, cfg60())
     assert res.status == "Optimal"
-    assert res.cover.requests == ((1, 3),)
+    assert res.incumbent.served == ((1, 3),)
     # the mean scenario alone would score rhobar=0; the original set says 0.5
     assert res.metrics["rhobar"] == pytest.approx(0.5)
     assert res.metrics["infeasible"] is False   # rho=0.5 tolerates the miss
@@ -278,8 +279,7 @@ def test_cli_exit_codes_for_failed_solves(d1, tmp_path, monkeypatch):
 
     def fake(method, inst, cfg, cg_log=None):
         return StspGlResult(status="Infeasible", upper_bound=None,
-                            lower_bound=None, gap=None, incumbent=None,
-                            cover=None)
+                            lower_bound=None, gap=None, incumbent=None)
 
     monkeypatch.setattr("stspgl.evalcli.run_method", fake)
     assert main(["solve", str(inst_path), "--method", "mip",
@@ -287,8 +287,7 @@ def test_cli_exit_codes_for_failed_solves(d1, tmp_path, monkeypatch):
 
     def timed_out(method, inst, cfg, cg_log=None):
         return StspGlResult(status="TimeLimit", upper_bound=None,
-                            lower_bound=None, gap=None, incumbent=None,
-                            cover=None)
+                            lower_bound=None, gap=None, incumbent=None)
 
     monkeypatch.setattr("stspgl.evalcli.run_method", timed_out)
     assert main(["solve", str(inst_path), "--method", "mip",
@@ -334,3 +333,91 @@ def test_cli_bench_runs_spec(tmp_path):
     }))
     assert main(["bench", str(spec_path)]) == 0
     assert (tmp_path / "out" / "bench_runs.csv").exists()
+
+
+def _masked(text, *time_columns):
+    """The lines of a CSV file with the given columns of each data row
+    replaced by "T": they hold wall times."""
+    lines = text.splitlines()
+    for at, line in enumerate(lines[1:], 1):
+        cells = line.split(",")
+        for col in time_columns:
+            cells[col] = "T"
+        lines[at] = ",".join(cells)
+    return lines
+
+
+def test_every_csv_artifact_keeps_its_bytes(d1, tmp_path, capsys):
+    save_instance(d1, tmp_path / "d1.json")
+    inst, budget = str(tmp_path / "d1.json"), ["--time-limit", "60"]
+    assert main(["solve", inst, "--method", "bp", *budget, "--trace", str(tmp_path / "t.csv"),
+                 "--cg-log", str(tmp_path / "cg.csv"), "-o", str(tmp_path / "r.json")]) == 0
+    assert _masked((tmp_path / "t.csv").read_text(), 0) == [
+        "t_seconds,event,ub,lb,cover_size,nodes_visited",
+        "T,start,,,,",
+        "T,bound,,3.5,,",
+        "T,bound,,4.5,,",
+        "T,score,,4.5,1,3",
+        "T,score,,4.5,1,3",
+        "T,incumbent,5.0,4.5,1,3",
+        "T,evaluate,5.0,4.5,1,3",
+        "T,discard,5.0,4.5,1,",
+        "T,bound,5.0,5.0,,",
+        "T,final,5.0,5.0,,",
+    ]
+    assert (tmp_path / "cg.csv").read_text() == (
+        "iter,rmp_obj,pricing_obj,lb,columns,phi\n"
+        "1,7.0,-3.5,3.5,1,0\n"
+        "2,6.5,-5.0,3.5,2,0\n"
+        "3,4.5,0.0,4.5,3,0\n"
+        "4,7.0,,5.0,3,2\n")
+
+    vss = ("nodes,theta,rho,method,det_status,det_design,det_nbar,det_dbar,det_rhobar,"
+           "det_infeasible,sto_status,sto_design,sto_nbar,sto_dbar,sto_rhobar,"
+           "sto_infeasible,flagged\n"
+           "5,0.5,0.5,mip,Optimal,6.0,3,0.5,0.5,False,Optimal,6.0,3,0.5,0.5,False,False\n")
+    capsys.readouterr()
+    assert main(["vss", inst, *budget, "-o", str(tmp_path / "vss.csv")]) == 0
+    assert (tmp_path / "vss.csv").read_text() == vss
+    assert main(["vss", inst, *budget]) == 0
+    assert capsys.readouterr().out == vss
+
+    prefix = str(tmp_path / "sw")
+    assert main(["sweep", inst, "--theta-grid", "0.0,1.0,0.5", "--rho-grid", "0.0,0.5",
+                 *budget, "-o", prefix]) == 0
+    assert (tmp_path / "sw_design.csv").read_text() == \
+        "theta/rho,0.0,0.5\n0.0,,\n1.0,8.0,6.0\n0.5,8.0,6.0\n"
+    assert (tmp_path / "sw_nodes.csv").read_text() == \
+        "theta/rho,0.0,0.5\n0.0,,\n1.0,5,3\n0.5,5,3\n"
+
+    (tmp_path / "spec.json").write_text(json.dumps({
+        "instances": [inst], "methods": ["mip", "bp", "heuristic"], "seeds": [0, 1],
+        "time_limit": 60, "out_dir": str(tmp_path / "b")}))
+    assert main(["bench", str(tmp_path / "spec.json")]) == 0
+    assert _masked((tmp_path / "b" / "bench_runs.csv").read_text(), 10) == [
+        "instance,nodes,requests,scenarios,method,seed,status,ub,lb,gap,seconds",
+        "d1,5,2,2,mip,0,Optimal,5.0,5.0,0.0,T",
+        "d1,5,2,2,mip,1,Optimal,5.0,5.0,0.0,T",
+        "d1,5,2,2,bp,0,Optimal,5.0,5.0,0.0,T",
+        "d1,5,2,2,bp,1,Optimal,5.0,5.0,0.0,T",
+        "d1,5,2,2,heuristic,0,Feasible,5.0,,,T",
+        "d1,5,2,2,heuristic,1,Feasible,5.0,,,T",
+    ]
+    assert _masked((tmp_path / "b" / "bench_table.csv").read_text(), 5) == [
+        "method,runs,mean_ub,mean_lb,mean_gap,mean_seconds,no_ub",
+        "bp,2,5.0,5.0,0.0,T,0",
+        "heuristic,2,5.0,,,T,0",
+        "mip,2,5.0,5.0,0.0,T,0",
+    ]
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_result_cover_is_the_served_request_set(method):
+    # every incumbent is scored on its own cover's sub-instance, so the
+    # result JSON's `cover` is its `served`
+    for n, seed in ((7, 1), (8, 2), (9, 3)):
+        inst = generate_instance(n=n, seed=seed, n_requests=8, n_scenarios=4,
+                                 theta=0.8, rho=0.2)
+        doc = json.loads(run_method(method, inst, cfg60(seed)).to_json(inst))
+        assert doc["served"]
+        assert doc["cover"] == doc["served"]

@@ -197,7 +197,7 @@ def test_only_pricing_and_benders_masters_skip_heuristics(monkeypatch):
     sub = make_subinstance(inst, minimal_feasibility_cover(inst, inst.requests), qt)
     pool = warm_start(sub)
     duals = DualPrices(iota={i: 0.0 for i in inst.nodes},
-                       eps={(hk, i): 0.0 for hk in inst.requests for i in inst.nodes},
+                       serve={hk: 0.0 for hk in inst.requests},
                        beta=1.0)
     cfg = SearchConfig(time_limit_total=60.0)
     runs = [

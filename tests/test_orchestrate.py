@@ -63,18 +63,19 @@ def test_scored_queue_orders_by_bounds_then_requests(d1, monkeypatch):
 
 def test_update_incumbent_requires_strict_improvement(d1):
     state = _new_state(d1, fast_cfg())
-    cover = make_cover(d1, [(1, 3)])
     sol = TspGlSolution(tour_edges=frozenset([(0, 1), (1, 3), (0, 3)]),
                         objective=5.0, design_cost=6.0,
                         routing_cost=2.0, served=((1, 3),))
-    assert update_incumbent(state, cover, sol)
-    assert state.ub == 5.0
+    assert update_incumbent(state, sol)
+    assert state.ub == 5.0 and state.incumbent is sol
+    last = state.trace.events[-1]
+    assert (last.event, last.cover_size, last.nodes_visited) == ("incumbent", 1, 3)
     same = TspGlSolution(tour_edges=sol.tour_edges, objective=5.0,
                          design_cost=6.0, routing_cost=2.0, served=((1, 3),))
-    assert not update_incumbent(state, cover, same)
+    assert not update_incumbent(state, same)
     worse = TspGlSolution(tour_edges=sol.tour_edges, objective=5.5,
                           design_cost=6.0, routing_cost=2.0, served=((1, 3),))
-    assert not update_incumbent(state, cover, worse)
+    assert not update_incumbent(state, worse)
     assert state.trace.events[-1].event == "incumbent"
 
 
@@ -83,7 +84,7 @@ def test_benchmark_solves_tiny_example(d1):
     assert res.status == "Optimal"
     assert res.upper_bound == pytest.approx(5.0, abs=1e-6)
     assert res.lower_bound == pytest.approx(5.0, abs=1e-6)
-    assert res.cover.requests == ((1, 3),)
+    assert res.incumbent.served == ((1, 3),)
     assert res.incumbent.tour_sequence() == [0, 1, 3]
     assert res.metrics is not None and not res.metrics["infeasible"]
 
@@ -94,7 +95,7 @@ def test_bp_solves_tiny_example(d1):
     assert res.upper_bound == pytest.approx(5.0, abs=1e-9)
     assert res.lower_bound == pytest.approx(5.0, abs=1e-9)
     assert res.gap == pytest.approx(0.0, abs=1e-9)
-    assert res.cover.requests == ((1, 3),)
+    assert res.incumbent.served == ((1, 3),)
     # the one evaluated cover is audited with its bounds around the exact value
     assert res.evaluated
     for requests, lb, ub, exact in res.evaluated:
@@ -114,7 +115,7 @@ def test_heuristic_reports_upper_bound_only(d1):
     assert res.upper_bound == pytest.approx(5.0, abs=1e-9)
     assert res.lower_bound is None
     assert res.gap is None
-    assert res.cover.requests == ((1, 3),)
+    assert res.incumbent.served == ((1, 3),)
     # the dominated cover {(2,4)} shows up as a discard, not an incumbent
     assert any(ev.event == "discard" for ev in res.trace.events)
 
