@@ -24,14 +24,15 @@ solution:
   reduced-cost fixing, ZI rounding and shifting. They only search for good
   incumbents, so small IPs with a weak incumbent, such as the pricing IP and
   the Benders master, solve faster without them.
-- `PSEUDO_COST_BRANCHING` branches by pseudo-costs from the first node,
-  with no strong-branching probes to make them reliable
-  (`mip_pscost_minreliable` 0). The compact MIP finds its optimum early with
-  the heuristics and closes its tree in a few nodes, so the probes were most
-  of its work: on the mip-n14 benchmark instance, 13 978 of the 24 345 LP
+- `PSEUDO_COSTS_NO_HEURISTICS` is that set plus pseudo-cost branching from
+  the first node, with no strong-branching probes to make the costs reliable
+  (`mip_pscost_minreliable` 0); the compact MIP passes it. On the mip-n14
+  benchmark instance with HiGHS's defaults, 13 978 of the 24 345 LP
   iterations were strong-branching probes, each a dual-simplex solve of a
-  ~2 100 x 3 700 LP, for a tree of 5 nodes. Without them the same solve
-  takes 11 076 iterations over 23 nodes and about a quarter less time.
+  ~2 100 x 3 700 LP, for a tree of 5 nodes. Without the probes the solve
+  took 11 076 iterations over 23 nodes, 5 214 of them in the heuristics.
+  Without the heuristics as well it takes 5 466 over 26 nodes, about half
+  the time: the tree closes the gap on its own.
 - The TSP MIP passes no set.
 """
 
@@ -56,7 +57,7 @@ RC_EPS = 1e-6     # reduced-cost negativity threshold
 # HiGHS option sets for `solve_mip(..., tuning=...)` (see the module docstring)
 NO_PRIMAL_HEURISTICS = MappingProxyType({f"mip_heuristic_run_{name}": False for name in (
     "feasibility_jump", "rins", "rens", "root_reduced_cost", "zi_round", "shifting")})
-PSEUDO_COST_BRANCHING = MappingProxyType({"mip_pscost_minreliable": 0})
+PSEUDO_COSTS_NO_HEURISTICS = MappingProxyType({**NO_PRIMAL_HEURISTICS, "mip_pscost_minreliable": 0})
 
 
 class LinearModel:

@@ -177,13 +177,14 @@ def test_mip_without_heuristics_is_exact_and_silent():
     assert out.objective == solve_mip(m).objective
 
 
-def test_only_pricing_and_benders_masters_skip_heuristics(monkeypatch):
+def test_each_mip_sends_its_own_option_set(monkeypatch):
     # each MIP sends its own HiGHS options and no other: the pricing IP and
     # the Benders master skip the primal heuristics, the compact MIP (also
-    # under `deterministic`) skips strong branching, the TSP MIP sends none
+    # under `deterministic`) skips them and strong branching, the TSP MIP
+    # sends none
     no_heuristics = {f"mip_heuristic_run_{name}": False for name in (
         "feasibility_jump", "rins", "rens", "root_reduced_cost", "zi_round", "shifting")}
-    pseudo_costs = {"mip_pscost_minreliable": 0}
+    compact_mip = {**no_heuristics, "mip_pscost_minreliable": 0}
     calls = []
     real = mpbackend.milp
 
@@ -203,8 +204,8 @@ def test_only_pricing_and_benders_masters_skip_heuristics(monkeypatch):
     runs = [
         (no_heuristics, lambda: solve_pricing(inst, duals)),
         (no_heuristics, lambda: benders_solve_tspgl(sub, pool)),
-        (pseudo_costs, lambda: run_mip_benchmark(inst, cfg)),
-        (pseudo_costs, lambda: solve_deterministic(inst, cfg)),
+        (compact_mip, lambda: run_mip_benchmark(inst, cfg)),
+        (compact_mip, lambda: solve_deterministic(inst, cfg)),
         ({}, lambda: _tsp_mip(sorted(inst.nodes), inst.design, math.inf)),
     ]
     for tuning, run in runs:
@@ -217,10 +218,10 @@ def test_only_pricing_and_benders_masters_skip_heuristics(monkeypatch):
 
 
 def test_compact_mip_branching_changes_no_result(monkeypatch):
-    # pseudo-cost branching only changes the search: the compact MIP proves
-    # the same optimum and writes the same result JSON as with HiGHS's
-    # default branching, and HiGHS knows the option (an unknown name warns);
-    # each of these compact MIPs branches (17-106 nodes)
+    # pseudo-cost branching without primal heuristics only changes the
+    # search: the compact MIP proves the same optimum and writes the same
+    # result JSON as with HiGHS's defaults, and HiGHS knows every option (an
+    # unknown name warns); each of these compact MIPs branches (30-103 nodes)
     cfg = SearchConfig(time_limit_total=60.0, gap_target=1e-6)
     insts = [generate_instance(n=n, seed=seed, n_requests=12, n_scenarios=5, theta=0.8, rho=0.2)
              for n, seed in ((7, 1), (7, 2), (8, 1), (8, 3), (9, 3))]

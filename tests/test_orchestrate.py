@@ -197,6 +197,24 @@ def test_clock_stopped_benchmark_keeps_the_tour_and_bound_it_holds(monkeypatch):
     assert res.gap == gap_value(res.upper_bound, res.lower_bound)
 
 
+@pytest.mark.parametrize("budget", [0.25, 0.7])
+def test_benchmark_stopped_by_its_clock_brackets_the_optimum(budget):
+    # without primal heuristics the compact MIP finds its first incumbent
+    # late, so a short budget may stop it with no tour or a poor one; what it
+    # reports must still bracket the optimum of this instance (the bp-n14
+    # and mip-n14 benchmark instance), and a tour must be a single cycle
+    optimum = 384.76949957319954
+    inst = generate_instance(n=14, seed=3, n_requests=20, n_scenarios=8, theta=0.8, rho=0.2)
+    res = run_mip_benchmark(inst, fast_cfg(time_limit_total=budget))
+    assert res.status == "TimeLimit"
+    assert res.lower_bound is None or res.lower_bound <= optimum + 1e-6
+    if res.upper_bound is not None:
+        assert res.upper_bound >= optimum - 1e-6
+        assert res.upper_bound == res.incumbent.objective
+        assert structural_violations(res.incumbent, inst) == []
+        assert chance_feasible(inst, res.incumbent.served)
+
+
 def test_bp_matches_benchmark_on_generated_suite():
     for inst in make_suite(6, start_seed=40):
         mip = run_mip_benchmark(inst, fast_cfg())
