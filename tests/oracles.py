@@ -8,7 +8,9 @@ not the code they check: `solve_tspgl_direct`, a monolithic flow MIP that
 the Benders loop is checked against, and `lp_duals`, the routing dual LP
 that the Benders duals are checked against. `add_split_linking_rows` is the
 textbook two-row form of the linking rows that the paired form is checked
-against. `warm_start` runs the solver's own bound stage, because the
+against. `presolved_lp_objective` reads a `LinearModel`'s arrays and
+solves them with a plain `linprog` call, as the RMP LP's differential
+oracle. `warm_start` runs the solver's own bound stage, because the
 Benders loop reads its tour from the cut cache that stage fills.
 `structural_violations` prices routing with the solver's folded weights
 (`deterministic_routing_costs`), which define a solution's routing cost.
@@ -24,6 +26,10 @@ from __future__ import annotations
 import itertools
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
+from scipy import sparse
+from scipy.optimize import linprog
 
 from stspgl.model import (
     OPTIMAL,
@@ -401,6 +407,30 @@ def solve_tspgl_direct(sub: SubInstance, deadline: float = math.inf) -> TspGlOut
     sol = solution_from_tour(sub, tours[0])
     status = OPTIMAL if out.status == OPTIMAL and out.cuts_complete else TIME_LIMIT
     return TspGlOutcome(status, sol, out.cut_rounds + 1)
+
+
+def presolved_lp_objective(model: LinearModel) -> Optional[float]:
+    """The model's LP optimum from a plain `linprog` call with HiGHS's
+    default presolve, or None when HiGHS proves no optimum.
+
+    Each row goes in as written: an equality to `A_eq`, and each finite side
+    of any other row as its own `<=` row of `A_ub`.
+    """
+    c, lb, ub, _ = model._arrays()
+    mat, lo, hi = model._matrix()
+    eq = lo == hi
+    upper, lower = np.isfinite(hi) & ~eq, np.isfinite(lo) & ~eq
+    ineq = upper.any() or lower.any()
+    res = linprog(
+        c,
+        A_ub=sparse.vstack([mat[upper], -mat[lower]]) if ineq else None,
+        b_ub=np.concatenate([hi[upper], -lo[lower]]) if ineq else None,
+        A_eq=mat[eq] if eq.any() else None,
+        b_eq=lo[eq] if eq.any() else None,
+        bounds=np.column_stack((lb, ub)),
+        method="highs",
+    )
+    return float(res.fun) if res.status == 0 else None
 
 
 def warm_start(sub: SubInstance) -> CutPool:

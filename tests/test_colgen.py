@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,8 +14,13 @@ import pytest
 
 import stspgl
 
-from oracles import add_split_linking_rows, enumerate_minimal_covers, oracle_stspgl
-from stspgl import colgen
+from oracles import (
+    add_split_linking_rows,
+    enumerate_minimal_covers,
+    oracle_stspgl,
+    presolved_lp_objective,
+)
+from stspgl import colgen, orchestrate
 from stspgl.colgen import (
     CG_LOG_HEADER,
     ColumnPool,
@@ -30,6 +36,7 @@ from stspgl.colgen import (
 from stspgl.covers import make_cover
 from stspgl.model import OPTIMAL
 from stspgl.mpbackend import RC_EPS, solve_lp, solve_mip
+from stspgl.orchestrate import SearchConfig
 from stspgl.scenarios import chance_feasible, deterministic_routing_costs, generate_instance
 from stspgl.tspgl import gsec_row
 
@@ -229,6 +236,55 @@ def test_pricing_optimum_does_not_need_primal_heuristics(monkeypatch):
             assert solve_pricing(inst, duals).objective == pytest.approx(
                 with_heuristics[-1], rel=1e-9)
     assert min(with_heuristics) < -RC_EPS
+
+
+def test_pricing_option_set_keeps_the_optimum_and_warns_nothing(monkeypatch):
+    # the pricing IP's option set (no primal heuristics, a capped cut pool)
+    # proves the optimum HiGHS's defaults prove, also under branching
+    # exclusions, and HiGHS knows every name in it (an unknown one warns)
+    rng = random.Random(29)
+    objectives = []
+    for seed in range(4):
+        inst = generate_instance(n=12, seed=900 + seed, n_requests=16, n_scenarios=5,
+                                 theta=0.8, rho=0.2)
+        phi = []
+        for _ in range(3):
+            duals = _random_duals(inst, rng, 2.0)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                res = solve_pricing(inst, duals, phi=phi)
+            assert not caught
+            with monkeypatch.context() as patch:
+                patch.setattr(colgen, "PRICING_IP", {})
+                ref = solve_pricing(inst, duals, phi=phi)
+            assert res.objective == pytest.approx(ref.objective, rel=1e-9)
+            objectives.append(res.objective)
+            if res.raw_requests:
+                phi.append(res.raw_requests)
+    assert min(objectives) < -RC_EPS
+
+
+@pytest.mark.parametrize("n, seed, n_requests", [(7, 2, 9), (8, 3, 10), (9, 1, 12)])
+def test_every_rmp_lp_matches_a_presolved_oracle(monkeypatch, n, seed, n_requests):
+    # solve_lp runs without presolve; on each master the dive grows, the
+    # optimum equals a plain presolved linprog's
+    inst = generate_instance(n=n, seed=seed, n_requests=n_requests, n_scenarios=5,
+                             theta=0.8, rho=0.2)
+    checked = []
+
+    def checked_lp(model, **kw):
+        out = solve_lp(model, **kw)
+        want = presolved_lp_objective(model)
+        assert (out.status == OPTIMAL) == (want is not None)
+        if want is not None:
+            assert out.objective == pytest.approx(want, rel=1e-9)
+            checked.append((model.n_constrs(), len(model._obj)))
+        return out
+
+    monkeypatch.setattr(orchestrate, "solve_lp", checked_lp)
+    cfg = SearchConfig(time_limit_total=60.0, gap_target=1e-6)
+    assert orchestrate.run_bp(inst, cfg).status == OPTIMAL
+    assert len(set(checked)) > 2      # the master grew between solves
 
 
 def test_pricing_never_returns_branched_cover(d1):

@@ -365,10 +365,12 @@ def test_every_csv_artifact_keeps_its_bytes(d1, tmp_path, capsys):
         "T,bound,5.0,5.0,,",
         "T,final,5.0,5.0,,",
     ]
+    # the round-1 master has two optimal dual vertices, each pricing a
+    # different cover at -3.5; the log records the path HiGHS takes
     assert (tmp_path / "cg.csv").read_text() == (
         "iter,rmp_obj,pricing_obj,lb,columns,phi\n"
         "1,7.0,-3.5,3.5,1,0\n"
-        "2,6.5,-5.0,3.5,2,0\n"
+        "2,5.0,-3.0,3.5,2,0\n"
         "3,4.5,0.0,4.5,3,0\n"
         "4,7.0,,5.0,3,2\n")
 

@@ -178,12 +178,13 @@ def test_mip_without_heuristics_is_exact_and_silent():
 
 
 def test_each_mip_sends_its_own_option_set(monkeypatch):
-    # each MIP sends its own HiGHS options and no other: the pricing IP and
-    # the Benders master skip the primal heuristics, the compact MIP (also
-    # under `deterministic`) skips them and strong branching, the TSP MIP
-    # sends none
+    # each MIP sends its own HiGHS options and no other: the Benders master
+    # skips the primal heuristics, the pricing IP skips them and caps its cut
+    # pool, the compact MIP (also under `deterministic`) skips them and
+    # strong branching, the TSP MIP sends none
     no_heuristics = {f"mip_heuristic_run_{name}": False for name in (
         "feasibility_jump", "rins", "rens", "root_reduced_cost", "zi_round", "shifting")}
+    pricing_ip = {**no_heuristics, "mip_pool_soft_limit": 10}
     compact_mip = {**no_heuristics, "mip_pscost_minreliable": 0}
     calls = []
     real = mpbackend.milp
@@ -202,7 +203,7 @@ def test_each_mip_sends_its_own_option_set(monkeypatch):
                        beta=1.0)
     cfg = SearchConfig(time_limit_total=60.0)
     runs = [
-        (no_heuristics, lambda: solve_pricing(inst, duals)),
+        (pricing_ip, lambda: solve_pricing(inst, duals)),
         (no_heuristics, lambda: benders_solve_tspgl(sub, pool)),
         (compact_mip, lambda: run_mip_benchmark(inst, cfg)),
         (compact_mip, lambda: solve_deterministic(inst, cfg)),
@@ -415,6 +416,21 @@ def test_deadline_becomes_the_highs_time_limit(monkeypatch):
     # the time left, with a 0.01 s floor
     assert [(name, opts["time_limit"]) for name, opts in calls] == \
         [("linprog", 30.0), ("milp", 30.0), ("linprog", 0.01), ("milp", 0.01)]
+
+
+def test_every_rmp_lp_sends_no_presolve_and_its_time_limit(monkeypatch):
+    # the RMP is the only LP: each of its solves asks HiGHS for no presolve
+    # and the time left, and sends nothing else
+    calls = _spy_highs(monkeypatch)
+    inst = generate_instance(n=9, seed=1, n_requests=12, n_scenarios=5, theta=0.8, rho=0.2)
+    cfg = SearchConfig(time_limit_total=60.0, gap_target=1e-6)
+    assert orchestrate.run_bp(inst, cfg).status == OPTIMAL
+    lps = [opts for name, opts in calls if name == "linprog"]
+    assert len(lps) > 1
+    for opts in lps:
+        assert sorted(opts) == ["presolve", "time_limit"]
+        assert opts["presolve"] is False
+        assert 0.0 < opts["time_limit"] <= 60.0
 
 
 def test_mip_benchmark_on_a_spent_budget_makes_no_solve(monkeypatch):
