@@ -18,7 +18,6 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 from .covers import FeasibilityCover, minimal_feasibility_cover
 from .model import OPTIMAL, TIME_LIMIT, Edge, Instance, Request, csv_line
 from .mpbackend import PRICING_IP, RC_EPS, LinearModel, SolveOutcome, solve_mip
-from .scenarios import RoutingCostTable
 from .tspgl import (
     add_edge_vars,
     add_flow_vars,
@@ -66,8 +65,7 @@ class RmpIndex:
     gsecs: Set[Tuple[FrozenSet[int], int]] = field(default_factory=set)   # (S, i) rows added
 
 
-def build_rmp(inst: Instance, pool: ColumnPool, qtilde: RoutingCostTable
-              ) -> Tuple[LinearModel, RmpIndex]:
+def build_rmp(inst: Instance, pool: ColumnPool) -> Tuple[LinearModel, RmpIndex]:
     """Continuous restricted master over the current column pool.
 
     chi variables carry no objective; cost lives on the edge and flow
@@ -79,8 +77,7 @@ def build_rmp(inst: Instance, pool: ColumnPool, qtilde: RoutingCostTable
         raise ValueError("column pool must contain at least one cover")
     model = LinearModel()
     x = add_edge_vars(model, inst.nodes, inst.design, scale=1.0 - inst.alpha)
-    flows = {hk: add_flow_vars(model, hk, inst.nodes, qtilde, inst.alpha)
-             for hk in inst.requests}
+    flows = {hk: add_flow_vars(model, inst, hk) for hk in inst.requests}
     index = RmpIndex(chi={}, convex_row=model.add_constr({}, "==", 1.0),
                      link_rows={}, flow_rows={}, x=x)
     for i in inst.nodes:

@@ -128,17 +128,33 @@ class Instance:
     def nodes(self) -> range:
         return range(self.n)
 
-    def cbar(self, i: Node, j: Node) -> float:
-        return self.design[i][j]
-
-    # The chance constraint's data, computed once per instance on first use,
-    # so that an instance with parameters out of range still builds and
-    # `validate_instance` can report them.
+    # The chance constraint's data and the routing weights, computed once per
+    # instance on first use, so that an instance with parameters out of range
+    # still builds and `validate_instance` can report them.
     @functools.cached_property
     def demand_columns(self) -> Dict[Request, Tuple[float, ...]]:
         """Each request's demand, scenario by scenario."""
         rows = self.scenarios.demand
         return {hk: tuple(row[r] for row in rows) for r, hk in enumerate(self.requests)}
+
+    @functools.cached_property
+    def routing_weight(self) -> Dict[Request, float]:
+        """Each request's routing weight: the mean over scenarios of its
+        demand over theta times the scenario's total demand. Arc (i, j)
+        costs the request design[i][j] times its weight."""
+        if self.theta <= 0.0:
+            raise ParameterError("theta must be positive to define routing costs")
+        ns = self.scenarios.size
+        weight: Dict[Request, float] = {}
+        for r, hk in enumerate(self.requests):
+            acc = 0.0
+            for s in range(ns):
+                total = self.scenarios.total(s)
+                if total <= 0.0:
+                    raise ParameterError(f"scenario {s} has zero total demand")
+                acc += self.scenarios.demand[s][r] / (self.theta * total)
+            weight[hk] = acc / ns
+        return weight
 
     @functools.cached_property
     def service_floors(self) -> Tuple[float, ...]:
@@ -186,6 +202,12 @@ def build_instance(
     """
     if (coords is None) == (dist is None):
         raise ValueError("exactly one of coords/dist must be given")
+    if rounding not in ("euc2d", "exact"):
+        raise ValueError(f"unknown rounding {rounding!r}: use 'euc2d' or 'exact'")
+    for idx, row in enumerate(demand):
+        if len(row) != len(demand[0]):
+            raise ValueError(f"request {tuple(requests[idx])} lists {len(row)} demand "
+                             f"scenarios, the first request lists {len(demand[0])}")
     if coords is not None:
         n = len(coords)
         if rounding == "euc2d":

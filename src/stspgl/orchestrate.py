@@ -33,12 +33,7 @@ from .model import (
     gap_value,
     validate_instance,
 )
-from .scenarios import (
-    RoutingCostTable,
-    chance_feasible,
-    deterministic_routing_costs,
-    evaluate_metrics,
-)
+from .scenarios import chance_feasible, evaluate_metrics
 from .covers import FeasibilityCover, explore, local_search, make_cover
 from .mpbackend import PSEUDO_COSTS_NO_HEURISTICS, LinearModel, SolveOutcome, resolve_with_cuts, solve_lp
 from .colgen import (
@@ -88,8 +83,8 @@ class SearchConfig:
 
 @dataclass
 class SearchState:
-    """What one solve shares: the instance and its folded routing costs, the
-    clock, the bounds and incumbent, and the cover search's caches.
+    """What one solve shares: the instance, the clock, the bounds and
+    incumbent, and the cover search's caches.
 
     `deadline` is the `time.monotonic()` instant every layer stops at.
     `queue` is a heap of scored covers, (ub, lb, requests, cover): the
@@ -99,7 +94,6 @@ class SearchState:
     None outside branch-and-price.
     """
     inst: Instance
-    qtilde: RoutingCostTable
     rng: random.Random
     trace: SolveTrace
     start: float
@@ -150,14 +144,16 @@ def update_incumbent(state: SearchState, solution: TspGlSolution) -> bool:
 
 
 def _new_state(inst: Instance, cfg: SearchConfig) -> SearchState:
-    """Check the inputs, fold the routing costs, seed the rng, start the clock."""
+    """Check the inputs, compute the routing weights, seed the rng, start
+    the clock."""
     cfg.validate()
     problems = validate_instance(inst)
     if problems:
         raise ValueError("invalid instance: " + "; ".join(problems))
-    qtilde = deterministic_routing_costs(inst)
+    # ParameterError when theta is 0, even for a search that reads no weight
+    inst.routing_weight
     start = time.monotonic()
-    state = SearchState(inst=inst, qtilde=qtilde, rng=random.Random(cfg.seed),
+    state = SearchState(inst=inst, rng=random.Random(cfg.seed),
                         trace=SolveTrace(), start=start,
                         deadline=start + cfg.time_limit_total)
     state.note("start")
@@ -198,7 +194,7 @@ def _gap_closed(state: SearchState, cfg: SearchConfig) -> bool:
 
 # --- compact benchmark ------------------------------------------------------
 
-def _benchmark_model(inst: Instance, qtilde: RoutingCostTable):
+def _benchmark_model(inst: Instance):
     """One-shot selection model: tour edges, open stops w, served requests z,
     flows, and met scenarios y. Returns the model and the handle maps of x,
     w and z."""
@@ -211,7 +207,7 @@ def _benchmark_model(inst: Instance, qtilde: RoutingCostTable):
     flows: Dict[Request, Dict[Arc, int]] = {}
     for hk in inst.requests:
         z[hk] = model.add_var(lb=0.0, ub=1.0, integer=True)
-        flows[hk] = add_flow_vars(model, hk, inst.nodes, qtilde, inst.alpha)
+        flows[hk] = add_flow_vars(model, inst, hk)
 
     for i in inst.nodes:
         coeffs = degree_coeffs(x, i, inst.nodes)
@@ -258,7 +254,7 @@ def run_mip_benchmark(inst: Instance, cfg: SearchConfig) -> StspGlResult:
     state = _new_state(inst, cfg)
     if not chance_feasible(inst, inst.requests):
         return _infeasible_result(state)
-    model, x, w, z = _benchmark_model(inst, state.qtilde)
+    model, x, w, z = _benchmark_model(inst)
     out = resolve_with_cuts(model, lambda o: _benchmark_cuts(inst, x, w, o),
                             max_rounds=4 * inst.n * max(1, inst.n),
                             deadline=state.deadline, tuning=PSEUDO_COSTS_NO_HEURISTICS)
@@ -272,7 +268,7 @@ def run_mip_benchmark(inst: Instance, cfg: SearchConfig) -> StspGlResult:
         # several cycles
         cover = make_cover(inst, [hk for hk in inst.requests if out.values[z[hk]] > 0.5])
         update_incumbent(state, solution_from_tour(
-            make_subinstance(inst, cover, state.qtilde), tours[0]))
+            make_subinstance(inst, cover), tours[0]))
     if out.status == OPTIMAL and out.cuts_complete:
         state.raise_lb(state.ub)
         return _finish(state, OPTIMAL)
@@ -297,8 +293,8 @@ def _score_and_enqueue(state: SearchState, cover: FeasibilityCover) -> bool:
     or if the clock stops its bound stage, which leaves it unscored."""
     if cover.requests in state.scored:
         return False
-    bounds = cover_bounds(make_subinstance(state.inst, cover, state.qtilde),
-                          state.cutpool, deadline=state.deadline)
+    bounds = cover_bounds(make_subinstance(state.inst, cover), state.cutpool,
+                          deadline=state.deadline)
     if bounds is None:
         return False
     state.scored.add(cover.requests)
@@ -317,7 +313,7 @@ def _evaluate_cover(state: SearchState,
     if lb >= state.ub - INCUMBENT_EPS:
         _close(state, cover, "discard")
         return
-    sub = make_subinstance(state.inst, cover, state.qtilde)
+    sub = make_subinstance(state.inst, cover)
     out = benders_solve_tspgl(sub, state.cutpool, incumbent_ub=state.ub,
                               deadline=state.deadline)
     if out.status == ABORTED:
@@ -379,7 +375,7 @@ def _dive(state: SearchState, cfg: SearchConfig, hybrid: bool,
             if cov is not None:
                 pool.add(cov)
 
-    model, index = build_rmp(inst, pool, state.qtilde)
+    model, index = build_rmp(inst, pool)
     rounds_total = 0
     iteration = 0
     while state.remaining() > 0:

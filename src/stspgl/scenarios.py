@@ -1,9 +1,4 @@
-"""Scenario handling: routing cost table, chance constraint, metrics, generator.
-
-The routing cost of a request folds the scenario distribution into a single
-deterministic weight, so every downstream subproblem works on one weighted
-matrix instead of per-scenario copies.
-"""
+"""Scenario handling: chance constraint, metrics, mean scenario, generator."""
 
 from __future__ import annotations
 
@@ -12,41 +7,9 @@ import math
 import operator
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from .model import Instance, ParameterError, Request, ScenarioSet, build_instance, validate_instance
-
-
-@dataclass(frozen=True)
-class RoutingCostTable:
-    """Deterministic per-arc routing costs, factorized as c_ij * weight[hk]."""
-
-    travel: Tuple[Tuple[float, ...], ...]
-    weight: Dict[Request, float]
-
-    def cost(self, hk: Request, i: int, j: int) -> float:
-        return self.travel[i][j] * self.weight[hk]
-
-
-def deterministic_routing_costs(inst: Instance) -> RoutingCostTable:
-    """Fold scenario demand into one routing weight per request.
-
-    The weight of request (h,k) is the mean over scenarios of its demand
-    share relative to the service-level fraction of total demand.
-    """
-    if inst.theta <= 0.0:
-        raise ParameterError("theta must be positive to define routing costs")
-    ns = inst.scenarios.size
-    weight: Dict[Request, float] = {}
-    for r, hk in enumerate(inst.requests):
-        acc = 0.0
-        for s in range(ns):
-            total = inst.scenarios.total(s)
-            if total <= 0.0:
-                raise ParameterError(f"scenario {s} has zero total demand")
-            acc += inst.scenarios.demand[s][r] / (inst.theta * total)
-        weight[hk] = acc / ns
-    return RoutingCostTable(travel=inst.design, weight=weight)
 
 
 def served_demand(inst: Instance, served: Iterable[Request]) -> List[float]:

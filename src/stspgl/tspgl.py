@@ -34,7 +34,6 @@ from .model import (
     edge,
 )
 from .mpbackend import NO_PRIMAL_HEURISTICS, LinearModel, SolveOutcome, resolve_with_cuts
-from .scenarios import RoutingCostTable
 
 ABORTED = "Aborted"
 
@@ -60,7 +59,6 @@ class SubInstance:
     inst: Instance
     nodes: Tuple[int, ...]
     requests: Tuple[Request, ...]
-    qtilde: RoutingCostTable
 
     def origins(self) -> List[int]:
         return sorted({h for h, _k in self.requests})
@@ -75,21 +73,22 @@ def padded_node_set(inst: Instance, visited: Iterable[int]) -> Tuple[int, ...]:
     if len(nodes) >= 3:
         return tuple(nodes)
     others = [v for v in inst.nodes if v not in set(nodes)]
+    d = inst.design
     if len(nodes) == 2:
         a, b = nodes
-        extra = min(others, key=lambda v: (inst.cbar(a, v) + inst.cbar(v, b), v))
+        extra = min(others, key=lambda v: (d[a][v] + d[v][b], v))
         return tuple(sorted([a, b, extra]))
     (a,) = nodes
     u, v = min(
         itertools.combinations(others, 2),
-        key=lambda uv: (inst.cbar(a, uv[0]) + inst.cbar(uv[0], uv[1]) + inst.cbar(uv[1], a), uv),
+        key=lambda uv: (d[a][uv[0]] + d[uv[0]][uv[1]] + d[uv[1]][a], uv),
     )
     return tuple(sorted([a, u, v]))
 
 
-def make_subinstance(inst: Instance, cover: FeasibilityCover, qtilde: RoutingCostTable) -> SubInstance:
+def make_subinstance(inst: Instance, cover: FeasibilityCover) -> SubInstance:
     nodes = padded_node_set(inst, cover.visited)
-    return SubInstance(inst=inst, nodes=nodes, requests=cover.requests, qtilde=qtilde)
+    return SubInstance(inst=inst, nodes=nodes, requests=cover.requests)
 
 
 @dataclass
@@ -263,12 +262,13 @@ def degree_coeffs(x: Dict[Edge, int], i: int, nodes: Iterable[int]) -> Dict[int,
     return {x[edge(i, j)]: 1.0 for j in nodes if j != i}
 
 
-def add_flow_vars(model: LinearModel, hk: Request, nodes: Sequence[int],
-                  qtilde: RoutingCostTable, alpha: float) -> Dict[Arc, int]:
-    """Arc flows of one request, costing alpha * its routing cost."""
+def add_flow_vars(model: LinearModel, inst: Instance, hk: Request) -> Dict[Arc, int]:
+    """Arc flows of one request over every node pair, arc (i, j) costing
+    alpha * (design[i][j] * the request's routing weight)."""
+    w = inst.routing_weight[hk]
     return {
-        (i, j): model.add_var(lb=0.0, obj=alpha * qtilde.cost(hk, i, j))
-        for i in nodes for j in nodes if i != j
+        (i, j): model.add_var(lb=0.0, obj=inst.alpha * (inst.design[i][j] * w))
+        for i in inst.nodes for j in inst.nodes if i != j
     }
 
 
@@ -436,22 +436,23 @@ def cover_bounds(sub: SubInstance, cutpool: CutPool,
         cutpool.tsp_cache[key] = (tour, tsp_val)
         for comp in subtours:
             cutpool.add_subtour(key, comp)
-    lb_routing = sum(sub.qtilde.cost(hk, *hk) for hk in sub.requests)
-    ub_routing = sum(primal_subproblem(tour, hk, sub.qtilde) for hk in sub.requests)
+    inst = sub.inst
+    lb_routing = sum(inst.design[h][k] * inst.routing_weight[(h, k)] for h, k in sub.requests)
+    ub_routing = sum(primal_subproblem(tour, hk, inst) for hk in sub.requests)
     return BoundEstimate(lb=(1.0 - alpha) * tsp_val + alpha * lb_routing,
                          ub=(1.0 - alpha) * tsp_val + alpha * ub_routing)
 
 
 # --- Benders subproblems ---------------------------------------------------
 
-def _tour_walk(seq: Sequence[int], hk: Request, qtilde: RoutingCostTable
+def _tour_walk(seq: Sequence[int], hk: Request, inst: Instance
                ) -> Tuple[Dict[int, float], Dict[int, float]]:
     """Path cost from h to every node of the tour `seq`, forward and backward."""
     n = len(seq)
     start = seq.index(hk[0])
     fwd: Dict[int, float] = {}
     back: Dict[int, float] = {}
-    travel, w = qtilde.travel, qtilde.weight[hk]
+    travel, w = inst.design, inst.routing_weight[hk]
     ahead = behind = 0.0
     for t in range(n):
         a, b = seq[(start + t) % n], seq[(start - t) % n]
@@ -461,7 +462,7 @@ def _tour_walk(seq: Sequence[int], hk: Request, qtilde: RoutingCostTable
     return fwd, back
 
 
-def primal_subproblem(xbar: Sequence[int], hk: Request, qtilde: RoutingCostTable) -> float:
+def primal_subproblem(xbar: Sequence[int], hk: Request, inst: Instance) -> float:
     """Cost of the unit shortest path h -> k along the tour: the cheaper of
     its two directions.
 
@@ -472,12 +473,11 @@ def primal_subproblem(xbar: Sequence[int], hk: Request, qtilde: RoutingCostTable
     seq = list(xbar)
     if h not in seq or k not in seq:
         return math.inf
-    fwd, back = _tour_walk(seq, hk, qtilde)
+    fwd, back = _tour_walk(seq, hk, inst)
     return min(fwd[k], back[k])
 
 
-def dual_subproblem(xbar: Sequence[int], hk: Request, qtilde: RoutingCostTable
-                    ) -> BendersDuals:
+def dual_subproblem(xbar: Sequence[int], hk: Request, inst: Instance) -> BendersDuals:
     """Optimal duals of the routing subproblem at the tour `xbar`, from
     potentials u_v = min(d(v), z), p_v = z - u_v over the tour's nodes.
 
@@ -496,16 +496,16 @@ def dual_subproblem(xbar: Sequence[int], hk: Request, qtilde: RoutingCostTable
     seq = list(xbar)
     if h not in seq or k not in seq:
         raise ValueError(f"request {hk} endpoints missing from tour {seq}")
-    fwd, back = _tour_walk(seq, hk, qtilde)
+    fwd, back = _tour_walk(seq, hk, inst)
     z = min(fwd[k], back[k])
     nodes = sorted(seq)
     u = {v: min(fwd[v], back[v], z) for v in nodes}
     p = {v: z - u[v] for v in nodes}
     # each positive lam_ij goes into its edge's lambda-bar; an absent edge holds 0
     lambda_bar: Dict[Edge, float] = {}
-    w = qtilde.weight[hk]
+    w = inst.routing_weight[hk]
     for i in nodes:
-        ui, row = u[i], qtilde.travel[i]
+        ui, row = u[i], inst.design[i]
         for j in nodes:
             if i != j:
                 gain = u[j] - ui - row[j] * w
@@ -564,10 +564,10 @@ def solution_from_tour(sub: SubInstance, seq: Sequence[int]) -> TspGlSolution:
     along it in its cheaper direction."""
     inst = sub.inst
     tour_edges = frozenset(_cycle_edges(seq))
-    design = sum(inst.cbar(a, b) for a, b in tour_edges)
+    design = sum(inst.design[a][b] for a, b in tour_edges)
     routing = 0.0
     for hk in sub.requests:
-        routing += primal_subproblem(seq, hk, sub.qtilde)
+        routing += primal_subproblem(seq, hk, inst)
     total = (1.0 - inst.alpha) * design + inst.alpha * routing
     return TspGlSolution(
         tour_edges=tour_edges,
@@ -600,7 +600,7 @@ def benders_solve_tspgl(
     for comp in cutpool.subtours_for(sub.key):
         model.add_constr(*_sec_cut(x, comp))
     tour, _tsp_val = cutpool.tsp_cache[sub.key]
-    duals = {hk: dual_subproblem(tour, hk, sub.qtilde) for hk in sub.requests}
+    duals = {hk: dual_subproblem(tour, hk, sub.inst) for hk in sub.requests}
     for h in sub.origins():
         model.add_constr(*_optimality_row(x, eta, duals, h))
 
@@ -621,7 +621,7 @@ def benders_solve_tspgl(
         candidate = solution_from_tour(sub, seq)
         if incumbent is None or candidate.objective < incumbent.objective - INCUMBENT_EPS:
             incumbent = candidate
-        duals = {hk: dual_subproblem(seq, hk, sub.qtilde) for hk in sub.requests}
+        duals = {hk: dual_subproblem(seq, hk, sub.inst) for hk in sub.requests}
         violated = []
         for h in sub.origins():
             true_h = sum(duals[hk].objective for hk in sub.requests if hk[0] == h)

@@ -8,7 +8,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from stspgl.model import build_instance
-from stspgl.scenarios import deterministic_routing_costs, generate_instance
+from stspgl.scenarios import generate_instance
 
 
 @pytest.fixture
@@ -27,11 +27,6 @@ def d1():
         alpha=0.25,
         dist=[[abs(i - j) for j in range(5)] for i in range(5)],
     )
-
-
-@pytest.fixture
-def d1_qtilde(d1):
-    return deterministic_routing_costs(d1)
 
 
 @pytest.fixture

@@ -12,8 +12,8 @@ against. `presolved_lp_objective` reads a `LinearModel`'s arrays and
 solves them with a plain `linprog` call, as the RMP LP's differential
 oracle. `warm_start` runs the solver's own bound stage, because the
 Benders loop reads its tour from the cut cache that stage fills.
-`structural_violations` prices routing with the solver's folded weights
-(`deterministic_routing_costs`), which define a solution's routing cost.
+`structural_violations` prices routing with the instance's routing weights
+(`Instance.routing_weight`), which define a solution's routing cost.
 `is_minimal` checks cover minimalization against `chance_feasible`
 itself, one request removal at a time. The chance constraint's reference
 sums each scenario's served demand with its own generator, request by
@@ -44,14 +44,13 @@ from stspgl.model import (
     required_scenario_count,
 )
 from stspgl.mpbackend import LinearModel, SolveOutcome, resolve_with_cuts, solve_lp
-from stspgl.scenarios import MetricsRow, RoutingCostTable, chance_feasible, deterministic_routing_costs
+from stspgl.scenarios import MetricsRow, chance_feasible
 from stspgl.tspgl import (
     BendersDuals,
     CutPool,
     SubInstance,
     TspGlOutcome,
     add_edge_vars,
-    add_flow_vars,
     add_linking_rows,
     chosen_edges,
     cover_bounds,
@@ -124,7 +123,7 @@ def structural_violations(sol: TspGlSolution, inst: Instance) -> List[str]:
     that the tour does not give.
 
     The oracle routes each served request itself, the cheaper way round the
-    tour under `deterministic_routing_costs`, and checks the design,
+    tour at its routing weight, and checks the design,
     routing and total costs to 1e-9 relative."""
     report: List[str] = []
     degree: Dict[int, int] = {}
@@ -157,12 +156,11 @@ def structural_violations(sol: TspGlSolution, inst: Instance) -> List[str]:
     report.extend(f"request {hk} has an endpoint off the tour" for hk in off)
     if report:
         return report
-    design = sum(inst.cbar(a, b) for a, b in sol.tour_edges)
-    qt = deterministic_routing_costs(inst)
+    design = sum(inst.design[a][b] for a, b in sol.tour_edges)
     seq = sol.tour_sequence()
     routing = 0.0
     for hk in sol.served:
-        routing += tour_path_cost(seq, *hk, lambda a, b: qt.cost(hk, a, b))
+        routing += tour_path_cost(seq, *hk, arc_cost(inst, hk))
     total = (1.0 - inst.alpha) * design + inst.alpha * routing
     for name, got, want in (("design_cost", sol.design_cost, design),
                             ("routing_cost", sol.routing_cost, routing),
@@ -252,6 +250,12 @@ def held_karp_reference(nodes: List[int], cost) -> Tuple[List[int], float]:
     return [start, *reversed(seq_rev)], value
 
 
+def arc_cost(inst: Instance, hk: Request):
+    """Request hk's cost on arc (a, b): the design cost times its routing weight."""
+    w = inst.routing_weight[hk]
+    return lambda a, b: inst.design[a][b] * w
+
+
 def tour_path_cost(seq: Sequence[int], i: int, j: int, weight) -> float:
     """Cheapest of the two directions between i and j along the cycle."""
     pos = {v: idx for idx, v in enumerate(seq)}
@@ -284,17 +288,18 @@ def padded_nodes(inst: Instance, visited) -> List[int]:
     others = [v for v in inst.nodes if v not in visited]
     if len(nodes) == 2:
         a, b = nodes
-        extra = min(others, key=lambda v: (inst.cbar(a, v) + inst.cbar(v, b), v))
+        extra = min(others, key=lambda v: (inst.design[a][v] + inst.design[v][b], v))
         return sorted([a, b, extra])
     (a,) = nodes
     best = min(
         itertools.combinations(others, 2),
-        key=lambda uv: (inst.cbar(a, uv[0]) + inst.cbar(uv[0], uv[1]) + inst.cbar(uv[1], a), uv),
+        key=lambda uv: (inst.design[a][uv[0]] + inst.design[uv[0]][uv[1]]
+                        + inst.design[uv[1]][a], uv),
     )
     return sorted([a, *best])
 
 
-def oracle_tspgl(inst: Instance, qtilde: RoutingCostTable, cover) -> Tuple[float, List[int]]:
+def oracle_tspgl(inst: Instance, cover) -> Tuple[float, List[int]]:
     """Exact TSP-GL on the cover's node set by tour enumeration."""
     reqs = tuple(sorted(cover))
     visited = set(inst.compulsory)
@@ -309,10 +314,10 @@ def oracle_tspgl(inst: Instance, qtilde: RoutingCostTable, cover) -> Tuple[float
         if len(perm) > 1 and perm[0] > perm[-1]:
             continue
         seq = [first, *perm]
-        design = sum(inst.cbar(seq[i], seq[(i + 1) % len(seq)]) for i in range(len(seq)))
+        design = sum(inst.design[seq[i]][seq[(i + 1) % len(seq)]] for i in range(len(seq)))
         routing = 0.0
         for hk in reqs:
-            routing += tour_path_cost(seq, hk[0], hk[1], lambda a, b: qtilde.cost(hk, a, b))
+            routing += tour_path_cost(seq, hk[0], hk[1], arc_cost(inst, hk))
         val = (1.0 - inst.alpha) * design + inst.alpha * routing
         if val < best_val - 1e-12:
             best_val = val
@@ -320,29 +325,27 @@ def oracle_tspgl(inst: Instance, qtilde: RoutingCostTable, cover) -> Tuple[float
     return best_val, best_seq
 
 
-def oracle_stspgl(inst: Instance, qtilde: Optional[RoutingCostTable] = None) -> Tuple[Optional[float], Optional[Tuple]]:
+def oracle_stspgl(inst: Instance) -> Tuple[Optional[float], Optional[Tuple]]:
     """Exact optimum: best TSP-GL value over all minimal covers.
 
     Valid because the TSP-GL value is monotone nondecreasing when a cover
     grows (metric shortcutting), so some minimal cover attains the optimum.
     Returns (None, None) when no cover exists.
     """
-    if qtilde is None:
-        qtilde = deterministic_routing_costs(inst)
     covers = enumerate_minimal_covers(inst)
     if not covers:
         return None, None
     best_val = math.inf
     best_cover: Optional[Tuple] = None
     for cov in covers:
-        val, _ = oracle_tspgl(inst, qtilde, cov)
+        val, _ = oracle_tspgl(inst, cov)
         if val < best_val - 1e-12:
             best_val = val
             best_cover = cov
     return best_val, best_cover
 
 
-def lp_duals(xbar: Sequence[int], hk: Request, qtilde: RoutingCostTable,
+def lp_duals(xbar: Sequence[int], hk: Request, inst: Instance,
              nodes: Sequence[int]) -> BendersDuals:
     """Routing duals at the tour `xbar` from the dual LP of the path flow."""
     xval = {e: 0.0 for e in itertools.combinations(sorted(nodes), 2)}
@@ -353,9 +356,9 @@ def lp_duals(xbar: Sequence[int], hk: Request, qtilde: RoutingCostTable,
     pcol = {v: model.add_var(lb=0.0, obj=-supply(hk, v)) for v in nodes}
     lcol = {(i, j): model.add_var(lb=0.0, obj=xval[edge(i, j)])
             for i in nodes for j in nodes if i != j}
+    cost = arc_cost(inst, hk)
     for (i, j), col in lcol.items():
-        model.add_constr({pcol[i]: 1.0, pcol[j]: -1.0, col: -1.0}, "<=",
-                         qtilde.cost(hk, i, j))
+        model.add_constr({pcol[i]: 1.0, pcol[j]: -1.0, col: -1.0}, "<=", cost(i, j))
     out = solve_lp(model)
     if out.status != OPTIMAL:
         raise RuntimeError(f"routing dual LP ended with status {out.status}")
@@ -380,11 +383,14 @@ def solve_tspgl_direct(sub: SubInstance, deadline: float = math.inf) -> TspGlOut
     Flow caps alone leave room for a disconnected design when some component
     carries no request, so the resolve loop enforces a single cycle.
     """
+    inst = sub.inst
     model = LinearModel()
-    x = add_edge_vars(model, sub.nodes, sub.inst.design, scale=1.0 - sub.inst.alpha,
-                      integer=True)
-    flows = {hk: add_flow_vars(model, hk, sub.nodes, sub.qtilde, sub.inst.alpha)
-             for hk in sub.requests}
+    x = add_edge_vars(model, sub.nodes, inst.design, scale=1.0 - inst.alpha, integer=True)
+    flows = {}
+    for hk in sub.requests:
+        cost = arc_cost(inst, hk)
+        flows[hk] = {(i, j): model.add_var(lb=0.0, obj=inst.alpha * cost(i, j))
+                     for i in sub.nodes for j in sub.nodes if i != j}
     for i in sub.nodes:
         model.add_constr(degree_coeffs(x, i, sub.nodes), "==", 2.0)
     for hk, f in flows.items():

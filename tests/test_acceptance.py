@@ -29,11 +29,7 @@ from stspgl.evalcli import (
 )
 from stspgl.model import load_instance
 from stspgl.orchestrate import run_bp, run_mip_benchmark
-from stspgl.scenarios import (
-    chance_feasible,
-    deterministic_routing_costs,
-    generate_instance,
-)
+from stspgl.scenarios import chance_feasible, generate_instance
 from stspgl.tspgl import (
     CutPool,
     benders_solve_tspgl,
@@ -96,7 +92,6 @@ def c2_pairs():
         if len(rows) >= 60:
             break
         inst = generate_instance(seed=500 + i, **shapes[i % len(shapes)])
-        qtilde = deterministic_routing_costs(inst)
         seen = set()
         taken = set()
         sizes = list(range(max(1, len(inst.compulsory)), inst.n + 1))
@@ -106,7 +101,7 @@ def c2_pairs():
             if cov is None or cov.requests in taken:
                 continue
             taken.add(cov.requests)
-            sub = make_subinstance(inst, cov, qtilde)
+            sub = make_subinstance(inst, cov)
             assert len(sub.nodes) <= 8
             pool = CutPool()
             bounds = cover_bounds(sub, pool)
@@ -129,11 +124,10 @@ def c3_rows():
         covers = enumerate_minimal_covers(inst)
         if not (1 <= len(covers) <= 10):
             continue
-        qtilde = deterministic_routing_costs(inst)
         best = math.inf
         for requests in covers:
             cov = make_cover(inst, requests)
-            sub = make_subinstance(inst, cov, qtilde)
+            sub = make_subinstance(inst, cov)
             pool = CutPool()
             bounds = cover_bounds(sub, pool)
             out = benders_solve_tspgl(sub, pool)

@@ -37,7 +37,7 @@ from stspgl.covers import make_cover
 from stspgl.model import OPTIMAL
 from stspgl.mpbackend import RC_EPS, solve_lp, solve_mip
 from stspgl.orchestrate import SearchConfig
-from stspgl.scenarios import chance_feasible, deterministic_routing_costs, generate_instance
+from stspgl.scenarios import chance_feasible, generate_instance
 from stspgl.tspgl import gsec_row
 
 
@@ -69,28 +69,28 @@ def test_pool_rejects_duplicates(d1):
     assert [c.requests for c in pool.columns] == [tuple(d1.requests)]
 
 
-def test_rmp_feasible_with_single_column(d1, d1_qtilde):
+def test_rmp_feasible_with_single_column(d1):
     pool = _pool_with(d1, d1.requests)
-    model, index = build_rmp(d1, pool, d1_qtilde)
+    model, index = build_rmp(d1, pool)
     out = solve_lp(model)
     assert out.status == OPTIMAL
     assert out.values[index.chi[tuple(d1.requests)]] == pytest.approx(1.0)
 
 
-def test_rmp_objective_never_increases_with_columns(d1, d1_qtilde):
+def test_rmp_objective_never_increases_with_columns(d1):
     pool = _pool_with(d1, d1.requests)
-    base = solve_lp(build_rmp(d1, pool, d1_qtilde)[0]).objective
+    base = solve_lp(build_rmp(d1, pool)[0]).objective
     pool.add(make_cover(d1, [(1, 3)]))
-    richer = solve_lp(build_rmp(d1, pool, d1_qtilde)[0]).objective
+    richer = solve_lp(build_rmp(d1, pool)[0]).objective
     assert richer <= base + 1e-9
     pool.add(make_cover(d1, [(2, 4)]))
-    richest = solve_lp(build_rmp(d1, pool, d1_qtilde)[0]).objective
+    richest = solve_lp(build_rmp(d1, pool)[0]).objective
     assert richest <= richer + 1e-9
 
 
-def test_rmp_with_all_minimal_covers_bounds_d1_optimum(d1, d1_qtilde):
+def test_rmp_with_all_minimal_covers_bounds_d1_optimum(d1):
     pool = _pool_with(d1, d1.requests, [(1, 3)], [(2, 4)])
-    out = solve_lp(build_rmp(d1, pool, d1_qtilde)[0])
+    out = solve_lp(build_rmp(d1, pool)[0])
     assert out.status == OPTIMAL
     assert out.objective <= 5.0 + 1e-9
 
@@ -109,9 +109,9 @@ def test_reduced_cost_formula_values(d1):
     assert reduced_cost(cov, duals) == 0.5
 
 
-def test_reduced_cost_matches_engine_columns(d1, d1_qtilde):
+def test_reduced_cost_matches_engine_columns(d1):
     pool = _pool_with(d1, d1.requests, [(1, 3)])
-    model, index = build_rmp(d1, pool, d1_qtilde)
+    model, index = build_rmp(d1, pool)
     out = solve_lp(model)
     duals = extract_duals(index, out)
     probe = make_cover(d1, [(2, 4)])
@@ -133,11 +133,10 @@ def test_pooled_columns_price_nonnegative_at_optimum():
     for seed in range(6):
         inst = generate_instance(n=6, seed=400 + seed, n_requests=5, n_scenarios=3,
                                  theta=0.7, rho=0.3)
-        qt = deterministic_routing_costs(inst)
         pool = _pool_with(inst, inst.requests)
         for cov in enumerate_minimal_covers(inst)[:3]:
             pool.add(make_cover(inst, cov))
-        model, index = build_rmp(inst, pool, qt)
+        model, index = build_rmp(inst, pool)
         out = solve_lp(model)
         assert out.status == OPTIMAL
         duals = extract_duals(index, out)
@@ -148,7 +147,7 @@ def test_pooled_columns_price_nonnegative_at_optimum():
 def test_extract_duals_serve_is_the_flow_dual_difference():
     inst = generate_instance(n=7, seed=401, n_requests=6, n_scenarios=3, theta=0.7, rho=0.3)
     pool = _pool_with(inst, inst.requests, *enumerate_minimal_covers(inst)[:3])
-    model, index = build_rmp(inst, pool, deterministic_routing_costs(inst))
+    model, index = build_rmp(inst, pool)
     out = solve_lp(model)
     duals = extract_duals(index, out)
     assert list(duals.serve) == list(inst.requests)
@@ -299,11 +298,11 @@ def test_pricing_never_returns_branched_cover(d1):
         assert second.cover.requests != first.cover.requests
 
 
-def test_branched_column_fixed_to_zero(d1, d1_qtilde):
+def test_branched_column_fixed_to_zero(d1):
     pool = _pool_with(d1, d1.requests, [(1, 3)])
-    base = solve_lp(build_rmp(d1, pool, d1_qtilde)[0]).objective
+    base = solve_lp(build_rmp(d1, pool)[0]).objective
     pool.branched.add(((1, 3),))
-    model, index = build_rmp(d1, pool, d1_qtilde)
+    model, index = build_rmp(d1, pool)
     out = solve_lp(model)
     assert out.values[index.chi[((1, 3),)]] == pytest.approx(0.0, abs=1e-9)
     assert out.objective >= base - 1e-9
@@ -323,11 +322,10 @@ def _assert_same_master(grown, grown_index, fresh, fresh_index):
 
 def test_rmp_grown_in_place_equals_fresh_build():
     inst = generate_instance(n=6, seed=404, n_requests=6, n_scenarios=3, theta=0.6, rho=0.3)
-    qt = deterministic_routing_costs(inst)
     covers = [make_cover(inst, c) for c in enumerate_minimal_covers(inst)]
     assert len(covers) >= 4
     pool = _pool_with(inst, inst.requests)
-    model, index = build_rmp(inst, pool, qt)
+    model, index = build_rmp(inst, pool)
     steps = [   # (change to the pool, whether the master changes)
         (lambda: pool.add(covers[0]), True),
         (lambda: (pool.add(covers[1]), pool.add(covers[2])), True),
@@ -339,7 +337,7 @@ def test_rmp_grown_in_place_equals_fresh_build():
     for step, changed in steps:
         step()
         assert extend_rmp(model, index, pool) is changed
-        fresh, fresh_index = build_rmp(inst, pool, qt)
+        fresh, fresh_index = build_rmp(inst, pool)
         _assert_same_master(model, index, fresh, fresh_index)
     assert model._ub[index.chi[covers[0].requests]] == 0.0
     assert model._ub[index.chi[covers[3].requests]] == 0.0
@@ -355,11 +353,10 @@ def test_gsec_rows_lift_the_master_and_leave_pricing_alone(n, seed, n_requests,
                                                             n_scenarios):
     inst = generate_instance(n=n, seed=seed, n_requests=n_requests,
                              n_scenarios=n_scenarios, theta=0.7, rho=0.25)
-    qt = deterministic_routing_costs(inst)
     pool = ColumnPool()
     for cov in enumerate_minimal_covers(inst):
         pool.add(make_cover(inst, cov))
-    model, index = build_rmp(inst, pool, qt)
+    model, index = build_rmp(inst, pool)
     uncut_rows = model.n_constrs()
     out = solve_lp(model)
     bounds = [out.objective]
@@ -375,7 +372,7 @@ def test_gsec_rows_lift_the_master_and_leave_pricing_alone(n, seed, n_requests,
     edge_cols = set(index.x.values())
     assert set(mat[uncut_rows:].indices) <= edge_cols
     # every pooled cover's integer point satisfies them, so the bound stays valid
-    optimum, _cover = oracle_stspgl(inst, qt)
+    optimum, _cover = oracle_stspgl(inst)
     assert bounds == sorted(bounds) and bounds[-1] > bounds[0]
     assert bounds[-1] <= optimum * (1 + 1e-9)
     duals = extract_duals(index, out)
@@ -389,18 +386,17 @@ def test_paired_linking_rows_keep_the_master_value(monkeypatch, n, seed, n_reque
                                                    n_scenarios):
     inst = generate_instance(n=n, seed=seed, n_requests=n_requests,
                              n_scenarios=n_scenarios, theta=0.7, rho=0.25)
-    qt = deterministic_routing_costs(inst)
     pool = ColumnPool()
     for cov in enumerate_minimal_covers(inst):
         pool.add(make_cover(inst, cov))
-    model, index = build_rmp(inst, pool, qt)
+    model, index = build_rmp(inst, pool)
     out = solve_lp(model)
     while add_gsec_rows(inst, model, index, out.values):
         out = solve_lp(model)
     assert out.status == OPTIMAL and index.gsecs
     # the same master with two rows per edge and request, and the same GSEC rows
     monkeypatch.setattr(colgen, "add_linking_rows", add_split_linking_rows)
-    split, split_index = build_rmp(inst, pool, qt)
+    split, split_index = build_rmp(inst, pool)
     for side, i in sorted(index.gsecs, key=lambda cut: (sorted(cut[0]), cut[1])):
         split.add_constr(*gsec_row(split_index.x, inst.nodes, side, i))
     split_out = solve_lp(split)
@@ -421,12 +417,12 @@ import json
 from stspgl.colgen import ColumnPool, build_rmp
 from stspgl.covers import make_cover
 from stspgl.mpbackend import solve_lp
-from stspgl.scenarios import deterministic_routing_costs, generate_instance
+from stspgl.scenarios import generate_instance
 
 inst = generate_instance(n=16, seed=1, n_requests=24, n_scenarios=4, theta=0.8, rho=0.2)
 pool = ColumnPool()
 pool.add(make_cover(inst, inst.requests))
-model, _index = build_rmp(inst, pool, deterministic_routing_costs(inst))
+model, _index = build_rmp(inst, pool)
 out = solve_lp(model)
 with open("/proc/self/status") as fh:
     peak_mb = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")) / 1024.0

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -18,7 +19,7 @@ from stspgl.evalcli import (
     vss_experiment,
     write_sweep_csv,
 )
-from stspgl.model import StspGlResult, build_instance, load_instance, save_instance
+from stspgl.model import ParameterError, StspGlResult, build_instance, load_instance, save_instance
 from stspgl.scenarios import generate_instance
 
 
@@ -423,3 +424,12 @@ def test_result_cover_is_the_served_request_set(method):
         doc = json.loads(run_method(method, inst, cfg60(seed)).to_json(inst))
         assert doc["served"]
         assert doc["cover"] == doc["served"]
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_every_method_rejects_theta_zero(d1, method):
+    # at theta 0 the heuristic scores only the empty cover, which routes no
+    # request; the search still needs the routing weights defined
+    zero = dataclasses.replace(d1, theta=0.0)
+    with pytest.raises(ParameterError, match="theta must be positive"):
+        run_method(method, zero, cfg60())

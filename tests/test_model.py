@@ -109,6 +109,43 @@ def test_instance_json_round_trip_coords(tmp_path):
     assert again.rounding == "euc2d"
 
 
+def _instance_doc(**overrides):
+    doc = {
+        "nodes": [{"id": 0, "x": 0.0, "y": 0.0}, {"id": 1, "x": 1.0, "y": 1.0},
+                  {"id": 2, "x": 2.0, "y": 0.0}],
+        "compulsory": [0],
+        "requests": [{"h": 0, "k": 1, "demand": [4.0, 2.0]},
+                     {"h": 2, "k": 1, "demand": [1.0, 3.0]}],
+        "theta": 0.8, "rho": 0.2, "alpha": 0.25, "rounding": "euc2d",
+    }
+    doc.update(overrides)
+    return doc
+
+
+@pytest.mark.parametrize("first, second", [([4.0, 2.0], [1.0, 3.0, 5.0]),
+                                           ([4.0, 2.0, 5.0], [1.0, 3.0])],
+                         ids=["shorter_first", "longer_first"])
+def test_load_rejects_uneven_demand_lists(tmp_path, first, second):
+    # with the shorter list first, the extra scenario was dropped; with the
+    # longer one first, a bare IndexError came out
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(_instance_doc(requests=[
+        {"h": 0, "k": 1, "demand": first}, {"h": 2, "k": 1, "demand": second}])))
+    want = rf"request \(2, 1\) lists {len(second)} demand scenarios, " \
+           rf"the first request lists {len(first)}"
+    with pytest.raises(ValueError, match=want):
+        load_instance(path)
+
+
+def test_load_rejects_an_unknown_rounding(tmp_path):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(_instance_doc()))
+    assert load_instance(path).design[0][1] == 1.0    # euc2d rounds sqrt(2) to 1
+    path.write_text(json.dumps(_instance_doc(rounding="EUC_2D")))
+    with pytest.raises(ValueError, match="unknown rounding 'EUC_2D'"):
+        load_instance(path)
+
+
 def test_round_trip_preserves_repaired_distances(tmp_path):
     # n=8 seed=3 draws coordinates whose rounded distances violate the
     # triangle inequality, so the matrix only matches if the load path
@@ -159,8 +196,8 @@ def _d1_solution(d1):
     )
 
 
-def test_objective_on_d1_cover_13(d1, d1_qtilde):
-    sub = SubInstance(inst=d1, nodes=(0, 1, 3), requests=((1, 3),), qtilde=d1_qtilde)
+def test_objective_on_d1_cover_13(d1):
+    sub = SubInstance(inst=d1, nodes=(0, 1, 3), requests=((1, 3),))
     sol = solution_from_tour(sub, [0, 1, 3])
     assert sol.tour_edges == _d1_solution(d1).tour_edges
     assert sol.served == ((1, 3),)

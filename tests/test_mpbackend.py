@@ -22,7 +22,7 @@ from stspgl.mpbackend import (
     solve_mip,
 )
 from stspgl.orchestrate import SearchConfig, run_mip_benchmark
-from stspgl.scenarios import deterministic_routing_costs, generate_instance, mean_scenario
+from stspgl.scenarios import generate_instance, mean_scenario
 from stspgl.tspgl import _tsp_mip, benders_solve_tspgl, make_subinstance
 
 
@@ -195,8 +195,7 @@ def test_each_mip_sends_its_own_option_set(monkeypatch):
 
     monkeypatch.setattr(mpbackend, "milp", spy)
     inst = generate_instance(n=7, seed=301, n_requests=5, n_scenarios=4, theta=0.7, rho=0.25)
-    qt = deterministic_routing_costs(inst)
-    sub = make_subinstance(inst, minimal_feasibility_cover(inst, inst.requests), qt)
+    sub = make_subinstance(inst, minimal_feasibility_cover(inst, inst.requests))
     pool = warm_start(sub)
     duals = DualPrices(iota={i: 0.0 for i in inst.nodes},
                        serve={hk: 0.0 for hk in inst.requests},

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    arc_cost,
     is_minimal,
     metrics_reference,
     served_demand_reference,
@@ -20,10 +21,9 @@ from oracles import (
     tour_path_cost,
 )
 from stspgl.covers import minimal_feasibility_cover
-from stspgl.model import OPTIMAL, ScenarioSet, cycles, edge
+from stspgl.model import OPTIMAL, ScenarioSet, build_instance, cycles, edge
 from stspgl.mpbackend import LinearModel, solve_lp
 from stspgl.scenarios import (
-    RoutingCostTable,
     chance_feasible,
     evaluate_metrics,
     generate_instance,
@@ -80,31 +80,34 @@ def test_cycles_rejects_paths_and_branches(drawn, data):
 @st.composite
 def tour_and_request(draw):
     """A tour over some of n nodes, a request between two of its nodes, and
-    random non-negative symmetric travel costs."""
+    an instance with random non-negative symmetric travel costs, not metric.
+
+    The request and its reverse have drawn demands d and d' in one scenario,
+    and theta is 0.1, so the request's routing weight 10 d / (d + d') lies
+    between about 0.001 and 10."""
     n = draw(st.integers(3, 9))
     tour = draw(st.permutations(range(n)))[:draw(st.integers(3, n))]
     h, k = draw(st.permutations(tour))[:2]
     upper = draw(st.lists(st.floats(0.0, 100.0), min_size=n * n, max_size=n * n))
-    travel = tuple(tuple(upper[min(i, j) * n + max(i, j)] if i != j else 0.0
-                         for j in range(n)) for i in range(n))
-    weight = draw(st.floats(0.01, 10.0))
-    return tour, (h, k), RoutingCostTable(travel=travel, weight={(h, k): weight})
+    travel = [[upper[min(i, j) * n + max(i, j)] if i != j else 0.0 for j in range(n)]
+              for i in range(n)]
+    demand = [[draw(st.floats(0.01, 100.0))], [draw(st.floats(0.0, 100.0))]]
+    inst = build_instance(compulsory=[h], requests=[(h, k), (k, h)], demand=demand,
+                          theta=0.1, rho=0.0, alpha=0.5, dist=travel)
+    return tour, (h, k), inst
 
 
 @PROPERTY
 @given(tour_and_request())
 def test_routing_subproblems_agree_along_the_tour(drawn):
-    tour, hk, qt = drawn
-
-    def cost(a, b):
-        return qt.cost(hk, a, b)
-
-    z = primal_subproblem(tour, hk, qt)
+    tour, hk, inst = drawn
+    cost = arc_cost(inst, hk)
+    z = primal_subproblem(tour, hk, inst)
     # the cheaper of the two walks from h to k round the tour, edge by edge,
     # costs z exactly, whichever way the tour is listed
     assert z == tour_path_cost(tour, *hk, cost) == tour_path_cost(tour[::-1], *hk, cost)
-    # the duals come from the same walks, priced arc by arc with qt.cost
-    duals = dual_subproblem(tour, hk, qt)
+    # the duals come from the same walks, priced arc by arc with `cost`
+    duals = dual_subproblem(tour, hk, inst)
     assert duals.objective == z
     u = {v: min(tour_path_cost(tour, hk[0], v, cost), z) for v in tour}
     assert duals.p == {v: z - u[v] for v in tour}

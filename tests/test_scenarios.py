@@ -14,7 +14,6 @@ from stspgl.model import (
 )
 from stspgl.scenarios import (
     chance_feasible,
-    deterministic_routing_costs,
     evaluate_metrics,
     generate_instance,
     mean_scenario,
@@ -22,11 +21,10 @@ from stspgl.scenarios import (
 
 
 def test_routing_weights_on_d1(d1):
-    qt = deterministic_routing_costs(d1)
     # each request carries all demand of one scenario: weight (10/5 + 0)/2 = 1
-    assert qt.weight[(1, 3)] == pytest.approx(1.0)
-    assert qt.weight[(2, 4)] == pytest.approx(1.0)
-    assert qt.cost((1, 3), 1, 3) == pytest.approx(2.0)
+    assert d1.routing_weight[(1, 3)] == pytest.approx(1.0)
+    assert d1.routing_weight[(2, 4)] == pytest.approx(1.0)
+    assert d1.design[1][3] * d1.routing_weight[(1, 3)] == pytest.approx(2.0)
 
 
 def test_routing_weights_scale_inversely_with_theta(d1):
@@ -39,7 +37,7 @@ def test_routing_weights_scale_inversely_with_theta(d1):
         alpha=d1.alpha,
         dist=[[abs(i - j) for j in range(5)] for i in range(5)],
     )
-    assert deterministic_routing_costs(lax).weight[(1, 3)] == pytest.approx(2.0)
+    assert lax.routing_weight[(1, 3)] == pytest.approx(2.0)
 
 
 def test_routing_costs_reject_zero_theta(d1):
@@ -52,8 +50,25 @@ def test_routing_costs_reject_zero_theta(d1):
         alpha=0.25,
         dist=[[abs(i - j) for j in range(5)] for i in range(5)],
     )
-    with pytest.raises(ParameterError):
-        deterministic_routing_costs(zero)
+    with pytest.raises(ParameterError, match="theta must be positive"):
+        zero.routing_weight
+
+
+def test_routing_weights_belong_to_their_own_instance():
+    # the weights are read first, so a copy that inherited the cache would
+    # show the old values
+    inst = generate_instance(n=7, seed=3, n_requests=6, n_scenarios=4, theta=0.7, rho=0.3)
+    weight = dict(inst.routing_weight)
+    # theta/2 halves each divisor exactly, so each weight doubles exactly
+    half = dataclasses.replace(inst, theta=inst.theta / 2)
+    assert half.routing_weight == {hk: 2.0 * w for hk, w in weight.items()}
+    det = mean_scenario(inst)
+    row = det.scenarios.demand[0]
+    own = {hk: row[r] / (det.theta * det.scenarios.total(0))
+           for r, hk in enumerate(det.requests)}
+    assert det.routing_weight == own
+    assert det.routing_weight != weight
+    assert inst.routing_weight == weight
 
 
 def test_required_scenario_count_basics():

@@ -14,6 +14,7 @@ import pytest
 
 import stspgl
 from oracles import (
+    arc_cost,
     enumerate_minimal_covers,
     held_karp_reference,
     lp_duals,
@@ -24,11 +25,11 @@ from oracles import (
     tour_path_cost,
     warm_start,
 )
-from stspgl import mpbackend, tspgl
+from stspgl import colgen, mpbackend, orchestrate, tspgl
 from stspgl.covers import make_cover, minimal_feasibility_cover
-from stspgl.model import OPTIMAL, Instance, cycles, edge
+from stspgl.model import OPTIMAL, Instance, build_instance, cycles, edge
 from stspgl.mpbackend import LinearModel, solve_lp, solve_mip
-from stspgl.scenarios import RoutingCostTable, deterministic_routing_costs, generate_instance
+from stspgl.scenarios import generate_instance
 from stspgl.tspgl import (
     ABORTED,
     GSEC_EPS,
@@ -51,8 +52,7 @@ from stspgl.tspgl import (
 
 
 def _sub(inst, requests):
-    qt = deterministic_routing_costs(inst)
-    return make_subinstance(inst, make_cover(inst, requests), qt)
+    return make_subinstance(inst, make_cover(inst, requests))
 
 
 def test_symmetric_tsp_tiny_cases(d1):
@@ -228,12 +228,11 @@ def test_cover_bounds_sandwich_random():
     for seed in range(10):
         inst = generate_instance(n=7, seed=seed, n_requests=5, n_scenarios=3,
                                  theta=0.7, rho=0.3)
-        qt = deterministic_routing_costs(inst)
         cov = minimal_feasibility_cover(inst, inst.requests)
-        sub = make_subinstance(inst, cov, qt)
+        sub = make_subinstance(inst, cov)
         b = cover_bounds(sub, CutPool())
         assert b.lb <= b.ub + 1e-9
-        want, _ = oracle_tspgl(inst, qt, cov.requests)
+        want, _ = oracle_tspgl(inst, cov.requests)
         assert b.lb <= want + 1e-9
         assert want <= b.ub + 1e-9
 
@@ -249,17 +248,17 @@ def test_cover_bounds_uses_cutpool_cache(d1):
     assert first.lb == pytest.approx(0.75 * 6.0 + 0.25 * 2.0)
 
 
-def test_primal_subproblem_on_d1(d1, d1_qtilde):
+def test_primal_subproblem_on_d1(d1):
     # direct arc costs 2, the long way around costs 1 + 3
-    assert primal_subproblem([0, 1, 3], (1, 3), d1_qtilde) == 2.0
-    assert primal_subproblem([3, 1, 0], (1, 3), d1_qtilde) == 2.0
+    assert primal_subproblem([0, 1, 3], (1, 3), d1) == 2.0
+    assert primal_subproblem([3, 1, 0], (1, 3), d1) == 2.0
 
 
-def test_primal_subproblem_endpoint_off_tour(d1, d1_qtilde):
-    assert primal_subproblem([0, 1, 3], (2, 4), d1_qtilde) == math.inf
+def test_primal_subproblem_endpoint_off_tour(d1):
+    assert primal_subproblem([0, 1, 3], (2, 4), d1) == math.inf
 
 
-def _flow_lp_value(nodes, tour_seq, hk, qtilde):
+def _flow_lp_value(nodes, tour_seq, hk, inst):
     xval = {e: 0.0 for e in itertools.combinations(sorted(nodes), 2)}
     for t in range(len(tour_seq)):
         xval[edge(tour_seq[t], tour_seq[(t + 1) % len(tour_seq)])] = 1.0
@@ -269,7 +268,7 @@ def _flow_lp_value(nodes, tour_seq, hk, qtilde):
     for i in nodes:
         for j in nodes:
             if i != j:
-                f[(i, j)] = m.add_var(lb=0.0, obj=qtilde.cost(hk, i, j))
+                f[(i, j)] = m.add_var(lb=0.0, obj=arc_cost(inst, hk)(i, j))
     for i in nodes:
         coeffs = {}
         for j in nodes:
@@ -291,18 +290,17 @@ def test_primal_subproblem_matches_flow_lp_on_random_tours():
     rng = random.Random(17)
     for seed in range(6):
         inst = generate_instance(n=6, seed=100 + seed, n_requests=4, n_scenarios=3)
-        qt = deterministic_routing_costs(inst)
         nodes = list(inst.nodes)
         rng.shuffle(nodes)
         tour = nodes[: rng.randint(4, 6)]
         for hk in inst.requests:
             if hk[0] not in tour or hk[1] not in tour:
                 continue
-            z = primal_subproblem(tour, hk, qt)
-            assert z == pytest.approx(_flow_lp_value(tour, tour, hk, qt), abs=1e-7)
+            z = primal_subproblem(tour, hk, inst)
+            assert z == pytest.approx(_flow_lp_value(tour, tour, hk, inst), abs=1e-7)
 
 
-def _walk_distance(tour, hk, qt, v):
+def _walk_distance(tour, hk, inst, v):
     """Cheaper of the two walks from h to v round the tour, edge by edge."""
     n, start = len(tour), tour.index(hk[0])
     walks = []
@@ -310,7 +308,7 @@ def _walk_distance(tour, hk, qt, v):
         cost, at = 0.0, start
         while tour[at] != v:
             nxt = (at + step) % n
-            cost += qt.cost(hk, tour[at], tour[nxt])
+            cost += arc_cost(inst, hk)(tour[at], tour[nxt])
             at = nxt
         walks.append(cost)
     return min(walks)
@@ -320,28 +318,27 @@ def test_dual_subproblem_strong_duality_random():
     rng = random.Random(23)
     for seed in range(6):
         inst = generate_instance(n=7, seed=200 + seed, n_requests=5, n_scenarios=3)
-        qt = deterministic_routing_costs(inst)
         tour = list(inst.nodes)
         rng.shuffle(tour)
         for hk in inst.requests:
-            z = primal_subproblem(tour, hk, qt)
-            fast = dual_subproblem(tour, hk, qt)
+            z = primal_subproblem(tour, hk, inst)
+            fast = dual_subproblem(tour, hk, inst)
             assert fast.objective == z
-            lp = lp_duals(tour, hk, qt, sorted(tour))
+            lp = lp_duals(tour, hk, inst, sorted(tour))
             assert lp.objective == pytest.approx(z, abs=1e-6)
             # the running sums add the same edge costs in the same order as
             # a separate walk to each node, so the floats are equal
-            dist = {v: _walk_distance(tour, hk, qt, v) for v in tour}
+            dist = {v: _walk_distance(tour, hk, inst, v) for v in tour}
             assert z == dist[hk[1]]
             assert fast.p == {v: z - min(dist[v], z) for v in tour}
             # the arc gains lam_ij = max(0, u_j - u_i - c_ij) of the potentials
             # u = z - p keep every arc's dual row feasible, and lambda-bar
             # holds their positive edge sums only
             u = {v: z - fast.p[v] for v in tour}
-            lam = {(i, j): max(0.0, u[j] - u[i] - qt.cost(hk, i, j))
+            lam = {(i, j): max(0.0, u[j] - u[i] - arc_cost(inst, hk)(i, j))
                    for i in tour for j in tour if i != j}
             for (i, j), gain in lam.items():
-                assert fast.p[i] - fast.p[j] - gain <= qt.cost(hk, i, j) + 1e-9
+                assert fast.p[i] - fast.p[j] - gain <= arc_cost(inst, hk)(i, j) + 1e-9
             assert all(val > 0.0 for val in fast.lambda_bar.values())
             for a, b in itertools.combinations(sorted(tour), 2):
                 assert fast.lambda_bar.get((a, b), 0.0) == \
@@ -361,10 +358,10 @@ def _optimality_cut(duals, origin, nodes):
     return {edge_of[col]: val for col, val in coeffs.items()}, rhs
 
 
-def _uncapped_lambda_bar(tour, hk, qt):
+def _uncapped_lambda_bar(tour, hk, inst):
     """Edge multipliers of the potentials u_v = d(v), without the cap."""
-    u = {v: _walk_distance(tour, hk, qt, v) for v in tour}
-    lam = {(i, j): max(0.0, u[j] - u[i] - qt.cost(hk, i, j))
+    u = {v: _walk_distance(tour, hk, inst, v) for v in tour}
+    lam = {(i, j): max(0.0, u[j] - u[i] - arc_cost(inst, hk)(i, j))
            for i in tour for j in tour if i != j}
     return {(a, b): lam[(a, b)] + lam[(b, a)] for a, b in itertools.combinations(sorted(tour), 2)}
 
@@ -374,20 +371,19 @@ def test_capped_cut_dominates_uncapped():
     strictly_smaller = 0
     for seed in range(6):
         inst = generate_instance(n=8, seed=400 + seed, n_requests=6, n_scenarios=3)
-        qt = deterministic_routing_costs(inst)
         for _ in range(4):
             tour = list(inst.nodes)
             rng.shuffle(tour)
             requests = rng.sample(list(inst.requests), rng.randint(1, len(inst.requests)))
-            duals = {hk: dual_subproblem(tour, hk, qt) for hk in requests}
+            duals = {hk: dual_subproblem(tour, hk, inst) for hk in requests}
             for h in sorted({hk[0] for hk in requests}):
                 coeffs, rhs = _optimality_cut(duals, h, tour)
                 mine = sorted(hk for hk in requests if hk[0] == h)
                 uncapped = {}
                 for hk in mine:
-                    for e, val in _uncapped_lambda_bar(tour, hk, qt).items():
+                    for e, val in _uncapped_lambda_bar(tour, hk, inst).items():
                         uncapped[e] = uncapped.get(e, 0.0) + val
-                assert rhs == sum(_walk_distance(tour, hk, qt, hk[1]) for hk in mine)
+                assert rhs == sum(_walk_distance(tour, hk, inst, hk[1]) for hk in mine)
                 for e, val in uncapped.items():
                     capped = coeffs.get(e, 0.0)
                     assert capped <= val
@@ -395,16 +391,55 @@ def test_capped_cut_dominates_uncapped():
     assert strictly_smaller > 0
 
 
+def test_flow_columns_cost_alpha_times_design_times_weight(monkeypatch):
+    # every flow column of the master and of the compact MIP, bit for bit;
+    # with alpha = 0.3 the other grouping, (alpha * design) * w, differs
+    inst = generate_instance(n=6, seed=5, n_requests=5, n_scenarios=3, theta=0.7, rho=0.3,
+                             alpha=0.3)
+    built = []
+    real = tspgl.add_flow_vars
+
+    def spy(model, inst, hk):
+        built.append((model, hk, real(model, inst, hk)))
+        return built[-1][2]
+
+    monkeypatch.setattr(colgen, "add_flow_vars", spy)
+    monkeypatch.setattr(orchestrate, "add_flow_vars", spy)
+    pool = colgen.ColumnPool()
+    pool.add(make_cover(inst, inst.requests))
+    regrouped = 0
+    for model in (colgen.build_rmp(inst, pool)[0], orchestrate._benchmark_model(inst)[0]):
+        flows = [(hk, f) for m, hk, f in built if m is model]
+        assert [hk for hk, _f in flows] == list(inst.requests)
+        obj = model._arrays()[0]
+        for hk, f in flows:
+            w = inst.routing_weight[hk]
+            assert len(f) == inst.n * (inst.n - 1)
+            for (i, j), col in f.items():
+                assert obj[col] == inst.alpha * (inst.design[i][j] * w)
+                regrouped += obj[col] != (inst.alpha * inst.design[i][j]) * w
+    assert regrouped > 0
+
+
+def _d1_with_demand(d1, demand):
+    """d1 with other demands, one list of scenario values per request."""
+    return build_instance(compulsory=d1.compulsory, requests=d1.requests, demand=demand,
+                          theta=d1.theta, rho=d1.rho, alpha=d1.alpha, dist=d1.design)
+
+
 def test_dual_subproblem_zero_costs(d1):
-    zero = RoutingCostTable(travel=d1.design, weight={(1, 3): 0.0, (2, 4): 0.0})
+    # a request without demand has routing weight 0
+    zero = _d1_with_demand(d1, [[0.0, 0.0], [10.0, 10.0]])
+    assert zero.routing_weight[(1, 3)] == 0.0
     duals = dual_subproblem([0, 1, 3], (1, 3), zero)
     assert duals.objective == 0.0
 
 
 def test_dual_subproblem_raises_when_duals_miss_the_path_cost(d1):
     # under negative costs the tour walk is no shortest path, so the duals
-    # built from it cannot reach the path cost
-    negative = RoutingCostTable(travel=d1.design, weight={(1, 3): -1.0, (2, 4): -1.0})
+    # built from it cannot reach the path cost; weight (-10/5 + 0/5)/2 = -1
+    negative = _d1_with_demand(d1, [[-10.0, 0.0], [20.0, 10.0]])
+    assert negative.routing_weight[(1, 3)] == -1.0
     with pytest.raises(RuntimeError, match=r"\(1, 3\) reach .*, the primal path costs -4\.0"):
         dual_subproblem([0, 1, 3], (1, 3), negative)
 
@@ -472,13 +507,12 @@ def test_gsec_rows_hold_for_every_cover_tour(case, d1):
                                     theta=0.7, rho=0.25),
             "n8": generate_instance(n=8, seed=1, n_requests=7, n_scenarios=4,
                                     theta=0.7, rho=0.25)}[case]
-    qt = deterministic_routing_costs(inst)
     root = min(inst.compulsory)
     nodes = list(inst.nodes)
     x = {e: col for col, e in enumerate(itertools.combinations(nodes, 2))}
     tours = []
     for cover in enumerate_minimal_covers(inst):
-        _val, seq = oracle_tspgl(inst, qt, cover)
+        _val, seq = oracle_tspgl(inst, cover)
         values = [0.0] * len(x)
         for t in range(len(seq)):
             values[x[edge(seq[t], seq[(t + 1) % len(seq)])]] = 1.0
@@ -508,7 +542,7 @@ def test_gsec_row_coefficients():
 def test_aggregated_cut_tight_at_generating_tour(d1):
     sub = _sub(d1, list(d1.requests))
     seq, _val, _ = symmetric_tsp(sub.nodes, d1.design)
-    duals = {hk: dual_subproblem(seq, hk, sub.qtilde) for hk in sub.requests}
+    duals = {hk: dual_subproblem(seq, hk, sub.inst) for hk in sub.requests}
     for h in sub.origins():
         coeffs, rhs = _optimality_cut(duals, h, sub.nodes)
         xval = {e: 0.0 for e in itertools.combinations(sub.nodes, 2)}
@@ -516,7 +550,7 @@ def test_aggregated_cut_tight_at_generating_tour(d1):
             xval[edge(seq[t], seq[(t + 1) % len(seq)])] = 1.0
         lhs_x = sum(coeffs.get(e, 0.0) * xval[e] for e in itertools.combinations(sub.nodes, 2))
         true_h = sum(
-            primal_subproblem(seq, hk, sub.qtilde) for hk in sub.requests if hk[0] == h
+            primal_subproblem(seq, hk, sub.inst) for hk in sub.requests if hk[0] == h
         )
         assert true_h + lhs_x == pytest.approx(rhs, abs=1e-9)
 
@@ -524,11 +558,10 @@ def test_aggregated_cut_tight_at_generating_tour(d1):
 @pytest.mark.parametrize("n, seed", [(6, 77), (7, 11), (7, 303)])
 def test_aggregated_cut_valid_for_all_tours(n, seed):
     inst = generate_instance(n=n, seed=seed, n_requests=4, n_scenarios=3, theta=0.7, rho=0.3)
-    qt = deterministic_routing_costs(inst)
     cov = minimal_feasibility_cover(inst, inst.requests)
-    sub = make_subinstance(inst, cov, qt)
+    sub = make_subinstance(inst, cov)
     base_seq, _v, _ = symmetric_tsp(sub.nodes, inst.design)
-    duals = {hk: dual_subproblem(base_seq, hk, qt) for hk in sub.requests}
+    duals = {hk: dual_subproblem(base_seq, hk, inst) for hk in sub.requests}
     nodes = list(sub.nodes)
     for h in sub.origins():
         coeffs, rhs = _optimality_cut(duals, h, nodes)
@@ -538,7 +571,7 @@ def test_aggregated_cut_valid_for_all_tours(n, seed):
             for t in range(len(seq)):
                 xval[edge(seq[t], seq[(t + 1) % len(seq)])] = 1.0
             eta_true = sum(
-                primal_subproblem(seq, hk, qt) for hk in sub.requests if hk[0] == h
+                primal_subproblem(seq, hk, inst) for hk in sub.requests if hk[0] == h
             )
             lhs = eta_true + sum(coeffs.get(e, 0.0) * xval[e] for e in itertools.combinations(sub.nodes, 2))
             assert lhs >= rhs - 1e-9
@@ -577,9 +610,8 @@ def test_benders_matches_direct_on_random_subinstances():
     for seed in range(12):
         inst = generate_instance(n=7, seed=300 + seed, n_requests=5, n_scenarios=4,
                                  theta=0.7, rho=0.25)
-        qt = deterministic_routing_costs(inst)
         cov = minimal_feasibility_cover(inst, inst.requests)
-        sub = make_subinstance(inst, cov, qt)
+        sub = make_subinstance(inst, cov)
         ben = benders_solve_tspgl(sub, warm_start(sub))
         direct = solve_tspgl_direct(sub)
         assert ben.status == OPTIMAL
@@ -596,8 +628,7 @@ def test_benders_optimum_does_not_need_primal_heuristics(monkeypatch):
     for seed in range(6):
         inst = generate_instance(n=11, seed=320 + seed, n_requests=12, n_scenarios=4,
                                  theta=0.8, rho=0.2)
-        qt = deterministic_routing_costs(inst)
-        sub = make_subinstance(inst, minimal_feasibility_cover(inst, inst.requests), qt)
+        sub = make_subinstance(inst, minimal_feasibility_cover(inst, inst.requests))
         with monkeypatch.context() as patch:
             patch.setattr(mpbackend, "solve_mip",
                           lambda model, **kw: solve_mip(model, **{**kw, "tuning": {}}))
@@ -610,8 +641,7 @@ def test_benders_optimum_does_not_need_primal_heuristics(monkeypatch):
 def _n9_sub():
     # the Benders loop needs 9 master MIPs on this cover
     inst = generate_instance(n=9, seed=3, n_requests=12, n_scenarios=4, theta=0.8, rho=0.2)
-    return make_subinstance(inst, minimal_feasibility_cover(inst, inst.requests),
-                            deterministic_routing_costs(inst))
+    return make_subinstance(inst, minimal_feasibility_cover(inst, inst.requests))
 
 
 def _master_spy(monkeypatch) -> list:
@@ -669,8 +699,7 @@ def test_benders_iterations_count_master_mips(monkeypatch):
         inst = generate_instance(n=11 if seed >= 320 else 7, seed=seed,
                                  n_requests=12 if seed >= 320 else 5, n_scenarios=4,
                                  theta=0.8, rho=0.2)
-        sub = make_subinstance(inst, minimal_feasibility_cover(inst, inst.requests),
-                               deterministic_routing_costs(inst))
+        sub = make_subinstance(inst, minimal_feasibility_cover(inst, inst.requests))
         pool = CutPool()
         lb = cover_bounds(sub, pool).lb
         ub = math.inf if ub_shift is None else lb + ub_shift
@@ -683,11 +712,11 @@ def test_benders_iterations_count_master_mips(monkeypatch):
     assert benders_solve_tspgl(n9, warm_start(n9)).iterations == len(masters) == 9
 
 
-def test_direct_solver_enumeration_case(d1, d1_qtilde):
+def test_direct_solver_enumeration_case(d1):
     sub = _sub(d1, [(1, 3)])
     out = solve_tspgl_direct(sub)
     assert out.status == OPTIMAL
-    want, _seq = oracle_tspgl(d1, d1_qtilde, [(1, 3)])
+    want, _seq = oracle_tspgl(d1, [(1, 3)])
     assert out.solution.objective == pytest.approx(want)
     assert structural_violations(out.solution, d1) == []
 
@@ -701,8 +730,7 @@ def test_direct_solver_alpha_extremes():
         requests=inst.requests, scenarios=inst.scenarios, alpha=0.0,
         theta=inst.theta, rho=inst.rho, rounding=inst.rounding, coords=inst.coords,
     )
-    qt0 = deterministic_routing_costs(at0)
-    sub0 = make_subinstance(at0, make_cover(at0, cov.requests), qt0)
+    sub0 = make_subinstance(at0, make_cover(at0, cov.requests))
     out0 = solve_tspgl_direct(sub0)
     _seq, tsp_val, _ = symmetric_tsp(sub0.nodes, at0.design)
     assert out0.solution.objective == pytest.approx(tsp_val, rel=1e-9)
@@ -712,14 +740,13 @@ def test_direct_solver_alpha_extremes():
         requests=inst.requests, scenarios=inst.scenarios, alpha=1.0,
         theta=inst.theta, rho=inst.rho, rounding=inst.rounding, coords=inst.coords,
     )
-    qt1 = deterministic_routing_costs(at1)
-    sub1 = make_subinstance(at1, make_cover(at1, cov.requests), qt1)
+    sub1 = make_subinstance(at1, make_cover(at1, cov.requests))
     out1 = solve_tspgl_direct(sub1)
-    want, _ = oracle_tspgl(at1, qt1, cov.requests)
+    want, _ = oracle_tspgl(at1, cov.requests)
     assert out1.solution.objective == pytest.approx(want, rel=1e-9)
 
 
-def test_restriction_matches_full_graph_enumeration(d1, d1_qtilde):
+def test_restriction_matches_full_graph_enumeration(d1):
     # the restricted subgraph loses nothing: enumerate tours over every
     # superset of the cover's nodes and compare with the restricted optimum
     sub = _sub(d1, [(1, 3)])
@@ -736,10 +763,10 @@ def test_restriction_matches_full_graph_enumeration(d1, d1_qtilde):
             for perm in itertools.permutations(rest):
                 seq = [first, *perm]
                 design = sum(
-                    d1.cbar(seq[t], seq[(t + 1) % len(seq)]) for t in range(len(seq))
+                    d1.design[seq[t]][seq[(t + 1) % len(seq)]] for t in range(len(seq))
                 )
                 routing = sum(
-                    tour_path_cost(seq, hk[0], hk[1], lambda a, b: d1_qtilde.cost(hk, a, b))
+                    tour_path_cost(seq, hk[0], hk[1], arc_cost(d1, hk))
                     for hk in sub.requests
                 )
                 best = min(best, 0.75 * design + 0.25 * routing)
