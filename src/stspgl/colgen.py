@@ -19,12 +19,10 @@ from .covers import FeasibilityCover, minimal_feasibility_cover
 from .model import OPTIMAL, TIME_LIMIT, Edge, Instance, Request, csv_line
 from .mpbackend import PRICING_IP, RC_EPS, LinearModel, SolveOutcome, solve_mip
 from .tspgl import (
+    add_degree_rows,
     add_edge_vars,
-    add_flow_vars,
-    add_linking_rows,
+    add_routing,
     add_service_rows,
-    degree_coeffs,
-    flow_coeffs,
     gsec_row,
     separate_gsecs,
 )
@@ -60,7 +58,7 @@ class RmpIndex:
     chi: Dict[Tuple[Request, ...], int]     # cover key -> chi column, in pool order
     convex_row: int
     link_rows: Dict[int, int]
-    flow_rows: Dict[Tuple[Request, int], int]
+    flow_rows: Dict[Request, Tuple[int, int]]    # request -> its flow rows at h and at k
     x: Dict[Edge, int]                      # edge -> design column
     gsecs: Set[Tuple[FrozenSet[int], int]] = field(default_factory=set)   # (S, i) rows added
 
@@ -77,17 +75,11 @@ def build_rmp(inst: Instance, pool: ColumnPool) -> Tuple[LinearModel, RmpIndex]:
         raise ValueError("column pool must contain at least one cover")
     model = LinearModel()
     x = add_edge_vars(model, inst.nodes, inst.design, scale=1.0 - inst.alpha)
-    flows = {hk: add_flow_vars(model, inst, hk) for hk in inst.requests}
-    index = RmpIndex(chi={}, convex_row=model.add_constr({}, "==", 1.0),
-                     link_rows={}, flow_rows={}, x=x)
-    for i in inst.nodes:
-        index.link_rows[i] = model.add_constr(degree_coeffs(x, i, inst.nodes), "==", 0.0)
-    for hk, f in flows.items():
-        for i in inst.nodes:
-            index.flow_rows[(hk, i)] = model.add_constr(flow_coeffs(f, i, inst.nodes),
-                                                        "==", 0.0)
-    for f in flows.values():
-        add_linking_rows(model, x, f)
+    convex_row = model.add_constr({}, "==", 1.0)
+    link_rows = add_degree_rows(model, x, inst.nodes, 0.0)
+    flow_rows = {hk: add_routing(model, inst, x, hk) for hk in inst.requests}
+    index = RmpIndex(chi={}, convex_row=convex_row, link_rows=link_rows,
+                     flow_rows=flow_rows, x=x)
     extend_rmp(model, index, pool)
     return model, index
 
@@ -107,8 +99,9 @@ def extend_rmp(model: LinearModel, index: RmpIndex, pool: ColumnPool) -> bool:
         for i in sorted(cover.visited):
             rows[index.link_rows[i]] = -2.0
         for hk in cover.requests:
-            rows[index.flow_rows[(hk, hk[0])]] = -1.0
-            rows[index.flow_rows[(hk, hk[1])]] = 1.0
+            row_h, row_k = index.flow_rows[hk]
+            rows[row_h] = -1.0
+            rows[row_k] = 1.0
         index.chi[cover.requests] = model.add_var(lb=0.0, rows=rows)
     changed = bool(new)
     for requests in pool.branched:
@@ -137,10 +130,9 @@ def add_gsec_rows(inst: Instance, model: LinearModel, index: RmpIndex,
 def extract_duals(index: RmpIndex, outcome: SolveOutcome) -> DualPrices:
     if outcome.duals is None:
         raise ValueError("dual prices require an optimal LP outcome")
-    duals, flow = outcome.duals, index.flow_rows
+    duals = outcome.duals
     iota = {i: duals[row] for i, row in index.link_rows.items()}
-    serve = {hk: duals[flow[(hk, hk[0])]] - duals[flow[(hk, hk[1])]]
-             for hk, i in flow if i == hk[0]}
+    serve = {hk: duals[row_h] - duals[row_k] for hk, (row_h, row_k) in index.flow_rows.items()}
     return DualPrices(iota=iota, serve=serve, beta=duals[index.convex_row])
 
 

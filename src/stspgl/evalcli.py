@@ -193,6 +193,9 @@ class ExperimentSpec:
     out_dir: str = "bench_out"
 
     def __post_init__(self):
+        for key in ("instances", "methods", "seeds"):
+            if isinstance(getattr(self, key), str):
+                raise ValueError(f"spec key {key!r} takes a list, not a string")
         self.instances = list(self.instances)
         self.methods = list(self.methods)
         self.seeds = [int(s) for s in self.seeds]
@@ -201,6 +204,7 @@ class ExperimentSpec:
         self.out_dir = str(self.out_dir)
 
     def validate(self) -> None:
+        make_config(self.time_limit, self.gap_target).validate()
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}")

@@ -22,7 +22,6 @@ from .model import (
     OPTIMAL,
     FEASIBLE,
     TIME_LIMIT,
-    Arc,
     Edge,
     Instance,
     Request,
@@ -49,18 +48,15 @@ from .tspgl import (
     ABORTED,
     INCUMBENT_EPS,
     CutPool,
+    add_degree_rows,
     add_edge_vars,
-    add_flow_vars,
-    add_linking_rows,
+    add_routing,
     add_service_rows,
     benders_solve_tspgl,
     chosen_edges,
     cover_bounds,
-    degree_coeffs,
-    flow_coeffs,
     make_subinstance,
     solution_from_tour,
-    supply,
 )
 
 SUPPORT_EPS = 1e-6          # chi values above this count as basis support
@@ -201,29 +197,16 @@ def _benchmark_model(inst: Instance):
     model = LinearModel()
     x = add_edge_vars(model, inst.nodes, inst.design, scale=1.0 - inst.alpha,
                       integer=True)
-    w = {i: model.add_var(lb=1.0 if i in inst.compulsory else 0.0, ub=1.0, integer=True)
+    degree = add_degree_rows(model, x, inst.nodes, 0.0)
+    w = {i: model.add_var(lb=1.0 if i in inst.compulsory else 0.0, ub=1.0, integer=True,
+                          rows={degree[i]: -2.0})
          for i in inst.nodes}
     z: Dict[Request, int] = {}
-    flows: Dict[Request, Dict[Arc, int]] = {}
     for hk in inst.requests:
         z[hk] = model.add_var(lb=0.0, ub=1.0, integer=True)
-        flows[hk] = add_flow_vars(model, inst, hk)
-
-    for i in inst.nodes:
-        coeffs = degree_coeffs(x, i, inst.nodes)
-        coeffs[w[i]] = -2.0
-        model.add_constr(coeffs, "==", 0.0)
-    for hk, f in flows.items():
-        h, k = hk
-        model.add_constr({w[h]: 1.0, z[hk]: -1.0}, ">=", 0.0)
-        model.add_constr({w[k]: 1.0, z[hk]: -1.0}, ">=", 0.0)
-        for i in inst.nodes:
-            coeffs = flow_coeffs(f, i, inst.nodes)
-            sign = supply(hk, i)
-            if sign:
-                coeffs[z[hk]] = -sign
-            model.add_constr(coeffs, "==", 0.0)
-        add_linking_rows(model, x, f)
+        model.add_constr({w[hk[0]]: 1.0, z[hk]: -1.0}, ">=", 0.0)
+        model.add_constr({w[hk[1]]: 1.0, z[hk]: -1.0}, ">=", 0.0)
+        add_routing(model, inst, x, hk, served=z[hk])
     add_service_rows(model, inst, z)
     return model, x, w, z
 

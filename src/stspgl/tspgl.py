@@ -6,8 +6,10 @@ N'(Q) (compulsory nodes plus cover endpoints) minimizing
 of flow along the cheapest tour-constrained path. It is solved by a Benders
 loop: the master picks the tour, per-request shortest paths price it.
 
-The module also holds the tour and flow blocks every model shares, and the
-subtour separation of both integer tours and fractional edge values.
+The module also holds the blocks every model shares: the edge columns, the
+degree rows, and the routing block of one request (arc flows, conservation
+and linking rows) that the restricted master and the compact MIP both use.
+It also separates subtours of both integer tours and fractional edge values.
 """
 
 from __future__ import annotations
@@ -219,8 +221,7 @@ def _tsp_mip(nodes: List[int], cost, deadline: float
              ) -> Optional[Tuple[List[int], float, List[FrozenSet[int]]]]:
     model = LinearModel()
     x = add_edge_vars(model, nodes, cost, integer=True)
-    for i in nodes:
-        model.add_constr(degree_coeffs(x, i, nodes), "==", 2.0)
+    add_degree_rows(model, x, nodes, 2.0)
     found: List[FrozenSet[int]] = []
 
     def cut_source(out: SolveOutcome):
@@ -242,11 +243,13 @@ def _tsp_mip(nodes: List[int], cost, deadline: float
     return tours[0], out.objective, found
 
 
-# --- tour and flow blocks shared by every model -----------------------------
+# --- tour and routing blocks shared by every model --------------------------
 #
-# One design column per edge (a, b), a < b, and one flow column per arc of
-# each request. Each builder adds its columns in lexicographic order and
-# returns the map from edge or arc to column handle.
+# One design column per edge (a, b), a < b, in lexicographic order, and one
+# degree row per node: the tour models ask for degree 2, the restricted
+# master and the compact MIP for 0, with each stop column entering at -2.
+# The master and the compact MIP route each request through one block of
+# arc flows, conservation rows and linking rows, built in the same order.
 
 def add_edge_vars(model: LinearModel, nodes: Sequence[int], cost, scale: float = 1.0,
                   integer: bool = False) -> Dict[Edge, int]:
@@ -257,45 +260,42 @@ def add_edge_vars(model: LinearModel, nodes: Sequence[int], cost, scale: float =
     }
 
 
-def degree_coeffs(x: Dict[Edge, int], i: int, nodes: Iterable[int]) -> Dict[int, float]:
-    """Coefficients of node i's degree: its edges to the other `nodes`."""
-    return {x[edge(i, j)]: 1.0 for j in nodes if j != i}
+def add_degree_rows(model: LinearModel, x: Dict[Edge, int], nodes: Sequence[int],
+                    rhs: float) -> Dict[int, int]:
+    """x(δ(i)) == rhs for every node i, over its edges to the other `nodes`;
+    returns each node's row."""
+    return {i: model.add_constr({x[edge(i, j)]: 1.0 for j in nodes if j != i}, "==", rhs)
+            for i in nodes}
 
 
-def add_flow_vars(model: LinearModel, inst: Instance, hk: Request) -> Dict[Arc, int]:
-    """Arc flows of one request over every node pair, arc (i, j) costing
-    alpha * (design[i][j] * the request's routing weight)."""
-    w = inst.routing_weight[hk]
-    return {
-        (i, j): model.add_var(lb=0.0, obj=inst.alpha * (inst.design[i][j] * w))
-        for i in inst.nodes for j in inst.nodes if i != j
-    }
+def add_routing(model: LinearModel, inst: Instance, x: Dict[Edge, int], hk: Request,
+                served: Optional[int] = None) -> Tuple[int, int]:
+    """One request's routing block; returns its conservation rows at h and k.
 
-
-def flow_coeffs(f: Dict[Arc, int], i: int, nodes: Iterable[int]) -> Dict[int, float]:
-    """Outflow minus inflow of one request's flow at node i."""
-    coeffs: Dict[int, float] = {}
-    for j in nodes:
-        if j != i:
-            coeffs[f[(i, j)]] = 1.0
-            coeffs[f[(j, i)]] = -1.0
-    return coeffs
-
-
-def supply(hk: Request, i: int) -> float:
-    """Net outflow a request's flow needs at node i: 1 at h, -1 at k."""
-    return 1.0 if i == hk[0] else (-1.0 if i == hk[1] else 0.0)
-
-
-def add_linking_rows(model: LinearModel, x: Dict[Edge, int], f: Dict[Arc, int]) -> None:
-    """f_ab + f_ba <= x_ab, one row per edge.
-
-    It replaces f_ab <= x_ab and f_ba <= x_ab without changing any LP or MIP
-    optimum: routing costs are non-negative, so a flow on both arcs of an
-    edge can cancel the smaller amount without costing more.
+    Arc flows over every node pair, arc (i, j) costing alpha * (design[i][j]
+    * the request's routing weight); one row per node, outflow minus inflow
+    == 0, with the column `served` (when given) last at h (-1) and at k
+    (+1); and f_ab + f_ba <= x_ab per edge. The paired row replaces f_ab <=
+    x_ab and f_ba <= x_ab without changing any LP or MIP optimum: routing
+    costs are non-negative, so a flow on both arcs of an edge can cancel the
+    smaller amount without costing more.
     """
+    w = inst.routing_weight[hk]
+    f = {(i, j): model.add_var(lb=0.0, obj=inst.alpha * (inst.design[i][j] * w))
+         for i in inst.nodes for j in inst.nodes if i != j}
+    rows: Dict[int, int] = {}
+    for i in inst.nodes:
+        coeffs: Dict[int, float] = {}
+        for j in inst.nodes:
+            if j != i:
+                coeffs[f[(i, j)]] = 1.0
+                coeffs[f[(j, i)]] = -1.0
+        if served is not None and i in hk:
+            coeffs[served] = -1.0 if i == hk[0] else 1.0
+        rows[i] = model.add_constr(coeffs, "==", 0.0)
     for (a, b), xab in x.items():
         model.add_constr({f[(a, b)]: 1.0, f[(b, a)]: 1.0, xab: -1.0}, "<=", 0.0)
+    return rows[hk[0]], rows[hk[1]]
 
 
 def add_service_rows(model: LinearModel, inst: Instance, serve: Dict[Request, int]) -> None:
@@ -531,8 +531,7 @@ def _master_model(sub: SubInstance) -> Tuple[LinearModel, Dict[Edge, int], Dict[
     x = add_edge_vars(model, sub.nodes, sub.inst.design, scale=1.0 - sub.inst.alpha,
                       integer=True)
     eta = {h: model.add_var(lb=0.0, obj=sub.inst.alpha) for h in sub.origins()}
-    for i in sub.nodes:
-        model.add_constr(degree_coeffs(x, i, sub.nodes), "==", 2.0)
+    add_degree_rows(model, x, sub.nodes, 2.0)
     return model, x, eta
 
 

@@ -34,7 +34,6 @@ from scipy.optimize import linprog
 from stspgl.model import (
     OPTIMAL,
     TIME_LIMIT,
-    Arc,
     Edge,
     Instance,
     Request,
@@ -51,12 +50,8 @@ from stspgl.tspgl import (
     SubInstance,
     TspGlOutcome,
     add_edge_vars,
-    add_linking_rows,
     chosen_edges,
     cover_bounds,
-    degree_coeffs,
-    flow_coeffs,
-    supply,
     _cycle_edges,
     _sec_cut,
     solution_from_tour,
@@ -370,11 +365,43 @@ def lp_duals(xbar: Sequence[int], hk: Request, inst: Instance,
     return BendersDuals(p=p, lambda_bar=lambda_bar, objective=-out.objective)
 
 
-def add_split_linking_rows(model: LinearModel, x: Dict[Edge, int], f: Dict[Arc, int]) -> None:
-    """f <= x on both arcs of every edge: two rows per edge."""
+def supply(hk: Request, v: int) -> float:
+    """Net outflow a request's flow needs at node v: 1 at h, -1 at k."""
+    return 1.0 if v == hk[0] else (-1.0 if v == hk[1] else 0.0)
+
+
+def add_flow_block(model: LinearModel, inst: Instance, x: Dict[Edge, int], hk: Request,
+                   nodes: Sequence[int], rhs, split: bool = False) -> Dict[int, int]:
+    """One request's flow over `nodes`, built apart from the solver's own
+    routing block: arc columns at alpha * (design * weight), a row per node
+    asking net outflow rhs(v), and f_ab + f_ba <= x_ab per edge, or with
+    `split` f_ab <= x_ab and f_ba <= x_ab. Returns each node's flow row."""
+    cost = arc_cost(inst, hk)
+    f = {(i, j): model.add_var(lb=0.0, obj=inst.alpha * cost(i, j))
+         for i in nodes for j in nodes if i != j}
+    rows = {}
+    for i in nodes:
+        coeffs: Dict[int, float] = {}
+        for j in nodes:
+            if j != i:
+                coeffs[f[(i, j)]] = 1.0
+                coeffs[f[(j, i)]] = -1.0
+        rows[i] = model.add_constr(coeffs, "==", rhs(i))
     for (a, b), xab in x.items():
-        model.add_constr({f[(a, b)]: 1.0, xab: -1.0}, "<=", 0.0)
-        model.add_constr({f[(b, a)]: 1.0, xab: -1.0}, "<=", 0.0)
+        if split:
+            model.add_constr({f[(a, b)]: 1.0, xab: -1.0}, "<=", 0.0)
+            model.add_constr({f[(b, a)]: 1.0, xab: -1.0}, "<=", 0.0)
+        else:
+            model.add_constr({f[(a, b)]: 1.0, f[(b, a)]: 1.0, xab: -1.0}, "<=", 0.0)
+    return rows
+
+
+def add_split_routing(model: LinearModel, inst: Instance, x: Dict[Edge, int],
+                      hk: Request) -> Tuple[int, int]:
+    """The master's routing block with f <= x on both arcs of every edge:
+    two linking rows per edge."""
+    rows = add_flow_block(model, inst, x, hk, inst.nodes, lambda _v: 0.0, split=True)
+    return rows[hk[0]], rows[hk[1]]
 
 
 def solve_tspgl_direct(sub: SubInstance, deadline: float = math.inf) -> TspGlOutcome:
@@ -386,17 +413,10 @@ def solve_tspgl_direct(sub: SubInstance, deadline: float = math.inf) -> TspGlOut
     inst = sub.inst
     model = LinearModel()
     x = add_edge_vars(model, sub.nodes, inst.design, scale=1.0 - inst.alpha, integer=True)
-    flows = {}
-    for hk in sub.requests:
-        cost = arc_cost(inst, hk)
-        flows[hk] = {(i, j): model.add_var(lb=0.0, obj=inst.alpha * cost(i, j))
-                     for i in sub.nodes for j in sub.nodes if i != j}
     for i in sub.nodes:
-        model.add_constr(degree_coeffs(x, i, sub.nodes), "==", 2.0)
-    for hk, f in flows.items():
-        for i in sub.nodes:
-            model.add_constr(flow_coeffs(f, i, sub.nodes), "==", supply(hk, i))
-        add_linking_rows(model, x, f)
+        model.add_constr({x[edge(i, j)]: 1.0 for j in sub.nodes if j != i}, "==", 2.0)
+    for hk in sub.requests:
+        add_flow_block(model, inst, x, hk, sub.nodes, lambda v, hk=hk: supply(hk, v))
 
     def cut_source(out: SolveOutcome):
         tours = cycles(chosen_edges(x, out.values))

@@ -15,7 +15,7 @@ import pytest
 import stspgl
 
 from oracles import (
-    add_split_linking_rows,
+    add_split_routing,
     enumerate_minimal_covers,
     oracle_stspgl,
     presolved_lp_objective,
@@ -122,9 +122,9 @@ def test_reduced_cost_matches_engine_columns(d1):
             engine_rc -= out.duals[index.link_rows[i]] * (-2.0)
     for hk in d1.requests:
         if hk in probe.requests:
-            h, k = hk
-            engine_rc -= out.duals[index.flow_rows[(hk, h)]] * (-1.0)
-            engine_rc -= out.duals[index.flow_rows[(hk, k)]] * (1.0)
+            row_h, row_k = index.flow_rows[hk]
+            engine_rc -= out.duals[row_h] * (-1.0)
+            engine_rc -= out.duals[row_k] * (1.0)
     # engine_rc started from -beta because the chi objective coefficient is 0
     assert reduced_cost(probe, duals) == pytest.approx(engine_rc, abs=1e-9)
 
@@ -152,7 +152,7 @@ def test_extract_duals_serve_is_the_flow_dual_difference():
     duals = extract_duals(index, out)
     assert list(duals.serve) == list(inst.requests)
     for hk in inst.requests:
-        row_h, row_k = index.flow_rows[(hk, hk[0])], index.flow_rows[(hk, hk[1])]
+        row_h, row_k = index.flow_rows[hk]
         assert duals.serve[hk] == out.duals[row_h] - out.duals[row_k]
     assert duals.iota == {i: out.duals[row] for i, row in index.link_rows.items()}
     assert duals.beta == out.duals[index.convex_row]
@@ -395,7 +395,7 @@ def test_paired_linking_rows_keep_the_master_value(monkeypatch, n, seed, n_reque
         out = solve_lp(model)
     assert out.status == OPTIMAL and index.gsecs
     # the same master with two rows per edge and request, and the same GSEC rows
-    monkeypatch.setattr(colgen, "add_linking_rows", add_split_linking_rows)
+    monkeypatch.setattr(colgen, "add_routing", add_split_routing)
     split, split_index = build_rmp(inst, pool)
     for side, i in sorted(index.gsecs, key=lambda cut: (sorted(cut[0]), cut[1])):
         split.add_constr(*gsec_row(split_index.x, inst.nodes, side, i))

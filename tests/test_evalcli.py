@@ -174,8 +174,10 @@ def test_nan_time_limit_is_rejected(tmp_path, d1):
     spec_path.write_text(json.dumps({"instances": [str(inst_path)], "methods": ["bp"],
                                      "time_limit": math.nan,
                                      "out_dir": str(tmp_path / "bench")}))
-    rows = bench(load_experiment_spec(spec_path))
-    assert [row.status for row in rows] == ["Error:ValueError"]
+    # a spec's budget is checked at load, before any run or output
+    with pytest.raises(ValueError, match="time_limit_total"):
+        load_experiment_spec(spec_path)
+    assert not (tmp_path / "bench").exists()
 
 
 def test_experiment_spec_validation(tmp_path):
@@ -222,6 +224,35 @@ def test_experiment_spec_validation(tmp_path):
     spec = load_experiment_spec(path)
     assert spec == ExperimentSpec(generator={"n": 5}, seeds=[4], time_limit=7.0)
     assert (type(spec.seeds[0]), type(spec.time_limit)) == (int, float)
+
+
+@pytest.mark.parametrize("budget, message", [
+    ({"time_limit": 0}, "time_limit_total must be positive"),
+    ({"time_limit": -1}, "time_limit_total must be positive"),
+    ({"gap_target": 0.0}, r"gap_target must lie in \(0, 1\)"),
+    ({"gap_target": 1.5}, r"gap_target must lie in \(0, 1\)"),
+])
+def test_load_rejects_a_budget_no_solve_takes(tmp_path, budget, message):
+    # the solver's own rule and message, at load, before any output exists
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"generator": {"n": 5}, "methods": ["heuristic"],
+                                "out_dir": str(tmp_path / "out"), **budget}))
+    with pytest.raises(ValueError, match=message):
+        load_experiment_spec(path)
+    with pytest.raises(ValueError, match=message):
+        main(["bench", str(path)])
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key, value", [("instances", "abc"), ("methods", "bp"),
+                                        ("seeds", "12")])
+def test_load_rejects_a_string_where_a_list_goes(tmp_path, key, value):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"generator": {"n": 5}, key: value,
+                                "out_dir": str(tmp_path / "out")}))
+    with pytest.raises(ValueError, match=f"^spec key '{key}' takes a list, not a string$"):
+        load_experiment_spec(path)
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("method", ["bp", "hybrid"])

@@ -1,17 +1,21 @@
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 import time
 import warnings
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
+from scipy import sparse
+from scipy.optimize import Bounds, LinearConstraint
 
 from oracles import oracle_tsp, warm_start
 from stspgl import mpbackend, orchestrate
-from stspgl.colgen import DualPrices, solve_pricing
-from stspgl.covers import minimal_feasibility_cover
+from stspgl.colgen import ColumnPool, DualPrices, build_rmp, solve_pricing
+from stspgl.covers import make_cover, minimal_feasibility_cover
 from stspgl.evalcli import solve_deterministic
 from stspgl.model import INFEASIBLE, OPTIMAL, TIME_LIMIT, UNBOUNDED
 from stspgl.mpbackend import (
@@ -467,3 +471,87 @@ def test_resolve_with_cuts_solves_small_tsps():
         for earlier, later in zip(objectives, objectives[1:]):
             assert later >= earlier - 1e-9
 
+
+
+class _Sent(Exception):
+    """Stops a solve at its first HiGHS call, before anything is solved."""
+
+
+def _feed(digest, value) -> None:
+    """Hash a HiGHS input: every matrix dense, so scipy's sparse index order
+    does not count; options without `time_limit`, which the clock sets."""
+    if value is None or isinstance(value, str):
+        digest.update(repr(value).encode())
+    elif isinstance(value, dict):
+        digest.update(repr(sorted((k, v) for k, v in value.items() if k != "time_limit")).encode())
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            _feed(digest, item)
+    elif isinstance(value, (LinearConstraint, Bounds)):
+        for part in ((value.A,) if isinstance(value, LinearConstraint) else ()) + (value.lb, value.ub):
+            _feed(digest, part)
+    else:
+        dense = np.asarray(value.toarray() if sparse.issparse(value) else value, dtype=float)
+        digest.update(repr(dense.shape).encode())
+        digest.update(np.ascontiguousarray(dense).tobytes())
+
+
+def _first_highs_digest(monkeypatch, solve) -> str:
+    sent = []
+    for name in ("linprog", "milp"):
+        def spy(*args, _name=name, **kwargs):
+            digest = hashlib.sha256(_name.encode())
+            _feed(digest, list(args))
+            _feed(digest, [(key, kwargs[key]) for key in sorted(kwargs)])
+            sent.append(digest.hexdigest())
+            raise _Sent
+
+        monkeypatch.setattr(mpbackend, name, spy)
+    with pytest.raises(_Sent):
+        solve()
+    return sent[0]
+
+
+# SHA-256 of what HiGHS receives from each model's first solve, on d1 and a
+# generated n=6 instance, and from a 16-node TSP MIP. A refactor of the model
+# builders leaves them as they are; a change that means to move them updates
+# them.
+_HIGHS_INPUTS = {
+    ("d1", "root RMP"): "5c2315b95e3254a3a097d7692bba724c588bb4d9c1b068539631d9014f11aadc",
+    ("d1", "compact MIP"): "f53bef8c2fde8658dbf1f2f771ec8bb1f12822cc29cba86dc8bf27417dd27a58",
+    ("d1", "pricing IP"): "03467510c60d85367891f0b96616f1e7b753d7112b143d6d6daebd3d45b23a21",
+    ("d1", "Benders master"): "7065c066a2df951235415ea9a00aa04cc90f45a7ad6181de5754a4ef2e313371",
+    ("n6", "root RMP"): "96780d5ae5c2470c9bdaec2448dc164083205e42fcce7b413721706302a5b3c8",
+    ("n6", "compact MIP"): "ec80da10e3d4524afafe4ba3420b4f61191f0f63a57d6d9b6126a4296afca2e5",
+    ("n6", "pricing IP"): "7b6176c64abd5d3b462bc114943c8d8f3461b20aae5881094c38a215dbbc3e41",
+    ("n6", "Benders master"): "b5cd978d587fd46350eb68a54f3af638afaf5c977128360ef65f9940cfcc3e7a",
+    ("n16", "TSP MIP"): "3af3d8dd6cac8fbe2233a23bb6638c2db0a250575022d2213b5ec48f24ab81f8",
+}
+
+
+def _highs_input_digests(monkeypatch, d1) -> dict:
+    n6 = generate_instance(n=6, seed=5, n_requests=5, n_scenarios=3, theta=0.7, rho=0.3)
+    cfg = SearchConfig(time_limit_total=60.0)
+    got = {}
+    for name, inst in (("d1", d1), ("n6", n6)):
+        pool = ColumnPool()
+        pool.add(make_cover(inst, inst.requests))
+        duals = DualPrices(iota={i: 0.0 for i in inst.nodes},
+                           serve={hk: 0.0 for hk in inst.requests}, beta=0.0)
+        sub = make_subinstance(inst, make_cover(inst, inst.requests))
+        runs = {
+            "root RMP": lambda: solve_lp(build_rmp(inst, pool)[0]),
+            "compact MIP": lambda: run_mip_benchmark(inst, cfg),
+            "pricing IP": lambda: solve_pricing(inst, duals),
+            "Benders master": lambda: benders_solve_tspgl(sub, warm_start(sub)),
+        }
+        for model, run in runs.items():
+            got[(name, model)] = _first_highs_digest(monkeypatch, run)
+    n16 = generate_instance(n=16, seed=1, n_requests=8, n_scenarios=3)
+    got[("n16", "TSP MIP")] = _first_highs_digest(
+        monkeypatch, lambda: _tsp_mip(sorted(n16.nodes), n16.design, math.inf))
+    return got
+
+
+def test_each_model_sends_highs_the_same_inputs(monkeypatch, d1):
+    assert _highs_input_digests(monkeypatch, d1) == _HIGHS_INPUTS

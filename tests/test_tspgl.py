@@ -397,14 +397,18 @@ def test_flow_columns_cost_alpha_times_design_times_weight(monkeypatch):
     inst = generate_instance(n=6, seed=5, n_requests=5, n_scenarios=3, theta=0.7, rho=0.3,
                              alpha=0.3)
     built = []
-    real = tspgl.add_flow_vars
+    real = tspgl.add_routing
 
-    def spy(model, inst, hk):
-        built.append((model, hk, real(model, inst, hk)))
-        return built[-1][2]
+    def spy(model, inst, x, hk, served=None):
+        # the n(n-1) columns each call adds are its arcs, in lexicographic order
+        first = len(model._obj)
+        rows = real(model, inst, x, hk, served)
+        arcs = [(i, j) for i in inst.nodes for j in inst.nodes if i != j]
+        built.append((model, hk, dict(zip(arcs, range(first, len(model._obj)), strict=True))))
+        return rows
 
-    monkeypatch.setattr(colgen, "add_flow_vars", spy)
-    monkeypatch.setattr(orchestrate, "add_flow_vars", spy)
+    monkeypatch.setattr(colgen, "add_routing", spy)
+    monkeypatch.setattr(orchestrate, "add_routing", spy)
     pool = colgen.ColumnPool()
     pool.add(make_cover(inst, inst.requests))
     regrouped = 0
