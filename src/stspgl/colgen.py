@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from .covers import FeasibilityCover, minimal_feasibility_cover
-from .model import OPTIMAL, TIME_LIMIT, Edge, Instance, Request, csv_line
+from .model import OPTIMAL, TIME_LIMIT, Edge, Instance, Request
 from .mpbackend import PRICING_IP, RC_EPS, LinearModel, SolveOutcome, solve_mip
 from .tspgl import (
     add_degree_rows,
@@ -211,10 +211,6 @@ def solve_pricing(
         objective=objective,
         raw_requests=raw,
     )
-
-
-def cg_log_line(iteration: int, rmp_obj, pricing_obj, lb, columns: int, phi: int) -> str:
-    return csv_line([iteration, rmp_obj, pricing_obj, lb, columns, phi])
 
 
 CG_LOG_HEADER = "iter,rmp_obj,pricing_obj,lb,columns,phi"

@@ -16,14 +16,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .model import (INFEASIBLE, TIME_LIMIT, Instance, ParameterError, StspGlResult, csv_line,
-                    load_instance, save_instance, write_lines)
-from .scenarios import (
-    MetricsRow,
-    evaluate_metrics,
-    generate_instance,
-    mean_scenario,
-)
+from .model import (INFEASIBLE, TIME_LIMIT, Instance, MetricsRow, ParameterError, StspGlResult,
+                    csv_line, load_instance, save_instance, write_lines)
+from .scenarios import evaluate_metrics, generate_instance, mean_scenario
 from .orchestrate import (
     SearchConfig,
     run_bp,
@@ -32,7 +27,14 @@ from .orchestrate import (
 )
 from .colgen import CG_LOG_HEADER
 
-METHODS = ("mip", "bp", "heuristic", "hybrid", "deterministic")
+_SOLVERS = {
+    "mip": run_mip_benchmark,
+    "bp": run_bp,
+    "heuristic": run_heuristic,
+    "hybrid": lambda inst, cfg: run_bp(inst, cfg, hybrid=True),
+    "deterministic": lambda inst, cfg: run_mip_benchmark(mean_scenario(inst), cfg),
+}
+METHODS = tuple(_SOLVERS)
 
 
 def make_config(time_limit: float = 3600.0, gap: float = 0.02,
@@ -41,38 +43,17 @@ def make_config(time_limit: float = 3600.0, gap: float = 0.02,
     return SearchConfig(time_limit_total=time_limit, gap_target=gap, seed=seed)
 
 
-def solve_deterministic(inst: Instance, cfg: SearchConfig) -> StspGlResult:
-    """Solve the mean-demand counterpart, then judge it on the real scenarios.
-
-    The single averaged scenario makes the chance constraint a plain service
-    constraint; the result's metrics block is recomputed on the original
-    scenario set so the reported quality is comparable with stochastic runs.
-    """
-    det = mean_scenario(inst)
-    result = run_mip_benchmark(det, cfg)
-    if result.incumbent is not None:
-        row = evaluate_metrics(inst, result.incumbent.served,
-                               result.incumbent.design_cost,
-                               result.incumbent.visited)
-        result.metrics = dataclasses.asdict(row)
-    return result
-
-
-def run_method(method: str, inst: Instance, cfg: SearchConfig,
-               cg_log: Optional[List[str]] = None) -> StspGlResult:
-    """Solve with one of `METHODS`; `bp` and `hybrid` append their pricing
-    rounds to `cg_log` when it is a list."""
-    if method == "mip":
-        return run_mip_benchmark(inst, cfg)
-    if method == "bp":
-        return run_bp(inst, cfg, cg_log=cg_log)
-    if method == "heuristic":
-        return run_heuristic(inst, cfg)
-    if method == "hybrid":
-        return run_bp(inst, cfg, hybrid=True, cg_log=cg_log)
-    if method == "deterministic":
-        return solve_deterministic(inst, cfg)
-    raise ValueError(f"unknown method {method!r}")
+def run_method(method: str, inst: Instance, cfg: SearchConfig) -> StspGlResult:
+    """Solve with one of `METHODS` and judge the incumbent on `inst`'s
+    scenarios, so a `deterministic` plan is scored on the scenarios its
+    mean-demand solve never saw."""
+    if method not in _SOLVERS:
+        raise ValueError(f"unknown method {method!r}")
+    res = _SOLVERS[method](inst, cfg)
+    if res.incumbent is not None:
+        res.metrics = evaluate_metrics(inst, res.incumbent.served, res.incumbent.design_cost,
+                                       res.incumbent.visited)
+    return res
 
 
 # --- deterministic vs stochastic comparison ---------------------------------
@@ -110,18 +91,16 @@ def vss_experiment(inst: Instance, cfg: SearchConfig,
                    method: str = "mip") -> ComparisonRow:
     """Same method and budget on the mean-demand and stochastic variants.
 
-    Both solutions are scored by evaluate_metrics on the original scenario
-    set; the mean scenario is a solve-time device only.
+    `run_method` scores both solutions on the original scenario set; the
+    mean scenario is a solve-time device only.
     """
-    det_res = solve_deterministic(inst, cfg)
-    sto_res = run_method(method, inst, cfg)
-    det_row = MetricsRow(**det_res.metrics) if det_res.metrics is not None else None
-    sto_row = MetricsRow(**sto_res.metrics) if sto_res.metrics is not None else None
-    flagged = det_row is None or sto_row is None \
-        or det_res.status == INFEASIBLE or sto_res.status == INFEASIBLE
+    det = run_method("deterministic", inst, cfg)
+    sto = run_method(method, inst, cfg)
+    flagged = det.metrics is None or sto.metrics is None \
+        or det.status == INFEASIBLE or sto.status == INFEASIBLE
     return ComparisonRow(nodes=inst.n, theta=inst.theta, rho=inst.rho,
-                         method=method, det_status=det_res.status,
-                         det=det_row, sto_status=sto_res.status, sto=sto_row,
+                         method=method, det_status=det.status,
+                         det=det.metrics, sto_status=sto.status, sto=sto.metrics,
                          flagged=flagged)
 
 
@@ -182,6 +161,14 @@ GENERATOR_KEYS = (frozenset(inspect.signature(generate_instance).parameters) - {
     | {"count", "start_seed"}
 
 
+def _integer(key: str, value) -> int:
+    """`value` as an int if it is integral (4 or 4.0), else a ValueError
+    naming the spec key; a bool is not an integer here."""
+    if not (type(value) is int or type(value) is float and value.is_integer()):
+        raise ValueError(f"{key!r} takes integers, not {value!r}")
+    return int(value)
+
+
 @dataclass
 class ExperimentSpec:
     instances: List[str] = field(default_factory=list)   # instance file paths
@@ -198,7 +185,7 @@ class ExperimentSpec:
                 raise ValueError(f"spec key {key!r} takes a list, not a string")
         self.instances = list(self.instances)
         self.methods = list(self.methods)
-        self.seeds = [int(s) for s in self.seeds]
+        self.seeds = [_integer("seeds", s) for s in self.seeds]
         self.time_limit = float(self.time_limit)
         self.gap_target = float(self.gap_target)
         self.out_dir = str(self.out_dir)
@@ -222,6 +209,11 @@ class ExperimentSpec:
                    if param.default is param.empty and name != "seed" and name not in self.generator]
         if missing:
             raise ValueError(f"missing generator keys {missing}")
+        for key in ("count", "start_seed"):
+            if key in self.generator:
+                _integer(key, self.generator[key])
+        if self.generator.get("count", 1) < 1:
+            raise ValueError(f"'count' must be at least 1, not {self.generator['count']!r}")
 
 
 def load_experiment_spec(path) -> ExperimentSpec:
@@ -333,9 +325,22 @@ def _parse_grid(text: str) -> List[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
+def _budget(field_name: str):
+    """An argparse type: a float `SearchConfig.validate` accepts as
+    `field_name`, so a bad budget is a usage error naming its flag."""
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+            SearchConfig(**{field_name: value}).validate()
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+    return parse
+
+
 def _add_budget_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--time-limit", type=float, default=3600.0)
-    p.add_argument("--gap", type=float, default=0.02)
+    p.add_argument("--time-limit", type=_budget("time_limit_total"), default=3600.0)
+    p.add_argument("--gap", type=_budget("gap_target"), default=0.02)
     p.add_argument("--seed", type=int, default=0)
 
 
@@ -403,8 +408,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "solve":
         inst = load_instance(args.instance)
         cfg = make_config(args.time_limit, args.gap, args.seed)
-        cg_lines: Optional[List[str]] = [] if args.cg_log else None
-        res = run_method(args.method, inst, cfg, cg_log=cg_lines)
+        res = run_method(args.method, inst, cfg)
         payload = res.to_json(inst)
         if args.output:
             with open(args.output, "w") as fh:
@@ -413,8 +417,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(payload)
         if args.trace:
             res.trace.write_csv(args.trace)
-        if cg_lines is not None:
-            write_lines(args.cg_log, [CG_LOG_HEADER] + cg_lines)
+        if args.cg_log:
+            write_lines(args.cg_log, [CG_LOG_HEADER] + [
+                csv_line([i, *r]) for i, r in enumerate(res.rounds, start=1)])
         if res.status == INFEASIBLE:
             return 2
         if res.status == TIME_LIMIT and res.incumbent is None:

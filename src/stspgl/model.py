@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 Node = int
@@ -406,6 +406,18 @@ def gap_value(ub: Optional[float], lb: Optional[float]) -> Optional[float]:
 
 
 @dataclass
+class MetricsRow:
+    nodes: int            # instance size
+    theta: float
+    rho: float
+    design_cost: float
+    nbar: int             # nodes visited by the tour
+    dbar: float           # mean unserved demand fraction over scenarios
+    rhobar: float         # fraction of scenarios missing the service level
+    infeasible: bool      # chance constraint violated on these scenarios
+
+
+@dataclass
 class StspGlResult:
     status: str
     upper_bound: Optional[float]
@@ -414,7 +426,8 @@ class StspGlResult:
     incumbent: Optional[TspGlSolution]
     trace: SolveTrace = field(default_factory=SolveTrace)
     evaluated: List = field(default_factory=list)  # (cover, bounds, exact) audit rows
-    metrics: Optional[Dict] = None               # service metrics of the incumbent
+    rounds: List = field(default_factory=list)     # (rmp_obj, pricing_obj, lb, columns, phi)
+    metrics: Optional[MetricsRow] = None           # the incumbent judged on the caller's instance
 
     def to_json_dict(self, inst: Optional[Instance] = None) -> Dict:
         doc: Dict = {
@@ -435,7 +448,7 @@ class StspGlResult:
         # the incumbent is scored on its own cover, which it serves whole
         doc["cover"] = doc["served"]
         if self.metrics is not None:
-            doc["metrics"] = dict(self.metrics)
+            doc["metrics"] = asdict(self.metrics)
         if inst is not None:
             doc["instance"] = {
                 "n": inst.n,

@@ -13,7 +13,7 @@ meets the incumbent, which proves it optimal.
 import math
 import random
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from heapq import heappop, heappush, nsmallest
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -32,14 +32,13 @@ from .model import (
     gap_value,
     validate_instance,
 )
-from .scenarios import chance_feasible, evaluate_metrics
+from .scenarios import chance_feasible
 from .covers import FeasibilityCover, explore, local_search, make_cover
 from .mpbackend import PSEUDO_COSTS_NO_HEURISTICS, LinearModel, SolveOutcome, resolve_with_cuts, solve_lp
 from .colgen import (
     ColumnPool,
     add_gsec_rows,
     build_rmp,
-    cg_log_line,
     extend_rmp,
     extract_duals,
     solve_pricing,
@@ -72,7 +71,8 @@ class SearchConfig:
 
     def validate(self) -> None:
         if not self.time_limit_total > 0:
-            raise ValueError("time_limit_total must be positive")
+            # the name `make_config`, a spec and `--time-limit` give it
+            raise ValueError("time_limit must be positive")
         if not (0.0 < self.gap_target < 1.0):
             raise ValueError("gap_target must lie in (0, 1)")
 
@@ -87,7 +87,8 @@ class SearchState:
     request tuple breaks ties, and `scored` lets each request set in once,
     so the order is total and no cover is ever compared. `pool` holds the
     master's columns and takes the branching cuts of closed covers; it is
-    None outside branch-and-price.
+    None outside branch-and-price. `rounds` records each pricing round as
+    (rmp_obj, pricing_obj, lb, columns, phi), as `trace` records events.
     """
     inst: Instance
     rng: random.Random
@@ -98,6 +99,7 @@ class SearchState:
     lb: float = -math.inf
     incumbent: Optional[TspGlSolution] = None
     evaluated: List[Tuple] = field(default_factory=list)
+    rounds: List[Tuple] = field(default_factory=list)
     cutpool: CutPool = field(default_factory=CutPool)
     queue: List[Tuple[float, float, Tuple[Request, ...], FeasibilityCover]] = \
         field(default_factory=list)
@@ -159,16 +161,10 @@ def _new_state(inst: Instance, cfg: SearchConfig) -> SearchState:
 def _finish(state: SearchState, status: str) -> StspGlResult:
     ub = state.ub if math.isfinite(state.ub) else None
     lb = state.lb if math.isfinite(state.lb) else None
-    metrics = None
-    if state.incumbent is not None:
-        row = evaluate_metrics(state.inst, state.incumbent.served,
-                               state.incumbent.design_cost,
-                               state.incumbent.visited)
-        metrics = asdict(row)
     state.note("final")
     return StspGlResult(status=status, upper_bound=ub, lower_bound=lb,
                         gap=gap_value(ub, lb), incumbent=state.incumbent, trace=state.trace,
-                        evaluated=state.evaluated, metrics=metrics)
+                        evaluated=state.evaluated, rounds=state.rounds)
 
 
 def _infeasible_result(state: SearchState) -> StspGlResult:
@@ -312,8 +308,7 @@ def _evaluate_cover(state: SearchState,
 
 # --- branch and price -------------------------------------------------------
 
-def run_bp(inst: Instance, cfg: SearchConfig, hybrid: bool = False,
-           cg_log: Optional[List[str]] = None) -> StspGlResult:
+def run_bp(inst: Instance, cfg: SearchConfig, hybrid: bool = False) -> StspGlResult:
     """Branch-price-and-cut dive with exact cover evaluations; `hybrid`
     warms and widens it with the exploration operators.
 
@@ -334,7 +329,7 @@ def run_bp(inst: Instance, cfg: SearchConfig, hybrid: bool = False,
     state = _new_state(inst, cfg)
     if not chance_feasible(inst, inst.requests):
         return _infeasible_result(state)
-    stopped = _dive(state, cfg, hybrid, cg_log)
+    stopped = _dive(state, cfg, hybrid)
     if _exact(state):
         state.lb = state.ub
     if stopped:
@@ -344,8 +339,7 @@ def run_bp(inst: Instance, cfg: SearchConfig, hybrid: bool = False,
     return _finish(state, status)
 
 
-def _dive(state: SearchState, cfg: SearchConfig, hybrid: bool,
-          cg_log: Optional[List[str]]) -> bool:
+def _dive(state: SearchState, cfg: SearchConfig, hybrid: bool) -> bool:
     """The branch-and-price loop of `run_bp`; True when the clock stopped it."""
     inst, queue, rng = state.inst, state.queue, state.rng
     pool = state.pool = ColumnPool()
@@ -359,7 +353,6 @@ def _dive(state: SearchState, cfg: SearchConfig, hybrid: bool,
                 pool.add(cov)
 
     model, index = build_rmp(inst, pool)
-    rounds_total = 0
     iteration = 0
     while state.remaining() > 0:
         iteration += 1
@@ -386,15 +379,13 @@ def _dive(state: SearchState, cfg: SearchConfig, hybrid: bool,
             duals = extract_duals(index, rmp_out)
             pres = solve_pricing(inst, duals, phi=sorted(pool.branched),
                                  deadline=state.deadline)
-            rounds_total += 1
             if math.isfinite(pres.objective):
                 # master value plus the minimum reduced cost (convexity multiplier 1)
                 state.raise_lb(rmp_out.objective + pres.objective)
             elif pres.objective == math.inf:
                 state.raise_lb(state.ub)
-            if cg_log is not None:
-                cg_log.append(cg_log_line(rounds_total, rmp_out.objective, pres.objective,
-                                          state.lb, len(pool.columns), len(pool.branched)))
+            state.rounds.append((rmp_out.objective, pres.objective, state.lb,
+                                 len(pool.columns), len(pool.branched)))
             if _exact(state):
                 return False
             if pres.status == TIME_LIMIT and state.remaining() <= 0:

@@ -6,10 +6,10 @@ import dataclasses
 import math
 import operator
 import random
-from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
 
-from .model import Instance, ParameterError, Request, ScenarioSet, build_instance, validate_instance
+from .model import (Instance, MetricsRow, ParameterError, Request, ScenarioSet, build_instance,
+                    validate_instance)
 
 
 def served_demand(inst: Instance, served: Iterable[Request]) -> List[float]:
@@ -37,18 +37,6 @@ def mean_scenario(inst: Instance) -> Instance:
         for r in range(len(inst.requests))
     )
     return dataclasses.replace(inst, scenarios=ScenarioSet(demand=(mean_row,)))
-
-
-@dataclass
-class MetricsRow:
-    nodes: int            # instance size
-    theta: float
-    rho: float
-    design_cost: float
-    nbar: int             # nodes visited by the tour
-    dbar: float           # mean unserved demand fraction over scenarios
-    rhobar: float         # fraction of scenarios missing the service level
-    infeasible: bool      # chance constraint violated on these scenarios
 
 
 def evaluate_metrics(inst: Instance, served: Iterable[Request], design_cost: float,

@@ -24,6 +24,7 @@ from stspgl.evalcli import (
     ExperimentSpec,
     bench,
     make_config,
+    run_method,
     sweep,
     vss_experiment,
 )
@@ -321,10 +322,11 @@ def test_criterion_09_external_17_node_benchmark(tmp_path):
 def test_criterion_10_identical_runs_yield_identical_json():
     first = generate_instance(n=7, seed=11, n_requests=6, n_scenarios=4)
     second = generate_instance(n=7, seed=11, n_requests=6, n_scenarios=4)
-    a = run_bp(first, _cfg(seed=13)).to_json(first)
-    b = run_bp(second, _cfg(seed=13)).to_json(second)
-    assert a == b
-    ha = run_bp(first, _cfg(seed=13), hybrid=True).to_json(first)
-    hb = run_bp(second, _cfg(seed=13), hybrid=True).to_json(second)
+    # through `run_method`, so the comparison covers the metrics block too
+    a = run_method("bp", first, _cfg(seed=13)).to_json(first)
+    b = run_method("bp", second, _cfg(seed=13)).to_json(second)
+    assert a == b and '"metrics"' in a
+    ha = run_method("hybrid", first, _cfg(seed=13)).to_json(first)
+    hb = run_method("hybrid", second, _cfg(seed=13)).to_json(second)
     assert ha == hb
     json.loads(a)   # and it is valid JSON

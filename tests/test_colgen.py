@@ -27,14 +27,13 @@ from stspgl.colgen import (
     DualPrices,
     add_gsec_rows,
     build_rmp,
-    cg_log_line,
     extend_rmp,
     extract_duals,
     reduced_cost,
     solve_pricing,
 )
 from stspgl.covers import make_cover
-from stspgl.model import OPTIMAL
+from stspgl.model import OPTIMAL, csv_line
 from stspgl.mpbackend import RC_EPS, solve_lp, solve_mip
 from stspgl.orchestrate import SearchConfig
 from stspgl.scenarios import chance_feasible, generate_instance
@@ -407,9 +406,9 @@ def test_paired_linking_rows_keep_the_master_value(monkeypatch, n, seed, n_reque
 
 def test_cg_log_line_format():
     assert CG_LOG_HEADER == "iter,rmp_obj,pricing_obj,lb,columns,phi"
-    line = cg_log_line(3, 10.0, -2.0, 8.0, 4, 1)
+    line = csv_line([3, 10.0, -2.0, 8.0, 4, 1])
     assert line == "3,10.0,-2.0,8.0,4,1"
-    assert cg_log_line(1, None, -math.inf, None, 1, 0) == "1,,,,1,0"
+    assert csv_line([1, None, -math.inf, None, 1, 0]) == "1,,,,1,0"
 
 
 _RMP_MEMORY_PROBE = """

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 
@@ -14,13 +15,12 @@ from stspgl.evalcli import (
     main,
     make_config,
     run_method,
-    solve_deterministic,
     sweep,
     vss_experiment,
     write_sweep_csv,
 )
 from stspgl.model import ParameterError, StspGlResult, build_instance, load_instance, save_instance
-from stspgl.scenarios import generate_instance
+from stspgl.scenarios import evaluate_metrics, generate_instance
 
 
 def cfg60(seed=0):
@@ -49,12 +49,12 @@ def test_make_config_sets_budget_gap_and_seed():
 
 
 def test_deterministic_solve_is_judged_on_original_scenarios(d1):
-    res = solve_deterministic(d1, cfg60())
+    res = run_method("deterministic", d1, cfg60())
     assert res.status == "Optimal"
     assert res.incumbent.served == ((1, 3),)
     # the mean scenario alone would score rhobar=0; the original set says 0.5
-    assert res.metrics["rhobar"] == pytest.approx(0.5)
-    assert res.metrics["infeasible"] is False   # rho=0.5 tolerates the miss
+    assert res.metrics.rhobar == pytest.approx(0.5)
+    assert res.metrics.infeasible is False   # rho=0.5 tolerates the miss
 
 
 def test_vss_row_on_tiny_example(d1):
@@ -162,22 +162,50 @@ def test_bench_keeps_error_messages(tmp_path):
     assert error["message"].startswith("invalid instance: design cost asymmetric at [0,1]")
 
 
-def test_nan_time_limit_is_rejected(tmp_path, d1):
+def test_nan_time_limit_is_rejected(tmp_path, d1, capsys):
     for method in METHODS:
-        with pytest.raises(ValueError, match="time_limit_total"):
+        with pytest.raises(ValueError, match="^time_limit must be positive$"):
             run_method(method, d1, make_config(time_limit=math.nan))
     inst_path = tmp_path / "d1.json"
     save_instance(d1, inst_path)
-    with pytest.raises(ValueError, match="time_limit_total"):
+    # on the command line it is a usage error that names the flag
+    with pytest.raises(SystemExit) as stop:
         main(["solve", str(inst_path), "--time-limit", "nan"])
+    assert stop.value.code == 2
+    assert "argument --time-limit: time_limit must be positive" in capsys.readouterr().err
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps({"instances": [str(inst_path)], "methods": ["bp"],
                                      "time_limit": math.nan,
                                      "out_dir": str(tmp_path / "bench")}))
     # a spec's budget is checked at load, before any run or output
-    with pytest.raises(ValueError, match="time_limit_total"):
+    with pytest.raises(ValueError, match="^time_limit must be positive$"):
         load_experiment_spec(spec_path)
     assert not (tmp_path / "bench").exists()
+
+
+@pytest.mark.parametrize("command", [["solve"], ["vss"],
+                                     ["sweep", "--theta-grid", "0.5", "--rho-grid", "0.5"]],
+                         ids=["solve", "vss", "sweep"])
+@pytest.mark.parametrize("flag, value, message", [
+    ("--time-limit", "nan", "time_limit must be positive"),
+    ("--time-limit", "0", "time_limit must be positive"),
+    ("--time-limit", "-1", "time_limit must be positive"),
+    ("--gap", "0", r"gap_target must lie in (0, 1)"),
+    ("--gap", "1", r"gap_target must lie in (0, 1)"),
+])
+def test_cli_rejects_a_budget_no_solve_takes(d1, tmp_path, capsys, command, flag, value,
+                                             message):
+    inst_path = tmp_path / "d1.json"
+    save_instance(d1, inst_path)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as stop:
+        main([command[0], str(inst_path), *command[1:], flag, value, "-o", str(out)])
+    # exit status 2, as for any usage error; the flag named, no traceback
+    assert stop.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: argument {flag}: {message}\n" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == [inst_path]
 
 
 def test_experiment_spec_validation(tmp_path):
@@ -227,8 +255,8 @@ def test_experiment_spec_validation(tmp_path):
 
 
 @pytest.mark.parametrize("budget, message", [
-    ({"time_limit": 0}, "time_limit_total must be positive"),
-    ({"time_limit": -1}, "time_limit_total must be positive"),
+    ({"time_limit": 0}, "time_limit must be positive"),
+    ({"time_limit": -1}, "time_limit must be positive"),
     ({"gap_target": 0.0}, r"gap_target must lie in \(0, 1\)"),
     ({"gap_target": 1.5}, r"gap_target must lie in \(0, 1\)"),
 ])
@@ -253,6 +281,32 @@ def test_load_rejects_a_string_where_a_list_goes(tmp_path, key, value):
     with pytest.raises(ValueError, match=f"^spec key '{key}' takes a list, not a string$"):
         load_experiment_spec(path)
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("keys, message", [
+    ({"seeds": [1.5]}, "'seeds' takes integers, not 1.5"),
+    ({"seeds": [True]}, "'seeds' takes integers, not True"),
+    ({"seeds": [2, "3"]}, "'seeds' takes integers, not '3'"),
+    ({"generator": {"n": 5, "count": 1.7}}, "'count' takes integers, not 1.7"),
+    ({"generator": {"n": 5, "count": False}}, "'count' takes integers, not False"),
+    ({"generator": {"n": 5, "count": 0}}, "'count' must be at least 1, not 0"),
+    ({"generator": {"n": 5, "count": -2}}, "'count' must be at least 1, not -2"),
+    ({"generator": {"n": 5, "count": -2.0}}, r"'count' must be at least 1, not -2\.0"),
+    ({"generator": {"n": 5, "start_seed": 0.5}}, "'start_seed' takes integers, not 0.5"),
+    ({"generator": {"n": 5, "start_seed": True}}, "'start_seed' takes integers, not True"),
+])
+def test_load_rejects_an_integer_key_that_is_not_an_integer(tmp_path, keys, message):
+    # a spec that would silently truncate to another seed or count fails at
+    # load, before any run or output; an integral float such as 4.0 passes
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"generator": {"n": 5}, "methods": ["heuristic"],
+                                "out_dir": str(tmp_path / "out"), **keys}))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        load_experiment_spec(path)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        main(["bench", str(path)])
+    assert not (tmp_path / "out").exists()
+    ExperimentSpec(generator={"n": 5, "count": 2.0, "start_seed": 3.0}, seeds=[4.0]).validate()
 
 
 @pytest.mark.parametrize("method", ["bp", "hybrid"])
@@ -309,7 +363,7 @@ def test_cli_exit_codes_for_failed_solves(d1, tmp_path, monkeypatch):
     inst_path = tmp_path / "d1.json"
     save_instance(d1, inst_path)
 
-    def fake(method, inst, cfg, cg_log=None):
+    def fake(method, inst, cfg):
         return StspGlResult(status="Infeasible", upper_bound=None,
                             lower_bound=None, gap=None, incumbent=None)
 
@@ -317,7 +371,7 @@ def test_cli_exit_codes_for_failed_solves(d1, tmp_path, monkeypatch):
     assert main(["solve", str(inst_path), "--method", "mip",
                  "-o", str(tmp_path / "r.json")]) == 2
 
-    def timed_out(method, inst, cfg, cg_log=None):
+    def timed_out(method, inst, cfg):
         return StspGlResult(status="TimeLimit", upper_bound=None,
                             lower_bound=None, gap=None, incumbent=None)
 
@@ -443,6 +497,30 @@ def test_every_csv_artifact_keeps_its_bytes(d1, tmp_path, capsys):
         "heuristic,2,5.0,,,T,0",
         "mip,2,5.0,5.0,0.0,T,0",
     ]
+
+
+@pytest.mark.parametrize("method, digest", [
+    ("bp", "2e345a2fd2159e609496c636dd9eef1f160342bc264a11449da4c1cb84079b01"),
+    ("hybrid", "9f8f55aa81d4fd935201266c8e09d463d63bc4145a0c70ddd0ccbbe856a20209"),
+])
+def test_cli_cg_log_keeps_its_bytes(tmp_path, method, digest):
+    # five and three pricing rounds, every cell written by `csv_line`
+    inst = generate_instance(n=10, seed=1, n_requests=14, n_scenarios=6, theta=0.8, rho=0.2)
+    save_instance(inst, tmp_path / "inst.json")
+    log_path = tmp_path / "cg.csv"
+    assert main(["solve", str(tmp_path / "inst.json"), "--method", method, "--time-limit", "120",
+                 "--gap", "1e-9", "--seed", "7", "--cg-log", str(log_path),
+                 "-o", str(tmp_path / "res.json")]) == 0
+    assert hashlib.sha256(log_path.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_run_method_judges_the_incumbent_on_the_callers_instance(method):
+    inst = generate_instance(n=8, seed=2, n_requests=8, n_scenarios=4, theta=0.8, rho=0.2)
+    res = run_method(method, inst, cfg60())
+    sol = res.incumbent
+    assert res.metrics == evaluate_metrics(inst, sol.served, sol.design_cost, sol.visited)
+    assert json.loads(res.to_json(inst))["metrics"] == dataclasses.asdict(res.metrics)
 
 
 @pytest.mark.parametrize("method", METHODS)

@@ -16,7 +16,7 @@ from oracles import oracle_tsp, warm_start
 from stspgl import mpbackend, orchestrate
 from stspgl.colgen import ColumnPool, DualPrices, build_rmp, solve_pricing
 from stspgl.covers import make_cover, minimal_feasibility_cover
-from stspgl.evalcli import solve_deterministic
+from stspgl.evalcli import run_method
 from stspgl.model import INFEASIBLE, OPTIMAL, TIME_LIMIT, UNBOUNDED
 from stspgl.mpbackend import (
     NO_PRIMAL_HEURISTICS,
@@ -209,7 +209,7 @@ def test_each_mip_sends_its_own_option_set(monkeypatch):
         (pricing_ip, lambda: solve_pricing(inst, duals)),
         (no_heuristics, lambda: benders_solve_tspgl(sub, pool)),
         (compact_mip, lambda: run_mip_benchmark(inst, cfg)),
-        (compact_mip, lambda: solve_deterministic(inst, cfg)),
+        (compact_mip, lambda: run_method("deterministic", inst, cfg)),
         ({}, lambda: _tsp_mip(sorted(inst.nodes), inst.design, math.inf)),
     ]
     for tuning, run in runs:

@@ -6,6 +6,7 @@ import pytest
 from stspgl.covers import make_cover
 from stspgl.model import TspGlSolution, build_instance, gap_value
 from stspgl import mpbackend, orchestrate
+from stspgl.evalcli import run_method
 from stspgl.mpbackend import solve_lp, solve_mip
 from stspgl.orchestrate import (
     SearchConfig,
@@ -86,7 +87,7 @@ def test_benchmark_solves_tiny_example(d1):
     assert res.lower_bound == pytest.approx(5.0, abs=1e-6)
     assert res.incumbent.served == ((1, 3),)
     assert res.incumbent.tour_sequence() == [0, 1, 3]
-    assert res.metrics is not None and not res.metrics["infeasible"]
+    assert not run_method("mip", d1, fast_cfg()).metrics.infeasible
 
 
 def test_bp_solves_tiny_example(d1):
@@ -252,11 +253,11 @@ def test_hybrid_matches_benchmark_on_generated_suite():
 def test_heuristic_never_beats_the_optimum():
     for inst in make_suite(5, start_seed=80):
         mip = run_mip_benchmark(inst, fast_cfg())
-        heu = run_heuristic(inst, fast_cfg())
+        heu = run_method("heuristic", inst, fast_cfg())
         assert heu.upper_bound is not None
         assert heu.upper_bound >= mip.upper_bound - 1e-6
         assert chance_feasible(inst, heu.incumbent.served)
-        assert not heu.metrics["infeasible"]
+        assert not heu.metrics.infeasible
 
 
 def test_trace_bounds_are_monotone(small_instance):
@@ -356,30 +357,26 @@ def test_tiny_time_budget_reports_time_limit(small_instance):
 
 
 def test_cg_log_records_pricing_rounds(d1):
-    lines = []
-    res = run_bp(d1, fast_cfg(), cg_log=lines)
+    res = run_bp(d1, fast_cfg())
     assert res.status == "Optimal"
-    assert lines
-    for idx, line in enumerate(lines, start=1):
-        cells = line.split(",")
-        assert len(cells) == 6
-        assert int(cells[0]) == idx
+    assert res.rounds
+    for rmp, pricing, lb, columns, phi in res.rounds:
+        assert isinstance(rmp, float) and isinstance(pricing, float) and isinstance(lb, float)
+        assert isinstance(columns, int) and isinstance(phi, int)
 
 
 @pytest.mark.parametrize("hybrid", [False, True], ids=["run_bp", "run_hybrid"])
 def test_dive_ends_at_the_round_whose_bound_proves_the_incumbent(hybrid):
     inst = generate_instance(n=10, seed=1, n_requests=14, n_scenarios=6,
                              theta=0.8, rho=0.2)
-    lines = []
-    res = run_bp(inst, fast_cfg(), hybrid=hybrid, cg_log=lines)
+    res = run_bp(inst, fast_cfg(), hybrid=hybrid)
     assert res.status == "Optimal"
     assert res.upper_bound == 240.6464515211406
     ub = res.upper_bound
-    lbs = [line.split(",")[3] for line in lines]
-    closed = [idx for idx, lb in enumerate(lbs, start=1)
-              if lb and float(lb) >= ub - 1e-9 * max(1.0, ub)]
+    closed = [idx for idx, (_rmp, _pricing, lb, _columns, _phi) in enumerate(res.rounds, start=1)
+              if math.isfinite(lb) and lb >= ub - 1e-9 * max(1.0, ub)]
     # no pricing round runs after the one whose bound met the incumbent
-    assert closed and closed[0] == len(lines)
+    assert closed and closed[0] == len(res.rounds)
 
 
 @pytest.mark.parametrize("hybrid", [False, True], ids=["run_bp", "run_hybrid"])
@@ -387,24 +384,22 @@ def test_dive_bound_is_the_master_value_plus_the_pricing_optimum(hybrid):
     # the Lagrangian bound with convexity multiplier 1, capped at the incumbent
     inst = generate_instance(n=10, seed=1, n_requests=14, n_scenarios=6,
                              theta=0.8, rho=0.2)
-    lines = []
-    res = run_bp(inst, fast_cfg(), hybrid=hybrid, cg_log=lines)
+    res = run_bp(inst, fast_cfg(), hybrid=hybrid)
     assert res.status == "Optimal"
     lb = -math.inf
     met = 0
-    for line in lines:
-        _it, rmp, pricing, logged, _columns, _phi = line.split(",")
-        bound = float(rmp) + float(pricing)
-        assert float(logged) >= max(lb, min(bound, res.upper_bound))
+    for rmp, pricing, logged, _columns, _phi in res.rounds:
+        bound = rmp + pricing
+        assert logged >= max(lb, min(bound, res.upper_bound))
         if bound <= res.upper_bound:
-            assert float(logged) == max(lb, bound)
+            assert logged == max(lb, bound)
             met += 1
-        lb = float(logged)
+        lb = logged
     assert met >= 2
 
 
 def test_result_json_has_expected_fields(d1):
-    res = run_bp(d1, fast_cfg())
+    res = run_method("bp", d1, fast_cfg())
     doc = res.to_json_dict(d1)
     for key in ("status", "upper_bound", "lower_bound", "gap", "tour",
                 "served", "cover", "metrics", "instance"):
