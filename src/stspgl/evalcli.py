@@ -6,6 +6,7 @@ wires them to instance files.
 """
 
 import argparse
+import contextlib
 import dataclasses
 import inspect
 import json
@@ -118,11 +119,8 @@ def sweep(inst: Instance, theta_grid: Sequence[float],
           rho_grid: Sequence[float], cfg: SearchConfig,
           method: str = "mip") -> SweepResult:
     """Re-solve one instance over a grid of service parameters."""
-    if not theta_grid or not rho_grid:
-        raise ValueError("grids must be nonempty")
-    for v in list(theta_grid) + list(rho_grid):
-        if not (0.0 <= v <= 1.0):
-            raise ValueError("grid values must lie in [0, 1]")
+    _check_grid(theta_grid)
+    _check_grid(rho_grid)
     design: List[List[Optional[float]]] = []
     nodes: List[List[Optional[int]]] = []
     for theta in theta_grid:
@@ -145,6 +143,13 @@ def sweep(inst: Instance, theta_grid: Sequence[float],
     return SweepResult(theta_grid=tuple(float(t) for t in theta_grid),
                        rho_grid=tuple(float(r) for r in rho_grid),
                        design=design, nodes_in_tour=nodes)
+
+
+def _check_grid(grid: Sequence[float]) -> None:
+    if not grid:
+        raise ValueError("grids must be nonempty")
+    if not all(0.0 <= v <= 1.0 for v in grid):
+        raise ValueError("grid values must lie in [0, 1]")
 
 
 def write_sweep_csv(result: SweepResult, design_path, nodes_path) -> None:
@@ -269,10 +274,11 @@ def bench(spec: ExperimentSpec) -> List[BenchRow]:
     the sweep over the remaining cells continues.
     """
     spec.validate()
+    instances = _spec_instances(spec)
     out = Path(spec.out_dir)
     (out / "results").mkdir(parents=True, exist_ok=True)
     rows: List[BenchRow] = []
-    for name, inst in _spec_instances(spec):
+    for name, inst in instances:
         for method in spec.methods:
             for seed in spec.seeds:
                 cfg = make_config(spec.time_limit, spec.gap_target, seed)
@@ -321,8 +327,14 @@ def _write_bench_table(rows: Sequence[BenchRow], path) -> None:
 
 # --- command line ------------------------------------------------------------
 
-def _parse_grid(text: str) -> List[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+def _grid(text: str) -> List[float]:
+    """An argparse type: comma-separated values `sweep` takes as a grid."""
+    try:
+        grid = [float(tok) for tok in text.split(",") if tok.strip()]
+        _check_grid(grid)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return grid
 
 
 def _budget(field_name: str):
@@ -380,8 +392,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     w = sub.add_parser("sweep", help="re-solve over a theta/rho grid")
     w.add_argument("instance")
-    w.add_argument("--theta-grid", required=True)
-    w.add_argument("--rho-grid", required=True)
+    w.add_argument("--theta-grid", type=_grid, required=True)
+    w.add_argument("--rho-grid", type=_grid, required=True)
     w.add_argument("--method", choices=METHODS, default="mip")
     _add_budget_args(w)
     w.add_argument("-o", "--output", default="sweep",
@@ -389,24 +401,48 @@ def _build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("bench", help="run a benchmark spec file")
     b.add_argument("spec")
+    for command in sub.choices.values():
+        command.set_defaults(usage_error=command.error)
     return parser
+
+
+@contextlib.contextmanager
+def _input_errors(args: argparse.Namespace):
+    """Report an input that cannot be read or holds a value out of range as
+    a usage error of the command: exit status 2 and one error line."""
+    try:
+        yield
+    except (OSError, ValueError) as exc:
+        args.usage_error(str(exc))
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
 
     if args.command == "generate":
-        inst = generate_instance(
-            n=args.nodes, seed=args.seed, n_requests=args.requests,
-            n_scenarios=args.scenarios, theta=args.theta, rho=args.rho,
-            alpha=args.alpha,
-        )
-        save_instance(inst, args.output)
+        with _input_errors(args):
+            inst = generate_instance(
+                n=args.nodes, seed=args.seed, n_requests=args.requests,
+                n_scenarios=args.scenarios, theta=args.theta, rho=args.rho,
+                alpha=args.alpha,
+            )
+            save_instance(inst, args.output)
         print(f"wrote {args.output}")
         return 0
 
-    if args.command == "solve":
+    if args.command == "bench":
+        with _input_errors(args):
+            spec = load_experiment_spec(args.spec)
+            # bench turns a failed run into a row, so what it raises is the
+            # spec's fault: an instance file it cannot load, a bad parameter
+            rows = bench(spec)
+        print(f"{len(rows)} runs -> {spec.out_dir}")
+        return 0
+
+    with _input_errors(args):
         inst = load_instance(args.instance)
+
+    if args.command == "solve":
         cfg = make_config(args.time_limit, args.gap, args.seed)
         res = run_method(args.method, inst, cfg)
         payload = res.to_json(inst)
@@ -427,7 +463,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
 
     if args.command == "vss":
-        inst = load_instance(args.instance)
         cfg = make_config(args.time_limit, args.gap, args.seed)
         lines = [COMPARISON_CSV_HEADER,
                  comparison_csv_line(vss_experiment(inst, cfg, method=args.method))]
@@ -438,19 +473,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
 
     if args.command == "sweep":
-        inst = load_instance(args.instance)
         cfg = make_config(args.time_limit, args.gap, args.seed)
-        result = sweep(inst, _parse_grid(args.theta_grid),
-                       _parse_grid(args.rho_grid), cfg, method=args.method)
+        result = sweep(inst, args.theta_grid, args.rho_grid, cfg, method=args.method)
         write_sweep_csv(result, f"{args.output}_design.csv",
                         f"{args.output}_nodes.csv")
         print(f"wrote {args.output}_design.csv and {args.output}_nodes.csv")
-        return 0
-
-    if args.command == "bench":
-        spec = load_experiment_spec(args.spec)
-        rows = bench(spec)
-        print(f"{len(rows)} runs -> {spec.out_dir}")
         return 0
 
     raise AssertionError("unreachable")

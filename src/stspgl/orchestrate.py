@@ -273,7 +273,7 @@ def _score_and_enqueue(state: SearchState, cover: FeasibilityCover) -> bool:
     if cover.requests in state.scored:
         return False
     bounds = cover_bounds(make_subinstance(state.inst, cover), state.cutpool,
-                          deadline=state.deadline)
+                          deadline=state.deadline, cutoff=state.ub - INCUMBENT_EPS)
     if bounds is None:
         return False
     state.scored.add(cover.requests)

@@ -84,6 +84,11 @@ def generate_instance(
     """
     if n < 3:
         raise ParameterError("need at least 3 nodes")
+    if n_scenarios < 1:
+        raise ParameterError("need at least 1 scenario")
+    for name, value in (("theta", theta), ("rho", rho), ("alpha", alpha)):
+        if not 0.0 <= value <= 1.0:
+            raise ParameterError(f"{name} must lie in [0, 1], not {value!r}")
     rng = random.Random(seed)
     side = max(100, 10 * n)
     coords: List[Tuple[int, int]] = []

@@ -47,6 +47,10 @@ INCUMBENT_EPS = 1e-9
 _FLOW_TOL = 1e-9        # edge values and residual capacities at or below this are zero
 GSEC_EPS = 1e-6         # smallest violation for which a GSEC row is separated
 MAX_BENDERS_ITERATIONS = 500
+_SCREEN_STEPS = 40      # most 1-trees the screen in `cover_bounds` builds per cover
+# relative margin a screened bound must clear above the cutoff, far above
+# the float rounding of a 1-tree's value
+_SCREEN_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -412,8 +416,60 @@ def gsec_row(x: Dict[Edge, int], nodes: Iterable[int], side: FrozenSet[int], i: 
 
 # --- bound estimation ------------------------------------------------------
 
-def cover_bounds(sub: SubInstance, cutpool: CutPool,
-                 deadline: float = math.inf) -> Optional[BoundEstimate]:
+def _one_tree(c: Sequence[Sequence[float]], pi: Sequence[float]) -> Tuple[float, List[int]]:
+    """Minimum 1-tree under the node penalties `pi`, and each node's degree.
+
+    The tree spans nodes 1..m-1 (Prim) on the costs c[i][j] + pi[i] + pi[j],
+    and node 0 joins it by its two cheapest such edges. Its value, the
+    tree's cost minus 2 * sum(pi), bounds every tour's cost from below,
+    whatever `pi` is (Held & Karp, 1970).
+    """
+    m = len(c)
+    deg = [0] * m
+    value = 0.0
+    dist = [c[1][v] + pi[1] + pi[v] for v in range(m)]
+    near = [1] * m
+    rest = list(range(2, m))
+    while rest:
+        j = min(rest, key=dist.__getitem__)
+        rest.remove(j)
+        value += c[near[j]][j]
+        deg[near[j]] += 1
+        deg[j] += 1
+        row, pj = c[j], pi[j]
+        for v in rest:
+            w = row[v] + pj + pi[v]
+            if w < dist[v]:
+                dist[v], near[v] = w, j
+    a, b = sorted(range(1, m), key=lambda v: c[0][v] + pi[v])[:2]
+    value += c[0][a] + c[0][b]
+    deg[0] = 2
+    deg[a] += 1
+    deg[b] += 1
+    # the penalties add pi[i] * deg[i] over the tree and 2 * pi[i] over a tour
+    return value + sum(p * (d - 2) for p, d in zip(pi, deg)), deg
+
+
+def _tree_screen(c: Sequence[Sequence[float]], need: float) -> float:
+    """The best 1-tree bound on the tour cost over `c` found by Polyak
+    subgradient steps toward `need`; stops as soon as it reaches `need`,
+    when the 1-tree is a tour (no penalty can raise it), or after
+    `_SCREEN_STEPS` trees."""
+    pi = [0.0] * len(c)
+    best = -math.inf
+    for _ in range(_SCREEN_STEPS):
+        value, deg = _one_tree(c, pi)
+        best = max(best, value)
+        norm = sum((d - 2) ** 2 for d in deg)
+        if best >= need or norm == 0:
+            break
+        step = (need - value) / norm
+        pi = [p + step * (d - 2) for p, d in zip(pi, deg)]
+    return best
+
+
+def cover_bounds(sub: SubInstance, cutpool: CutPool, deadline: float = math.inf,
+                 cutoff: float = math.inf) -> Optional[BoundEstimate]:
     """Bracket the subproblem value without solving it.
 
     Lower bound: exact TSP design plus each request's direct-arc cost (no
@@ -421,14 +477,33 @@ def cover_bounds(sub: SubInstance, cutpool: CutPool,
     the TSP tour itself, routing each request along it. The tour and the
     subtours met finding it go into `cutpool`, where `benders_solve_tspgl`
     reads them. None, with nothing cached, when the TSP reaches `deadline`.
+
+    A node set of at least 4 nodes that `cutpool` has no tour for is first
+    screened against a finite `cutoff`: a 1-tree bound stands in for the
+    TSP. If it proves the lower bound at least `cutoff` (plus a relative
+    1e-9), the result is that proven lower bound and an infinite upper
+    bound, and nothing is solved or cached. The exact lower bound is then
+    at least `cutoff` too, so a caller that discards a cover whose lower
+    bound reaches `cutoff` decides exactly as it would without the screen.
     """
-    alpha = sub.inst.alpha
+    inst = sub.inst
+    alpha = inst.alpha
     key = sub.key
+    lb_routing = sum(inst.design[h][k] * inst.routing_weight[(h, k)] for h, k in sub.requests)
     cached = cutpool.tsp_cache.get(key)
+    if cached is None and math.isfinite(cutoff) and len(sub.nodes) >= 4:
+        target = cutoff + _SCREEN_MARGIN * max(1.0, abs(cutoff))
+        # the screen bounds (1 - alpha) * TSP on scaled costs, so it never
+        # divides by 1 - alpha; at alpha = 1 that term is 0 and no tree helps
+        c = [[(1.0 - alpha) * inst.design[a][b] for b in sub.nodes] for a in sub.nodes]
+        tree = _tree_screen(c, target - alpha * lb_routing) if alpha < 1.0 else 0.0
+        lb = tree + alpha * lb_routing
+        if lb >= target:
+            return BoundEstimate(lb=lb, ub=math.inf)
     if cached is not None:
         tour, tsp_val = cached
     else:
-        tsp = symmetric_tsp(sub.nodes, sub.inst.design, deadline)
+        tsp = symmetric_tsp(sub.nodes, inst.design, deadline)
         if tsp is None:
             return None
         seq, tsp_val, subtours = tsp
@@ -436,8 +511,6 @@ def cover_bounds(sub: SubInstance, cutpool: CutPool,
         cutpool.tsp_cache[key] = (tour, tsp_val)
         for comp in subtours:
             cutpool.add_subtour(key, comp)
-    inst = sub.inst
-    lb_routing = sum(inst.design[h][k] * inst.routing_weight[(h, k)] for h, k in sub.requests)
     ub_routing = sum(primal_subproblem(tour, hk, inst) for hk in sub.requests)
     return BoundEstimate(lb=(1.0 - alpha) * tsp_val + alpha * lb_routing,
                          ub=(1.0 - alpha) * tsp_val + alpha * ub_routing)

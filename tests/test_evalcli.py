@@ -2,6 +2,8 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -183,6 +185,17 @@ def test_nan_time_limit_is_rejected(tmp_path, d1, capsys):
     assert not (tmp_path / "bench").exists()
 
 
+def _usage_error(capsys, argv):
+    """The last stderr line of a command line that must fail as a usage
+    error: exit status 2 and no traceback."""
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    assert stop.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return err.splitlines()[-1]
+
+
 @pytest.mark.parametrize("command", [["solve"], ["vss"],
                                      ["sweep", "--theta-grid", "0.5", "--rho-grid", "0.5"]],
                          ids=["solve", "vss", "sweep"])
@@ -206,6 +219,33 @@ def test_cli_rejects_a_budget_no_solve_takes(d1, tmp_path, capsys, command, flag
     assert f"error: argument {flag}: {message}\n" in err
     assert "Traceback" not in err
     assert list(tmp_path.iterdir()) == [inst_path]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["generate", "--nodes", "2", "-o", "x.json"], "stspgl generate: error: need at least 3 nodes"),
+    (["generate", "--nodes", "8", "--theta", "1.5", "-o", "x.json"],
+     "stspgl generate: error: theta must lie in [0, 1], not 1.5"),
+    (["sweep", "d1.json", "--theta-grid", "a", "--rho-grid", "0.2"],
+     "stspgl sweep: error: argument --theta-grid: could not convert string to float: 'a'"),
+    (["sweep", "d1.json", "--theta-grid", "0.5", "--rho-grid", "0.2,1.2"],
+     "stspgl sweep: error: argument --rho-grid: grid values must lie in [0, 1]"),
+    (["solve", "missing.json"],
+     "stspgl solve: error: [Errno 2] No such file or directory: 'missing.json'"),
+    (["bench", "zero.json"], "stspgl bench: error: time_limit must be positive"),
+    (["bench", "missing_instance.json"],
+     "stspgl bench: error: [Errno 2] No such file or directory: 'missing.json'"),
+], ids=["nodes", "theta", "grid-text", "grid-range", "missing-instance", "spec-budget",
+        "spec-missing-instance"])
+def test_cli_reports_bad_input_as_a_usage_error(d1, tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    save_instance(d1, "d1.json")
+    for name, doc in (("zero.json", {"instances": ["d1.json"], "time_limit": 0}),
+                      ("missing_instance.json", {"instances": ["missing.json"]})):
+        Path(name).write_text(json.dumps({**doc, "methods": ["heuristic"], "out_dir": "out"}))
+    before = sorted(tmp_path.iterdir())
+    assert _usage_error(capsys, argv) == message
+    # nothing written: no instance file, no bench output directory
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_experiment_spec_validation(tmp_path):
@@ -260,15 +300,14 @@ def test_experiment_spec_validation(tmp_path):
     ({"gap_target": 0.0}, r"gap_target must lie in \(0, 1\)"),
     ({"gap_target": 1.5}, r"gap_target must lie in \(0, 1\)"),
 ])
-def test_load_rejects_a_budget_no_solve_takes(tmp_path, budget, message):
+def test_load_rejects_a_budget_no_solve_takes(tmp_path, capsys, budget, message):
     # the solver's own rule and message, at load, before any output exists
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({"generator": {"n": 5}, "methods": ["heuristic"],
                                 "out_dir": str(tmp_path / "out"), **budget}))
     with pytest.raises(ValueError, match=message):
         load_experiment_spec(path)
-    with pytest.raises(ValueError, match=message):
-        main(["bench", str(path)])
+    assert re.fullmatch(f"stspgl bench: error: {message}", _usage_error(capsys, ["bench", str(path)]))
     assert not (tmp_path / "out").exists()
 
 
@@ -295,7 +334,7 @@ def test_load_rejects_a_string_where_a_list_goes(tmp_path, key, value):
     ({"generator": {"n": 5, "start_seed": 0.5}}, "'start_seed' takes integers, not 0.5"),
     ({"generator": {"n": 5, "start_seed": True}}, "'start_seed' takes integers, not True"),
 ])
-def test_load_rejects_an_integer_key_that_is_not_an_integer(tmp_path, keys, message):
+def test_load_rejects_an_integer_key_that_is_not_an_integer(tmp_path, capsys, keys, message):
     # a spec that would silently truncate to another seed or count fails at
     # load, before any run or output; an integral float such as 4.0 passes
     path = tmp_path / "spec.json"
@@ -303,8 +342,7 @@ def test_load_rejects_an_integer_key_that_is_not_an_integer(tmp_path, keys, mess
                                 "out_dir": str(tmp_path / "out"), **keys}))
     with pytest.raises(ValueError, match=f"^{message}$"):
         load_experiment_spec(path)
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        main(["bench", str(path)])
+    assert re.fullmatch(f"stspgl bench: error: {message}", _usage_error(capsys, ["bench", str(path)]))
     assert not (tmp_path / "out").exists()
     ExperimentSpec(generator={"n": 5, "count": 2.0, "start_seed": 3.0}, seeds=[4.0]).validate()
 

@@ -5,7 +5,7 @@ import pytest
 
 from stspgl.covers import make_cover
 from stspgl.model import TspGlSolution, build_instance, gap_value
-from stspgl import mpbackend, orchestrate
+from stspgl import mpbackend, orchestrate, tspgl
 from stspgl.evalcli import run_method
 from stspgl.mpbackend import solve_lp, solve_mip
 from stspgl.orchestrate import (
@@ -50,7 +50,7 @@ def test_scored_queue_orders_by_bounds_then_requests(d1, monkeypatch):
               b.requests: BoundEstimate(lb=4.0, ub=5.0),
               c.requests: BoundEstimate(lb=5.0, ub=5.0)}
     monkeypatch.setattr(orchestrate, "cover_bounds",
-                        lambda sub, cutpool, deadline: bounds[sub.requests])
+                        lambda sub, cutpool, deadline, cutoff: bounds[sub.requests])
     state = _new_state(d1, fast_cfg())
     for cover in (c, a, b):
         assert _score_and_enqueue(state, cover)
@@ -406,3 +406,34 @@ def test_result_json_has_expected_fields(d1):
         assert key in doc
     assert doc["tour"] == [0, 1, 3]
     assert doc["metrics"]["infeasible"] is False
+
+
+def test_tree_screen_changes_no_search_decision(monkeypatch):
+    # the screen discards only covers the exact bound discards too, so a
+    # search with it and one whose screen never proves anything agree
+    insts = [generate_instance(n=11, seed=seed, n_requests=16, n_scenarios=5, theta=0.8, rho=0.2)
+             for seed in (6, 7)]
+    screened = []
+    real_cover_bounds = orchestrate.cover_bounds
+
+    def spy(*args, **kwargs):
+        bounds = real_cover_bounds(*args, **kwargs)
+        screened.append(bounds is not None and bounds.ub == math.inf)
+        return bounds
+
+    def runs():
+        out = []
+        for inst in insts:
+            for method in ("heuristic", "hybrid"):
+                res = run_method(method, inst, fast_cfg(seed=0))
+                out.append((res.to_json(inst), [(e.event, e.ub, e.lb, e.cover_size,
+                                                 e.nodes_visited) for e in res.trace.events]))
+        return out
+
+    monkeypatch.setattr(orchestrate, "cover_bounds", spy)
+    with_screen = runs()
+    assert any(screened), "no cover was screened, so the check shows nothing"
+    screened.clear()
+    monkeypatch.setattr(tspgl, "_tree_screen", lambda c, need: -math.inf)
+    assert runs() == with_screen
+    assert not any(screened)

@@ -1,6 +1,6 @@
 """Property tests: the cycle utility, the routing subproblems along a tour,
-the chance constraint, the cover algebra and the LP duals' orientation, on
-inputs drawn by hypothesis."""
+the chance constraint, the cover algebra, the LP duals' orientation and the
+1-tree bound, on inputs drawn by hypothesis."""
 
 from __future__ import annotations
 
@@ -29,7 +29,8 @@ from stspgl.scenarios import (
     generate_instance,
     served_demand,
 )
-from stspgl.tspgl import _cycle_edges, dual_subproblem, primal_subproblem
+from stspgl.tspgl import (_cycle_edges, _held_karp, _one_tree, _tree_screen, dual_subproblem,
+                         primal_subproblem)
 
 PROPERTY = settings(database=None, derandomize=True, deadline=None, max_examples=60)
 
@@ -215,3 +216,30 @@ def test_lp_duals_follow_the_documented_orientation(lp):
             rc = obj - sum(dual * coeffs.get(j, 0.0)
                            for (coeffs, _, _), dual in zip(rows, out.duals))
             assert abs(rc) <= 1e-6
+
+
+@st.composite
+def costs_and_penalties(draw):
+    """Symmetric costs on 4-12 nodes from a few small integers, so that ties
+    and zero-cost edges abound, and any node penalties."""
+    m = draw(st.integers(4, 12))
+    half = draw(st.lists(st.integers(0, 6), min_size=m * (m - 1) // 2,
+                         max_size=m * (m - 1) // 2))
+    cost = [[0.0] * m for _ in range(m)]
+    for (a, b), value in zip(itertools.combinations(range(m), 2), half):
+        cost[a][b] = cost[b][a] = float(value)
+    pi = draw(st.lists(st.floats(-100.0, 100.0), min_size=m, max_size=m))
+    return cost, pi
+
+
+@PROPERTY
+@given(costs_and_penalties())
+def test_one_tree_never_exceeds_the_optimal_tour(drawn):
+    cost, pi = drawn
+    value, deg = _one_tree(cost, pi)
+    _tour, optimum = _held_karp(list(range(len(cost))), cost)
+    assert value <= optimum + 1e-9
+    # a 1-tree has m edges, and node 0 meets two of them
+    assert sum(deg) == 2 * len(cost) and deg[0] == 2 and min(deg) >= 1
+    # the screen never reports more than the best 1-tree it built
+    assert _tree_screen(cost, optimum + 1.0) <= optimum + 1e-9

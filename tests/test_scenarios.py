@@ -155,3 +155,14 @@ def test_generate_instance_rejects_bad_sizes():
         generate_instance(n=2, seed=0)
     with pytest.raises(ParameterError):
         generate_instance(n=5, seed=0, n_requests=0)
+    with pytest.raises(ParameterError, match="^need at least 1 scenario$"):
+        generate_instance(n=5, seed=0, n_scenarios=0)
+
+
+@pytest.mark.parametrize("name", ["theta", "rho", "alpha"])
+@pytest.mark.parametrize("value", [-0.1, 1.5, float("nan")])
+def test_generate_instance_rejects_a_parameter_out_of_range(monkeypatch, name, value):
+    # named in the error, and rejected before anything is drawn
+    monkeypatch.setattr("random.Random", None)
+    with pytest.raises(ParameterError, match=rf"^{name} must lie in \[0, 1\], not {value!r}$"):
+        generate_instance(n=6, seed=0, **{name: value})

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import math
@@ -246,6 +247,66 @@ def test_cover_bounds_uses_cutpool_cache(d1):
     second = cover_bounds(sub, pool)
     assert second.lb == pytest.approx(0.75 * 123.0 + 0.25 * 2.0)  # cache hit, not recomputed
     assert first.lb == pytest.approx(0.75 * 6.0 + 0.25 * 2.0)
+
+
+def _random_covers(seed, count):
+    """Covers of 4 or more nodes on a generated instance where every request
+    set is a cover (rho = 1 asks for no scenario)."""
+    inst = generate_instance(n=12, seed=seed, n_requests=14, n_scenarios=3, theta=0.8, rho=1.0)
+    rng = random.Random(seed)
+    covers = [make_cover(inst, rng.sample(inst.requests, rng.randint(1, 7)))
+              for _ in range(count)]
+    return inst, [c for c in covers if len(padded_node_set(inst, c.visited)) >= 4]
+
+
+def test_screen_proves_only_cutoffs_the_exact_bound_reaches():
+    proofs = 0
+    for seed in range(4):
+        inst, covers = _random_covers(seed, 8)
+        for cover in covers:
+            sub = make_subinstance(inst, cover)
+            exact = cover_bounds(sub, CutPool())
+            for factor in (0.5, 0.9, 0.97, 0.99, 0.999, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 1.1):
+                cutoff = exact.lb * factor
+                pool = CutPool()
+                b = cover_bounds(sub, pool, cutoff=cutoff)
+                if b.ub == math.inf:
+                    proofs += 1
+                    assert exact.lb >= cutoff
+                    assert cutoff < b.lb <= exact.lb * (1.0 + 1e-12)
+                    assert pool.tsp_cache == {} and pool.subtours == {}
+                else:
+                    assert (b.lb, b.ub) == (exact.lb, exact.ub)
+                    assert sub.key in pool.tsp_cache
+    # not vacuous: here the 1-tree proves nearly every cutoff up to 0.999 of the bound
+    assert proofs >= 40
+
+
+def test_screen_skips_cached_and_three_node_sets(d1):
+    sub = _sub(d1, [(1, 3)])
+    assert len(sub.nodes) == 3
+    pool = CutPool()
+    assert cover_bounds(sub, pool, cutoff=-100.0).ub == pytest.approx(5.0)
+    assert sub.key in pool.tsp_cache
+    big = _sub(d1, [(1, 3), (2, 4)])
+    exact = cover_bounds(big, pool)
+    assert cover_bounds(big, pool, cutoff=-100.0) == exact     # cached: never screened
+    assert cover_bounds(big, CutPool(), cutoff=-100.0).ub == math.inf
+
+
+def test_screen_at_alpha_one_proves_by_the_direct_arcs_alone(d1):
+    inst = dataclasses.replace(d1, alpha=1.0)
+    sub = _sub(inst, [(1, 3), (2, 4)])
+    assert len(sub.nodes) == 5
+    exact = cover_bounds(sub, CutPool())
+    # at alpha = 1 the lower bound is the direct-arc routing, 2 * w13 + 2 * w24
+    assert exact.lb == 2.0 * inst.routing_weight[(1, 3)] + 2.0 * inst.routing_weight[(2, 4)]
+    pool = CutPool()
+    proven = cover_bounds(sub, pool, cutoff=exact.lb * (1.0 - 1e-6))
+    assert (proven.lb, proven.ub) == (exact.lb, math.inf)
+    assert pool.tsp_cache == {}
+    # a cutoff at the bound itself needs the relative margin, so it is not proven
+    assert cover_bounds(sub, pool, cutoff=exact.lb) == exact
 
 
 def test_primal_subproblem_on_d1(d1):
