@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .model import (INFEASIBLE, TIME_LIMIT, Instance, MetricsRow, ParameterError, StspGlResult,
-                    csv_line, load_instance, save_instance, write_lines)
+                    check_instance, csv_line, load_instance, save_instance, write_lines)
 from .scenarios import evaluate_metrics, generate_instance, mean_scenario
 from .orchestrate import (
     SearchConfig,
@@ -288,7 +288,7 @@ def bench(spec: ExperimentSpec) -> List[BenchRow]:
                     res = run_method(method, inst, cfg)
                 except Exception as exc:       # keep the table going
                     rows.append(BenchRow(name, inst.n, len(inst.requests),
-                                         inst.scenarios.size, method, seed,
+                                         inst.n_scenarios, method, seed,
                                          f"Error:{type(exc).__name__}",
                                          None, None, None,
                                          time.monotonic() - started))
@@ -298,7 +298,7 @@ def bench(spec: ExperimentSpec) -> List[BenchRow]:
                     continue
                 elapsed = time.monotonic() - started
                 rows.append(BenchRow(name, inst.n, len(inst.requests),
-                                     inst.scenarios.size, method, seed,
+                                     inst.n_scenarios, method, seed,
                                      res.status, res.upper_bound,
                                      res.lower_bound, res.gap, elapsed))
                 (out / "results" / f"{stem}.json").write_text(res.to_json(inst))
@@ -441,6 +441,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     with _input_errors(args):
         inst = load_instance(args.instance)
+        # sweep sets theta per cell, and a cell with theta 0 is empty by design
+        check_instance(inst, routing=args.command != "sweep")
 
     if args.command == "solve":
         cfg = make_config(args.time_limit, args.gap, args.seed)

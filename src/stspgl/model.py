@@ -94,30 +94,14 @@ def metric_closure(dist) -> Optional[List[List[float]]]:
 
 
 @dataclass(frozen=True)
-class ScenarioSet:
-    """Equally likely demand scenarios, aligned with the instance requests.
-
-    demand[s][r] is the demand of request index r in scenario s.
-    """
-
-    demand: Tuple[Tuple[float, ...], ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.demand)
-
-    def total(self, s: int) -> float:
-        return sum(self.demand[s])
-
-
-@dataclass(frozen=True)
 class Instance:
     n: int                                        # nodes are 0 .. n-1
     design: Tuple[Tuple[float, ...], ...]         # symmetric, > 0 off-diagonal; edge
                                                   # design cost and arc travel time
     compulsory: frozenset                         # nonempty subset of nodes
     requests: Tuple[Request, ...]                 # canonical lexicographic order
-    scenarios: ScenarioSet
+    demand: Tuple[Tuple[float, ...], ...]         # demand[r][s]: request r's demand in
+                                                  # scenario s; equally likely scenarios
     alpha: float                                  # design/routing tradeoff in [0, 1]
     theta: float                                  # service level in [0, 1]
     rho: float                                    # infeasibility tolerance in [0, 1]
@@ -128,14 +112,22 @@ class Instance:
     def nodes(self) -> range:
         return range(self.n)
 
+    @property
+    def n_scenarios(self) -> int:
+        return len(self.demand[0]) if self.demand else 0
+
     # The chance constraint's data and the routing weights, computed once per
     # instance on first use, so that an instance with parameters out of range
     # still builds and `validate_instance` can report them.
     @functools.cached_property
     def demand_columns(self) -> Dict[Request, Tuple[float, ...]]:
         """Each request's demand, scenario by scenario."""
-        rows = self.scenarios.demand
-        return {hk: tuple(row[r] for row in rows) for r, hk in enumerate(self.requests)}
+        return dict(zip(self.requests, self.demand))
+
+    @functools.cached_property
+    def scenario_totals(self) -> Tuple[float, ...]:
+        """Each scenario's total demand, summed in request order."""
+        return tuple(sum(col[s] for col in self.demand) for s in range(self.n_scenarios))
 
     @functools.cached_property
     def routing_weight(self) -> Dict[Request, float]:
@@ -144,27 +136,24 @@ class Instance:
         costs the request design[i][j] times its weight."""
         if self.theta <= 0.0:
             raise ParameterError("theta must be positive to define routing costs")
-        ns = self.scenarios.size
         weight: Dict[Request, float] = {}
-        for r, hk in enumerate(self.requests):
+        for hk, col in zip(self.requests, self.demand):
             acc = 0.0
-            for s in range(ns):
-                total = self.scenarios.total(s)
+            for s, total in enumerate(self.scenario_totals):
                 if total <= 0.0:
                     raise ParameterError(f"scenario {s} has zero total demand")
-                acc += self.scenarios.demand[s][r] / (self.theta * total)
-            weight[hk] = acc / ns
+                acc += col[s] / (self.theta * total)
+            weight[hk] = acc / self.n_scenarios
         return weight
 
     @functools.cached_property
     def service_floors(self) -> Tuple[float, ...]:
         """Per scenario, the served demand that meets the service level."""
-        return tuple(self.theta * self.scenarios.total(s) - SAT_EPS
-                     for s in range(self.scenarios.size))
+        return tuple(self.theta * total - SAT_EPS for total in self.scenario_totals)
 
     @functools.cached_property
     def required_scenarios(self) -> int:
-        return required_scenario_count(self.scenarios.size, self.rho)
+        return required_scenario_count(self.n_scenarios, self.rho)
 
 
 def required_scenario_count(n_scenarios: int, rho: float) -> int:
@@ -225,17 +214,12 @@ def build_instance(
         n = len(dist)
         mat = [[float(v) for v in row] for row in dist]
     order = sorted(range(len(requests)), key=lambda idx: tuple(requests[idx]))
-    reqs = canonical_requests(requests)
-    rows = tuple(
-        tuple(float(demand[idx][s]) for idx in order)
-        for s in range(len(demand[0]) if demand else 0)
-    )
     return Instance(
         n=n,
         design=tuple(tuple(row) for row in mat),
         compulsory=frozenset(int(v) for v in compulsory),
-        requests=reqs,
-        scenarios=ScenarioSet(demand=rows),
+        requests=canonical_requests(requests),
+        demand=tuple(tuple(float(v) for v in demand[idx]) for idx in order),
         alpha=float(alpha),
         theta=float(theta),
         rho=float(rho),
@@ -248,8 +232,7 @@ def save_instance(inst: Instance, path) -> None:
     doc: Dict = {
         "compulsory": sorted(inst.compulsory),
         "requests": [
-            {"h": h, "k": k, "demand": [inst.scenarios.demand[s][r] for s in range(inst.scenarios.size)]}
-            for r, (h, k) in enumerate(inst.requests)
+            {"h": h, "k": k, "demand": list(col)} for (h, k), col in zip(inst.requests, inst.demand)
         ],
         "theta": inst.theta,
         "rho": inst.rho,
@@ -268,23 +251,26 @@ def save_instance(inst: Instance, path) -> None:
 def load_instance(path) -> Instance:
     with open(path) as fh:
         doc = json.load(fh)
-    requests = [(req["h"], req["k"]) for req in doc["requests"]]
-    demand = [req["demand"] for req in doc["requests"]]
-    kwargs = dict(
-        compulsory=doc["compulsory"],
-        requests=requests,
-        demand=demand,
-        theta=doc["theta"],
-        rho=doc["rho"],
-        alpha=doc["alpha"],
-        rounding=doc.get("rounding", "exact"),
-    )
-    if "nodes" in doc:
-        nodes = sorted(doc["nodes"], key=lambda rec: rec["id"])
-        if [rec["id"] for rec in nodes] != list(range(len(nodes))):
-            raise ValueError("node ids must be dense integers 0..n-1")
-        return build_instance(coords=[(rec["x"], rec["y"]) for rec in nodes], **kwargs)
-    return build_instance(dist=doc["dist"], **kwargs)
+    try:
+        kwargs = dict(
+            compulsory=doc["compulsory"],
+            requests=[(req["h"], req["k"]) for req in doc["requests"]],
+            demand=[req["demand"] for req in doc["requests"]],
+            theta=doc["theta"],
+            rho=doc["rho"],
+            alpha=doc["alpha"],
+            rounding=doc.get("rounding", "exact"),
+        )
+        if "nodes" in doc:
+            nodes = sorted(doc["nodes"], key=lambda rec: rec["id"])
+            if [rec["id"] for rec in nodes] != list(range(len(nodes))):
+                raise ValueError("node ids must be dense integers 0..n-1")
+            kwargs["coords"] = [(rec["x"], rec["y"]) for rec in nodes]
+        else:
+            kwargs["dist"] = doc["dist"]
+    except KeyError as exc:
+        raise ValueError(f"instance file lacks the key {exc.args[0]!r}") from None
+    return build_instance(**kwargs)
 
 
 def validate_instance(inst: Instance) -> List[str]:
@@ -330,24 +316,35 @@ def validate_instance(inst: Instance) -> List[str]:
         if (h, k) in seen:
             report.append(f"duplicate request ({h},{k})")
         seen.add((h, k))
-    ns = inst.scenarios.size
+    ns = inst.n_scenarios
     if ns == 0:
         report.append("no scenarios")
-    for s in range(ns):
-        if len(inst.scenarios.demand[s]) != len(inst.requests):
-            report.append(f"scenario {s} demand length mismatch")
-            return report
-        if any(v < 0 for v in inst.scenarios.demand[s]):
+    if len(inst.demand) != len(inst.requests) or any(len(col) != ns for col in inst.demand):
+        report.append("demand shape mismatch")
+        return report
+    for s, total in enumerate(inst.scenario_totals):
+        if any(col[s] < 0 for col in inst.demand):
             report.append(f"negative demand in scenario {s}")
-        if inst.scenarios.total(s) <= 0:
+        if total <= 0:
             report.append(f"scenario {s} has zero total demand")
-    for r, hk in enumerate(inst.requests):
-        if all(inst.scenarios.demand[s][r] <= 0 for s in range(ns)):
+    for hk, col in zip(inst.requests, inst.demand):
+        if all(v <= 0 for v in col):
             report.append(f"request {hk} has no positive demand in any scenario")
     for name, value in (("alpha", inst.alpha), ("theta", inst.theta), ("rho", inst.rho)):
         if not 0.0 <= value <= 1.0:
             report.append(f"{name} outside [0, 1]")
     return report
+
+
+def check_instance(inst: Instance, routing: bool = True) -> None:
+    """Raise a ValueError listing what `validate_instance` reports; then,
+    with `routing`, read the routing weights, which raise a ParameterError
+    when theta is 0, even for a search that reads no weight."""
+    problems = validate_instance(inst)
+    if problems:
+        raise ValueError("invalid instance: " + "; ".join(problems))
+    if routing:
+        inst.routing_weight
 
 
 @dataclass
@@ -453,7 +450,7 @@ class StspGlResult:
             doc["instance"] = {
                 "n": inst.n,
                 "requests": len(inst.requests),
-                "scenarios": inst.scenarios.size,
+                "scenarios": inst.n_scenarios,
                 "theta": inst.theta,
                 "rho": inst.rho,
                 "alpha": inst.alpha,

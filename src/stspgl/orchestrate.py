@@ -28,9 +28,9 @@ from .model import (
     SolveTrace,
     StspGlResult,
     TspGlSolution,
+    check_instance,
     cycles,
     gap_value,
-    validate_instance,
 )
 from .scenarios import chance_feasible
 from .covers import FeasibilityCover, explore, local_search, make_cover
@@ -145,11 +145,7 @@ def _new_state(inst: Instance, cfg: SearchConfig) -> SearchState:
     """Check the inputs, compute the routing weights, seed the rng, start
     the clock."""
     cfg.validate()
-    problems = validate_instance(inst)
-    if problems:
-        raise ValueError("invalid instance: " + "; ".join(problems))
-    # ParameterError when theta is 0, even for a search that reads no weight
-    inst.routing_weight
+    check_instance(inst)
     start = time.monotonic()
     state = SearchState(inst=inst, rng=random.Random(cfg.seed),
                         trace=SolveTrace(), start=start,

@@ -8,7 +8,7 @@ import operator
 import random
 from typing import Iterable, List, Optional, Tuple
 
-from .model import (Instance, MetricsRow, ParameterError, Request, ScenarioSet, build_instance,
+from .model import (Instance, MetricsRow, ParameterError, Request, build_instance,
                     validate_instance)
 
 
@@ -17,7 +17,7 @@ def served_demand(inst: Instance, served: Iterable[Request]) -> List[float]:
     order given, as the builtin sum adds a per-scenario generator."""
     columns = [inst.demand_columns[hk] for hk in served]
     if not columns:
-        return [0.0] * inst.scenarios.size
+        return [0.0] * inst.n_scenarios
     return [sum(col) for col in zip(*columns)]
 
 
@@ -31,12 +31,8 @@ def chance_feasible(inst: Instance, served: Iterable[Request]) -> bool:
 
 def mean_scenario(inst: Instance) -> Instance:
     """Collapse the scenario set to its mean, keeping everything else."""
-    ns = inst.scenarios.size
-    mean_row = tuple(
-        sum(inst.scenarios.demand[s][r] for s in range(ns)) / ns
-        for r in range(len(inst.requests))
-    )
-    return dataclasses.replace(inst, scenarios=ScenarioSet(demand=(mean_row,)))
+    ns = inst.n_scenarios
+    return dataclasses.replace(inst, demand=tuple((sum(col) / ns,) for col in inst.demand))
 
 
 def evaluate_metrics(inst: Instance, served: Iterable[Request], design_cost: float,
@@ -46,12 +42,11 @@ def evaluate_metrics(inst: Instance, served: Iterable[Request], design_cost: flo
     Works for solutions produced on a different scenario set (e.g. the mean
     scenario), which is the point: the scenarios of `inst` are the judge.
     """
-    ns = inst.scenarios.size
+    ns = inst.n_scenarios
     got = served_demand(inst, served)
     unmet = 0.0
-    for s in range(ns):
-        total = inst.scenarios.total(s)
-        unmet += max(0.0, total - got[s]) / total
+    for total, served_s in zip(inst.scenario_totals, got):
+        unmet += max(0.0, total - served_s) / total
     met = _scenarios_met(inst, got)
     return MetricsRow(
         nodes=inst.n,

@@ -309,11 +309,10 @@ def add_service_rows(model: LinearModel, inst: Instance, serve: Dict[Request, in
     theta times the scenario's total, and a row that asks for at least
     ceil((1 - rho) |S|) of them.
     """
-    met = [model.add_var(lb=0.0, ub=1.0, integer=True) for _s in range(inst.scenarios.size)]
-    for s, col in enumerate(met):
-        coeffs = {serve[hk]: inst.scenarios.demand[s][idx]
-                  for idx, hk in enumerate(inst.requests) if inst.scenarios.demand[s][idx]}
-        coeffs[col] = -inst.theta * inst.scenarios.total(s)
+    met = [model.add_var(lb=0.0, ub=1.0, integer=True) for _s in range(inst.n_scenarios)]
+    for s, (col, total) in enumerate(zip(met, inst.scenario_totals)):
+        coeffs = {serve[hk]: d[s] for hk, d in zip(inst.requests, inst.demand) if d[s]}
+        coeffs[col] = -inst.theta * total
         model.add_constr(coeffs, ">=", 0.0)
     model.add_constr({col: 1.0 for col in met}, ">=", float(inst.required_scenarios))
 

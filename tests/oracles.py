@@ -12,13 +12,15 @@ against. `presolved_lp_objective` reads a `LinearModel`'s arrays and
 solves them with a plain `linprog` call, as the RMP LP's differential
 oracle. `warm_start` runs the solver's own bound stage, because the
 Benders loop reads its tour from the cut cache that stage fills.
-`structural_violations` prices routing with the instance's routing weights
-(`Instance.routing_weight`), which define a solution's routing cost.
 `is_minimal` checks cover minimalization against `chance_feasible`
 itself, one request removal at a time. The chance constraint's reference
-sums each scenario's served demand with its own generator, request by
-request, which the solver's precomputed demand columns must reproduce bit
-for bit; `metrics_reference` scores a solution from those sums.
+sums each scenario's served demand and total with its own generators over
+`Instance.demand`, request by request, which the solver's demand columns
+and scenario totals must reproduce bit for bit; `metrics_reference` scores
+a solution from those sums. `routing_weight` rebuilds each request's
+routing weight from the same totals with the solver's arithmetic, so
+`structural_violations` and every arc cost here price routing without
+reading `Instance.routing_weight`.
 """
 
 from __future__ import annotations
@@ -61,28 +63,33 @@ SAT_EPS = 1e-9
 
 
 def demand(inst: Instance, s: int, hk: Request) -> float:
-    return inst.scenarios.demand[s][inst.requests.index(hk)]
+    return inst.demand[inst.requests.index(hk)][s]
+
+
+def scenario_total(inst: Instance, s: int) -> float:
+    """Scenario s's total demand, summed over the requests in their order."""
+    return sum(col[s] for col in inst.demand)
 
 
 def served_demand_reference(inst: Instance, served: Sequence[Request]) -> List[float]:
     served = list(served)
-    return [sum(demand(inst, s, hk) for hk in served) for s in range(inst.scenarios.size)]
+    return [sum(demand(inst, s, hk) for hk in served) for s in range(inst.n_scenarios)]
 
 
 def scenario_satisfied(inst: Instance, served: Sequence[Request], s: int) -> bool:
     """True when the served requests cover a theta share of scenario demand."""
     got = sum(demand(inst, s, hk) for hk in served)
-    need = inst.theta * inst.scenarios.total(s)
+    need = inst.theta * scenario_total(inst, s)
     return got >= need - SAT_EPS
 
 
 def satisfied_count(inst: Instance, served: Sequence[Request]) -> int:
     served = list(served)
-    return sum(1 for s in range(inst.scenarios.size) if scenario_satisfied(inst, served, s))
+    return sum(1 for s in range(inst.n_scenarios) if scenario_satisfied(inst, served, s))
 
 
 def subset_is_cover(inst: Instance, subset: Sequence[Request]) -> bool:
-    return satisfied_count(inst, subset) >= required_scenario_count(inst.scenarios.size, inst.rho)
+    return satisfied_count(inst, subset) >= required_scenario_count(inst.n_scenarios, inst.rho)
 
 
 def metrics_reference(inst: Instance, served: Sequence[Request], design_cost: float,
@@ -90,11 +97,11 @@ def metrics_reference(inst: Instance, served: Sequence[Request], design_cost: fl
     """The metrics row with each scenario's served demand summed afresh for
     the unmet share, the per-scenario verdict and the chance constraint."""
     served = list(served)
-    ns = inst.scenarios.size
+    ns = inst.n_scenarios
     unmet = 0.0
     missed = 0
     for s in range(ns):
-        total = inst.scenarios.total(s)
+        total = scenario_total(inst, s)
         got = sum(demand(inst, s, hk) for hk in served)
         unmet += max(0.0, total - got) / total
         if not scenario_satisfied(inst, served, s):
@@ -102,6 +109,16 @@ def metrics_reference(inst: Instance, served: Sequence[Request], design_cost: fl
     return MetricsRow(nodes=inst.n, theta=inst.theta, rho=inst.rho, design_cost=design_cost,
                       nbar=len(set(visited)), dbar=unmet / ns, rhobar=missed / ns,
                       infeasible=not subset_is_cover(inst, served))
+
+
+def routing_weight(inst: Instance, hk: Request) -> float:
+    """Request hk's routing weight: the mean over scenarios of its demand
+    over theta times the scenario's total, added scenario by scenario."""
+    ns = inst.n_scenarios
+    acc = 0.0
+    for s in range(ns):
+        acc += demand(inst, s, hk) / (inst.theta * scenario_total(inst, s))
+    return acc / ns
 
 
 def is_minimal(inst: Instance, cover) -> bool:
@@ -247,7 +264,7 @@ def held_karp_reference(nodes: List[int], cost) -> Tuple[List[int], float]:
 
 def arc_cost(inst: Instance, hk: Request):
     """Request hk's cost on arc (a, b): the design cost times its routing weight."""
-    w = inst.routing_weight[hk]
+    w = routing_weight(inst, hk)
     return lambda a, b: inst.design[a][b] * w
 
 
@@ -305,14 +322,15 @@ def oracle_tspgl(inst: Instance, cover) -> Tuple[float, List[int]]:
     first, rest = nodes[0], nodes[1:]
     best_val = math.inf
     best_seq: List[int] = []
+    costs = [arc_cost(inst, hk) for hk in reqs]
     for perm in itertools.permutations(rest):
         if len(perm) > 1 and perm[0] > perm[-1]:
             continue
         seq = [first, *perm]
         design = sum(inst.design[seq[i]][seq[(i + 1) % len(seq)]] for i in range(len(seq)))
         routing = 0.0
-        for hk in reqs:
-            routing += tour_path_cost(seq, hk[0], hk[1], arc_cost(inst, hk))
+        for hk, cost in zip(reqs, costs):
+            routing += tour_path_cost(seq, hk[0], hk[1], cost)
         val = (1.0 - inst.alpha) * design + inst.alpha * routing
         if val < best_val - 1e-12:
             best_val = val

@@ -305,7 +305,7 @@ def _tspgl2_path():
 def test_criterion_09_external_17_node_benchmark(tmp_path):
     path = _tspgl2_path()
     inst = load_instance(path)
-    assert inst.n == 17 and inst.scenarios.size == 20
+    assert inst.n == 17 and inst.n_scenarios == 20
     assert inst.theta == pytest.approx(0.95) and inst.rho == pytest.approx(0.05)
     spec = ExperimentSpec(instances=[str(path)], methods=["bp"], seeds=[0],
                           time_limit=3600.0, gap_target=1e-9,

@@ -234,18 +234,48 @@ def test_cli_rejects_a_budget_no_solve_takes(d1, tmp_path, capsys, command, flag
     (["bench", "zero.json"], "stspgl bench: error: time_limit must be positive"),
     (["bench", "missing_instance.json"],
      "stspgl bench: error: [Errno 2] No such file or directory: 'missing.json'"),
+    (["solve", "alpha.json"], "stspgl solve: error: invalid instance: alpha outside [0, 1]"),
+    (["solve", "theta0.json"],
+     "stspgl solve: error: theta must be positive to define routing costs"),
+    (["solve", "norho.json"], "stspgl solve: error: instance file lacks the key 'rho'"),
+    (["vss", "alpha.json"], "stspgl vss: error: invalid instance: alpha outside [0, 1]"),
+    (["sweep", "alpha.json", "--theta-grid", "0.5", "--rho-grid", "0.2"],
+     "stspgl sweep: error: invalid instance: alpha outside [0, 1]"),
+    (["bench", "norho_spec.json"], "stspgl bench: error: instance file lacks the key 'rho'"),
 ], ids=["nodes", "theta", "grid-text", "grid-range", "missing-instance", "spec-budget",
-        "spec-missing-instance"])
+        "spec-missing-instance", "solve-alpha", "solve-theta0", "solve-norho", "vss-alpha",
+        "sweep-alpha", "spec-norho"])
 def test_cli_reports_bad_input_as_a_usage_error(d1, tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)
-    save_instance(d1, "d1.json")
+    _write_unsolvable_files(d1)
     for name, doc in (("zero.json", {"instances": ["d1.json"], "time_limit": 0}),
-                      ("missing_instance.json", {"instances": ["missing.json"]})):
+                      ("missing_instance.json", {"instances": ["missing.json"]}),
+                      ("norho_spec.json", {"instances": ["norho.json"]})):
         Path(name).write_text(json.dumps({**doc, "methods": ["heuristic"], "out_dir": "out"}))
     before = sorted(tmp_path.iterdir())
     assert _usage_error(capsys, argv) == message
     # nothing written: no instance file, no bench output directory
     assert sorted(tmp_path.iterdir()) == before
+
+
+def _write_unsolvable_files(d1):
+    """d1.json, and three edits of it that load or solve no more: alpha out
+    of range, theta 0 (no routing weights) and no `rho` key."""
+    save_instance(d1, "d1.json")
+    doc = json.loads(Path("d1.json").read_text())
+    Path("alpha.json").write_text(json.dumps({**doc, "alpha": 1.5}))
+    Path("theta0.json").write_text(json.dumps({**doc, "theta": 0.0}))
+    Path("norho.json").write_text(json.dumps({k: v for k, v in doc.items() if k != "rho"}))
+
+
+def test_sweep_takes_an_instance_file_with_theta_zero(d1, tmp_path, monkeypatch, capsys):
+    # the grid sets theta, so the file's theta of 0 keeps no cell from solving
+    monkeypatch.chdir(tmp_path)
+    _write_unsolvable_files(d1)
+    assert main(["sweep", "theta0.json", "--theta-grid", "0.5", "--rho-grid", "0.5",
+                 "--method", "heuristic", "--time-limit", "60"]) == 0
+    # the tour 0-1-3 serving (1, 3): design 1 + 2 + 3
+    assert Path("sweep_design.csv").read_text().splitlines() == ["theta/rho,0.5", "0.5,6.0"]
 
 
 def test_experiment_spec_validation(tmp_path):

@@ -40,8 +40,8 @@ def test_build_instance_canonicalizes_request_order():
         dist=[[abs(i - j) for j in range(5)] for i in range(5)],
     )
     assert inst.requests == ((1, 3), (2, 4))
-    # demand rows must follow the request reordering
-    assert inst.scenarios.demand == ((3.0, 1.0), (4.0, 2.0))
+    # demand columns must follow the request reordering
+    assert inst.demand == ((3.0, 4.0), (1.0, 2.0))
     assert demand(inst, 0, (2, 4)) == 1.0
 
 
@@ -86,12 +86,12 @@ def test_instance_json_round_trip_dist(tmp_path, d1):
     again = load_instance(path)
     assert again.requests == d1.requests
     assert again.design == d1.design
-    assert again.scenarios.demand == d1.scenarios.demand
+    assert again.demand == d1.demand
     assert (again.theta, again.rho, again.alpha) == (d1.theta, d1.rho, d1.alpha)
 
 
-def test_instance_json_round_trip_coords(tmp_path):
-    inst = build_instance(
+def _coords_instance():
+    return build_instance(
         compulsory=[0, 1],
         requests=[(0, 2), (3, 1)],
         demand=[[2.0, 0.0], [1.0, 5.0]],
@@ -101,12 +101,49 @@ def test_instance_json_round_trip_coords(tmp_path):
         coords=[(0, 0), (10, 0), (10, 10), (0, 10)],
         rounding="euc2d",
     )
+
+
+def test_instance_json_round_trip_coords(tmp_path):
+    inst = _coords_instance()
     path = tmp_path / "inst.json"
     save_instance(inst, path)
     again = load_instance(path)
     assert again.coords == inst.coords
     assert again.design == inst.design
     assert again.rounding == "euc2d"
+
+
+@pytest.mark.parametrize("kind", ["dist", "coords"])
+def test_save_load_save_writes_the_same_bytes(tmp_path, d1, kind):
+    inst = d1 if kind == "dist" else _coords_instance()
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    save_instance(inst, first)
+    save_instance(load_instance(first), second)
+    assert second.read_bytes() == first.read_bytes()
+    # the file lists each request's demand column, in request order
+    doc = json.loads(first.read_text())
+    assert [req["demand"] for req in doc["requests"]] == [list(col) for col in inst.demand]
+
+
+def test_scenario_totals_sum_each_scenario_in_request_order():
+    # 1e16 + 1 rounds back to 1e16 in binary floating point, so the
+    # scenario-1 total shows the order of the additions: 1e16 in request
+    # order, 1e16 + 2 had the small demands been added first
+    inst = build_instance(
+        compulsory=[0],
+        requests=[(0, 1), (1, 2), (2, 0)],
+        demand=[[1e16, 3.0], [1.0, 0.5], [1.0, 0.25]],
+        theta=0.5,
+        rho=0.0,
+        alpha=0.25,
+        dist=[[0, 1, 1], [1, 0, 1], [1, 1, 0]],
+    )
+    assert inst.n_scenarios == 2
+    assert inst.scenario_totals == (1e16, 3.75)
+    for s, total in enumerate(inst.scenario_totals):
+        assert total == sum(col[s] for col in inst.demand)
+    big = generate_instance(n=9, seed=4, n_requests=12, n_scenarios=5)
+    assert big.scenario_totals == tuple(sum(col[s] for col in big.demand) for s in range(5))
 
 
 def _instance_doc(**overrides):
@@ -135,6 +172,33 @@ def test_load_rejects_uneven_demand_lists(tmp_path, first, second):
            rf"the first request lists {len(first)}"
     with pytest.raises(ValueError, match=want):
         load_instance(path)
+
+
+@pytest.mark.parametrize("drop", ["compulsory", "requests", "theta", "rho", "alpha", "nodes",
+                                  "demand", "x"])
+def test_load_names_a_missing_key(tmp_path, drop):
+    doc = _instance_doc()
+    if drop in ("demand", "x"):
+        for rec in doc["requests"] if drop == "demand" else doc["nodes"]:
+            del rec[drop]
+    else:
+        del doc[drop]
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    # a file with neither node coordinates nor a matrix lacks the matrix
+    key = "dist" if drop == "nodes" else drop
+    with pytest.raises(ValueError, match=f"^instance file lacks the key '{key}'$"):
+        load_instance(path)
+
+
+def test_load_defaults_a_missing_rounding_to_exact(tmp_path):
+    doc = _instance_doc()
+    del doc["rounding"]
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    inst = load_instance(path)
+    assert inst.rounding == "exact"
+    assert inst.design[0][1] == math.sqrt(2.0)
 
 
 def test_load_rejects_an_unknown_rounding(tmp_path):

@@ -16,12 +16,14 @@ from oracles import (
     arc_cost,
     is_minimal,
     metrics_reference,
+    routing_weight,
+    scenario_total,
     served_demand_reference,
     subset_is_cover,
     tour_path_cost,
 )
 from stspgl.covers import minimal_feasibility_cover
-from stspgl.model import OPTIMAL, ScenarioSet, build_instance, cycles, edge
+from stspgl.model import OPTIMAL, build_instance, cycles, edge
 from stspgl.mpbackend import LinearModel, solve_lp
 from stspgl.scenarios import (
     chance_feasible,
@@ -130,10 +132,10 @@ def instance_and_served(draw):
                              n_requests=draw(st.integers(1, min(n * (n - 1), 12))),
                              n_scenarios=draw(st.integers(1, 6)),
                              theta=draw(st.floats(0.05, 1.0)), rho=draw(st.floats(0.0, 1.0)))
-    size = len(inst.requests) * inst.scenarios.size
+    size = len(inst.requests) * inst.n_scenarios
     scale = iter(draw(st.lists(st.floats(0.01, 10.0), min_size=size, max_size=size)))
-    demand = tuple(tuple(v * next(scale) for v in row) for row in inst.scenarios.demand)
-    inst = dataclasses.replace(inst, scenarios=ScenarioSet(demand=demand))
+    demand = tuple(tuple(v * next(scale) for v in col) for col in inst.demand)
+    inst = dataclasses.replace(inst, demand=demand)
     served = draw(st.one_of(st.just([]), st.just(list(inst.requests)),
                             st.lists(st.sampled_from(inst.requests), unique=True)))
     return inst, served
@@ -150,6 +152,11 @@ def test_chance_constraint_matches_the_per_scenario_sums(drawn, design_cost):
     visited = inst.compulsory.union(*served)
     assert evaluate_metrics(inst, served, design_cost, visited) == \
         metrics_reference(inst, served, design_cost, visited)
+    # the cached totals and the routing weights built on them, bit for bit
+    assert [v.hex() for v in inst.scenario_totals] == \
+        [scenario_total(inst, s).hex() for s in range(inst.n_scenarios)]
+    assert {hk: w.hex() for hk, w in inst.routing_weight.items()} == \
+        {hk: routing_weight(inst, hk).hex() for hk in inst.requests}
 
 
 @PROPERTY

@@ -31,7 +31,7 @@ def test_routing_weights_scale_inversely_with_theta(d1):
     lax = build_instance(
         compulsory=[0],
         requests=list(d1.requests),
-        demand=[[d1.scenarios.demand[s][r] for s in range(2)] for r in range(2)],
+        demand=[list(col) for col in d1.demand],
         theta=0.25,
         rho=d1.rho,
         alpha=d1.alpha,
@@ -63,9 +63,8 @@ def test_routing_weights_belong_to_their_own_instance():
     half = dataclasses.replace(inst, theta=inst.theta / 2)
     assert half.routing_weight == {hk: 2.0 * w for hk, w in weight.items()}
     det = mean_scenario(inst)
-    row = det.scenarios.demand[0]
-    own = {hk: row[r] / (det.theta * det.scenarios.total(0))
-           for r, hk in enumerate(det.requests)}
+    total = sum(col[0] for col in det.demand)
+    own = {hk: col[0] / (det.theta * total) for hk, col in zip(det.requests, det.demand)}
     assert det.routing_weight == own
     assert det.routing_weight != weight
     assert inst.routing_weight == weight
@@ -97,14 +96,14 @@ def test_scenario_satisfaction_on_d1(d1):
 def test_boundary_satisfaction_uses_tolerance(d1):
     det = mean_scenario(d1)
     # mean demand (5,5): one request serves exactly theta * total = 5.0
-    assert det.scenarios.demand == ((5.0, 5.0),)
+    assert det.demand == ((5.0,), (5.0,))
     assert scenario_satisfied(det, [(1, 3)], 0)
     assert chance_feasible(det, [(2, 4)])
 
 
 def test_mean_scenario_keeps_everything_else(d1):
     det = mean_scenario(d1)
-    assert det.scenarios.size == 1
+    assert det.n_scenarios == 1
     assert det.design == d1.design
     assert det.requests == d1.requests
     assert (det.theta, det.rho, det.alpha) == (d1.theta, d1.rho, d1.alpha)
@@ -112,9 +111,9 @@ def test_mean_scenario_keeps_everything_else(d1):
     inst = generate_instance(n=7, seed=3, n_requests=6, n_scenarios=4, theta=0.7, rho=0.3)
     assert inst.coords is not None
     det = mean_scenario(inst)
-    assert det.scenarios.size == 1
+    assert det.n_scenarios == 1
     for f in dataclasses.fields(Instance):
-        if f.name != "scenarios":
+        if f.name != "demand":
             assert getattr(det, f.name) == getattr(inst, f.name), f.name
 
 
@@ -135,7 +134,7 @@ def test_generate_instance_deterministic():
     b = generate_instance(n=6, seed=42)
     assert a.design == b.design
     assert a.requests == b.requests
-    assert a.scenarios.demand == b.scenarios.demand
+    assert a.demand == b.demand
     assert a.compulsory == b.compulsory
     assert generate_instance(n=6, seed=43).design != a.design or \
         generate_instance(n=6, seed=43).requests != a.requests
@@ -147,7 +146,7 @@ def test_generate_instance_always_valid():
         assert validate_instance(inst) == []
         assert len(inst.compulsory) == 2  # ceil(0.2 * 6)
         assert len(inst.requests) == 5
-        assert inst.scenarios.size == 3
+        assert inst.n_scenarios == 3
 
 
 def test_generate_instance_rejects_bad_sizes():

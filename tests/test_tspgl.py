@@ -792,7 +792,7 @@ def test_direct_solver_alpha_extremes():
 
     at0 = Instance(
         n=inst.n, design=inst.design, compulsory=inst.compulsory,
-        requests=inst.requests, scenarios=inst.scenarios, alpha=0.0,
+        requests=inst.requests, demand=inst.demand, alpha=0.0,
         theta=inst.theta, rho=inst.rho, rounding=inst.rounding, coords=inst.coords,
     )
     sub0 = make_subinstance(at0, make_cover(at0, cov.requests))
@@ -802,7 +802,7 @@ def test_direct_solver_alpha_extremes():
 
     at1 = Instance(
         n=inst.n, design=inst.design, compulsory=inst.compulsory,
-        requests=inst.requests, scenarios=inst.scenarios, alpha=1.0,
+        requests=inst.requests, demand=inst.demand, alpha=1.0,
         theta=inst.theta, rho=inst.rho, rounding=inst.rounding, coords=inst.coords,
     )
     sub1 = make_subinstance(at1, make_cover(at1, cov.requests))
