@@ -249,25 +249,36 @@ def save_instance(inst: Instance, path) -> None:
 
 
 def load_instance(path) -> Instance:
+    """Read an instance file; a missing or mistyped key is a ValueError naming it."""
     with open(path) as fh:
         doc = json.load(fh)
+
+    def read(key: str, convert):
+        try:
+            return convert(doc[key])
+        except TypeError:
+            raise ValueError(f"instance file's {key!r} has the wrong JSON type") from None
+
     try:
         kwargs = dict(
-            compulsory=doc["compulsory"],
-            requests=[(req["h"], req["k"]) for req in doc["requests"]],
-            demand=[req["demand"] for req in doc["requests"]],
-            theta=doc["theta"],
-            rho=doc["rho"],
-            alpha=doc["alpha"],
+            compulsory=read("compulsory", lambda ids: [int(v) for v in ids]),
+            requests=read("requests", lambda reqs: [(int(req["h"]), int(req["k"]))
+                                                    for req in reqs]),
+            demand=read("requests", lambda reqs: [[float(v) for v in req["demand"]]
+                                                  for req in reqs]),
+            theta=read("theta", float),
+            rho=read("rho", float),
+            alpha=read("alpha", float),
             rounding=doc.get("rounding", "exact"),
         )
         if "nodes" in doc:
-            nodes = sorted(doc["nodes"], key=lambda rec: rec["id"])
-            if [rec["id"] for rec in nodes] != list(range(len(nodes))):
+            nodes = read("nodes", lambda recs: sorted((rec["id"], float(rec["x"]), float(rec["y"]))
+                                                      for rec in recs))
+            if [i for i, _x, _y in nodes] != list(range(len(nodes))):
                 raise ValueError("node ids must be dense integers 0..n-1")
-            kwargs["coords"] = [(rec["x"], rec["y"]) for rec in nodes]
+            kwargs["coords"] = [(x, y) for _i, x, y in nodes]
         else:
-            kwargs["dist"] = doc["dist"]
+            kwargs["dist"] = read("dist", lambda rows: [[float(v) for v in row] for row in rows])
     except KeyError as exc:
         raise ValueError(f"instance file lacks the key {exc.args[0]!r}") from None
     return build_instance(**kwargs)

@@ -12,8 +12,8 @@ each constraint's sense.
 Lazy constraints are realized as one resolve loop, `resolve_with_cuts`
 (solve, separate, add, solve again); no engine callbacks are required, so
 anything with a plain solve entry point can back this module. It serves the
-three cut-driven MIPs: the compact MIP's cycle cuts, the TSP MIP's subtour
-cuts, and the Benders master's subtour and optimality cuts.
+three cut-driven MIPs: the compact MIP and the TSP MIP, cut by subtour rows,
+and the Benders master, cut by subtour rows and optimality cuts.
 
 Every MIP solve proves optimality (`mip_rel_gap` 0). No setting below
 changes the optimum that a solve proves; on ties, any of them may pick

@@ -22,7 +22,6 @@ from .model import (
     OPTIMAL,
     FEASIBLE,
     TIME_LIMIT,
-    Edge,
     Instance,
     Request,
     SolveTrace,
@@ -34,7 +33,7 @@ from .model import (
 )
 from .scenarios import chance_feasible
 from .covers import FeasibilityCover, explore, local_search, make_cover
-from .mpbackend import PSEUDO_COSTS_NO_HEURISTICS, LinearModel, SolveOutcome, resolve_with_cuts, solve_lp
+from .mpbackend import PSEUDO_COSTS_NO_HEURISTICS, LinearModel, resolve_with_cuts, solve_lp
 from .colgen import (
     ColumnPool,
     add_gsec_rows,
@@ -56,6 +55,7 @@ from .tspgl import (
     cover_bounds,
     make_subinstance,
     solution_from_tour,
+    subtour_rows,
 )
 
 SUPPORT_EPS = 1e-6          # chi values above this count as basis support
@@ -184,8 +184,8 @@ def _gap_closed(state: SearchState, cfg: SearchConfig) -> bool:
 
 def _benchmark_model(inst: Instance):
     """One-shot selection model: tour edges, open stops w, served requests z,
-    flows, and met scenarios y. Returns the model and the handle maps of x,
-    w and z."""
+    flows, and met scenarios y. Returns the model and the handle maps of x
+    and z."""
     model = LinearModel()
     x = add_edge_vars(model, inst.nodes, inst.design, scale=1.0 - inst.alpha,
                       integer=True)
@@ -200,28 +200,7 @@ def _benchmark_model(inst: Instance):
         model.add_constr({w[hk[1]]: 1.0, z[hk]: -1.0}, ">=", 0.0)
         add_routing(model, inst, x, hk, served=z[hk])
     add_service_rows(model, inst, z)
-    return model, x, w, z
-
-
-def _benchmark_cuts(inst: Instance, x: Dict[Edge, int], w: Dict[int, int],
-                    out: SolveOutcome) -> List[Tuple[Dict[int, float], str, float]]:
-    cuts: List[Tuple[Dict[int, float], str, float]] = []
-    # a single cycle holds every compulsory node and yields no cut
-    for comp in map(frozenset, cycles(chosen_edges(x, out.values))):
-        inside = {x[(a, b)]: 1.0 for a in comp for b in comp if a < b}
-        if not comp & inst.compulsory:
-            # component may host visits, but never a full private cycle
-            for v in sorted(comp):
-                coeffs = dict(inside)
-                for i in comp:
-                    if i != v:
-                        coeffs[w[i]] = -1.0
-                cuts.append((coeffs, "<=", 0.0))
-        elif not (inst.compulsory <= comp):
-            crossing = {col: 1.0 for (a, b), col in x.items()
-                        if (a in comp) != (b in comp)}
-            cuts.append((crossing, ">=", 2.0))
-    return cuts
+    return model, x, z
 
 
 def run_mip_benchmark(inst: Instance, cfg: SearchConfig) -> StspGlResult:
@@ -229,10 +208,13 @@ def run_mip_benchmark(inst: Instance, cfg: SearchConfig) -> StspGlResult:
     state = _new_state(inst, cfg)
     if not chance_feasible(inst, inst.requests):
         return _infeasible_result(state)
-    model, x, w, z = _benchmark_model(inst)
-    out = resolve_with_cuts(model, lambda o: _benchmark_cuts(inst, x, w, o),
-                            max_rounds=4 * inst.n * max(1, inst.n),
-                            deadline=state.deadline, tuning=PSEUDO_COSTS_NO_HEURISTICS)
+    model, x, z = _benchmark_model(inst)
+    # a cycle that misses a compulsory node, private or crossing, gets a row
+    out = resolve_with_cuts(
+        model, lambda o: subtour_rows(x, inst.nodes, cycles(chosen_edges(x, o.values)),
+                                      inst.compulsory),
+        max_rounds=4 * inst.n * max(1, inst.n),
+        deadline=state.deadline, tuning=PSEUDO_COSTS_NO_HEURISTICS)
     if out.status == INFEASIBLE:
         return _infeasible_result(state)
     if out.values is None:

@@ -7,9 +7,9 @@ of flow along the cheapest tour-constrained path. It is solved by a Benders
 loop: the master picks the tour, per-request shortest paths price it.
 
 The module also holds the blocks every model shares: the edge columns, the
-degree rows, and the routing block of one request (arc flows, conservation
-and linking rows) that the restricted master and the compact MIP both use.
-It also separates subtours of both integer tours and fractional edge values.
+degree rows, one request's routing block (arc flows, conservation and
+linking rows), and the one subtour row, a generalized subtour elimination
+constraint (GSEC), for the cycles of integer tours and fractional values.
 """
 
 from __future__ import annotations
@@ -230,10 +230,9 @@ def _tsp_mip(nodes: List[int], cost, deadline: float
 
     def cut_source(out: SolveOutcome):
         tours = cycles(chosen_edges(x, out.values))
-        if len(tours) == 1:
-            return []
-        found.extend(map(frozenset, tours))
-        return [_sec_cut(x, tour) for tour in tours]
+        if len(tours) > 1:
+            found.extend(map(frozenset, tours))
+        return subtour_rows(x, nodes, tours, nodes)
 
     out = resolve_with_cuts(model, cut_source, max_rounds=len(nodes) * 4, deadline=deadline)
     if out.status == TIME_LIMIT:
@@ -322,17 +321,12 @@ def chosen_edges(x: Dict[Edge, int], values: List[float]) -> List[Edge]:
     return [e for e, col in x.items() if values[col] > 0.5]
 
 
-def _sec_cut(x: Dict[Edge, int], component: Iterable[int]) -> Tuple[Dict[int, float], str, float]:
-    """Subtour elimination: at most |S| - 1 edges inside S."""
-    comp = sorted(component)
-    return {x[e]: 1.0 for e in itertools.combinations(comp, 2)}, "<=", float(len(comp) - 1)
-
-
-# --- generalized subtour elimination (GSEC) separation -----------------------
+# --- generalized subtour elimination (GSEC) rows ---------------------------
 #
 # For a node set S without the depot r and a node i in S, every tour through
 # r satisfies x(δ(S)) >= x(δ(i)): if it visits i, it crosses δ(S) at least
-# twice. The rows hold only edge variables.
+# twice. The rows hold only edge variables, and every model's subtour rows
+# are these: separated at fractional values, or built by `subtour_rows`.
 
 def _min_cut_sink_side(adj: Dict[int, List[int]], cap: Dict[Arc, float],
                        s: int, t: int) -> FrozenSet[int]:
@@ -411,6 +405,15 @@ def gsec_row(x: Dict[Edge, int], nodes: Iterable[int], side: FrozenSet[int], i: 
     coeffs = {x[edge(a, b)]: 1.0 for a in rest for b in nodes if b not in side}
     coeffs.update({x[edge(i, b)]: -1.0 for b in rest})
     return coeffs, ">=", 0.0
+
+
+def subtour_rows(x: Dict[Edge, int], nodes: Sequence[int], tours: Iterable[Iterable[int]],
+                 required: Iterable[int]) -> List[Tuple[Dict[int, float], str, float]]:
+    """One GSEC row, with i = min(C), per cycle C of an integer solution that
+    misses a node of `required`; a cycle holding all of them yields none."""
+    required = frozenset(required)
+    return [gsec_row(x, nodes, side, min(side))
+            for side in map(frozenset, tours) if not required <= side]
 
 
 # --- bound estimation ------------------------------------------------------
@@ -668,8 +671,8 @@ def benders_solve_tspgl(
     objective provably exceeds `incumbent_ub`.
     """
     model, x, eta = _master_model(sub)
-    for comp in cutpool.subtours_for(sub.key):
-        model.add_constr(*_sec_cut(x, comp))
+    for row in subtour_rows(x, sub.nodes, cutpool.subtours_for(sub.key), sub.nodes):
+        model.add_constr(*row)
     tour, _tsp_val = cutpool.tsp_cache[sub.key]
     duals = {hk: dual_subproblem(tour, hk, sub.inst) for hk in sub.requests}
     for h in sub.origins():
@@ -687,7 +690,7 @@ def benders_solve_tspgl(
             # so every cycle found here is new
             for tour in tours:
                 cutpool.add_subtour(sub.key, tour)
-            return [_sec_cut(x, tour) for tour in tours]
+            return subtour_rows(x, sub.nodes, tours, sub.nodes)
         seq = tours[0]
         candidate = solution_from_tour(sub, seq)
         if incumbent is None or candidate.objective < incumbent.objective - INCUMBENT_EPS:

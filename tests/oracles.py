@@ -5,7 +5,8 @@ for covers, permutation enumeration and the loop form of Held-Karp for
 tours. Keep these free of any imports from the solver internals beyond the
 plain data model. Two exceptions share the LP layer and the block builders,
 not the code they check: `solve_tspgl_direct`, a monolithic flow MIP that
-the Benders loop is checked against, and `lp_duals`, the routing dual LP
+the Benders loop is checked against, which cuts subtours with its own
+textbook row `sec_row`, and `lp_duals`, the routing dual LP
 that the Benders duals are checked against. `add_split_linking_rows` is the
 textbook two-row form of the linking rows that the paired form is checked
 against. `presolved_lp_objective` reads a `LinearModel`'s arrays and
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -55,7 +56,6 @@ from stspgl.tspgl import (
     chosen_edges,
     cover_bounds,
     _cycle_edges,
-    _sec_cut,
     solution_from_tour,
 )
 
@@ -422,6 +422,13 @@ def add_split_routing(model: LinearModel, inst: Instance, x: Dict[Edge, int],
     return rows[hk[0]], rows[hk[1]]
 
 
+def sec_row(x: Dict[Edge, int], component: Iterable[int]) -> Tuple[Dict[int, float], str, float]:
+    """Subtour elimination in its textbook form: at most |C| - 1 edges
+    inside C, written here so the reference shares no row with the solver."""
+    comp = sorted(component)
+    return {x[e]: 1.0 for e in itertools.combinations(comp, 2)}, "<=", float(len(comp) - 1)
+
+
 def solve_tspgl_direct(sub: SubInstance, deadline: float = math.inf) -> TspGlOutcome:
     """One-shot flow MIP over the subgraph, with a subtour resolve loop.
 
@@ -438,7 +445,7 @@ def solve_tspgl_direct(sub: SubInstance, deadline: float = math.inf) -> TspGlOut
 
     def cut_source(out: SolveOutcome):
         tours = cycles(chosen_edges(x, out.values))
-        return [_sec_cut(x, tour) for tour in tours] if len(tours) > 1 else []
+        return [sec_row(x, tour) for tour in tours] if len(tours) > 1 else []
 
     out = resolve_with_cuts(model, cut_source, max_rounds=len(sub.nodes) * 4,
                             deadline=deadline)

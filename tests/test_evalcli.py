@@ -242,9 +242,16 @@ def test_cli_rejects_a_budget_no_solve_takes(d1, tmp_path, capsys, command, flag
     (["sweep", "alpha.json", "--theta-grid", "0.5", "--rho-grid", "0.2"],
      "stspgl sweep: error: invalid instance: alpha outside [0, 1]"),
     (["bench", "norho_spec.json"], "stspgl bench: error: instance file lacks the key 'rho'"),
+    (["solve", "thetanull.json"],
+     "stspgl solve: error: instance file's 'theta' has the wrong JSON type"),
+    (["solve", "pairs.json"],
+     "stspgl solve: error: instance file's 'requests' has the wrong JSON type"),
+    (["solve", "compulsory3.json"],
+     "stspgl solve: error: instance file's 'compulsory' has the wrong JSON type"),
 ], ids=["nodes", "theta", "grid-text", "grid-range", "missing-instance", "spec-budget",
         "spec-missing-instance", "solve-alpha", "solve-theta0", "solve-norho", "vss-alpha",
-        "sweep-alpha", "spec-norho"])
+        "sweep-alpha", "spec-norho", "solve-theta-null", "solve-request-pairs",
+        "solve-compulsory-number"])
 def test_cli_reports_bad_input_as_a_usage_error(d1, tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)
     _write_unsolvable_files(d1)
@@ -259,13 +266,19 @@ def test_cli_reports_bad_input_as_a_usage_error(d1, tmp_path, monkeypatch, capsy
 
 
 def _write_unsolvable_files(d1):
-    """d1.json, and three edits of it that load or solve no more: alpha out
-    of range, theta 0 (no routing weights) and no `rho` key."""
+    """d1.json, and six edits of it that load or solve no more: alpha out
+    of range, theta 0 (no routing weights), no `rho` key, and three values
+    of the wrong JSON type: theta null, each request written as [h, k], and
+    the compulsory set as one number."""
     save_instance(d1, "d1.json")
     doc = json.loads(Path("d1.json").read_text())
     Path("alpha.json").write_text(json.dumps({**doc, "alpha": 1.5}))
     Path("theta0.json").write_text(json.dumps({**doc, "theta": 0.0}))
     Path("norho.json").write_text(json.dumps({k: v for k, v in doc.items() if k != "rho"}))
+    Path("thetanull.json").write_text(json.dumps({**doc, "theta": None}))
+    Path("pairs.json").write_text(json.dumps(
+        {**doc, "requests": [[req["h"], req["k"]] for req in doc["requests"]]}))
+    Path("compulsory3.json").write_text(json.dumps({**doc, "compulsory": 3}))
 
 
 def test_sweep_takes_an_instance_file_with_theta_zero(d1, tmp_path, monkeypatch, capsys):

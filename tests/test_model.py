@@ -191,6 +191,28 @@ def test_load_names_a_missing_key(tmp_path, drop):
         load_instance(path)
 
 
+@pytest.mark.parametrize("key, overrides", [
+    ("theta", {"theta": None}),
+    ("compulsory", {"compulsory": 3}),
+    ("compulsory", {"compulsory": [None]}),
+    ("requests", {"requests": [[0, 1], [2, 1]]}),
+    ("requests", {"requests": [{"h": 0, "k": 1, "demand": [None, 2.0]}]}),
+    ("nodes", {"nodes": [{"id": 0, "x": None, "y": 0.0}]}),
+    ("nodes", {"nodes": [{"id": None, "x": 0.0, "y": 0.0}, {"id": 0, "x": 1.0, "y": 0.0}]}),
+    ("dist", {"dist": [[0.0, None], [1.0, 0.0]]}),
+], ids=["theta-null", "compulsory-number", "compulsory-null-id", "request-pairs",
+        "demand-null", "coordinate-null", "node-id-null", "dist-null"])
+def test_load_names_a_value_of_the_wrong_json_type(tmp_path, key, overrides):
+    doc = _instance_doc(**overrides)
+    if "dist" in overrides:
+        del doc["nodes"]
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError,
+                       match=f"^instance file's '{key}' has the wrong JSON type$"):
+        load_instance(path)
+
+
 def test_load_defaults_a_missing_rounding_to_exact(tmp_path):
     doc = _instance_doc()
     del doc["rounding"]

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy import sparse
+from scipy import optimize, sparse
 from scipy.optimize import Bounds, LinearConstraint
 
 from oracles import oracle_tsp, warm_start
@@ -474,7 +474,8 @@ def test_resolve_with_cuts_solves_small_tsps():
 
 
 class _Sent(Exception):
-    """Stops a solve at its first HiGHS call, before anything is solved."""
+    """Stops a solve at the HiGHS call it is digested at, before that call
+    is solved."""
 
 
 def _feed(digest, value) -> None:
@@ -496,24 +497,29 @@ def _feed(digest, value) -> None:
         digest.update(np.ascontiguousarray(dense).tobytes())
 
 
-def _first_highs_digest(monkeypatch, solve) -> str:
+def _highs_digest(monkeypatch, solve, call: int = 1) -> str:
+    """Digest of the `call`-th HiGHS input of `solve`; the calls before it
+    are solved as usual."""
     sent = []
     for name in ("linprog", "milp"):
-        def spy(*args, _name=name, **kwargs):
+        def spy(*args, _name=name, _solve=getattr(optimize, name), **kwargs):
             digest = hashlib.sha256(_name.encode())
             _feed(digest, list(args))
             _feed(digest, [(key, kwargs[key]) for key in sorted(kwargs)])
             sent.append(digest.hexdigest())
-            raise _Sent
+            if len(sent) == call:
+                raise _Sent
+            return _solve(*args, **kwargs)
 
         monkeypatch.setattr(mpbackend, name, spy)
     with pytest.raises(_Sent):
         solve()
-    return sent[0]
+    return sent[-1]
 
 
 # SHA-256 of what HiGHS receives from each model's first solve, on d1 and a
-# generated n=6 instance, and from a 16-node TSP MIP. A refactor of the model
+# generated n=6 instance, and from a 16-node TSP MIP's first solve and its
+# first cut round, which adds two subtour rows. A refactor of the model
 # builders leaves them as they are; a change that means to move them updates
 # them.
 _HIGHS_INPUTS = {
@@ -526,6 +532,7 @@ _HIGHS_INPUTS = {
     ("n6", "pricing IP"): "7b6176c64abd5d3b462bc114943c8d8f3461b20aae5881094c38a215dbbc3e41",
     ("n6", "Benders master"): "b5cd978d587fd46350eb68a54f3af638afaf5c977128360ef65f9940cfcc3e7a",
     ("n16", "TSP MIP"): "3af3d8dd6cac8fbe2233a23bb6638c2db0a250575022d2213b5ec48f24ab81f8",
+    ("n16", "TSP MIP cut round"): "09f9a660e7576151da97001e81ddb1c73f36869c409211cdf760945b65d42ef5",
 }
 
 
@@ -546,10 +553,11 @@ def _highs_input_digests(monkeypatch, d1) -> dict:
             "Benders master": lambda: benders_solve_tspgl(sub, warm_start(sub)),
         }
         for model, run in runs.items():
-            got[(name, model)] = _first_highs_digest(monkeypatch, run)
+            got[(name, model)] = _highs_digest(monkeypatch, run)
     n16 = generate_instance(n=16, seed=1, n_requests=8, n_scenarios=3)
-    got[("n16", "TSP MIP")] = _first_highs_digest(
-        monkeypatch, lambda: _tsp_mip(sorted(n16.nodes), n16.design, math.inf))
+    for call, model in ((1, "TSP MIP"), (2, "TSP MIP cut round")):
+        got[("n16", model)] = _highs_digest(
+            monkeypatch, lambda: _tsp_mip(sorted(n16.nodes), n16.design, math.inf), call)
     return got
 
 

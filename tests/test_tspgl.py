@@ -45,6 +45,7 @@ from stspgl.tspgl import (
     primal_subproblem,
     separate_gsecs,
     solution_from_tour,
+    subtour_rows,
     symmetric_tsp,
     _held_karp,
     _optimality_row,
@@ -602,6 +603,67 @@ def test_gsec_row_coefficients():
     coeffs, sense, rhs = gsec_row(x, nodes, frozenset({2, 3}), 2)
     assert coeffs == {x[(0, 3)]: 1.0, x[(1, 3)]: 1.0, x[(2, 3)]: -1.0}
     assert (sense, rhs) == (">=", 0.0)
+
+
+def _random_degree2_point(rng, nodes, required, n_cycles):
+    """Edges of a degree-2 integer point: every node of `required` and some
+    others, split into `n_cycles` disjoint cycles of 3 or more nodes."""
+    others = [v for v in nodes if v not in required]
+    rng.shuffle(others)
+    extra = max(rng.randint(0, len(others)), 3 * n_cycles - len(required))
+    visited = [*required, *others[:extra]]
+    rng.shuffle(visited)
+    sizes = [3] * n_cycles
+    for _ in range(len(visited) - 3 * n_cycles):
+        sizes[rng.randrange(n_cycles)] += 1
+    edges, start = [], 0
+    for size in sizes:
+        seq = visited[start:start + size]
+        edges += [edge(seq[t], seq[(t + 1) % size]) for t in range(size)]
+        start += size
+    return edges
+
+
+@pytest.mark.parametrize("required_set", ["all nodes", "compulsory"])
+def test_subtour_rows_cut_every_split_point_and_no_tour(required_set):
+    """Rows from integer points hold at every tour through the required
+    nodes, cut off the point they came from when one of its cycles misses a
+    required node, and are never built from such a tour itself."""
+    rng = random.Random(31)
+    branches = {"private": 0, "crossing": 0}
+    for trial in range(60):
+        inst = generate_instance(n=rng.randint(6, 10), seed=trial, n_requests=6,
+                                 n_scenarios=3, theta=0.7, rho=0.25)
+        nodes = list(inst.nodes)
+        required = set(nodes) if required_set == "all nodes" else set(inst.compulsory)
+        x = {e: col for col, e in enumerate(itertools.combinations(nodes, 2))}
+        tours, rows = [], []
+        for _ in range(6):
+            tour = _random_degree2_point(rng, nodes, sorted(required), 1)
+            assert subtour_rows(x, nodes, cycles(tour), required) == []
+            tours.append(tour)
+        for _ in range(6):
+            point = _random_degree2_point(rng, nodes, sorted(required),
+                                          rng.randint(2, len(nodes) // 3))
+            point_cycles = cycles(point)
+            missing = [c for c in point_cycles if not required <= set(c)]
+            for c in missing:
+                branches["crossing" if required & set(c) else "private"] += 1
+            point_rows = subtour_rows(x, nodes, point_cycles, required)
+            assert len(point_rows) == len(missing)
+            if missing:
+                # the point itself violates at least one of its rows
+                assert any(sum(coeffs.get(x[e], 0.0) for e in point) < rhs
+                           for coeffs, _sense, rhs in point_rows)
+            rows += point_rows
+        for coeffs, sense, rhs in rows:
+            assert sense == ">="
+            for tour in tours:
+                assert sum(coeffs.get(x[e], 0.0) for e in tour) >= rhs
+    if required_set == "compulsory":
+        assert min(branches.values()) >= 30
+    else:
+        assert branches["private"] == 0 and branches["crossing"] >= 30
 
 
 def test_aggregated_cut_tight_at_generating_tour(d1):
