@@ -7,6 +7,12 @@ covers imply. Generalized subtour elimination rows on the edge variables
 tighten the master without touching pricing. Pricing searches for a cover
 with negative reduced cost by solving a small IP over request/node/scenario
 indicators.
+
+One `Master` owns the restricted master: its model, its chi columns and the
+set Phi of covers branched to zero. Each change goes into the model at
+once, a new column with `add` and a branched cover's zero bound with
+`branch`, so the master is always the one a fresh `build_rmp` over the same
+covers and Phi would give.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from .covers import FeasibilityCover, minimal_feasibility_cover
 from .model import OPTIMAL, TIME_LIMIT, Edge, Instance, Request
-from .mpbackend import PRICING_IP, RC_EPS, LinearModel, SolveOutcome, solve_mip
+from .mpbackend import PRICING_IP, RC_EPS, LinearModel, SolveOutcome, solve_lp, solve_mip
 from .tspgl import (
     add_degree_rows,
     add_edge_vars,
@@ -38,102 +44,97 @@ class DualPrices:
 
 
 @dataclass
-class ColumnPool:
-    """Cover columns plus the set Phi of covers branched to zero."""
+class Master:
+    """The restricted master's model and row handles, one chi column per
+    cover in the order they came, and the set Phi of branched covers, whose
+    columns stay with upper bound 0 so the dual space is unchanged.
+    `changed` says whether a column was added or a bound moved since the
+    last `solve`."""
 
-    columns: List[FeasibilityCover] = field(default_factory=list)
-    branched: Set[Tuple[Request, ...]] = field(default_factory=set)
-    _keys: Set[Tuple[Request, ...]] = field(default_factory=set)
-
-    def add(self, cover: FeasibilityCover) -> bool:
-        if cover.requests in self._keys:
-            return False
-        self._keys.add(cover.requests)
-        self.columns.append(cover)
-        return True
-
-
-@dataclass
-class RmpIndex:
-    chi: Dict[Tuple[Request, ...], int]     # cover key -> chi column, in pool order
+    model: LinearModel
+    x: Dict[Edge, int]                          # edge -> design column
     convex_row: int
     link_rows: Dict[int, int]
-    flow_rows: Dict[Request, Tuple[int, int]]    # request -> its flow rows at h and at k
-    x: Dict[Edge, int]                      # edge -> design column
+    flow_rows: Dict[Request, Tuple[int, int]]   # request -> its flow rows at h and at k
+    columns: List[FeasibilityCover] = field(default_factory=list)
+    chi: Dict[Tuple[Request, ...], int] = field(default_factory=dict)   # cover key -> chi column
+    branched: Set[Tuple[Request, ...]] = field(default_factory=set)
     gsecs: Set[Tuple[FrozenSet[int], int]] = field(default_factory=set)   # (S, i) rows added
+    changed: bool = False
+
+    def add(self, cover: FeasibilityCover) -> bool:
+        """Append the cover's chi column, fixed to zero if the cover is in
+        Phi; False when the master holds it already."""
+        if cover.requests in self.chi:
+            return False
+        rows = {self.convex_row: 1.0}
+        for i in sorted(cover.visited):
+            rows[self.link_rows[i]] = -2.0
+        for hk in cover.requests:
+            row_h, row_k = self.flow_rows[hk]
+            rows[row_h] = -1.0
+            rows[row_k] = 1.0
+        ub = 0.0 if cover.requests in self.branched else math.inf
+        self.chi[cover.requests] = self.model.add_var(lb=0.0, ub=ub, rows=rows)
+        self.columns.append(cover)
+        self.changed = True
+        return True
+
+    def branch(self, requests: Tuple[Request, ...]) -> None:
+        """Put a cover in Phi and fix its column, if there is one, to zero."""
+        self.branched.add(requests)
+        if requests in self.chi and self.model.set_ub(self.chi[requests], 0.0):
+            self.changed = True
+
+    def solve(self, deadline: float = math.inf) -> SolveOutcome:
+        self.changed = False
+        return solve_lp(self.model, deadline=deadline)
 
 
-def build_rmp(inst: Instance, pool: ColumnPool) -> Tuple[LinearModel, RmpIndex]:
-    """Continuous restricted master over the current column pool.
+def build_rmp(inst: Instance, covers: List[FeasibilityCover]) -> Master:
+    """Continuous restricted master over `covers`.
 
     chi variables carry no objective; cost lives on the edge and flow
-    variables they unlock. The rows are laid down first and the pool's
-    covers then enter through `extend_rmp`, the same step that later grows
-    the master in place.
+    variables they unlock. The rows are laid down first and the covers then
+    enter through `Master.add`, the same step that later grows the master.
     """
-    if not pool.columns:
-        raise ValueError("column pool must contain at least one cover")
+    if not covers:
+        raise ValueError("the master needs at least one cover")
     model = LinearModel()
     x = add_edge_vars(model, inst.nodes, inst.design, scale=1.0 - inst.alpha)
     convex_row = model.add_constr({}, "==", 1.0)
     link_rows = add_degree_rows(model, x, inst.nodes, 0.0)
     flow_rows = {hk: add_routing(model, inst, x, hk) for hk in inst.requests}
-    index = RmpIndex(chi={}, convex_row=convex_row, link_rows=link_rows,
-                     flow_rows=flow_rows, x=x)
-    extend_rmp(model, index, pool)
-    return model, index
+    master = Master(model=model, x=x, convex_row=convex_row, link_rows=link_rows,
+                    flow_rows=flow_rows)
+    for cover in covers:
+        master.add(cover)
+    return master
 
 
-def extend_rmp(model: LinearModel, index: RmpIndex, pool: ColumnPool) -> bool:
-    """Bring the master up to date with the pool; True when that added a
-    column or changed a bound.
-
-    Appends a chi column for every cover pooled since the last call and
-    fixes the column of every branched cover to zero, so the master equals a
-    fresh `build_rmp` over the same pool. Branched covers keep their column
-    so the dual space stays unchanged.
-    """
-    new = pool.columns[len(index.chi):]
-    for cover in new:
-        rows = {index.convex_row: 1.0}
-        for i in sorted(cover.visited):
-            rows[index.link_rows[i]] = -2.0
-        for hk in cover.requests:
-            row_h, row_k = index.flow_rows[hk]
-            rows[row_h] = -1.0
-            rows[row_k] = 1.0
-        index.chi[cover.requests] = model.add_var(lb=0.0, rows=rows)
-    changed = bool(new)
-    for requests in pool.branched:
-        if requests in index.chi and model.set_ub(index.chi[requests], 0.0):
-            changed = True
-    return changed
-
-
-def add_gsec_rows(inst: Instance, model: LinearModel, index: RmpIndex,
-                  values: List[float]) -> bool:
+def add_gsec_rows(inst: Instance, master: Master, values: List[float]) -> bool:
     """Separate GSECs at the master's edge values and add the new violated
     ones as rows; False when there is none.
 
     The rows hold only edge variables, so chi columns have no entry in them
     and pricing, reduced costs and the Lagrangian bound are unchanged.
     """
-    xval = {e: values[col] for e, col in index.x.items()}
+    xval = {e: values[col] for e, col in master.x.items()}
     cuts = [cut for cut in separate_gsecs(inst.nodes, xval, min(inst.compulsory))
-            if cut not in index.gsecs]
+            if cut not in master.gsecs]
     for side, i in cuts:
-        model.add_constr(*gsec_row(index.x, inst.nodes, side, i))
-        index.gsecs.add((side, i))
+        master.model.add_constr(*gsec_row(master.x, inst.nodes, side, i))
+        master.gsecs.add((side, i))
     return bool(cuts)
 
 
-def extract_duals(index: RmpIndex, outcome: SolveOutcome) -> DualPrices:
+def extract_duals(master: Master, outcome: SolveOutcome) -> DualPrices:
     if outcome.duals is None:
         raise ValueError("dual prices require an optimal LP outcome")
     duals = outcome.duals
-    iota = {i: duals[row] for i, row in index.link_rows.items()}
-    serve = {hk: duals[row_h] - duals[row_k] for hk, (row_h, row_k) in index.flow_rows.items()}
-    return DualPrices(iota=iota, serve=serve, beta=duals[index.convex_row])
+    iota = {i: duals[row] for i, row in master.link_rows.items()}
+    serve = {hk: duals[row_h] - duals[row_k] for hk, (row_h, row_k) in master.flow_rows.items()}
+    return DualPrices(iota=iota, serve=serve, beta=duals[master.convex_row])
 
 
 def reduced_cost(cover: FeasibilityCover, duals: DualPrices) -> float:

@@ -248,10 +248,28 @@ def save_instance(inst: Instance, path) -> None:
         fh.write("\n")
 
 
+def _number(value) -> float:
+    """A JSON number as a float; TypeError for a string, a boolean or null."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(value)
+    return float(value)
+
+
+def _node_id(value) -> int:
+    """A JSON number that is a whole node id; TypeError otherwise, 1.7 too."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(value)
+    return value
+
+
 def load_instance(path) -> Instance:
     """Read an instance file; a missing or mistyped key is a ValueError naming it."""
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError("instance file must hold a JSON object")
 
     def read(key: str, convert):
         try:
@@ -261,24 +279,24 @@ def load_instance(path) -> Instance:
 
     try:
         kwargs = dict(
-            compulsory=read("compulsory", lambda ids: [int(v) for v in ids]),
-            requests=read("requests", lambda reqs: [(int(req["h"]), int(req["k"]))
+            compulsory=read("compulsory", lambda ids: [_node_id(v) for v in ids]),
+            requests=read("requests", lambda reqs: [(_node_id(req["h"]), _node_id(req["k"]))
                                                     for req in reqs]),
-            demand=read("requests", lambda reqs: [[float(v) for v in req["demand"]]
+            demand=read("requests", lambda reqs: [[_number(v) for v in req["demand"]]
                                                   for req in reqs]),
-            theta=read("theta", float),
-            rho=read("rho", float),
-            alpha=read("alpha", float),
+            theta=read("theta", _number),
+            rho=read("rho", _number),
+            alpha=read("alpha", _number),
             rounding=doc.get("rounding", "exact"),
         )
         if "nodes" in doc:
-            nodes = read("nodes", lambda recs: sorted((rec["id"], float(rec["x"]), float(rec["y"]))
-                                                      for rec in recs))
+            nodes = read("nodes", lambda recs: sorted(
+                (_node_id(rec["id"]), _number(rec["x"]), _number(rec["y"])) for rec in recs))
             if [i for i, _x, _y in nodes] != list(range(len(nodes))):
                 raise ValueError("node ids must be dense integers 0..n-1")
             kwargs["coords"] = [(x, y) for _i, x, y in nodes]
         else:
-            kwargs["dist"] = read("dist", lambda rows: [[float(v) for v in row] for row in rows])
+            kwargs["dist"] = read("dist", lambda rows: [[_number(v) for v in row] for row in rows])
     except KeyError as exc:
         raise ValueError(f"instance file lacks the key {exc.args[0]!r}") from None
     return build_instance(**kwargs)

@@ -33,15 +33,8 @@ from .model import (
 )
 from .scenarios import chance_feasible
 from .covers import FeasibilityCover, explore, local_search, make_cover
-from .mpbackend import PSEUDO_COSTS_NO_HEURISTICS, LinearModel, resolve_with_cuts, solve_lp
-from .colgen import (
-    ColumnPool,
-    add_gsec_rows,
-    build_rmp,
-    extend_rmp,
-    extract_duals,
-    solve_pricing,
-)
+from .mpbackend import PSEUDO_COSTS_NO_HEURISTICS, LinearModel, resolve_with_cuts
+from .colgen import Master, add_gsec_rows, build_rmp, extract_duals, solve_pricing
 from .tspgl import (
     ABORTED,
     INCUMBENT_EPS,
@@ -85,9 +78,9 @@ class SearchState:
     `deadline` is the `time.monotonic()` instant every layer stops at.
     `queue` is a heap of scored covers, (ub, lb, requests, cover): the
     request tuple breaks ties, and `scored` lets each request set in once,
-    so the order is total and no cover is ever compared. `pool` holds the
-    master's columns and takes the branching cuts of closed covers; it is
-    None outside branch-and-price. `rounds` records each pricing round as
+    so the order is total and no cover is ever compared. `master` is the
+    restricted master, which takes the branching cuts of closed covers; it
+    is None outside branch-and-price. `rounds` records each pricing round as
     (rmp_obj, pricing_obj, lb, columns, phi), as `trace` records events.
     """
     inst: Instance
@@ -105,7 +98,7 @@ class SearchState:
         field(default_factory=list)
     scored: Set[Tuple[Request, ...]] = field(default_factory=set)
     seen: Set[frozenset] = field(default_factory=set)       # node sets `explore` drew
-    pool: Optional[ColumnPool] = None
+    master: Optional[Master] = None
 
     def elapsed(self) -> float:
         return time.monotonic() - self.start
@@ -239,9 +232,9 @@ def run_mip_benchmark(inst: Instance, cfg: SearchConfig) -> StspGlResult:
 def _close(state: SearchState, cover: FeasibilityCover, event: str,
            nodes_visited=None) -> None:
     """Take a cover out of the search: branch it away and log why."""
-    if state.pool is not None:
+    if state.master is not None:
         # its master column is fixed to zero and pricing excludes it
-        state.pool.branched.add(cover.requests)
+        state.master.branch(cover.requests)
     state.note(event, cover_size=cover.size, nodes_visited=nodes_visited)
 
 
@@ -320,17 +313,16 @@ def run_bp(inst: Instance, cfg: SearchConfig, hybrid: bool = False) -> StspGlRes
 def _dive(state: SearchState, cfg: SearchConfig, hybrid: bool) -> bool:
     """The branch-and-price loop of `run_bp`; True when the clock stopped it."""
     inst, queue, rng = state.inst, state.queue, state.rng
-    pool = state.pool = ColumnPool()
-    pool.add(make_cover(inst, inst.requests))
+    covers = [make_cover(inst, inst.requests)]
     nmin = max(1, len(inst.compulsory))
 
     if hybrid:
         for _ in range(EVALS_PER_ITERATION):
             cov = explore(inst, inst.n, seed=rng.randrange(1 << 31), seen=state.seen)
             if cov is not None:
-                pool.add(cov)
+                covers.append(cov)
 
-    model, index = build_rmp(inst, pool)
+    master = state.master = build_rmp(inst, covers)
     iteration = 0
     while state.remaining() > 0:
         iteration += 1
@@ -341,11 +333,10 @@ def _dive(state: SearchState, cfg: SearchConfig, hybrid: bool) -> bool:
         for _ in range(PRICING_PER_ITERATION):
             if state.remaining() <= 0:
                 return True
-            extend_rmp(model, index, pool)
-            rmp_out = solve_lp(model, deadline=state.deadline)
+            rmp_out = master.solve(state.deadline)
             while rmp_out.status == OPTIMAL and state.remaining() > 0 and \
-                    add_gsec_rows(inst, model, index, rmp_out.values):
-                rmp_out = solve_lp(model, deadline=state.deadline)
+                    add_gsec_rows(inst, master, rmp_out.values):
+                rmp_out = master.solve(state.deadline)
             if rmp_out.status == INFEASIBLE:
                 # every admissible cover is branched away: the dive is done
                 state.raise_lb(state.ub)
@@ -354,8 +345,8 @@ def _dive(state: SearchState, cfg: SearchConfig, hybrid: bool) -> bool:
                 if state.remaining() <= 0:
                     return True
                 break
-            duals = extract_duals(index, rmp_out)
-            pres = solve_pricing(inst, duals, phi=sorted(pool.branched),
+            duals = extract_duals(master, rmp_out)
+            pres = solve_pricing(inst, duals, phi=sorted(master.branched),
                                  deadline=state.deadline)
             if math.isfinite(pres.objective):
                 # master value plus the minimum reduced cost (convexity multiplier 1)
@@ -363,7 +354,7 @@ def _dive(state: SearchState, cfg: SearchConfig, hybrid: bool) -> bool:
             elif pres.objective == math.inf:
                 state.raise_lb(state.ub)
             state.rounds.append((rmp_out.objective, pres.objective, state.lb,
-                                 len(pool.columns), len(pool.branched)))
+                                 len(master.columns), len(master.branched)))
             if _exact(state):
                 return False
             if pres.status == TIME_LIMIT and state.remaining() <= 0:
@@ -372,10 +363,10 @@ def _dive(state: SearchState, cfg: SearchConfig, hybrid: bool) -> bool:
                 priced_out = pres.status != TIME_LIMIT
                 break
             cover = pres.cover
-            if not pool.add(cover):
+            if not master.add(cover):
                 cover = make_cover(inst, pres.raw_requests)
-                if not pool.add(cover):
-                    # both forms already pooled: numerically converged
+                if not master.add(cover):
+                    # the master holds both forms: numerically converged
                     priced_out = True
                     break
             progress = True
@@ -393,19 +384,19 @@ def _dive(state: SearchState, cfg: SearchConfig, hybrid: bool) -> bool:
 
         # phase 2: score the master's support covers; an unchanged master
         # keeps the last optimal solve
-        if extend_rmp(model, index, pool) or rmp_out.status != OPTIMAL:
-            rmp_out = solve_lp(model, deadline=state.deadline)
+        if master.changed or rmp_out.status != OPTIMAL:
+            rmp_out = master.solve(state.deadline)
         if rmp_out.status == INFEASIBLE:
             state.raise_lb(state.ub)
             return False
         if rmp_out.status == OPTIMAL:
-            for cover in pool.columns:
-                if rmp_out.values[index.chi[cover.requests]] > SUPPORT_EPS and \
+            for cover in master.columns:
+                if rmp_out.values[master.chi[cover.requests]] > SUPPORT_EPS and \
                         _score_and_enqueue(state, cover):
                     progress = True
         if iteration == 1 and not queue and state.incumbent is None:
             # guarantee a first incumbent: fall back on serving everything
-            if _score_and_enqueue(state, pool.columns[0]):
+            if _score_and_enqueue(state, master.columns[0]):
                 progress = True
 
         # phase 3: exact evaluation of the most promising covers

@@ -23,11 +23,9 @@ from oracles import (
 from stspgl import colgen, orchestrate
 from stspgl.colgen import (
     CG_LOG_HEADER,
-    ColumnPool,
     DualPrices,
     add_gsec_rows,
     build_rmp,
-    extend_rmp,
     extract_duals,
     reduced_cost,
     solve_pricing,
@@ -54,42 +52,38 @@ def _random_duals(inst, rng, spread):
     return DualPrices(iota=iota, serve=serve, beta=rng.uniform(0.0, 3.0))
 
 
-def _pool_with(inst, *request_sets):
-    pool = ColumnPool()
-    for reqs in request_sets:
-        pool.add(make_cover(inst, reqs))
-    return pool
+def _covers(inst, *request_sets):
+    return [make_cover(inst, reqs) for reqs in request_sets]
 
 
-def test_pool_rejects_duplicates(d1):
-    pool = _pool_with(d1, d1.requests)
-    assert not pool.add(make_cover(d1, d1.requests))
-    assert len(pool.columns) == 1
-    assert [c.requests for c in pool.columns] == [tuple(d1.requests)]
+def test_master_rejects_duplicates(d1):
+    master = build_rmp(d1, _covers(d1, d1.requests, d1.requests))
+    assert not master.add(make_cover(d1, d1.requests))
+    assert len(master.columns) == 1
+    assert [c.requests for c in master.columns] == [tuple(d1.requests)]
+    assert list(master.chi) == [tuple(d1.requests)]
 
 
 def test_rmp_feasible_with_single_column(d1):
-    pool = _pool_with(d1, d1.requests)
-    model, index = build_rmp(d1, pool)
-    out = solve_lp(model)
+    master = build_rmp(d1, _covers(d1, d1.requests))
+    out = master.solve()
     assert out.status == OPTIMAL
-    assert out.values[index.chi[tuple(d1.requests)]] == pytest.approx(1.0)
+    assert out.values[master.chi[tuple(d1.requests)]] == pytest.approx(1.0)
 
 
 def test_rmp_objective_never_increases_with_columns(d1):
-    pool = _pool_with(d1, d1.requests)
-    base = solve_lp(build_rmp(d1, pool)[0]).objective
-    pool.add(make_cover(d1, [(1, 3)]))
-    richer = solve_lp(build_rmp(d1, pool)[0]).objective
+    covers = _covers(d1, d1.requests)
+    base = build_rmp(d1, covers).solve().objective
+    covers.append(make_cover(d1, [(1, 3)]))
+    richer = build_rmp(d1, covers).solve().objective
     assert richer <= base + 1e-9
-    pool.add(make_cover(d1, [(2, 4)]))
-    richest = solve_lp(build_rmp(d1, pool)[0]).objective
+    covers.append(make_cover(d1, [(2, 4)]))
+    richest = build_rmp(d1, covers).solve().objective
     assert richest <= richer + 1e-9
 
 
 def test_rmp_with_all_minimal_covers_bounds_d1_optimum(d1):
-    pool = _pool_with(d1, d1.requests, [(1, 3)], [(2, 4)])
-    out = solve_lp(build_rmp(d1, pool)[0])
+    out = build_rmp(d1, _covers(d1, d1.requests, [(1, 3)], [(2, 4)])).solve()
     assert out.status == OPTIMAL
     assert out.objective <= 5.0 + 1e-9
 
@@ -109,19 +103,18 @@ def test_reduced_cost_formula_values(d1):
 
 
 def test_reduced_cost_matches_engine_columns(d1):
-    pool = _pool_with(d1, d1.requests, [(1, 3)])
-    model, index = build_rmp(d1, pool)
-    out = solve_lp(model)
-    duals = extract_duals(index, out)
+    master = build_rmp(d1, _covers(d1, d1.requests, [(1, 3)]))
+    out = master.solve()
+    duals = extract_duals(master, out)
     probe = make_cover(d1, [(2, 4)])
     # rebuild the probe's column coefficients row by row and price it by hand
-    engine_rc = -out.duals[index.convex_row]
+    engine_rc = -out.duals[master.convex_row]
     for i in d1.nodes:
         if i in probe.visited:
-            engine_rc -= out.duals[index.link_rows[i]] * (-2.0)
+            engine_rc -= out.duals[master.link_rows[i]] * (-2.0)
     for hk in d1.requests:
         if hk in probe.requests:
-            row_h, row_k = index.flow_rows[hk]
+            row_h, row_k = master.flow_rows[hk]
             engine_rc -= out.duals[row_h] * (-1.0)
             engine_rc -= out.duals[row_k] * (1.0)
     # engine_rc started from -beta because the chi objective coefficient is 0
@@ -132,29 +125,26 @@ def test_pooled_columns_price_nonnegative_at_optimum():
     for seed in range(6):
         inst = generate_instance(n=6, seed=400 + seed, n_requests=5, n_scenarios=3,
                                  theta=0.7, rho=0.3)
-        pool = _pool_with(inst, inst.requests)
-        for cov in enumerate_minimal_covers(inst)[:3]:
-            pool.add(make_cover(inst, cov))
-        model, index = build_rmp(inst, pool)
-        out = solve_lp(model)
+        master = build_rmp(inst, _covers(inst, inst.requests,
+                                         *enumerate_minimal_covers(inst)[:3]))
+        out = master.solve()
         assert out.status == OPTIMAL
-        duals = extract_duals(index, out)
-        for cover in pool.columns:
+        duals = extract_duals(master, out)
+        for cover in master.columns:
             assert reduced_cost(cover, duals) >= -1e-6
 
 
 def test_extract_duals_serve_is_the_flow_dual_difference():
     inst = generate_instance(n=7, seed=401, n_requests=6, n_scenarios=3, theta=0.7, rho=0.3)
-    pool = _pool_with(inst, inst.requests, *enumerate_minimal_covers(inst)[:3])
-    model, index = build_rmp(inst, pool)
-    out = solve_lp(model)
-    duals = extract_duals(index, out)
+    master = build_rmp(inst, _covers(inst, inst.requests, *enumerate_minimal_covers(inst)[:3]))
+    out = master.solve()
+    duals = extract_duals(master, out)
     assert list(duals.serve) == list(inst.requests)
     for hk in inst.requests:
-        row_h, row_k = index.flow_rows[hk]
+        row_h, row_k = master.flow_rows[hk]
         assert duals.serve[hk] == out.duals[row_h] - out.duals[row_k]
-    assert duals.iota == {i: out.duals[row] for i, row in index.link_rows.items()}
-    assert duals.beta == out.duals[index.convex_row]
+    assert duals.iota == {i: out.duals[row] for i, row in master.link_rows.items()}
+    assert duals.beta == out.duals[master.convex_row]
 
 
 def test_pricing_objective_is_the_ip_optimum_minus_beta(d1, monkeypatch):
@@ -279,7 +269,7 @@ def test_every_rmp_lp_matches_a_presolved_oracle(monkeypatch, n, seed, n_request
             checked.append((model.n_constrs(), len(model._obj)))
         return out
 
-    monkeypatch.setattr(orchestrate, "solve_lp", checked_lp)
+    monkeypatch.setattr(colgen, "solve_lp", checked_lp)
     cfg = SearchConfig(time_limit_total=60.0, gap_target=1e-6)
     assert orchestrate.run_bp(inst, cfg).status == OPTIMAL
     assert len(set(checked)) > 2      # the master grew between solves
@@ -289,33 +279,35 @@ def test_pricing_never_returns_branched_cover(d1):
     duals = _zero_duals(d1, beta=10.0)
     first = solve_pricing(d1, duals)
     assert first.cover is not None
-    pool = ColumnPool()
-    pool.branched.add(first.cover.requests)
-    pool.branched.add(first.cover.requests)  # duplicate is a no-op
-    second = solve_pricing(d1, duals, phi=pool.branched)
+    master = build_rmp(d1, _covers(d1, d1.requests))
+    master.branch(first.cover.requests)
+    master.branch(first.cover.requests)  # duplicate is a no-op
+    assert master.branched == {first.cover.requests}
+    second = solve_pricing(d1, duals, phi=master.branched)
     if second.cover is not None:
         assert second.cover.requests != first.cover.requests
 
 
 def test_branched_column_fixed_to_zero(d1):
-    pool = _pool_with(d1, d1.requests, [(1, 3)])
-    base = solve_lp(build_rmp(d1, pool)[0]).objective
-    pool.branched.add(((1, 3),))
-    model, index = build_rmp(d1, pool)
-    out = solve_lp(model)
-    assert out.values[index.chi[((1, 3),)]] == pytest.approx(0.0, abs=1e-9)
+    master = build_rmp(d1, _covers(d1, d1.requests, [(1, 3)]))
+    base = master.solve().objective
+    master.branch(((1, 3),))
+    out = master.solve()
+    assert out.values[master.chi[((1, 3),)]] == pytest.approx(0.0, abs=1e-9)
     assert out.objective >= base - 1e-9
 
 
-def _assert_same_master(grown, grown_index, fresh, fresh_index):
-    assert grown_index == fresh_index
-    mat, lo, hi = grown._matrix()
-    want, want_lo, want_hi = fresh._matrix()
+def _assert_same_master(grown, fresh):
+    for name in ("x", "convex_row", "link_rows", "flow_rows", "columns", "chi", "branched",
+                 "gsecs"):
+        assert getattr(grown, name) == getattr(fresh, name)
+    mat, lo, hi = grown.model._matrix()
+    want, want_lo, want_hi = fresh.model._matrix()
     assert mat.shape == want.shape
     for got, ref in ((mat.indptr, want.indptr), (mat.indices, want.indices),
                      (mat.data, want.data), (lo, want_lo), (hi, want_hi)):
         assert np.array_equal(got, ref)
-    for got, ref in zip(grown._arrays(), fresh._arrays()):
+    for got, ref in zip(grown.model._arrays(), fresh.model._arrays()):
         assert np.array_equal(got, ref)
 
 
@@ -323,24 +315,29 @@ def test_rmp_grown_in_place_equals_fresh_build():
     inst = generate_instance(n=6, seed=404, n_requests=6, n_scenarios=3, theta=0.6, rho=0.3)
     covers = [make_cover(inst, c) for c in enumerate_minimal_covers(inst)]
     assert len(covers) >= 4
-    pool = _pool_with(inst, inst.requests)
-    model, index = build_rmp(inst, pool)
-    steps = [   # (change to the pool, whether the master changes)
-        (lambda: pool.add(covers[0]), True),
-        (lambda: (pool.add(covers[1]), pool.add(covers[2])), True),
-        (lambda: pool.branched.add(covers[0].requests), True),    # already pooled
-        (lambda: pool.branched.add(covers[3].requests), False),   # not pooled yet
-        (lambda: pool.add(covers[3]), True),                            # enters branched
-        (lambda: None, False),                                          # nothing changed
+    master = build_rmp(inst, _covers(inst, inst.requests))
+    assert master.solve().status == OPTIMAL and not master.changed
+    steps = [   # (change to the master, whether that changes its model)
+        (lambda: master.add(covers[0]), True),
+        (lambda: (master.add(covers[1]), master.add(covers[2])), True),
+        (lambda: master.branch(covers[0].requests), True),    # held already
+        (lambda: master.branch(covers[0].requests), False),   # branched already
+        (lambda: master.branch(covers[3].requests), False),   # not held yet
+        (lambda: master.add(covers[3]), True),                # enters branched
+        (lambda: None, False),                                # nothing changed
     ]
     for step, changed in steps:
         step()
-        assert extend_rmp(model, index, pool) is changed
-        fresh, fresh_index = build_rmp(inst, pool)
-        _assert_same_master(model, index, fresh, fresh_index)
-    assert model._ub[index.chi[covers[0].requests]] == 0.0
-    assert model._ub[index.chi[covers[3].requests]] == 0.0
-    grown_out, fresh_out = solve_lp(model), solve_lp(fresh)
+        assert master.changed is changed
+        assert master.solve().status == OPTIMAL and not master.changed
+        # a fresh build over the same covers, then Phi
+        fresh = build_rmp(inst, master.columns)
+        for requests in master.branched:
+            fresh.branch(requests)
+        _assert_same_master(master, fresh)
+    assert master.model._ub[master.chi[covers[0].requests]] == 0.0
+    assert master.model._ub[master.chi[covers[3].requests]] == 0.0
+    grown_out, fresh_out = master.solve(), fresh.solve()
     assert grown_out.status == OPTIMAL
     assert grown_out.values == fresh_out.values
     assert grown_out.duals == fresh_out.duals
@@ -352,30 +349,27 @@ def test_gsec_rows_lift_the_master_and_leave_pricing_alone(n, seed, n_requests,
                                                             n_scenarios):
     inst = generate_instance(n=n, seed=seed, n_requests=n_requests,
                              n_scenarios=n_scenarios, theta=0.7, rho=0.25)
-    pool = ColumnPool()
-    for cov in enumerate_minimal_covers(inst):
-        pool.add(make_cover(inst, cov))
-    model, index = build_rmp(inst, pool)
-    uncut_rows = model.n_constrs()
-    out = solve_lp(model)
+    master = build_rmp(inst, _covers(inst, *enumerate_minimal_covers(inst)))
+    uncut_rows = master.model.n_constrs()
+    out = master.solve()
     bounds = [out.objective]
-    while add_gsec_rows(inst, model, index, out.values):
-        out = solve_lp(model)
+    while add_gsec_rows(inst, master, out.values):
+        out = master.solve()
         assert out.status == OPTIMAL
         bounds.append(out.objective)
-    assert index.gsecs and model.n_constrs() == uncut_rows + len(index.gsecs)
+    assert master.gsecs and master.model.n_constrs() == uncut_rows + len(master.gsecs)
     # the rows are written in edge variables alone
-    mat = model._matrix()[0].tocsc()
-    chi_cols = sorted(index.chi.values())
+    mat = master.model._matrix()[0].tocsc()
+    chi_cols = sorted(master.chi.values())
     assert mat[uncut_rows:, chi_cols].nnz == 0
-    edge_cols = set(index.x.values())
+    edge_cols = set(master.x.values())
     assert set(mat[uncut_rows:].indices) <= edge_cols
     # every pooled cover's integer point satisfies them, so the bound stays valid
     optimum, _cover = oracle_stspgl(inst)
     assert bounds == sorted(bounds) and bounds[-1] > bounds[0]
     assert bounds[-1] <= optimum * (1 + 1e-9)
-    duals = extract_duals(index, out)
-    for cover in pool.columns:
+    duals = extract_duals(master, out)
+    for cover in master.columns:
         assert reduced_cost(cover, duals) >= -1e-6
 
 
@@ -385,22 +379,20 @@ def test_paired_linking_rows_keep_the_master_value(monkeypatch, n, seed, n_reque
                                                    n_scenarios):
     inst = generate_instance(n=n, seed=seed, n_requests=n_requests,
                              n_scenarios=n_scenarios, theta=0.7, rho=0.25)
-    pool = ColumnPool()
-    for cov in enumerate_minimal_covers(inst):
-        pool.add(make_cover(inst, cov))
-    model, index = build_rmp(inst, pool)
-    out = solve_lp(model)
-    while add_gsec_rows(inst, model, index, out.values):
-        out = solve_lp(model)
-    assert out.status == OPTIMAL and index.gsecs
+    master = build_rmp(inst, _covers(inst, *enumerate_minimal_covers(inst)))
+    out = master.solve()
+    while add_gsec_rows(inst, master, out.values):
+        out = master.solve()
+    assert out.status == OPTIMAL and master.gsecs
     # the same master with two rows per edge and request, and the same GSEC rows
     monkeypatch.setattr(colgen, "add_routing", add_split_routing)
-    split, split_index = build_rmp(inst, pool)
-    for side, i in sorted(index.gsecs, key=lambda cut: (sorted(cut[0]), cut[1])):
-        split.add_constr(*gsec_row(split_index.x, inst.nodes, side, i))
-    split_out = solve_lp(split)
+    split = build_rmp(inst, master.columns)
+    for side, i in sorted(master.gsecs, key=lambda cut: (sorted(cut[0]), cut[1])):
+        split.model.add_constr(*gsec_row(split.x, inst.nodes, side, i))
+    split_out = split.solve()
     assert split_out.status == OPTIMAL
-    assert split.n_constrs() - model.n_constrs() == len(index.x) * len(inst.requests)
+    assert split.model.n_constrs() - master.model.n_constrs() == \
+        len(master.x) * len(inst.requests)
     assert out.objective == pytest.approx(split_out.objective, rel=1e-9)
 
 
@@ -413,16 +405,12 @@ def test_cg_log_line_format():
 
 _RMP_MEMORY_PROBE = """
 import json
-from stspgl.colgen import ColumnPool, build_rmp
+from stspgl.colgen import build_rmp
 from stspgl.covers import make_cover
-from stspgl.mpbackend import solve_lp
 from stspgl.scenarios import generate_instance
 
 inst = generate_instance(n=16, seed=1, n_requests=24, n_scenarios=4, theta=0.8, rho=0.2)
-pool = ColumnPool()
-pool.add(make_cover(inst, inst.requests))
-model, _index = build_rmp(inst, pool)
-out = solve_lp(model)
+out = build_rmp(inst, [make_cover(inst, inst.requests)]).solve()
 with open("/proc/self/status") as fh:
     peak_mb = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")) / 1024.0
 print(json.dumps({"objective": out.objective, "peak_mb": peak_mb}))

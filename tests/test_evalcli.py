@@ -248,10 +248,23 @@ def test_cli_rejects_a_budget_no_solve_takes(d1, tmp_path, capsys, command, flag
      "stspgl solve: error: instance file's 'requests' has the wrong JSON type"),
     (["solve", "compulsory3.json"],
      "stspgl solve: error: instance file's 'compulsory' has the wrong JSON type"),
+    (["solve", "thetastr.json"],
+     "stspgl solve: error: instance file's 'theta' has the wrong JSON type"),
+    (["solve", "alphabool.json"],
+     "stspgl solve: error: instance file's 'alpha' has the wrong JSON type"),
+    (["solve", "hstr.json"],
+     "stspgl solve: error: instance file's 'requests' has the wrong JSON type"),
+    (["solve", "demandbool.json"],
+     "stspgl solve: error: instance file's 'requests' has the wrong JSON type"),
+    (["solve", "compulsoryfrac.json"],
+     "stspgl solve: error: instance file's 'compulsory' has the wrong JSON type"),
+    (["solve", "list.json"], "stspgl solve: error: instance file must hold a JSON object"),
 ], ids=["nodes", "theta", "grid-text", "grid-range", "missing-instance", "spec-budget",
         "spec-missing-instance", "solve-alpha", "solve-theta0", "solve-norho", "vss-alpha",
         "sweep-alpha", "spec-norho", "solve-theta-null", "solve-request-pairs",
-        "solve-compulsory-number"])
+        "solve-compulsory-number", "solve-theta-string", "solve-alpha-bool",
+        "solve-request-id-string", "solve-demand-bool", "solve-compulsory-fraction",
+        "solve-list"])
 def test_cli_reports_bad_input_as_a_usage_error(d1, tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)
     _write_unsolvable_files(d1)
@@ -266,10 +279,12 @@ def test_cli_reports_bad_input_as_a_usage_error(d1, tmp_path, monkeypatch, capsy
 
 
 def _write_unsolvable_files(d1):
-    """d1.json, and six edits of it that load or solve no more: alpha out
-    of range, theta 0 (no routing weights), no `rho` key, and three values
-    of the wrong JSON type: theta null, each request written as [h, k], and
-    the compulsory set as one number."""
+    """d1.json, and twelve files that load or solve no more: edits of it
+    with alpha out of range, theta 0 (no routing weights), no `rho` key,
+    and eight values of the wrong JSON type (theta null or a string, alpha
+    true, each request written as [h, k], a request's h a string, its
+    demands true, the compulsory set as one number or as fractions), and
+    a list in place of the object."""
     save_instance(d1, "d1.json")
     doc = json.loads(Path("d1.json").read_text())
     Path("alpha.json").write_text(json.dumps({**doc, "alpha": 1.5}))
@@ -279,6 +294,16 @@ def _write_unsolvable_files(d1):
     Path("pairs.json").write_text(json.dumps(
         {**doc, "requests": [[req["h"], req["k"]] for req in doc["requests"]]}))
     Path("compulsory3.json").write_text(json.dumps({**doc, "compulsory": 3}))
+    first, *rest = doc["requests"]
+    Path("thetastr.json").write_text(json.dumps({**doc, "theta": str(doc["theta"])}))
+    Path("alphabool.json").write_text(json.dumps({**doc, "alpha": True}))
+    Path("hstr.json").write_text(json.dumps(
+        {**doc, "requests": [{**first, "h": str(first["h"])}, *rest]}))
+    Path("demandbool.json").write_text(json.dumps(
+        {**doc, "requests": [{**first, "demand": [True] * len(first["demand"])}, *rest]}))
+    Path("compulsoryfrac.json").write_text(json.dumps(
+        {**doc, "compulsory": [i + 0.7 for i in doc["compulsory"]]}))
+    Path("list.json").write_text("[1, 2]")
 
 
 def test_sweep_takes_an_instance_file_with_theta_zero(d1, tmp_path, monkeypatch, capsys):

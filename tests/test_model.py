@@ -200,8 +200,20 @@ def test_load_names_a_missing_key(tmp_path, drop):
     ("nodes", {"nodes": [{"id": 0, "x": None, "y": 0.0}]}),
     ("nodes", {"nodes": [{"id": None, "x": 0.0, "y": 0.0}, {"id": 0, "x": 1.0, "y": 0.0}]}),
     ("dist", {"dist": [[0.0, None], [1.0, 0.0]]}),
+    # a string or a boolean where a number goes, and a fraction as a node id,
+    # which used to load as "0.8", 1.0, 1 and the id rounded down
+    ("theta", {"theta": "0.8"}),
+    ("alpha", {"alpha": True}),
+    ("requests", {"requests": [{"h": "0", "k": 1, "demand": [4.0, 2.0]}]}),
+    ("requests", {"requests": [{"h": 0, "k": 1, "demand": [True, True]}]}),
+    ("compulsory", {"compulsory": [0.7]}),
+    ("nodes", {"nodes": [{"id": 0.5, "x": 0.0, "y": 0.0}]}),
+    ("nodes", {"nodes": [{"id": 0, "x": "0", "y": 0.0}]}),
+    ("dist", {"dist": [[0.0, "1"], [1.0, 0.0]]}),
 ], ids=["theta-null", "compulsory-number", "compulsory-null-id", "request-pairs",
-        "demand-null", "coordinate-null", "node-id-null", "dist-null"])
+        "demand-null", "coordinate-null", "node-id-null", "dist-null", "theta-string",
+        "alpha-bool", "request-id-string", "demand-bool", "compulsory-fraction",
+        "node-id-fraction", "coordinate-string", "dist-string"])
 def test_load_names_a_value_of_the_wrong_json_type(tmp_path, key, overrides):
     doc = _instance_doc(**overrides)
     if "dist" in overrides:
@@ -210,6 +222,28 @@ def test_load_names_a_value_of_the_wrong_json_type(tmp_path, key, overrides):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError,
                        match=f"^instance file's '{key}' has the wrong JSON type$"):
+        load_instance(path)
+
+
+def test_load_takes_whole_numbers_written_with_a_point_as_node_ids(tmp_path):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(_instance_doc()))
+    want = load_instance(path)
+    path.write_text(json.dumps(_instance_doc(
+        compulsory=[0.0],
+        requests=[{"h": 0.0, "k": 1.0, "demand": [4, 2]}, {"h": 2, "k": 1, "demand": [1, 3]}])))
+    again = load_instance(path)
+    assert again.compulsory == want.compulsory and again.requests == want.requests
+    assert all(type(i) is int for i in again.compulsory)
+    assert all(type(i) is int for hk in again.requests for i in hk)
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", "3", '"inst"', "null"])
+def test_load_names_a_file_that_holds_no_json_object(tmp_path, text):
+    # a list used to be blamed on its missing 'compulsory' key
+    path = tmp_path / "inst.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="^instance file must hold a JSON object$"):
         load_instance(path)
 
 

@@ -14,7 +14,7 @@ from scipy.optimize import Bounds, LinearConstraint
 
 from oracles import oracle_tsp, warm_start
 from stspgl import mpbackend, orchestrate
-from stspgl.colgen import ColumnPool, DualPrices, build_rmp, solve_pricing
+from stspgl.colgen import DualPrices, build_rmp, solve_pricing
 from stspgl.covers import make_cover, minimal_feasibility_cover
 from stspgl.evalcli import run_method
 from stspgl.model import INFEASIBLE, OPTIMAL, TIME_LIMIT, UNBOUNDED
@@ -541,13 +541,11 @@ def _highs_input_digests(monkeypatch, d1) -> dict:
     cfg = SearchConfig(time_limit_total=60.0)
     got = {}
     for name, inst in (("d1", d1), ("n6", n6)):
-        pool = ColumnPool()
-        pool.add(make_cover(inst, inst.requests))
         duals = DualPrices(iota={i: 0.0 for i in inst.nodes},
                            serve={hk: 0.0 for hk in inst.requests}, beta=0.0)
         sub = make_subinstance(inst, make_cover(inst, inst.requests))
         runs = {
-            "root RMP": lambda: solve_lp(build_rmp(inst, pool)[0]),
+            "root RMP": lambda: solve_lp(build_rmp(inst, [make_cover(inst, inst.requests)]).model),
             "compact MIP": lambda: run_mip_benchmark(inst, cfg),
             "pricing IP": lambda: solve_pricing(inst, duals),
             "Benders master": lambda: benders_solve_tspgl(sub, warm_start(sub)),
@@ -563,3 +561,34 @@ def _highs_input_digests(monkeypatch, d1) -> dict:
 
 def test_each_model_sends_highs_the_same_inputs(monkeypatch, d1):
     assert _highs_input_digests(monkeypatch, d1) == _HIGHS_INPUTS
+
+
+# SHA-256 over every `linprog` input of a whole solve, in call order, with the
+# number of calls. On this n=8 instance both dives grow the master, cut it by
+# GSEC rows and fix branched columns to zero before they solve it again, so
+# the pin sees every way the master changes between solves.
+_WHOLE_SOLVE_LP_INPUTS = {
+    "bp": (10, "78f63b1185f8038ca9724f94b4d1ef50eaf6322b813635fe76ff11c85d144fa5"),
+    "hybrid": (9, "02010680277fcc4ab826747888579380dc622cf9e6a1df2ad045172daf05ce47"),
+}
+
+
+@pytest.mark.parametrize("method", sorted(_WHOLE_SOLVE_LP_INPUTS))
+def test_a_whole_dive_sends_highs_the_same_lp_inputs(monkeypatch, method):
+    inst = generate_instance(n=8, seed=1, n_requests=10, n_scenarios=4, theta=0.8, rho=0.2)
+    digest = hashlib.sha256()
+    shapes = []   # (rows, columns, columns with upper bound 0) of each LP
+
+    def spy(*args, _solve=optimize.linprog, **kwargs):
+        _feed(digest, list(args))
+        _feed(digest, [(key, kwargs[key]) for key in sorted(kwargs)])
+        rows = sum(kwargs[a].shape[0] for a in ("A_ub", "A_eq") if kwargs[a] is not None)
+        shapes.append((rows, len(args[0]), int((kwargs["bounds"][:, 1] == 0.0).sum())))
+        return _solve(*args, **kwargs)
+
+    monkeypatch.setattr(mpbackend, "linprog", spy)
+    res = run_method(method, inst, SearchConfig(time_limit_total=60.0, gap_target=1e-6))
+    assert res.status == OPTIMAL
+    rows, cols, fixed = zip(*shapes)
+    assert rows[-1] > rows[0] and cols[-1] > cols[0] and max(fixed) > 0
+    assert (len(shapes), digest.hexdigest()) == _WHOLE_SOLVE_LP_INPUTS[method]

@@ -5,7 +5,7 @@ import pytest
 
 from stspgl.covers import make_cover
 from stspgl.model import TspGlSolution, build_instance, gap_value
-from stspgl import mpbackend, orchestrate, tspgl
+from stspgl import colgen, mpbackend, orchestrate, tspgl
 from stspgl.evalcli import run_method
 from stspgl.mpbackend import solve_lp, solve_mip
 from stspgl.orchestrate import (
@@ -332,7 +332,7 @@ def test_dive_never_resolves_an_unchanged_master(monkeypatch, hybrid):
                         tuple(model._ub)), out.status))
         return out
 
-    monkeypatch.setattr(orchestrate, "solve_lp", spy)
+    monkeypatch.setattr(colgen, "solve_lp", spy)
     res = run_bp(inst, fast_cfg(), hybrid=hybrid)
     assert res.status == "Optimal"
     assert solves

@@ -471,10 +471,9 @@ def test_flow_columns_cost_alpha_times_design_times_weight(monkeypatch):
 
     monkeypatch.setattr(colgen, "add_routing", spy)
     monkeypatch.setattr(orchestrate, "add_routing", spy)
-    pool = colgen.ColumnPool()
-    pool.add(make_cover(inst, inst.requests))
     regrouped = 0
-    for model in (colgen.build_rmp(inst, pool)[0], orchestrate._benchmark_model(inst)[0]):
+    for model in (colgen.build_rmp(inst, [make_cover(inst, inst.requests)]).model,
+                  orchestrate._benchmark_model(inst)[0]):
         flows = [(hk, f) for m, hk, f in built if m is model]
         assert [hk for hk, _f in flows] == list(inst.requests)
         obj = model._arrays()[0]
